@@ -2,7 +2,7 @@ package analyzers
 
 // summary.go computes lightweight call-graph summaries on demand, so the
 // flow-sensitive analyzers can follow a tracked value through module
-// helpers (sendPooledBuf, processPacket, parseRecord, ...) without
+// helpers (take, processPacket, parseRecord, ...) without
 // inlining whole call chains. Summaries are per (function, parameter):
 // how does the callee treat a pooled buffer / payload alias handed to it
 // in that position? Results are memoized per analyzer run; recursion

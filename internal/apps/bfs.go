@@ -98,7 +98,7 @@ func BFS(p *transport.Proc, cfg BFSConfig) (*BFSResult, error) {
 	for l := range st.dist {
 		st.dist[l] = Unreached
 	}
-	mb := ygm.New(p, st.handle, mailboxOptions(cfg.Mailbox)...)
+	mb := ygm.New(p, st.handle, ygm.WithOptions(cfg.Mailbox))
 	comm := collective.World(p)
 
 	// Build the distributed adjacency (undirected: both directions).

@@ -168,7 +168,7 @@ func ConnectedComponents(p *transport.Proc, cfg ConnectedComponentsConfig) (*Con
 		delegates: make(map[uint64]bool),
 		delLabels: make(map[uint64]uint64),
 	}
-	mb := ygm.New(p, st.handle, mailboxOptions(cfg.Mailbox)...)
+	mb := ygm.New(p, st.handle, ygm.WithOptions(cfg.Mailbox))
 	comm := collective.World(p)
 
 	// Phase 0: generate this rank's edge share.

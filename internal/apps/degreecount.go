@@ -68,7 +68,7 @@ func DegreeCount(p *transport.Proc, cfg DegreeCountConfig) (*DegreeCountResult, 
 			panic(fmt.Sprintf("apps: corrupt degree message: %v", err))
 		}
 		degrees[graph.LocalID(v, world)]++
-	}, mailboxOptions(cfg.Mailbox)...)
+	}, ygm.WithOptions(cfg.Mailbox))
 
 	gen := cfg.NewGen(p)
 	batch := cfg.BatchSize

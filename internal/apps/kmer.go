@@ -59,7 +59,7 @@ func KmerCount(p *transport.Proc, cfg KmerCountConfig) (*KmerCountResult, error)
 			panic(fmt.Sprintf("apps: corrupt kmer message: %v", err))
 		}
 		counts[string(kmer)]++
-	}, mailboxOptions(cfg.Mailbox)...)
+	}, ygm.WithOptions(cfg.Mailbox))
 
 	src := p.Rng()
 	read := make([]byte, cfg.ReadLen)

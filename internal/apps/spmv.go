@@ -134,7 +134,7 @@ func SpMV(p *transport.Proc, cfg SpMVConfig) (*SpMVResult, error) {
 		xDel:      make(map[uint64]float64),
 		yDel:      make(map[uint64]float64),
 	}
-	mb := ygm.New(p, st.handle, mailboxOptions(cfg.Mailbox)...)
+	mb := ygm.New(p, st.handle, ygm.WithOptions(cfg.Mailbox))
 	comm := collective.World(p)
 
 	// Phase 0: generate this rank's nonzeros. Edge (u,v) becomes entry

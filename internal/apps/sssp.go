@@ -115,7 +115,7 @@ func SSSP(p *transport.Proc, cfg SSSPConfig) (*SSSPResult, error) {
 	for l := range st.dist {
 		st.dist[l] = Unreached
 	}
-	mb := ygm.New(p, st.handle, mailboxOptions(cfg.Mailbox)...)
+	mb := ygm.New(p, st.handle, ygm.WithOptions(cfg.Mailbox))
 	comm := collective.World(p)
 
 	// Build the weighted adjacency (undirected: both arc directions).

@@ -113,7 +113,7 @@ func ShiloachVishkinCC(p *transport.Proc, cfg SVConfig) (*SVResult, error) {
 	for l := range st.f {
 		st.f[l] = graph.GlobalID(uint64(l), world, int(p.Rank()))
 	}
-	mb := ygm.New(p, st.handle, mailboxOptions(cfg.Mailbox)...)
+	mb := ygm.New(p, st.handle, ygm.WithOptions(cfg.Mailbox))
 	comm := collective.World(p)
 
 	// Distribute edges to both endpoint owners.

@@ -43,7 +43,7 @@ type Config struct {
 // goroutine.
 type Engine struct {
 	p     *transport.Proc
-	mb    ygm.Box
+	mb    *ygm.Mailbox // lazy: the one policy with nonblocking TestEmpty
 	visit VisitFunc
 	cfg   Config
 
@@ -79,7 +79,7 @@ func New(p *transport.Proc, visit VisitFunc, cfg Config) *Engine {
 		buf := make([]byte, len(payload))
 		copy(buf, payload)
 		e.enqueue(buf)
-	}, append(mailboxOptions(cfg.Mailbox), ygm.WithExchange(ygm.LazyExchange))...)
+	}, ygm.WithOptions(cfg.Mailbox), ygm.WithExchange(ygm.LazyExchange)).(*ygm.Mailbox)
 	return e
 }
 
@@ -162,12 +162,7 @@ func (e *Engine) Run() {
 		// TestEmpty drains arrived mailbox traffic, which may enqueue
 		// new visitors — loop back if so; only a true verdict with a
 		// still-empty queue terminates.
-		done, err := e.mb.TestEmpty()
-		if err != nil {
-			// Unreachable: New forces the lazy mailbox, which supports
-			// nonblocking polling.
-			panic(fmt.Sprintf("havoq: %v", err))
-		}
+		done := e.mb.TestEmpty()
 		if e.queueLen() > 0 {
 			continue
 		}

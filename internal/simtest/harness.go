@@ -188,14 +188,10 @@ func runRank(p *transport.Proc, c Case, o *oracle, rec *synch.Recorder, hooks *y
 	// mailbox aliases it to ExchangeUntilQuiet); lazy cases optionally
 	// drive it through nonblocking TestEmpty polling instead.
 	barrier := func() error { mb.WaitEmpty(); return nil }
-	if c.Variant == VariantLazy && c.TestEmptyBarrier {
+	if lazy, ok := mb.(*ygm.Mailbox); ok && c.TestEmptyBarrier {
 		barrier = func() error {
 			for spins := 0; ; spins++ {
-				done, err := mb.TestEmpty()
-				if err != nil {
-					return fmt.Errorf("simtest: rank %d: %v", me, err)
-				}
-				if done {
+				if lazy.TestEmpty() {
 					return nil
 				}
 				if spins > testEmptySpinCap {

@@ -10,7 +10,7 @@ const ygmcheckEnabled = false
 
 func checkf(bool, string, ...any) {}
 
-func (mb *Mailbox) checkCapacityBound() {}
+func (c *core) checkCapacityBound() {}
 
 func checkQuiescent(*transport.Proc, int, string) {}
 

@@ -21,24 +21,26 @@ func checkf(cond bool, format string, args ...any) {
 }
 
 // checkCapacityBound asserts the paper's mailbox-size contract after an
-// application-level queueing operation: outside packet processing (where
-// flushes are deferred until the packet is fully handled), the coalescing
-// buffers never hold a full mailbox — reaching Capacity triggers a
-// communication context. It also checks the per-hop record accounting.
-func (mb *Mailbox) checkCapacityBound() {
-	if mb.processing > 0 {
-		return
-	}
-	checkf(mb.queued < mb.opts.Capacity,
-		"rank %d coalescing buffers hold %d records, capacity %d: flush-at-capacity violated",
-		mb.p.Rank(), mb.queued, mb.opts.Capacity)
+// application-level queueing operation. Policies with a capacity trigger
+// call it outside any exchange (where flushes are deferred until the
+// packet or round is fully handled): the coalescing buffers never hold a
+// full mailbox — reaching Capacity triggers an exchange. It also checks
+// the per-buffer record accounting.
+func (c *core) checkCapacityBound() {
+	checkf(c.queued < c.opts.Capacity,
+		"rank %d coalescing buffers hold %d records, capacity %d: exchange-at-capacity violated",
+		c.me, c.queued, c.opts.Capacity)
 	total := 0
-	for _, i := range mb.slots.active {
-		total += mb.slots.slots[i].count
+	for s := range c.stages {
+		for _, gen := range [][]hopBuf{c.stages[s].cur, c.stages[s].next} {
+			for i := range gen {
+				total += gen[i].count
+			}
+		}
 	}
-	checkf(total == mb.queued,
+	checkf(total == c.queued,
 		"rank %d queued-record accounting out of balance: cached %d, actual %d",
-		mb.p.Rank(), mb.queued, total)
+		c.me, c.queued, total)
 }
 
 // checkQuiescent asserts the postcondition of a positive termination

@@ -19,18 +19,24 @@
 // barrier, so a slow rank delays only the ranks whose messages route
 // through it.
 //
-// New returns a Box, the interface over the three exchange variants
-// selected by WithExchange:
+// There is one mailbox. An unexported core owns what every exchange
+// discipline shares — routing, broadcast fan-out, placement of records
+// into per-partner coalescing buffers, the packet decode loop, dispatch
+// and delivery — and New returns a Box over one of three exchange
+// policies embedding it, selected by WithExchange. A policy decides only
+// when a full queue triggers an exchange, how the staged buffers move,
+// and what WaitEmpty waits for:
 //
-//	RoundExchange  the paper's round-matched protocol (default): a flush
-//	               sends exactly one packet — possibly empty — to every
-//	               stage partner and receives one from each, so packet
-//	               arrival patterns match the paper's
-//	LazyExchange   forwards opportunistically with no round structure;
-//	               the only variant whose TestEmpty supports
-//	               non-blocking polling (the HavoqGT pattern)
-//	SyncExchange   the bulk-synchronous ALLTOALLV-backed baseline of
-//	               Section III-A, driven by explicit Exchange calls
+//	RoundExchange  the paper's round-matched protocol (default): a full
+//	               queue runs a round — exactly one packet, possibly
+//	               empty, to every stage partner and one from each — so
+//	               packet arrival patterns match the paper's
+//	LazyExchange   a full queue flushes what is buffered and polls
+//	               opportunistically, with no round structure; the one
+//	               policy whose *Mailbox also offers TestEmpty, the
+//	               nonblocking poll of the HavoqGT pattern
+//	SyncExchange   the bulk-synchronous baseline of Section III-A: one
+//	               ALLTOALLV per stage, driven by explicit Exchange calls
 //
 // Four routing schemes are provided (Section III of the paper):
 //
@@ -47,7 +53,7 @@
 // # Allocation discipline
 //
 // The steady-state queue→coalesce→pack→send→deliver path performs zero
-// heap allocations per message on every variant (pinned by the
+// heap allocations per message under every policy (pinned by the
 // testing.AllocsPerRun tests in alloc_test.go and catalogued in
 // DESIGN.md §8): coalescing buffers live in dense per-partner slots
 // that are reused across flushes, packet payloads come from the
@@ -66,7 +72,8 @@
 // themselves done producing messages, flush (including empty buffers —
 // here, counter reports), and the layer detects global quiescence by a
 // counting consensus: record-hop send and receive totals must balance and
-// stay unchanged over two consecutive global reductions. TestEmpty
-// drives the same state machine without blocking on the lazy variant and
-// returns ErrUnsupported elsewhere.
+// stay unchanged over two consecutive global reductions. The lazy
+// Mailbox's TestEmpty drives the same state machine without blocking;
+// round-matched and collective exchanges cannot progress unilaterally,
+// so their types do not have the method.
 package ygm

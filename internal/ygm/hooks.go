@@ -41,7 +41,7 @@ type TestHooks struct {
 	// false manufactures a premature termination.
 	ForceVerdict func(balanced, unchanged bool) bool
 	// ReorderPacket, when non-nil and returning true for a packet,
-	// makes processPacket hold that packet's first record and dispatch
+	// makes the decode loop hold that packet's first record and dispatch
 	// it after all its other records — inverting per-channel FIFO
 	// whenever two same-channel deliveries were coalesced together,
 	// while every transport- and delivery-level counter stays balanced.
@@ -55,17 +55,8 @@ type TestHooks struct {
 	LeakDelivery func(at machine.Rank, payload []byte) bool
 }
 
-// nextHop routes one unicast record held by cur, honoring a mutation
-// hook when installed.
-func (o Options) nextHop(t machine.Topology, cur, dst machine.Rank) machine.Rank {
-	if o.Hooks != nil && o.Hooks.NextHop != nil {
-		return o.Hooks.NextHop(t, o.Scheme, cur, dst)
-	}
-	return t.NextHop(o.Scheme, cur, dst)
-}
-
 // tapQueued reports one queued record to the tap, if any.
-func (o Options) tapQueued(at, hop, dst machine.Rank, kind recordKind, payload []byte) {
+func (o *Options) tapQueued(at, hop, dst machine.Rank, kind recordKind, payload []byte) {
 	if o.Tap != nil {
 		o.Tap.RecordQueued(at, hop, dst, kind != kindUnicast, payload)
 	}
@@ -73,18 +64,18 @@ func (o Options) tapQueued(at, hop, dst machine.Rank, kind recordKind, payload [
 
 // dropDelivery reports whether the drop-injection hook claims this
 // delivery.
-func (o Options) dropDelivery(at machine.Rank, payload []byte) bool {
+func (o *Options) dropDelivery(at machine.Rank, payload []byte) bool {
 	return o.Hooks != nil && o.Hooks.DropDelivery != nil && o.Hooks.DropDelivery(at, payload)
 }
 
 // reorderPacket reports whether the reorder-injection hook claims this
 // packet.
-func (o Options) reorderPacket(at, src machine.Rank) bool {
+func (o *Options) reorderPacket(at, src machine.Rank) bool {
 	return o.Hooks != nil && o.Hooks.ReorderPacket != nil && o.Hooks.ReorderPacket(at, src)
 }
 
 // leakDelivery reports whether the leak-injection hook claims this
 // delivery.
-func (o Options) leakDelivery(at machine.Rank, payload []byte) bool {
+func (o *Options) leakDelivery(at machine.Rank, payload []byte) bool {
 	return o.Hooks != nil && o.Hooks.LeakDelivery != nil && o.Hooks.LeakDelivery(at, payload)
 }

@@ -113,11 +113,7 @@ func TestMixedWaitAndTestEmpty(t *testing.T) {
 				return nil
 			}
 			for {
-				done, err := mb.TestEmpty()
-				if err != nil {
-					return err
-				}
-				if done {
+				if mb.TestEmpty() {
 					return nil
 				}
 			}
@@ -173,11 +169,7 @@ func TestSingleRankWorld(t *testing.T) {
 			mb.WaitEmpty()
 			// TestEmpty may need a couple of calls for a fresh cycle.
 			for {
-				done, err := mb.TestEmpty()
-				if err != nil {
-					return err
-				}
-				if done {
+				if mb.TestEmpty() {
 					return nil
 				}
 			}

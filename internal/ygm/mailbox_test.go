@@ -24,7 +24,10 @@ func runMailbox(t *testing.T, nodes, cores int, opts Options, handler func(p *tr
 	}, func(p *transport.Proc) error {
 		o := opts
 		o.Exchange = LazyExchange
-		mb := newLazy(p, handler(p), o)
+		mb, err := newLazy(p, handler(p), o)
+		if err != nil {
+			return err
+		}
 		return body(p, mb)
 	})
 	if err != nil {
@@ -419,11 +422,7 @@ func TestTestEmptyPolling(t *testing.T) {
 			}
 			spins := 0
 			for {
-				done, err := mb.TestEmpty()
-				if err != nil {
-					return err
-				}
-				if done {
+				if mb.TestEmpty() {
 					break
 				}
 				spins++

@@ -1,18 +1,11 @@
 package ygm
 
 import (
-	"errors"
 	"fmt"
 
 	"ygm/internal/machine"
 	"ygm/internal/transport"
 )
-
-// ErrUnsupported is returned by Box methods that a mailbox variant does
-// not implement — most notably TestEmpty on the round-matched and
-// synchronous variants, whose exchanges are collective and cannot make
-// unilateral nonblocking progress.
-var ErrUnsupported = errors.New("ygm: operation not supported by this mailbox variant")
 
 // YgmcheckEnabled reports whether the build carries the ygmcheck runtime
 // invariant layer, whose assertions box their arguments — packages
@@ -23,6 +16,13 @@ func YgmcheckEnabled() bool { return ygmcheckEnabled }
 // Option configures a mailbox built by New. Options compose left to
 // right; later options override earlier ones.
 type Option func(*Options)
+
+// WithOptions overlays a fully assembled Options record, every field at
+// once — how the app and engine configs, which carry one, compose with
+// New. Options after it still override.
+func WithOptions(o Options) Option {
+	return func(dst *Options) { *dst = o }
+}
 
 // WithScheme selects the routing protocol (default machine.NoRoute).
 func WithScheme(s machine.Scheme) Option {
@@ -94,21 +94,22 @@ func New(p *transport.Proc, handler Handler, opts ...Option) Box {
 	for _, fn := range opts {
 		fn(&o)
 	}
+	var (
+		mb  Box
+		err error
+	)
 	switch o.Exchange {
 	case LazyExchange:
-		return newLazy(p, handler, o)
+		mb, err = newLazy(p, handler, o)
 	case RoundExchange:
-		mb, err := newRound(p, handler, o)
-		if err != nil {
-			panic(err) // nil handler or unknown scheme: programming error
-		}
-		return mb
+		mb, err = newRound(p, handler, o)
 	case SyncExchange:
-		mb, err := newSync(p, handler, o)
-		if err != nil {
-			panic(err)
-		}
-		return mb
+		mb, err = newSync(p, handler, o)
+	default:
+		err = fmt.Errorf("ygm: unknown exchange style %v", o.Exchange)
 	}
-	panic(fmt.Sprintf("ygm: unknown exchange style %v", o.Exchange))
+	if err != nil {
+		panic(err) // nil handler or unknown scheme: programming error
+	}
+	return mb
 }

@@ -73,13 +73,3 @@ func parseRecord(r *codec.Reader) (record, error) {
 	rec.payload, err = r.Bytes0()
 	return rec, err
 }
-
-// recordSize returns the encoded size of a record, used to estimate
-// buffer growth without encoding twice.
-func recordSize(kind recordKind, dst machine.Rank, payloadLen int) int {
-	n := 1 + codec.UvarintLen(uint64(payloadLen)) + payloadLen
-	if kind == kindUnicast {
-		n += codec.UvarintLen(uint64(dst))
-	}
-	return n
-}

@@ -1,16 +1,9 @@
 package ygm
 
 import (
-	"fmt"
-	"os"
-
-	"ygm/internal/codec"
 	"ygm/internal/machine"
 	"ygm/internal/transport"
 )
-
-// roundTrace enables stderr tracing of exchange rounds (debug).
-var roundTrace = false
 
 // stageSpanNames keeps exchange-stage span names as constants — span
 // bracketing must not format strings on the hot path. Three entries
@@ -42,40 +35,24 @@ func roundTag(epoch uint64, stage int, round uint64) transport.Tag {
 		transport.Tag(round&0xFFFFFFFFFF)
 }
 
-// RoundMailbox is the round-matched interpretation of the paper's
-// exchanges (Sections III-A and IV-B): each communication context is a
-// *round* in which the rank sends exactly one — possibly empty — message
-// to every partner of every exchange stage and receives exactly one from
-// each. Rounds let an intermediary bundle the records it forwards with
-// the records it originates for the same destination in one message (the
-// coalescing the lazy-forwarding Mailbox cannot do across flush
-// boundaries), at the price of coupling: a rank entering a round waits
-// for each of its partners to enter it too, and one rank's
+// RoundMailbox is the round-matched exchange policy over the shared
+// core, the paper's own protocol (Sections III-A and IV-B): each
+// communication context is a *round* in which the rank sends exactly one
+// — possibly empty — message to every partner of every exchange stage
+// and receives exactly one from each. Rounds let an intermediary bundle
+// the records it forwards with the records it originates for the same
+// destination in one message (the coalescing the lazy Mailbox cannot do
+// across flush boundaries), at the price of coupling: a rank entering a
+// round waits for each of its partners to enter it too, and one rank's
 // capacity-triggered round transitively obliges the whole (connected)
 // channel graph to run a round, empty buffers included — which is
 // exactly the "empty message buffers are sent by all ranks" behaviour
 // the paper's termination detection keys on.
-//
-// RoundMailbox shares the Sender interface and record formats with
-// Mailbox and SyncMailbox. WaitEmpty is collective; TestEmpty returns
-// ErrUnsupported (external-queue polling belongs to the asynchronous
-// Mailbox).
 type RoundMailbox struct {
-	p       *transport.Proc
-	opts    Options
-	handler Handler
-	stats   Stats
-	// cost caches the model scalars charged per dispatched record.
-	cost recordCost
+	core
 
-	stages []roundStage
-	round  uint64 // next round to execute
-	epoch  uint64 // completed WaitEmpty cycles
-	// queued counts records awaiting a round, across generations.
-	queued int
-	// inRoundStage is the stage currently being processed (-1 outside a
-	// round); records dispatched to stages <= it wait for the next round.
-	inRoundStage int
+	round uint64 // next round to execute
+	epoch uint64 // completed WaitEmpty cycles
 
 	// tagScratch reuses one slice for the per-stage tag list that the
 	// WaitEmpty idle loop polls, so the poll makes a single inbox pass
@@ -85,234 +62,46 @@ type RoundMailbox struct {
 	term termDetector
 }
 
-// roundStage is one exchange phase with its fixed partner set. The
-// per-partner buffers for the round being assembled (cur) and the
-// following one (next) are dense slices parallel to partners, reached
-// through a world-sized rank→index table; both generations keep their
-// writer storage across rounds, so steady-state stages allocate nothing.
-type roundStage struct {
-	local    bool
-	partners []machine.Rank
-	slotOf   []int32 // world-sized; -1 for ranks outside partners
-	cur      []hopBuf
-	next     []hopBuf
-}
-
-// initSlots builds the stage's dense buffer tables.
-func (st *roundStage) initSlots(topo machine.Topology, me machine.Rank) {
-	st.slotOf = make([]int32, topo.WorldSize())
-	for i := range st.slotOf {
-		st.slotOf[i] = -1
-	}
-	st.cur = make([]hopBuf, len(st.partners))
-	st.next = make([]hopBuf, len(st.partners))
-	for i, hop := range st.partners {
-		local := topo.SameNode(me, hop)
-		st.cur[i] = hopBuf{hop: hop, local: local}
-		st.next[i] = hopBuf{hop: hop, local: local}
-		st.slotOf[hop] = int32(i)
-	}
-}
-
 // newRound builds a round-matched mailbox. Collective: all ranks must
 // construct one with identical Options before exchanging.
 func newRound(p *transport.Proc, handler Handler, opts Options) (*RoundMailbox, error) {
-	if handler == nil {
-		return nil, fmt.Errorf("ygm: nil handler")
-	}
-	mb := &RoundMailbox{
-		p:            p,
-		opts:         opts.withDefaults(),
-		handler:      handler,
-		cost:         newRecordCost(p.Model()),
-		inRoundStage: -1,
-	}
-	topo := p.Topo()
-	me := p.Rank()
-	locals := func() []machine.Rank {
-		var out []machine.Rank
-		for _, r := range topo.LocalRanks(me) {
-			if r != me {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-	remotes := topo.RemotePartners(mb.opts.Scheme, me)
-	switch mb.opts.Scheme {
-	case machine.NoRoute:
-		var all []machine.Rank
-		for r := machine.Rank(0); int(r) < topo.WorldSize(); r++ {
-			if r != me {
-				all = append(all, r)
-			}
-		}
-		mb.stages = []roundStage{{partners: all}}
-	case machine.NodeLocal:
-		mb.stages = []roundStage{
-			{local: true, partners: locals()},
-			{partners: remotes},
-		}
-	case machine.NodeRemote:
-		mb.stages = []roundStage{
-			{partners: remotes},
-			{local: true, partners: locals()},
-		}
-	case machine.NLNR:
-		mb.stages = []roundStage{
-			{local: true, partners: locals()},
-			{partners: remotes},
-			{local: true, partners: locals()},
-		}
-	default:
-		return nil, fmt.Errorf("ygm: unknown scheme %v", mb.opts.Scheme)
-	}
-	for s := range mb.stages {
-		mb.stages[s].initSlots(topo, me)
+	mb := &RoundMailbox{}
+	if err := mb.init(p, mb, handler, opts, true); err != nil {
+		return nil, err
 	}
 	mb.tagScratch = make([]transport.Tag, 0, len(mb.stages))
-	mb.term.init(p, &mb.stats)
-	mb.term.hooks = mb.opts.Hooks
+	mb.term.init(p, &mb.stats, mb.opts.Hooks)
 	return mb, nil
 }
-
-// Stats returns a copy of the mailbox counters.
-func (mb *RoundMailbox) Stats() Stats { return mb.stats }
-
-// Proc exposes the transport endpoint the mailbox runs on.
-func (mb *RoundMailbox) Proc() *transport.Proc { return mb.p }
-
-// PendingSends reports records queued for upcoming rounds.
-func (mb *RoundMailbox) PendingSends() int { return mb.queued }
 
 // Send queues a point-to-point message; self-sends deliver immediately.
 // Reaching the mailbox capacity triggers a full exchange round.
 //
 //ygm:hotpath
 func (mb *RoundMailbox) Send(dst machine.Rank, payload []byte) {
-	if !mb.p.Topo().Valid(dst) {
-		panic(fmt.Sprintf("ygm: send to invalid rank %d", dst))
+	if mb.send(dst, payload) {
+		mb.maybeRound()
 	}
-	mb.stats.Sends++
-	if dst == mb.p.Rank() {
-		mb.deliver(payload)
-		return
-	}
-	hop := mb.opts.nextHop(mb.p.Topo(), mb.p.Rank(), dst)
-	mb.enqueue(hop, kindUnicast, dst, payload)
-	mb.maybeRound()
 }
 
-// Broadcast queues a broadcast with the scheme fan-out shared with the
-// other mailbox variants.
+// Broadcast queues a broadcast of payload to every other rank along the
+// scheme's fan-out; the origin does not deliver to itself.
 func (mb *RoundMailbox) Broadcast(payload []byte) {
-	mb.stats.Broadcasts++
-	topo := mb.p.Topo()
-	me := mb.p.Rank()
-	node, core := topo.Node(me), topo.Core(me)
-	switch mb.opts.Scheme {
-	case machine.NoRoute:
-		for r := machine.Rank(0); int(r) < topo.WorldSize(); r++ {
-			if r != me {
-				mb.enqueue(r, kindUnicast, r, payload)
-			}
-		}
-	case machine.NodeLocal:
-		for c := 0; c < topo.Cores(); c++ {
-			if c != core {
-				mb.enqueue(topo.RankOf(node, c), kindBcastLocalFanout, machine.Nil, payload)
-			}
-		}
-		for n := 0; n < topo.Nodes(); n++ {
-			if n != node {
-				mb.enqueue(topo.RankOf(n, core), kindBcastDeliver, machine.Nil, payload)
-			}
-		}
-	case machine.NodeRemote:
-		for n := 0; n < topo.Nodes(); n++ {
-			if n != node {
-				mb.enqueue(topo.RankOf(n, core), kindBcastRemoteDistribute, machine.Nil, payload)
-			}
-		}
-		for c := 0; c < topo.Cores(); c++ {
-			if c != core {
-				mb.enqueue(topo.RankOf(node, c), kindBcastDeliver, machine.Nil, payload)
-			}
-		}
-	case machine.NLNR:
-		for c := 0; c < topo.Cores(); c++ {
-			if c != core {
-				mb.enqueue(topo.RankOf(node, c), kindBcastNLNRFanout, machine.Nil, payload)
-			}
-		}
-		mb.nlnrFanout(payload)
-	}
+	mb.broadcast(payload)
 	mb.maybeRound()
-}
-
-func (mb *RoundMailbox) nlnrFanout(payload []byte) {
-	topo := mb.p.Topo()
-	node, core := topo.Node(mb.p.Rank()), topo.Core(mb.p.Rank())
-	for n := core; n < topo.Nodes(); n += topo.Cores() {
-		if n != node {
-			mb.enqueue(topo.NLNRRemoteIntermediary(node, n), kindBcastNLNRDistribute, machine.Nil, payload)
-		}
-	}
-}
-
-// stageOf returns the index of the first stage after `after` whose
-// locality matches hop, or -1 if none remains in the current round.
-func (mb *RoundMailbox) stageOf(hop machine.Rank, after int) int {
-	local := mb.p.Topo().SameNode(mb.p.Rank(), hop)
-	for s := after + 1; s < len(mb.stages); s++ {
-		if mb.stages[s].local == local || mb.opts.Scheme == machine.NoRoute {
-			return s
-		}
-	}
-	return -1
-}
-
-// enqueue places one record into the correct stage buffer: the earliest
-// remaining stage of the current round if one can still carry it,
-// otherwise the earliest stage of the next round.
-//
-//ygm:hotpath
-func (mb *RoundMailbox) enqueue(hop machine.Rank, kind recordKind, dst machine.Rank, payload []byte) {
-	if hop == mb.p.Rank() {
-		panic("ygm: routing produced a self-hop")
-	}
-	s := mb.stageOf(hop, mb.inRoundStage)
-	nextRound := false
-	if s < 0 {
-		s = mb.stageOf(hop, -1)
-		nextRound = true
-		if s < 0 {
-			panic(fmt.Sprintf("ygm: no stage carries hop %d under %v", hop, mb.opts.Scheme))
-		}
-	}
-	st := &mb.stages[s]
-	i := st.slotOf[hop]
-	if i < 0 {
-		panic(fmt.Sprintf("ygm: hop %d is not a stage-%d partner under %v", hop, s, mb.opts.Scheme))
-	}
-	b := &st.cur[i]
-	if nextRound {
-		b = &st.next[i]
-	}
-	if b.count == 0 {
-		b.w.Arm(coalesceArmBytes)
-	}
-	appendRecord(&b.w, kind, dst, payload)
-	b.count++
-	mb.queued++
-	mb.opts.tapQueued(mb.p.Rank(), hop, dst, kind, payload)
 }
 
 // maybeRound runs exchange rounds while the queue exceeds capacity.
+// Sends spawned by handlers inside a round are picked up by the round
+// itself.
 func (mb *RoundMailbox) maybeRound() {
-	for mb.inRoundStage < 0 && mb.queued >= mb.opts.Capacity {
+	if mb.inStage >= 0 {
+		return
+	}
+	for mb.queued >= mb.opts.Capacity {
 		mb.executeRound()
 	}
+	mb.checkCapacityBound()
 }
 
 // executeRound performs one full exchange round: for every stage in
@@ -329,117 +118,34 @@ func (mb *RoundMailbox) executeRound() {
 	r := mb.round
 	mb.round++
 	rsp := mb.p.Span("round.exchange")
-	if roundTrace {
-		fmt.Fprintf(os.Stderr, "ROUND rank=%d begin r=%d queued=%d\n", mb.p.Rank(), r, mb.queued)
-	}
 	sentAny := false
 	for s := range mb.stages {
-		mb.inRoundStage = s
-		if roundTrace {
-			fmt.Fprintf(os.Stderr, "ROUND rank=%d r=%d stage=%d\n", mb.p.Rank(), r, s)
-		}
+		mb.inStage = s
 		ssp := mb.p.Span(stageSpanName(s))
 		st := &mb.stages[s]
 		tag := roundTag(mb.epoch, s, r)
 		for i := range st.cur {
 			b := &st.cur[i]
 			if b.count > 0 {
-				mb.stats.HopsSent += uint64(b.count)
-				mb.queued -= b.count
-				b.count = 0
 				sentAny = true
-				sendPooledBuf(mb.p, b, tag, mb.opts.ZeroCopyLocal)
+				mb.p.SendPooled(b.hop, tag, mb.take(b))
 			} else {
 				mb.stats.EmptyRoundMsgs++
 				mb.p.SendPooled(b.hop, tag, nil)
 			}
 		}
-		for range st.partners {
+		for range st.cur {
 			pkt := mb.p.Recv(tag)
-			rd := codec.NewReader(pkt.Payload)
-			for rd.Remaining() > 0 {
-				rec, err := parseRecord(rd)
-				if err != nil {
-					panic(fmt.Sprintf("ygm: corrupt round payload: %v", err))
-				}
-				mb.stats.HopsRecv++
-				mb.p.Compute(mb.cost.handling(len(rec.payload)))
-				mb.dispatch(rec)
-			}
+			mb.decode(pkt.Src, pkt.Payload)
 			mb.p.Recycle(pkt)
 		}
 		ssp.End()
 	}
-	mb.inRoundStage = -1
 	rsp.End()
-	if roundTrace {
-		fmt.Fprintf(os.Stderr, "ROUND rank=%d end r=%d queued=%d\n", mb.p.Rank(), r, mb.queued)
-	}
-	// Promote next-round buffers.
-	for s := range mb.stages {
-		st := &mb.stages[s]
-		st.cur, st.next = st.next, st.cur
-	}
+	mb.promote()
 	if sentAny {
 		mb.stats.Flushes++
 	}
-}
-
-// dispatch delivers or requeues one received record (shared semantics
-// with the other mailbox variants). Requeued payloads are copied into
-// the destination stage buffer by appendRecord itself, so no
-// intermediate per-record copy is needed.
-//
-//ygm:hotpath
-func (mb *RoundMailbox) dispatch(rec record) {
-	topo := mb.p.Topo()
-	me := mb.p.Rank()
-	switch rec.kind {
-	case kindUnicast:
-		if rec.dst == me {
-			mb.deliver(rec.payload)
-			return
-		}
-		mb.enqueue(mb.opts.nextHop(topo, me, rec.dst), kindUnicast, rec.dst, rec.payload)
-	case kindBcastDeliver:
-		mb.deliver(rec.payload)
-	case kindBcastLocalFanout:
-		mb.deliver(rec.payload)
-		node, core := topo.Node(me), topo.Core(me)
-		for n := 0; n < topo.Nodes(); n++ {
-			if n != node {
-				mb.enqueue(topo.RankOf(n, core), kindBcastDeliver, machine.Nil, rec.payload)
-			}
-		}
-	case kindBcastRemoteDistribute, kindBcastNLNRDistribute:
-		mb.deliver(rec.payload)
-		node, core := topo.Node(me), topo.Core(me)
-		for c := 0; c < topo.Cores(); c++ {
-			if c != core {
-				mb.enqueue(topo.RankOf(node, c), kindBcastDeliver, machine.Nil, rec.payload)
-			}
-		}
-	case kindBcastNLNRFanout:
-		mb.deliver(rec.payload)
-		mb.nlnrFanout(rec.payload)
-	default:
-		panic(fmt.Sprintf("ygm: unknown record kind %d", rec.kind))
-	}
-}
-
-//ygm:hotpath
-func (mb *RoundMailbox) deliver(payload []byte) {
-	if mb.opts.dropDelivery(mb.p.Rank(), payload) {
-		return
-	}
-	mb.stats.Delivered++
-	mb.p.Compute(mb.cost.perMsg)
-	if mb.opts.CopyOnDeliver {
-		c := make([]byte, len(payload)) //ygmvet:ignore allocinloop -- opt-in retain-safety copy; off on the default path
-		copy(c, payload)
-		payload = c
-	}
-	mb.handler(mb, payload)
 }
 
 // roundTrafficPending reports whether any partner has initiated the
@@ -462,11 +168,13 @@ func (mb *RoundMailbox) WaitEmpty() {
 	sp := mb.p.Span("round.waitempty")
 	defer sp.End()
 	for {
+		mb.releaseLeak()
 		for mb.queued > 0 || mb.roundTrafficPending() {
 			mb.executeRound()
 		}
 		if mb.term.step(false) {
 			mb.term.reset()
+			mb.releaseLeak()
 			checkQuiescent(mb.p, mb.queued, "WaitEmpty")
 			// Epoch boundary: quiescence means no rounds of this epoch
 			// remain in flight, so traffic seen from here on belongs to
@@ -483,9 +191,3 @@ func (mb *RoundMailbox) WaitEmpty() {
 		}
 	}
 }
-
-// TestEmpty is unsupported on the round-matched variant: its exchanges
-// are collective, so it cannot make unilateral nonblocking progress.
-func (mb *RoundMailbox) TestEmpty() (bool, error) { return false, ErrUnsupported }
-
-var _ Sender = (*RoundMailbox)(nil)

@@ -1,21 +1,19 @@
 package ygm
 
 import (
-	"fmt"
 	"sort"
 
-	"ygm/internal/codec"
 	"ygm/internal/collective"
 	"ygm/internal/machine"
 	"ygm/internal/transport"
 )
 
-// SyncMailbox is the ALLTOALLV-backed variant of the mailbox that
-// Section III-A describes: the same routing schemes, but each exchange
-// phase is realized as a synchronous collective over the phase's
-// communicator (the whole node for local exchanges, the core-offset or
-// NLNR-channel group for remote ones). On machines with heavily
-// optimized ALLTOALL implementations — the paper names IBM BG/Q
+// SyncMailbox is the ALLTOALLV exchange policy over the shared core, the
+// variant Section III-A describes: the same routing schemes, but each
+// exchange phase is realized as a synchronous collective over the
+// phase's communicator (the whole node for local exchanges, the
+// core-offset or NLNR-channel group for remote ones). On machines with
+// heavily optimized ALLTOALL implementations — the paper names IBM BG/Q
 // Sequoia — this traded asynchronicity for better bandwidth utilization.
 //
 // Unlike Mailbox, Send only queues: nothing moves until every rank calls
@@ -24,312 +22,109 @@ import (
 // records, the synchronous analogue of WaitEmpty (which aliases it for
 // the Box interface).
 type SyncMailbox struct {
-	p       *transport.Proc
-	opts    Options
-	handler Handler
-	stats   Stats
-	// cost caches the model scalars charged per dispatched record.
-	cost recordCost
+	core
 
 	world *collective.Comm
-	// stages is the exchange-phase sequence for the routing scheme;
-	// each stage carries the communicator it exchanges over.
-	stages []syncStage
-	// queued counts records encoded into stage buffers but not yet
-	// exchanged, across both generations.
-	queued int
-	// inStage is the stage currently exchanging (-1 outside Exchange);
-	// records spawned during its dispatch route to later stages of this
-	// Exchange, or to the next generation when none remains.
-	inStage int
+	// colls holds, parallel to the core's stages, each stage's
+	// communicator. It may span more ranks than the stage has partners (it
+	// includes this rank, and an NLNR channel includes the ranks on this
+	// rank's own side), so member maps each partner buffer to its
+	// communicator index.
+	colls []stageColl
+	// payloads and scratch are the vectors a stage's ALLTOALLV takes,
+	// sized for the largest communicator and shared by the stages, which
+	// run one at a time; they persist across exchanges, so a steady-state
+	// stage allocates nothing.
+	payloads [][]byte
+	scratch  []*transport.Packet
 
 	// sink adapts this mailbox to collective.BlobSink once, so Exchange
 	// does not box a fresh interface value per stage.
 	sink syncDispatcher
 }
 
-// syncStage is one exchange phase. Records are encoded directly into
-// dense per-member coalescing buffers — parallel to the communicator's
-// member list and reached through a world-sized rank→index table — with
-// cur holding the generation the next Exchange ships and next the one
-// after (for records spawned during this stage's own dispatch, or too
-// late for the current Exchange). Buffer storage, the payload vector,
-// and the receive scratch all persist across exchanges, so a
-// steady-state stage allocates nothing.
-type syncStage struct {
-	comm *collective.Comm
-	// local is true for shared-memory phases: the stage moves records
-	// whose next hop is on this node; remote stages move the rest.
-	local bool
-	// all marks the NoRoute world exchange, which moves every queued
-	// record regardless of hop locality.
-	all bool
-
-	slotOf   []int32 // world-sized; -1 for ranks outside the communicator
-	cur      []hopBuf
-	next     []hopBuf
-	payloads [][]byte
-	scratch  []*transport.Packet
-}
-
-// initSlots builds the stage's dense buffer tables over its communicator.
-func (st *syncStage) initSlots(topo machine.Topology, me machine.Rank) {
-	ranks := st.comm.Ranks()
-	st.slotOf = make([]int32, topo.WorldSize())
-	for i := range st.slotOf {
-		st.slotOf[i] = -1
-	}
-	st.cur = make([]hopBuf, len(ranks))
-	st.next = make([]hopBuf, len(ranks))
-	for i, hop := range ranks {
-		local := topo.SameNode(me, hop)
-		st.cur[i] = hopBuf{hop: hop, local: local}
-		st.next[i] = hopBuf{hop: hop, local: local}
-		if hop != me {
-			st.slotOf[hop] = int32(i)
-		}
-	}
-	st.payloads = make([][]byte, len(ranks))
-	st.scratch = make([]*transport.Packet, len(ranks))
+type stageColl struct {
+	comm   *collective.Comm
+	member []int32 // parallel to the stage's buffers
 }
 
 // newSync builds a synchronous mailbox. It is collective: every rank
 // must construct one with identical Options before any exchange.
 func newSync(p *transport.Proc, handler Handler, opts Options) (*SyncMailbox, error) {
-	if handler == nil {
-		return nil, fmt.Errorf("ygm: nil handler")
-	}
-	mb := &SyncMailbox{
-		p:       p,
-		opts:    opts.withDefaults(),
-		handler: handler,
-		cost:    newRecordCost(p.Model()),
-		world:   collective.World(p),
-		inStage: -1,
-	}
-	mb.sink.mb = mb
-	topo := p.Topo()
-	me := p.Rank()
-
-	localComm := func() (*collective.Comm, error) {
-		return collective.New(p, topo.LocalRanks(me))
-	}
-	coreComm := func() (*collective.Comm, error) {
-		ranks := make([]machine.Rank, topo.Nodes())
-		for n := 0; n < topo.Nodes(); n++ {
-			ranks[n] = topo.RankOf(n, topo.Core(me))
-		}
-		return collective.New(p, ranks)
-	}
-	// The NLNR channel of (n,c) pairs residue class (n mod C) at core c
-	// with residue class c at core (n mod C); see Section III-D. Members
-	// reach the same channel from both sides ((l,c) and (c,l) name the
-	// same set), so the list is sorted to give every member an identical
-	// communicator order.
-	nlnrComm := func() (*collective.Comm, error) {
-		l, c := topo.LayerOffset(topo.Node(me)), topo.Core(me)
-		seen := map[machine.Rank]bool{}
-		var ranks []machine.Rank
-		add := func(r machine.Rank) {
-			if !seen[r] {
-				seen[r] = true
-				ranks = append(ranks, r)
-			}
-		}
-		for n := l; n < topo.Nodes(); n += topo.Cores() {
-			add(topo.RankOf(n, c))
-		}
-		for n := c; n < topo.Nodes(); n += topo.Cores() {
-			add(topo.RankOf(n, l))
-		}
-		sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
-		return collective.New(p, ranks)
-	}
-
-	push := func(local bool, mk func() (*collective.Comm, error)) error {
-		comm, err := mk()
-		if err != nil {
-			return err
-		}
-		mb.stages = append(mb.stages, syncStage{comm: comm, local: local})
-		return nil
-	}
-	var err error
-	switch mb.opts.Scheme {
-	case machine.NoRoute:
-		mb.stages = append(mb.stages, syncStage{comm: mb.world, all: true})
-	case machine.NodeLocal:
-		if err = push(true, localComm); err == nil {
-			err = push(false, coreComm)
-		}
-	case machine.NodeRemote:
-		if err = push(false, coreComm); err == nil {
-			err = push(true, localComm)
-		}
-	case machine.NLNR:
-		if err = push(true, localComm); err == nil {
-			if err = push(false, nlnrComm); err == nil {
-				err = push(true, localComm)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("ygm: unknown scheme %v", mb.opts.Scheme)
-	}
-	if err != nil {
+	mb := &SyncMailbox{}
+	if err := mb.init(p, mb, handler, opts, true); err != nil {
 		return nil, err
 	}
+	mb.sink.mb = mb
+	mb.world = collective.World(p)
+	topo := p.Topo()
+	me := p.Rank()
+	mb.colls = make([]stageColl, len(mb.stages))
+	widest := 0
 	for s := range mb.stages {
-		mb.stages[s].initSlots(topo, me)
+		st, sc := &mb.stages[s], &mb.colls[s]
+		var err error
+		switch {
+		case st.kind == 'a':
+			sc.comm = mb.world
+		case st.kind == 'l':
+			sc.comm, err = collective.New(p, topo.LocalRanks(me))
+		case mb.opts.Scheme == machine.NLNR:
+			sc.comm, err = collective.New(p, nlnrChannel(topo, me))
+		default:
+			ranks := make([]machine.Rank, topo.Nodes())
+			for n := range ranks {
+				ranks[n] = topo.RankOf(n, topo.Core(me))
+			}
+			sc.comm, err = collective.New(p, ranks)
+		}
+		if err != nil {
+			return nil, err
+		}
+		sc.member = make([]int32, len(st.cur))
+		for j, r := range sc.comm.Ranks() {
+			if i := int(mb.slotOf[r]) - int(st.base); i >= 0 && i < len(st.cur) {
+				sc.member[i] = int32(j)
+			}
+		}
+		if n := sc.comm.Size(); n > widest {
+			widest = n
+		}
 	}
+	mb.payloads = make([][]byte, widest)
+	mb.scratch = make([]*transport.Packet, widest)
 	return mb, nil
 }
 
-// Stats returns a copy of the mailbox counters.
-func (mb *SyncMailbox) Stats() Stats { return mb.stats }
+// nlnrChannel lists the NLNR channel of rank me = (n,c): it pairs residue
+// class (n mod C) at core c with residue class c at core (n mod C); see
+// Section III-D. Members reach the same channel from both sides ((l,c)
+// and (c,l) name the same set), so the list is sorted to give every
+// member an identical communicator order.
+func nlnrChannel(topo machine.Topology, me machine.Rank) []machine.Rank {
+	l, c := topo.LayerOffset(topo.Node(me)), topo.Core(me)
+	var ranks []machine.Rank
+	for n := l; n < topo.Nodes(); n += topo.Cores() {
+		ranks = append(ranks, topo.RankOf(n, c))
+	}
+	if l != c { // otherwise both sides are the same set
+		for n := c; n < topo.Nodes(); n += topo.Cores() {
+			ranks = append(ranks, topo.RankOf(n, l))
+		}
+	}
+	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
+	return ranks
+}
 
-// Proc exposes the transport endpoint the mailbox runs on.
-func (mb *SyncMailbox) Proc() *transport.Proc { return mb.p }
-
-// PendingSends reports queued, not-yet-exchanged records.
-func (mb *SyncMailbox) PendingSends() int { return mb.queued }
-
-// Send queues a point-to-point message. Self-sends deliver immediately.
+// Send queues a point-to-point message. Self-sends deliver immediately;
+// nothing else moves before the next Exchange.
 //
 //ygm:hotpath
-func (mb *SyncMailbox) Send(dst machine.Rank, payload []byte) {
-	if !mb.p.Topo().Valid(dst) {
-		panic(fmt.Sprintf("ygm: send to invalid rank %d", dst))
-	}
-	mb.stats.Sends++
-	if dst == mb.p.Rank() {
-		mb.deliver(payload)
-		return
-	}
-	hop := mb.opts.nextHop(mb.p.Topo(), mb.p.Rank(), dst)
-	mb.push(hop, kindUnicast, dst, payload)
-}
+func (mb *SyncMailbox) Send(dst machine.Rank, payload []byte) { mb.send(dst, payload) }
 
-// Broadcast queues a broadcast using the scheme's fan-out (identical
-// record kinds and hop structure to the asynchronous Mailbox).
-func (mb *SyncMailbox) Broadcast(payload []byte) {
-	mb.stats.Broadcasts++
-	topo := mb.p.Topo()
-	me := mb.p.Rank()
-	node, core := topo.Node(me), topo.Core(me)
-	switch mb.opts.Scheme {
-	case machine.NoRoute:
-		for r := machine.Rank(0); int(r) < topo.WorldSize(); r++ {
-			if r != me {
-				mb.push(r, kindUnicast, r, payload)
-			}
-		}
-	case machine.NodeLocal:
-		for c := 0; c < topo.Cores(); c++ {
-			if c != core {
-				mb.push(topo.RankOf(node, c), kindBcastLocalFanout, machine.Nil, payload)
-			}
-		}
-		for n := 0; n < topo.Nodes(); n++ {
-			if n != node {
-				mb.push(topo.RankOf(n, core), kindBcastDeliver, machine.Nil, payload)
-			}
-		}
-	case machine.NodeRemote:
-		for n := 0; n < topo.Nodes(); n++ {
-			if n != node {
-				mb.push(topo.RankOf(n, core), kindBcastRemoteDistribute, machine.Nil, payload)
-			}
-		}
-		for c := 0; c < topo.Cores(); c++ {
-			if c != core {
-				mb.push(topo.RankOf(node, c), kindBcastDeliver, machine.Nil, payload)
-			}
-		}
-	case machine.NLNR:
-		for c := 0; c < topo.Cores(); c++ {
-			if c != core {
-				mb.push(topo.RankOf(node, c), kindBcastNLNRFanout, machine.Nil, payload)
-			}
-		}
-		mb.nlnrFanout(payload)
-	}
-}
-
-// nlnrFanout queues this rank's NLNR remote-distribution records.
-func (mb *SyncMailbox) nlnrFanout(payload []byte) {
-	topo := mb.p.Topo()
-	node, core := topo.Node(mb.p.Rank()), topo.Core(mb.p.Rank())
-	for n := core; n < topo.Nodes(); n += topo.Cores() {
-		if n != node {
-			mb.push(topo.NLNRRemoteIntermediary(node, n), kindBcastNLNRDistribute, machine.Nil, payload)
-		}
-	}
-}
-
-// stageOf returns the index of the first stage after `after` that can
-// carry a record bound for hop, or -1 if none remains in the current
-// Exchange.
-func (mb *SyncMailbox) stageOf(hop machine.Rank, after int) int {
-	local := mb.p.Topo().SameNode(mb.p.Rank(), hop)
-	for s := after + 1; s < len(mb.stages); s++ {
-		if mb.stages[s].all || mb.stages[s].local == local {
-			return s
-		}
-	}
-	return -1
-}
-
-// push encodes one record into the buffer of the earliest stage that can
-// still carry it this Exchange, or into the next generation of the
-// earliest matching stage when none remains.
-//
-//ygm:hotpath
-func (mb *SyncMailbox) push(hop machine.Rank, kind recordKind, dst machine.Rank, payload []byte) {
-	if hop == mb.p.Rank() {
-		panic("ygm: routing produced a self-hop")
-	}
-	s := mb.stageOf(hop, mb.inStage)
-	nextGen := false
-	if s < 0 {
-		s = mb.stageOf(hop, -1)
-		nextGen = true
-		if s < 0 {
-			panic(fmt.Sprintf("ygm: no stage carries hop %d under %v", hop, mb.opts.Scheme))
-		}
-	}
-	st := &mb.stages[s]
-	i := st.slotOf[hop]
-	if i < 0 {
-		panic(fmt.Sprintf("ygm: sync exchange record outside stage-%d communicator (hop %d under %v)",
-			s, hop, mb.opts.Scheme))
-	}
-	b := &st.cur[i]
-	if nextGen {
-		b = &st.next[i]
-	}
-	if b.count == 0 {
-		b.w.Arm(coalesceArmBytes)
-	}
-	appendRecord(&b.w, kind, dst, payload)
-	b.count++
-	mb.queued++
-	mb.opts.tapQueued(mb.p.Rank(), hop, dst, kind, payload)
-}
-
-//ygm:hotpath
-func (mb *SyncMailbox) deliver(payload []byte) {
-	if mb.opts.dropDelivery(mb.p.Rank(), payload) {
-		return
-	}
-	mb.stats.Delivered++
-	mb.p.Compute(mb.cost.perMsg)
-	if mb.opts.CopyOnDeliver {
-		c := make([]byte, len(payload)) //ygmvet:ignore allocinloop -- opt-in retain-safety copy; off on the default path
-		copy(c, payload)
-		payload = c
-	}
-	mb.handler(mb, payload)
-}
+// Broadcast queues a broadcast of payload to every other rank along the
+// scheme's fan-out; the origin does not deliver to itself.
+func (mb *SyncMailbox) Broadcast(payload []byte) { mb.broadcast(payload) }
 
 // Exchange runs one full routing round: every stage of the scheme, each
 // as a synchronous collective exchange. It is collective over the whole
@@ -343,53 +138,32 @@ func (mb *SyncMailbox) Exchange() {
 	for s := range mb.stages {
 		mb.runStage(s)
 	}
-	mb.inStage = -1
-	// Promote next-generation buffers: records spawned too late for this
-	// Exchange ship on the following one.
-	for s := range mb.stages {
-		st := &mb.stages[s]
-		st.cur, st.next = st.next, st.cur
-	}
+	mb.promote()
 }
 
 // runStage ships stage s's current-generation buffers through one pooled
 // Alltoallv over the stage communicator and dispatches what arrives.
-// Payloads travel as pool-recycled buffers (or, with ZeroCopyLocal, as
-// the coalescing buffers themselves for same-node members), so a
-// steady-state stage allocates nothing.
 //
 //ygm:hotpath
 func (mb *SyncMailbox) runStage(s int) {
 	sp := mb.p.Span(stageSpanName(s))
 	defer sp.End()
 	mb.inStage = s
-	st := &mb.stages[s]
-	moved := 0
+	st, sc := &mb.stages[s], &mb.colls[s]
+	payloads := mb.payloads[:sc.comm.Size()]
+	moved := false
 	for i := range st.cur {
-		b := &st.cur[i]
-		if b.count == 0 {
-			st.payloads[i] = nil
-			continue
-		}
-		moved += b.count
-		b.count = 0
-		if mb.opts.ZeroCopyLocal && b.local {
-			st.payloads[i] = b.w.Detach(mb.p.AcquireBuf(0))
-		} else {
-			payload := mb.p.AcquireBuf(b.w.Len())
-			copy(payload, b.w.Bytes())
-			b.w.Reset()
-			st.payloads[i] = payload
+		if b := &st.cur[i]; b.count > 0 {
+			moved = true
+			payloads[sc.member[i]] = mb.take(b)
 		}
 	}
-	mb.queued -= moved
-	mb.stats.HopsSent += uint64(moved)
-	if moved > 0 {
+	if moved {
 		mb.stats.Flushes++
 	}
-	st.comm.AlltoallvPooled(st.payloads, st.scratch, &mb.sink)
-	for i := range st.payloads {
-		st.payloads[i] = nil
+	sc.comm.AlltoallvPooled(payloads, mb.scratch, &mb.sink)
+	for i := range payloads {
+		payloads[i] = nil
 	}
 }
 
@@ -398,72 +172,24 @@ func (mb *SyncMailbox) runStage(s int) {
 // AlltoallvPooled never allocates.
 type syncDispatcher struct{ mb *SyncMailbox }
 
-// VisitBlob parses and dispatches one member's exchange contribution.
+// VisitBlob dispatches one member's contribution to the running stage.
 //
 //ygm:hotpath
 func (d *syncDispatcher) VisitBlob(srcIndex int, blob []byte) {
 	mb := d.mb
-	r := codec.NewReader(blob)
-	for r.Remaining() > 0 {
-		rec, err := parseRecord(r)
-		if err != nil {
-			panic(fmt.Sprintf("ygm: corrupt sync exchange payload: %v", err))
-		}
-		mb.stats.HopsRecv++
-		mb.p.Compute(mb.cost.handling(len(rec.payload)))
-		mb.dispatch(rec)
-	}
-}
-
-// dispatch delivers or requeues one received record. Requeued payloads
-// are copied into the destination stage buffer by appendRecord itself,
-// so no intermediate per-record copy is needed.
-//
-//ygm:hotpath
-func (mb *SyncMailbox) dispatch(rec record) {
-	topo := mb.p.Topo()
-	me := mb.p.Rank()
-	switch rec.kind {
-	case kindUnicast:
-		if rec.dst == me {
-			mb.deliver(rec.payload)
-			return
-		}
-		mb.push(mb.opts.nextHop(topo, me, rec.dst), kindUnicast, rec.dst, rec.payload)
-	case kindBcastDeliver:
-		mb.deliver(rec.payload)
-	case kindBcastLocalFanout:
-		mb.deliver(rec.payload)
-		node, core := topo.Node(me), topo.Core(me)
-		for n := 0; n < topo.Nodes(); n++ {
-			if n != node {
-				mb.push(topo.RankOf(n, core), kindBcastDeliver, machine.Nil, rec.payload)
-			}
-		}
-	case kindBcastRemoteDistribute, kindBcastNLNRDistribute:
-		mb.deliver(rec.payload)
-		node, core := topo.Node(me), topo.Core(me)
-		for c := 0; c < topo.Cores(); c++ {
-			if c != core {
-				mb.push(topo.RankOf(node, c), kindBcastDeliver, machine.Nil, rec.payload)
-			}
-		}
-	case kindBcastNLNRFanout:
-		mb.deliver(rec.payload)
-		mb.nlnrFanout(rec.payload)
-	default:
-		panic(fmt.Sprintf("ygm: unknown record kind %d", rec.kind))
-	}
+	mb.decode(mb.colls[mb.inStage].comm.Ranks()[srcIndex], blob)
 }
 
 // ExchangeUntilQuiet repeats Exchange until no rank holds queued
 // records — the bulk-synchronous analogue of WaitEmpty. Collective.
 func (mb *SyncMailbox) ExchangeUntilQuiet() {
 	for {
+		mb.releaseLeak()
 		mb.Exchange()
 		pending := mb.world.AllreduceU64(
 			[]uint64{uint64(mb.queued)}, collective.SumU64)[0]
 		if pending == 0 {
+			mb.releaseLeak()
 			return
 		}
 	}
@@ -471,9 +197,3 @@ func (mb *SyncMailbox) ExchangeUntilQuiet() {
 
 // WaitEmpty is ExchangeUntilQuiet under the Box interface name.
 func (mb *SyncMailbox) WaitEmpty() { mb.ExchangeUntilQuiet() }
-
-// TestEmpty is unsupported on the synchronous variant: its exchanges
-// are collective, so it cannot make unilateral nonblocking progress.
-func (mb *SyncMailbox) TestEmpty() (bool, error) { return false, ErrUnsupported }
-
-var _ Sender = (*SyncMailbox)(nil)

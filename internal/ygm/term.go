@@ -66,9 +66,10 @@ const (
 	termAwaitVerdict                  // contribution sent, waiting on verdict
 )
 
-func (td *termDetector) init(p *transport.Proc, stats *Stats) {
+func (td *termDetector) init(p *transport.Proc, stats *Stats, hooks *TestHooks) {
 	td.p = p
 	td.stats = stats
+	td.hooks = hooks
 	size := p.WorldSize()
 	me := int(p.Rank())
 	td.parent = -1
