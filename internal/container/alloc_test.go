@@ -121,6 +121,7 @@ func TestMapAsyncVisitSteadyStateZeroAlloc(t *testing.T) {
 
 func TestCounterAsyncAddSteadyStateZeroAlloc(t *testing.T) {
 	skipIfYgmcheck(t)
+	// Owner-local apply: one rank owns every key.
 	runAllocPin(t, func(e *Engine) error {
 		c := NewCounter(e, nil)
 		keys := allocKeySet()
@@ -137,6 +138,84 @@ func TestCounterAsyncAddSteadyStateZeroAlloc(t *testing.T) {
 		}
 		return nil
 	})
+	// The remote paths, one at a time, on rank 0 of a two-rank world. The
+	// window covers everything the container layer does up to and
+	// including the mailbox's queueing of each shipped record; a warm-up
+	// of more than the window's volume followed by a Barrier leaves the
+	// coalescing buffer grown, and the capacity keeps the window free of
+	// exchanges, whose own pins live in internal/ygm.
+	// off sums the add counters that must stand still while a path is
+	// driven, i.e. those of the other two remote paths.
+	paths := []struct {
+		name  string
+		slots int
+		setup func(c *Counter)
+		off   func(e *Engine) uint64
+	}{
+		{"hit", combinerSlots, func(*Counter) {},
+			func(e *Engine) uint64 { return e.cAddShipped.Value() + e.cAddBypassed.Value() }},
+		{"evict", 1, func(*Counter) {},
+			func(e *Engine) uint64 { return e.cAddCombined.Value() + e.cAddBypassed.Value() }},
+		{"bypass", combinerSlots, func(c *Counter) { c.comb.bypass = 1 << 30 },
+			func(e *Engine) uint64 { return e.cAddCombined.Value() + e.cAddShipped.Value() }},
+	}
+	for _, path := range paths {
+		path := path
+		t.Run(path.name, func(t *testing.T) {
+			var failure error
+			_, err := transport.Run(transport.Config{
+				Topo:  machine.New(1, 2),
+				Model: netsim.Quartz(),
+				Seed:  5,
+			}, func(p *transport.Proc) error {
+				e := NewEngine(p,
+					ygm.WithExchange(ygm.LazyExchange),
+					ygm.WithScheme(machine.NoRoute),
+					ygm.WithCapacity(1<<20))
+				e.combSlots = path.slots
+				c := NewCounter(e, nil)
+				if p.Rank() == 0 {
+					var keys [][]byte
+					for _, k := range allocKeySet() {
+						if c.Owner(k) != p.Rank() {
+							keys = append(keys, k)
+						}
+					}
+					path.setup(c)
+					addAll := func() {
+						for _, k := range keys {
+							c.AsyncAdd(k, 3)
+						}
+					}
+					// Warm up for more than the window's volume, and on until
+					// the path is the only one taken (the hit path evicts
+					// until the table has grown past its keys' collisions).
+					for i, off := 0, ^uint64(0); i < 2*allocRuns || off != path.off(e); i++ {
+						off = path.off(e)
+						addAll()
+					}
+					e.Barrier()
+					addAll() // re-seat what the Barrier flushed
+					off := path.off(e)
+					if avg := testing.AllocsPerRun(allocRuns, addAll); avg != 0 {
+						failure = fmt.Errorf("remote AsyncAdd of %d live keys allocates %.1f allocs/run, want 0", len(keys), avg)
+					} else if got := path.off(e) - off; got != 0 {
+						failure = fmt.Errorf("%d adds took another path inside the window", got)
+					}
+				} else {
+					e.Barrier()
+				}
+				e.Barrier()
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if failure != nil {
+				t.Fatal(failure)
+			}
+		})
+	}
 }
 
 func TestSetAsyncInsertSteadyStateZeroAlloc(t *testing.T) {

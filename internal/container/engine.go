@@ -13,7 +13,11 @@
 // zero-alloc exchange hot path), and fetch replies ride a point-to-point
 // transport tag carved from the collective tag space, so the PR 7
 // synchronizability oracle and the delivery oracle judge container
-// workloads exactly as they judge raw mailbox workloads.
+// workloads exactly as they judge raw mailbox workloads. What it does
+// add is a decision about what needs the path at all: a Counter applies
+// self-owned adds in place and merges remote ones per key on the sender
+// (see combiner), so the mailbox carries a record per distinct key per
+// flush instead of one per AsyncAdd.
 package container
 
 import (
@@ -22,13 +26,15 @@ import (
 	"ygm/internal/codec"
 	"ygm/internal/collective"
 	"ygm/internal/machine"
+	"ygm/internal/obs"
 	"ygm/internal/transport"
 	"ygm/internal/ygm"
 )
 
-// Operation opcodes, shared by every container type. One engine message
-// is [cid uvarint][op byte][op-specific fields]; all variable-length
-// fields are length-prefixed (codec Bytes0/String framing).
+// Operation opcodes, shared by every container type. One frame is
+// [cid uvarint][op byte][op-specific fields]; all variable-length
+// fields are length-prefixed (codec Bytes0/String framing). One engine
+// message (mailbox record) is one or more frames back to back.
 const (
 	opInsert byte = iota + 1 // key, value
 	opErase                  // key
@@ -65,6 +71,20 @@ type Engine struct {
 
 	conts []instance
 
+	// combining lists the Counters whose sender-side combiner has been
+	// allocated (on their first remote AsyncAdd); Barrier flushes them.
+	// combSlots is the size a Counter's table may grow to —
+	// combinerSlots, except where a test shrinks it to force collisions.
+	combining []*Counter
+	combSlots int
+
+	// Where each AsyncAdd went (see Counter.AsyncAdd), resolved once
+	// from the rank's metric registry.
+	cAddLocal    *obs.Counter
+	cAddCombined *obs.Counter
+	cAddShipped  *obs.Counter
+	cAddBypassed *obs.Counter
+
 	// writers and readers are depth-indexed scratch stacks. Handlers may
 	// issue container operations of their own (chained visits), and a
 	// self-owned operation delivers synchronously inside the issuing
@@ -91,10 +111,16 @@ type Engine struct {
 // scheme, and capacity exactly as for a raw mailbox.
 func NewEngine(p *transport.Proc, opts ...ygm.Option) *Engine {
 	e := &Engine{
-		p:       p,
-		comm:    collective.World(p),
-		fetches: make(map[uint64]func(reply []byte)),
+		p:         p,
+		comm:      collective.World(p),
+		fetches:   make(map[uint64]func(reply []byte)),
+		combSlots: combinerSlots,
 	}
+	m := p.Metrics()
+	e.cAddLocal = m.Counter("container.add.local")
+	e.cAddCombined = m.Counter("container.add.combined")
+	e.cAddShipped = m.Counter("container.add.shipped")
+	e.cAddBypassed = m.Counter("container.add.bypassed")
 	e.replyTag = e.comm.ReplyTag(0)
 	e.mb = ygm.New(p, e.handle, opts...)
 	return e
@@ -144,57 +170,60 @@ func (e *Engine) popReader() {
 	e.readers[e.rDepth].Reset(nil)
 }
 
-// handle is the engine's mailbox handler: decode the common frame, then
-// run the operation on the owning container. All fields are decoded
-// (as views into the payload, which stays valid for the whole handler)
-// before any visitor runs, because a visitor may issue chained
-// operations that reuse the scratch stacks underneath us.
+// handle is the engine's mailbox handler: decode each frame of the
+// record in turn and run its operation on the owning container. A
+// frame's fields are decoded (as views into the payload, which stays
+// valid for the whole handler) before its visitor runs; the reader slot
+// stays pushed across the visitor, so the chained operations a visitor
+// issues — and any handler they deliver to synchronously — decode in
+// deeper slots and the loop resumes where it left off. The record ends
+// exactly where its last frame does: trailing or truncated bytes fail a
+// field decode and panic as a corrupt frame.
 //
 //ygm:hotpath
 func (e *Engine) handle(s ygm.Sender, payload []byte) {
-	r := e.pushReader(payload) //ygmvet:ignore payloadescape -- every dispatch arm pops (and nils) the slot before visitors run; the alias never outlives the handler
-	cid := e.mustUvarint(r)
-	op := e.mustByte(r)
-	if cid >= uint64(len(e.conts)) {
-		panic(fmt.Sprintf("container: rank %d: message for unregistered container %d", e.p.Rank(), cid))
+	r := e.pushReader(payload) //ygmvet:ignore payloadescape -- popReader nils the slot before handle returns; the alias never outlives the handler
+	for {
+		cid := e.mustUvarint(r)
+		op := e.mustByte(r)
+		if cid >= uint64(len(e.conts)) {
+			panic(fmt.Sprintf("container: rank %d: message for unregistered container %d", e.p.Rank(), cid))
+		}
+		c := e.conts[cid]
+		switch op {
+		case opInsert:
+			key := e.mustBytes(r)
+			val := e.mustBytes(r)
+			c.applyInsert(key, val)
+		case opErase:
+			c.applyErase(e.mustBytes(r))
+		case opAdd:
+			delta := e.mustUvarint(r)
+			c.applyAdd(e.mustBytes(r), delta)
+		case opVisit:
+			vid := e.mustUvarint(r)
+			key := e.mustBytes(r)
+			arg := e.mustBytes(r)
+			c.runVisit(vid, key, arg)
+		case opFetch:
+			vid := e.mustUvarint(r)
+			fid := e.mustUvarint(r)
+			caller := machine.Rank(e.mustUvarint(r))
+			key := e.mustBytes(r)
+			arg := e.mustBytes(r)
+			w := e.pushWriter()
+			w.Uvarint(fid)
+			c.runFetch(vid, key, arg, w)
+			e.sendReply(caller, w)
+			e.popWriter()
+		default:
+			panic(fmt.Sprintf("container: rank %d: unknown opcode %d", e.p.Rank(), op))
+		}
+		if r.Remaining() == 0 {
+			break
+		}
 	}
-	c := e.conts[cid]
-	switch op {
-	case opInsert:
-		key := e.mustBytes(r)
-		val := e.mustBytes(r)
-		e.popReader()
-		c.applyInsert(key, val)
-	case opErase:
-		key := e.mustBytes(r)
-		e.popReader()
-		c.applyErase(key)
-	case opAdd:
-		delta := e.mustUvarint(r)
-		key := e.mustBytes(r)
-		e.popReader()
-		c.applyAdd(key, delta)
-	case opVisit:
-		vid := e.mustUvarint(r)
-		key := e.mustBytes(r)
-		arg := e.mustBytes(r)
-		e.popReader()
-		c.runVisit(vid, key, arg)
-	case opFetch:
-		vid := e.mustUvarint(r)
-		fid := e.mustUvarint(r)
-		caller := machine.Rank(e.mustUvarint(r))
-		key := e.mustBytes(r)
-		arg := e.mustBytes(r)
-		e.popReader()
-		w := e.pushWriter()
-		w.Uvarint(fid)
-		c.runFetch(vid, key, arg, w)
-		e.sendReply(caller, w)
-		e.popWriter()
-	default:
-		panic(fmt.Sprintf("container: rank %d: unknown opcode %d", e.p.Rank(), op))
-	}
+	e.popReader()
 }
 
 // sendReply routes one encoded fetch reply back to the caller on the
@@ -236,22 +265,48 @@ func (e *Engine) pumpReplies() uint64 {
 }
 
 // Barrier blocks until every container operation issued by any rank —
-// including fetch replies in flight and anything their callbacks spawn —
-// has been applied. Collective over all ranks.
+// including contributions still held in a Counter's combiner, fetch
+// replies in flight, and anything their callbacks spawn — has been
+// applied. Collective over all ranks. This is the visibility rule for
+// Counter.AsyncAdd: a contribution has reached its owner by the time the
+// next Barrier returns (Size, TopK and ForAll start with one).
 //
-// The loop alternates the mailbox's termination-detected WaitEmpty with
-// a reply pump, then agrees globally: only when no rank has outstanding
-// fetches and no rank fired a callback since its last WaitEmpty can no
-// further work appear anywhere.
+// Each turn of the loop ships what the combiners hold, runs the mailbox's
+// termination-detected WaitEmpty and pumps replies, then agrees
+// globally: only when no rank has outstanding fetches, no rank fired a
+// callback since its last WaitEmpty and no rank's combiners hold
+// anything can no further work appear anywhere. The combiner term is
+// needed because handlers and fetch callbacks issue AsyncAdd while
+// WaitEmpty and the pump run; the flush sits ahead of WaitEmpty, not
+// ahead of the allreduce, because a flush that fills the round mailbox
+// starts an exchange round, and ranks already waiting in the allreduce
+// would never join it.
 func (e *Engine) Barrier() {
 	for {
+		e.flushCombiners()
 		e.mb.WaitEmpty()
 		fired := e.pumpReplies()
-		pend := [1]uint64{e.outstanding + fired}
+		pend := [1]uint64{e.outstanding + fired + e.pendingCombined()}
 		if e.comm.AllreduceU64(pend[:], collective.SumU64)[0] == 0 {
 			return
 		}
 	}
+}
+
+// flushCombiners ships every pending combined contribution on this rank.
+func (e *Engine) flushCombiners() {
+	for _, c := range e.combining {
+		c.flushPending()
+	}
+}
+
+// pendingCombined counts the records flushCombiners would ship now.
+func (e *Engine) pendingCombined() uint64 {
+	var n uint64
+	for _, c := range e.combining {
+		n += uint64(c.comb.live)
+	}
+	return n
 }
 
 // allreduceSum is the post-Barrier reduction containers use for Size.
@@ -264,11 +319,16 @@ func (e *Engine) allreduceSum(v uint64) uint64 {
 // excluded from the zero-alloc contract (the callback registration
 // allocates); the fire-and-forget operations are the hot path.
 func (e *Engine) asyncFetch(owner machine.Rank, cid, vid uint64, key, arg []byte, cb func(reply []byte)) {
+	e.shipFetch(e.pushWriter(), owner, cid, vid, key, arg, cb)
+}
+
+// shipFetch is asyncFetch onto a writer the caller pushed and may have
+// led with an opAdd frame for the same key (shipVisit's contract).
+func (e *Engine) shipFetch(w *codec.Writer, owner machine.Rank, cid, vid uint64, key, arg []byte, cb func(reply []byte)) {
 	fid := e.nextFetch
 	e.nextFetch++
 	e.fetches[fid] = cb
 	e.outstanding++
-	w := e.pushWriter()
 	w.Uvarint(cid)
 	w.Byte(opFetch)
 	w.Uvarint(vid)
@@ -276,8 +336,7 @@ func (e *Engine) asyncFetch(owner machine.Rank, cid, vid uint64, key, arg []byte
 	w.Uvarint(uint64(e.p.Rank()))
 	w.Bytes0(key)
 	w.Bytes0(arg)
-	e.mb.Send(owner, w.Bytes())
-	e.popWriter()
+	e.ship(owner, w)
 }
 
 // remaining returns the undecoded tail of r's payload as a view.
