@@ -145,6 +145,11 @@ type Report struct {
 	// utilization, handoff/steal counts, ready-queue depth) when the run
 	// used one; the zero Snapshot otherwise. Metrics() folds it in.
 	Sched obs.Snapshot
+	// Wire is the wire backend's own metric snapshot, taken after Finish
+	// (TCPWire: frames, bytes and writes through its send queues, window
+	// stalls); the zero Snapshot for a wire that counts nothing.
+	// Metrics() folds it in.
+	Wire obs.Snapshot
 }
 
 // Makespan returns the run's elapsed time: the maximum final clock over
@@ -200,11 +205,11 @@ func (r *Report) Utilization() float64 {
 // view: counters and histogram buckets add, gauges keep the largest
 // high-water mark.
 func (r *Report) Metrics() obs.Snapshot {
-	snaps := make([]obs.Snapshot, 0, len(r.Ranks)+1)
+	snaps := make([]obs.Snapshot, 0, len(r.Ranks)+2)
 	for i := range r.Ranks {
 		snaps = append(snaps, r.Ranks[i].Metrics)
 	}
-	snaps = append(snaps, r.Sched)
+	snaps = append(snaps, r.Sched, r.Wire)
 	return obs.MergeSnapshots(snaps...)
 }
 
@@ -394,6 +399,9 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 		report.Sched = w.sched.snapshot()
 	}
 	ferr := w.wire.Finish()
+	if m, ok := w.wire.(interface{ Metrics() obs.Snapshot }); ok {
+		report.Wire = m.Metrics()
+	}
 	if len(local) < size {
 		// Distributed run: compact the report to the ranks this process
 		// hosted so aggregate quantities (Utilization's rank count above

@@ -14,6 +14,7 @@ import (
 
 	"ygm/internal/codec"
 	"ygm/internal/machine"
+	"ygm/internal/obs"
 )
 
 // TCP wire protocol. Every connection (rendezvous and mesh alike) opens
@@ -48,9 +49,25 @@ const (
 	kindMsg       byte = 6 // data packet
 	kindGoodbye   byte = 7 // clean end-of-stream; EOF without it is a fault
 
-	// tcpMaxFrame bounds one frame body; larger reads indicate stream
+	// tcpMaxFrame bounds one data-frame body; larger reads indicate stream
 	// corruption, not traffic (mailbox payloads are capacity-bounded).
+	// Handshake frames have their own, much smaller cap: readCtrlFrame.
 	tcpMaxFrame = 1 << 28
+
+	// tcpSendWindow is how many bytes a peer's send queue may hold before
+	// Inject waits for the writer. It bounds what a sender that outruns
+	// the socket can pin: at most the window plus one frame is pending
+	// while as much again is inside the write. Measured on stream_tcp (2
+	// processes, ~176-byte frames, three alternating rounds), peak_rss_mb
+	// against the synchronous wire's 20.4: no bound 24.3–25.1, 1 MiB
+	// 24.0–24.4, 256 KiB 21.4–22.2, 64 KiB 20.7–20.9 — while ops_per_s
+	// overlapped at every setting (13.2–15.8 M at 64 KiB, 13.3–16.3 M
+	// unbounded), because one 64 KiB batch is already hundreds of frames
+	// per write. EXPERIMENTS.md "TCP send queue".
+	tcpSendWindow = 64 << 10
+
+	// dataHdrLen is the fixed prefix of a data frame: length, kind, tag.
+	dataHdrLen = 4 + 1 + 8
 )
 
 // TCPOptions configures a TCPWire; see NewTCPWire.
@@ -71,9 +88,12 @@ type TCPOptions struct {
 // framed stream, and per-peer reader goroutines push decoded packets
 // into the local rank's inbox rings — each reader is the single
 // producer for its (local, peer) channel, so the lock-free ring
-// discipline carries over unchanged. Connection faults (a peer reset or
-// EOF without the goodbye frame) surface through World.WireFail into
-// the same failed/poisoned unwinding the deadlock watchdog uses.
+// discipline carries over unchanged. Sends are asynchronous: Inject
+// copies the frame into the peer's send queue and a per-peer writer
+// goroutine hands everything queued to the kernel in one write (see
+// tcpPeer). Connection faults (a failed write, a peer reset or EOF
+// without the goodbye frame) surface through World.WireFail into the
+// same failed/poisoned unwinding the deadlock watchdog uses.
 //
 // A TCPWire value is single-use; construct one per Run.
 type TCPWire struct {
@@ -81,8 +101,8 @@ type TCPWire struct {
 	w    *World
 	self machine.Rank
 
-	// peers[r] is the mesh connection to rank r (nil at self). writeMu
-	// serializes whole frames; reads are exclusive to the peer's reader
+	// peers[r] is the mesh connection to rank r (nil at self). Writes
+	// are exclusive to the peer's writer goroutine, reads to its reader
 	// goroutine.
 	peers []*tcpPeer
 
@@ -93,19 +113,53 @@ type TCPWire struct {
 	rdvLn    net.Listener
 	rdvConns []net.Conn
 
+	// readers and writers join the per-peer goroutines Start spawns;
+	// Finish waits for both, so neither kind outlives the Run.
 	readers sync.WaitGroup
+	writers sync.WaitGroup
 	// closing suppresses fault reports for resets caused by our own
 	// teardown.
 	closing atomic.Bool
+
+	// What crossed the send queues, counted where it happens and
+	// reported by Metrics: frames and bytes as Inject (and Finish's
+	// goodbye) queue them, writes as the writers issue them, and
+	// windowStalls once per Inject that found the window full.
+	frames, bytes, writes, windowStalls atomic.Uint64
 }
 
-// tcpPeer is one mesh connection plus its write lock and reader state.
+// tcpPeer is one mesh connection, its send queue and its reader state.
+//
+// The send queue is group commit over two byte buffers: Inject appends
+// whole frames to pending under mu; the writer goroutine takes all of
+// pending, leaves its spare buffer in its place, and issues one
+// conn.Write for the batch — which is therefore whatever accumulated
+// while the previous write was in the kernel. There is no timer and no
+// size rule: an idle writer is woken by the first frame and writes it
+// at once, a busy one finds the next batch waiting. The buffers grow to
+// the window plus the largest frame sent and are kept for reuse.
 type tcpPeer struct {
-	conn    net.Conn
-	writeMu sync.Mutex
+	conn net.Conn
 	// sawGoodbye marks a clean end-of-stream, flipped by the reader; an
 	// EOF after it is a normal peer exit.
 	sawGoodbye atomic.Bool
+
+	mu sync.Mutex
+	// work wakes the writer when pending turns non-empty or done is set;
+	// space is broadcast after every batch for Inject (window) and Flush
+	// (drained) waiters.
+	work, space sync.Cond
+	pending     []byte // frames queued and not yet taken by the writer
+	spare       []byte // the writer's other buffer, empty
+	writing     bool   // the writer holds a batch it has not finished with
+	done        bool   // Finish: nothing will be queued after pending
+}
+
+func newTCPPeer(conn net.Conn) *tcpPeer {
+	peer := &tcpPeer{conn: conn}
+	peer.work.L = &peer.mu
+	peer.space.L = &peer.mu
+	return peer
 }
 
 // NewTCPWire returns a TCP backend for one rank of a multi-process run.
@@ -122,7 +176,7 @@ func (t *TCPWire) LocalRanks(topo machine.Topology) []machine.Rank {
 
 // Start performs the rendezvous handshake and builds the full mesh; on
 // return every pair of ranks is connected, every process has passed the
-// start barrier, and the reader goroutines are live.
+// start barrier, and the reader and writer goroutines are live.
 func (t *TCPWire) Start(w *World) error {
 	size := w.topo.WorldSize()
 	if t.opt.Rank < 0 || t.opt.Rank >= size {
@@ -194,6 +248,8 @@ func (t *TCPWire) Start(w *World) error {
 		}
 		t.readers.Add(1)
 		go t.readLoop(machine.Rank(r), peer)
+		t.writers.Add(1)
+		go t.writeLoop(machine.Rank(r), peer)
 	}
 	return nil
 }
@@ -272,7 +328,7 @@ func (t *TCPWire) readHello(conn net.Conn) (int, string, error) {
 	if err := readPreamble(conn); err != nil {
 		return 0, "", fmt.Errorf("tcp: rendezvous hello: %w", err)
 	}
-	body, err := readFrame(bufio.NewReader(conn), nil)
+	body, err := t.readCtrlFrame(conn)
 	if err != nil {
 		return 0, "", fmt.Errorf("tcp: rendezvous hello: %w", err)
 	}
@@ -332,7 +388,7 @@ func (t *TCPWire) rendezvousClient(selfAddr string, deadline time.Time) ([]strin
 	if err := writeFrame(conn, body.Bytes()); err != nil {
 		return nil, fmt.Errorf("tcp: rendezvous hello: %w", err)
 	}
-	rbody, err := readFrame(bufio.NewReader(conn), nil)
+	rbody, err := t.readCtrlFrame(conn)
 	if err != nil {
 		return nil, fmt.Errorf("tcp: roster: %w", err)
 	}
@@ -375,7 +431,7 @@ func (t *TCPWire) connectMesh(meshLn net.Listener, roster []string, deadline tim
 			conn.Close()
 			return fmt.Errorf("tcp: peer hello to rank %d: %w", j, err)
 		}
-		t.peers[j] = &tcpPeer{conn: conn}
+		t.peers[j] = newTCPPeer(conn)
 	}
 	if d, ok := meshLn.(*net.TCPListener); ok {
 		d.SetDeadline(deadline)
@@ -390,7 +446,7 @@ func (t *TCPWire) connectMesh(meshLn net.Listener, roster []string, deadline tim
 			conn.Close()
 			return fmt.Errorf("tcp: mesh preamble: %w", err)
 		}
-		body, err := readFrame(bufio.NewReader(conn), nil)
+		body, err := t.readCtrlFrame(conn)
 		if err != nil {
 			conn.Close()
 			return fmt.Errorf("tcp: peer hello: %w", err)
@@ -407,7 +463,7 @@ func (t *TCPWire) connectMesh(meshLn net.Listener, roster []string, deadline tim
 			return fmt.Errorf("tcp: bad peer hello rank %d (%v)", rank, err)
 		}
 		conn.SetDeadline(time.Time{})
-		t.peers[rank] = &tcpPeer{conn: conn}
+		t.peers[rank] = newTCPPeer(conn)
 	}
 	// Dialed conns also drop their handshake deadline before data flows.
 	for j := 0; j < int(t.self); j++ {
@@ -428,7 +484,7 @@ func (t *TCPWire) startBarrier(deadline time.Time) error {
 			if conn == nil {
 				continue
 			}
-			body, err := readFrame(bufio.NewReader(conn), nil)
+			body, err := t.readCtrlFrame(conn)
 			if err != nil || len(body) != 1 || body[0] != kindReady {
 				return fmt.Errorf("tcp: waiting for rank %d ready: %v", r, err)
 			}
@@ -448,7 +504,7 @@ func (t *TCPWire) startBarrier(deadline time.Time) error {
 	if err := writeFrame(conn, frame(kindReady)); err != nil {
 		return fmt.Errorf("tcp: ready: %w", err)
 	}
-	body, err := readFrame(bufio.NewReader(conn), nil)
+	body, err := t.readCtrlFrame(conn)
 	if err != nil || len(body) != 1 || body[0] != kindGo {
 		return fmt.Errorf("tcp: waiting for go: %v", err)
 	}
@@ -457,36 +513,102 @@ func (t *TCPWire) startBarrier(deadline time.Time) error {
 }
 
 // Inject delivers one stamped packet: a self-send is a direct inbox
-// push (same as the in-process wires); a remote send serializes the
-// packet as one data frame, hands it to the kernel synchronously, and
-// returns the packet — and any pooled payload — to the local pool, so
-// the per-process recycle balance holds without the bytes themselves
-// crossing the socket twice.
+// push (same as the in-process wires); a remote send copies the packet
+// into the peer's send queue as one data frame and returns the packet —
+// and any pooled payload — to the local pool, so the per-process recycle
+// balance holds. It returns before the frame reaches the kernel and
+// waits only while the queue already holds a full window; a frame
+// larger than the window passes once the queue is below it. Waking the
+// writer costs a signal only when the queue was idle: a busy writer
+// picks the frame up with its next batch.
 func (t *TCPWire) Inject(p *Proc, dst machine.Rank, pkt *Packet) {
 	if dst == t.self {
 		t.w.inboxes[dst].Push(pkt)
 		return
 	}
 	peer := t.peers[dst]
-	var hdr [13]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(9+len(pkt.Payload)))
-	hdr[4] = kindMsg
-	binary.LittleEndian.PutUint64(hdr[5:13], uint64(pkt.Tag))
-	bufs := net.Buffers{hdr[:], pkt.Payload}
-	peer.writeMu.Lock()
-	_, err := bufs.WriteTo(peer.conn)
-	peer.writeMu.Unlock()
+	peer.mu.Lock()
+	if len(peer.pending) >= tcpSendWindow {
+		t.windowStalls.Add(1)
+		for len(peer.pending) >= tcpSendWindow {
+			peer.space.Wait()
+		}
+	}
+	idle := len(peer.pending) == 0 && !peer.writing
+	n := dataHdrLen + len(pkt.Payload)
+	b := binary.LittleEndian.AppendUint32(peer.pending, uint32(n-4))
+	b = append(b, kindMsg)
+	b = binary.LittleEndian.AppendUint64(b, uint64(pkt.Tag))
+	peer.pending = append(b, pkt.Payload...)
+	peer.mu.Unlock()
+	if idle {
+		peer.work.Signal()
+	}
+	t.frames.Add(1)
+	t.bytes.Add(uint64(n))
 	t.w.pool.put(pkt)
-	if err != nil && !t.closing.Load() {
-		t.w.WireFail(fmt.Errorf("tcp: send to rank %d: %w", dst, err))
+}
+
+// Progress is a no-op: the writer goroutines are the progress context.
+// A rank-driven drain (write what is queued when the rank next polls)
+// cannot batch — the mailbox polls far more often than it flushes, so
+// every poll finds at most one frame — and delivers nothing while the
+// rank computes. DESIGN.md §13.
+func (t *TCPWire) Progress(*Proc) {}
+
+// Flush blocks until every send queue of this process is empty and the
+// last batch taken from it has been handed to the kernel (or, after a
+// write failure, discarded).
+func (t *TCPWire) Flush(*Proc) {
+	for _, peer := range t.peers {
+		if peer == nil {
+			continue
+		}
+		peer.mu.Lock()
+		for len(peer.pending) > 0 || peer.writing {
+			peer.space.Wait()
+		}
+		peer.mu.Unlock()
 	}
 }
 
-func (t *TCPWire) Progress(*Proc) {}
-
-// Flush is a no-op: Inject hands every frame to the kernel before
-// returning, so there is nothing buffered above the socket.
-func (t *TCPWire) Flush(*Proc) {}
+// writeLoop is one peer's writer: it takes everything queued, writes it
+// with one conn.Write, and repeats until Finish marks the queue done and
+// it is empty. The first failed write reports the fault (unless it is
+// our own teardown closing the socket) and from then on batches are
+// discarded rather than written, so the queue keeps draining and a rank
+// waiting in Inject or Flush always wakes.
+func (t *TCPWire) writeLoop(dst machine.Rank, peer *tcpPeer) {
+	defer t.writers.Done()
+	failed := false
+	peer.mu.Lock()
+	for {
+		for len(peer.pending) == 0 {
+			if peer.done {
+				peer.mu.Unlock()
+				return
+			}
+			peer.work.Wait()
+		}
+		batch := peer.pending
+		peer.pending, peer.spare = peer.spare, nil
+		peer.writing = true
+		peer.mu.Unlock()
+		if !failed {
+			t.writes.Add(1)
+			if _, err := peer.conn.Write(batch); err != nil {
+				failed = true
+				if !t.closing.Load() {
+					t.w.WireFail(fmt.Errorf("tcp: send to rank %d: %w", dst, err))
+				}
+			}
+		}
+		peer.mu.Lock()
+		peer.spare = batch[:0]
+		peer.writing = false
+		peer.space.Broadcast()
+	}
+}
 
 // readLoop decodes one peer's stream into the local inbox. It is the
 // single producer for the (local, src) channel, preserving the SPSC
@@ -554,42 +676,66 @@ func (t *TCPWire) readEnd(src machine.Rank, peer *tcpPeer, err error) {
 }
 
 // Finish ends the run's participation in the mesh. On a clean run it
-// sends each peer a goodbye, half-closes the streams, and blocks until
-// every peer's goodbye has arrived — the distributed analogue of
-// joining the rank goroutines, which also keeps our inbox absorbing any
-// late traffic peers were still sending. On a failed run it slams the
-// connections so remote readers observe a reset and unwind their ranks.
+// queues a goodbye behind whatever each peer's queue still holds, joins
+// the writers, half-closes the streams, and blocks until every peer's
+// goodbye has arrived — the distributed analogue of joining the rank
+// goroutines, which also keeps our inbox absorbing any late traffic
+// peers were still sending. On a failed run it slams the connections
+// first, so remote readers observe a reset and unwind their ranks and a
+// writer blocked in the kernel returns; the writers are joined either
+// way.
 func (t *TCPWire) Finish() error {
 	if t.w == nil || t.w.topo.WorldSize() == 1 {
 		return nil
 	}
-	if t.w.failed.Load() {
+	failed := t.w.failed.Load()
+	if failed {
 		t.closing.Store(true)
 		t.closeAll()
-		t.readers.Wait()
-		return nil
 	}
-	for r, peer := range t.peers {
+	for _, peer := range t.peers {
 		if peer == nil {
 			continue
 		}
-		peer.writeMu.Lock()
-		err := writeFrame(peer.conn, []byte{kindGoodbye})
-		peer.writeMu.Unlock()
-		if err != nil {
-			t.closing.Store(true)
-			t.closeAll()
-			t.readers.Wait()
-			return fmt.Errorf("tcp: goodbye to rank %d: %w", r, err)
+		peer.mu.Lock()
+		if !failed {
+			peer.pending = append(binary.LittleEndian.AppendUint32(peer.pending, 1), kindGoodbye)
+			t.frames.Add(1)
+			t.bytes.Add(4 + 1)
 		}
-		if tc, ok := peer.conn.(*net.TCPConn); ok {
-			tc.CloseWrite()
-		}
+		peer.done = true
+		peer.mu.Unlock()
+		peer.work.Signal()
 	}
-	t.readers.Wait()
+	t.writers.Wait()
+	// A write that failed while draining has reported itself through
+	// WireFail, which Run returns; such a run ends like any failed one.
+	if !t.w.failed.Load() {
+		for _, peer := range t.peers {
+			if peer == nil {
+				continue
+			}
+			if tc, ok := peer.conn.(*net.TCPConn); ok {
+				tc.CloseWrite()
+			}
+		}
+		t.readers.Wait()
+	}
 	t.closing.Store(true)
 	t.closeAll()
+	t.readers.Wait()
 	return nil
+}
+
+// Metrics reports what this process's send queues carried. Run stores
+// it in Report.Wire after Finish, when every writer has exited.
+func (t *TCPWire) Metrics() obs.Snapshot {
+	return obs.Snapshot{Counters: map[string]uint64{
+		"wire.tcp.frames":        t.frames.Load(),
+		"wire.tcp.bytes":         t.bytes.Load(),
+		"wire.tcp.writes":        t.writes.Load(),
+		"wire.tcp.window_stalls": t.windowStalls.Load(),
+	}}
 }
 
 // closeAll tears down every socket this wire owns.
@@ -644,22 +790,25 @@ func writeFrame(conn net.Conn, body []byte) error {
 	return err
 }
 
-// readFrame reads one length-prefixed frame body.
-func readFrame(br *bufio.Reader, scratch []byte) ([]byte, error) {
+// readCtrlFrame reads one length-prefixed handshake frame body (hello,
+// roster, peer hello, ready, go). The length comes from a connection
+// nothing has vouched for yet, so it is checked before anything is
+// allocated for it, against a cap that follows the world: the roster is
+// the largest control frame — one host:port string per rank — so 64
+// bytes of fixed fields plus 64 per rank, and never under 4 KiB. Only
+// data frames may reach tcpMaxFrame.
+func (t *TCPWire) readCtrlFrame(conn net.Conn) ([]byte, error) {
+	limit := max(4<<10, 64+64*t.w.topo.WorldSize())
 	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > tcpMaxFrame {
+	if uint64(n) > uint64(limit) {
 		return nil, fmt.Errorf("frame length %d out of range", n)
 	}
-	body := scratch
-	if cap(body) < int(n) {
-		body = make([]byte, n)
-	}
-	body = body[:n]
-	if _, err := io.ReadFull(br, body); err != nil {
+	body := make([]byte, n)
+	if _, err := io.ReadFull(conn, body); err != nil {
 		return nil, err
 	}
 	return body, nil

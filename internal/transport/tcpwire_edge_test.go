@@ -6,9 +6,13 @@
 package transport_test
 
 import (
+	"encoding/binary"
+	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -256,5 +260,101 @@ func TestTCPStrayAfterHandshakeFailsFast(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stray dial disturbed live rank %d: %v", r, err)
 		}
+	}
+}
+
+// TestTCPHandshakeLengthCapped pins the control-frame cap: a stray
+// client that speaks the preamble and then announces a 200 MiB hello
+// must be refused on the length alone — before the root allocates a
+// byte for it — and Start must fail naming the length.
+func TestTCPHandshakeLengthCapped(t *testing.T) {
+	if !loopbackAvailable() {
+		t.Skip("loopback listening unavailable in this sandbox")
+	}
+	rdv := freeLoopbackAddr(t)
+	go func() {
+		var conn net.Conn
+		for i := 0; i < 500; i++ { // the root is not listening yet when this starts
+			var err error
+			if conn, err = net.Dial("tcp", rdv); err == nil {
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if conn == nil {
+			return // the root times out and the test reports that
+		}
+		defer conn.Close()
+		var b [9]byte
+		binary.LittleEndian.PutUint32(b[0:4], 0x59474d57) // "YGMW"
+		b[4] = 1
+		binary.LittleEndian.PutUint32(b[5:9], 200<<20)
+		conn.Write(b[:])
+		conn.Read(b[:1]) // hold the connection until the root drops it
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := runTCPRank(1, 2, 0, rdv, 10*time.Second, noop)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "frame length 209715200 out of range") {
+		t.Fatalf("Start did not refuse a 200 MiB hello by its length: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing the hello allocated %d bytes; the length was trusted before it was checked", grew)
+	}
+}
+
+// TestTCPSendQueueWriteFailureUnblocksSender is the failure path through
+// the send queue. Rank 1 stops reading, so rank 0 — streaming 32 KiB
+// frames — ends up blocked in Inject behind a full window with its
+// writer blocked in the kernel. Then rank 1's body returns an error and
+// its Finish slams the sockets. Rank 0's writer must report the fault
+// and keep discarding, so that rank 0 wakes, unwinds, and Run returns
+// the typed wire error promptly; and both Runs must take every reader
+// and writer goroutine with them.
+func TestTCPSendQueueWriteFailureUnblocksSender(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	var sent atomic.Int64
+	var failedAt time.Time
+	_, errs := runTCPWorld(t, 2, func(p *transport.Proc) error {
+		if p.Rank() == 1 {
+			defer transport.StallPool(p)()
+			// Rank 0 is blocked once its send count stops moving.
+			for last, still := int64(-1), 0; still < 10; {
+				time.Sleep(10 * time.Millisecond)
+				if n := sent.Load(); n == last && n > 0 {
+					still++
+				} else {
+					last, still = n, 0
+				}
+			}
+			failedAt = time.Now()
+			return fmt.Errorf("rank 1: injected failure")
+		}
+		for {
+			p.SendPooled(1, tagQ, p.AcquireBuf(32<<10))
+			sent.Add(1)
+			p.AbortIfPeerFailed()
+		}
+	})
+	unwound := time.Since(failedAt)
+	if errs[0] == nil || !(strings.Contains(errs[0].Error(), "tcp: send to rank 1") ||
+		strings.Contains(errs[0].Error(), "tcp: stream from rank 1")) {
+		t.Fatalf("rank 0: want the typed wire error for rank 1, got: %v", errs[0])
+	}
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "injected failure") {
+		t.Fatalf("rank 1: want its own error back, got: %v", errs[1])
+	}
+	if unwound > 2*time.Second {
+		t.Fatalf("rank 0 took %v to unwind after rank 1 failed", unwound)
+	}
+	t.Logf("rank 0 blocked after %d frames, unwound %v after rank 1 failed", sent.Load(), unwound)
+	for i := 0; runtime.NumGoroutine() > goroutines; i++ {
+		if i == 100 {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before the runs, %d after:\n%s", goroutines, runtime.NumGoroutine(),
+				buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -23,17 +23,22 @@ import (
 //     the single-producer rule the lock-free rings rely on. A wire that
 //     serializes the packet onto an external transport must return it to
 //     the world pool afterwards so the sender-side recycle balance holds.
+//     Inject may return before the bytes have left the process: TCPWire
+//     copies the frame into a per-peer send queue that a writer goroutine
+//     drains, and blocks only while that queue holds a full window
+//     (tcpSendWindow). Per-(src, dst) order is the order of Inject calls.
 //   - Progress lets a polled backend move bytes on the caller's
 //     goroutine. The runtime calls it once before a real-time rank parks
 //     in a blocking receive; push-based backends (all three in-tree wires,
 //     which deliver from the sender's goroutine or from dedicated reader
-//     goroutines) implement it as a no-op. See DESIGN.md §13 for why the
-//     hook exists anyway: MPI Progress For All measures exactly the
-//     failure mode — handler starvation under a progress-less backend —
-//     that this call is the escape hatch for.
-//   - Flush blocks until every frame this rank injected has been handed
-//     to the underlying transport (the OS for TCP). The runtime calls it
-//     as each rank's body returns; in-process wires are synchronous and
+//     and writer goroutines) implement it as a no-op. See DESIGN.md §13
+//     for why the hook exists anyway: MPI Progress For All measures
+//     exactly the failure mode — handler starvation under a progress-less
+//     backend — that this call is the escape hatch for.
+//   - Flush blocks until every frame injected in this process has been
+//     handed to the underlying transport (the OS for TCP: every send
+//     queue empty and its last batch written). The runtime calls it as
+//     each rank's body returns; in-process wires are synchronous and
 //     implement it as a no-op.
 //   - RealTime distinguishes virtual-time wires (arrival stamps are
 //     netsim model arithmetic, ranks carry a netsim.Clock) from
@@ -50,6 +55,10 @@ import (
 //     distributed wire performs its rendezvous/handshake here); Finish
 //     tears it down after every local rank has returned and is where a
 //     distributed wire drains peers' goodbyes.
+//
+// A wire that counts its own work may also implement
+// Metrics() obs.Snapshot; Run stores the snapshot, taken after Finish, in
+// Report.Wire.
 //
 // A Wire value is single-use: one Start/Finish cycle per Run.
 type Wire interface {

