@@ -247,7 +247,7 @@ func runBaseline(writePath, comparePath string, rounds int) error {
 // bcast+barrier world per requested rank count, reported through the
 // standard table/CSV path. The sweep measures host-side cost growth
 // (wall seconds, allocated MiB) against world size — the number the
-// M:N scheduler and sparse inboxes exist to keep linear.
+// M:N scheduler and the O(1) idle inbox exist to keep linear.
 func runWeakScaling(spec string, seed int64, format string) error {
 	var ranks []int
 	for _, tok := range strings.Split(spec, ",") {

@@ -39,11 +39,11 @@ func MicroBenches() []MicroBench {
 }
 
 // largeWorldWorkload pins the large-world hot path the M:N scheduler
-// and sparse inboxes own: world construction, a binomial broadcast, and
-// a dissemination barrier at `ranks` ranks, all multiplexed onto a
-// GOMAXPROCS worker pool. Its allocs/op gates the O(active edges)
-// property — a regression back toward O(P²) ring setup moves this
-// number by orders of magnitude, not percent.
+// and the per-sender-stateless inboxes own: world construction, a
+// binomial broadcast, and a dissemination barrier at `ranks` ranks, all
+// multiplexed onto a GOMAXPROCS worker pool. Its allocs/op gates the
+// O(P) setup property — a regression back toward O(P²) per-channel
+// state moves this number by orders of magnitude, not percent.
 func largeWorldWorkload(b *testing.B, ranks int) {
 	topo := machine.New(ranks/32, 32)
 	b.ReportAllocs()

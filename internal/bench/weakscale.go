@@ -38,8 +38,8 @@ type WeakScalePoint struct {
 // 64-byte payload from rank 0 and runs a full barrier, all ranks
 // multiplexed onto the worker pool. The goroutine-per-rank execution
 // this sweep replaced topped out around 10k ranks on host memory; the
-// M:N scheduler plus sparse inboxes is what makes the 65k point
-// feasible, and this sweep is the evidence.
+// M:N scheduler plus inboxes that hold no per-sender state is what
+// makes the 65k point feasible, and this sweep is the evidence.
 func WeakScale(rankCounts []int, seed int64) ([]WeakScalePoint, error) {
 	points := make([]WeakScalePoint, 0, len(rankCounts))
 	for _, ranks := range rankCounts {

@@ -12,11 +12,12 @@ func checkf(bool, string, ...any) {}
 
 func (ib *Inbox) verify(Tag) {}
 
-func (ib *Inbox) checkRingBounds(*inboxRing, uint64, uint64) {}
+// inboxCheck is the ygmcheck channel audit state; empty by default.
+type inboxCheck struct{}
 
-func (ib *Inbox) checkAbsorbed(*inboxRing, *Packet) {}
+func (ib *Inbox) checkPush(*Packet) {}
 
-func (ib *Inbox) checkRingFlush(*inboxRing) {}
+func (ib *Inbox) checkAbsorbed(*Packet) {}
 
 func (p *Proc) checkClockMonotone() {}
 

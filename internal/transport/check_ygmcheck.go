@@ -4,7 +4,7 @@ package transport
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 
 	"ygm/internal/machine"
 )
@@ -44,68 +44,74 @@ func (ib *Inbox) verify(tag Tag) {
 		"inbox depth accounting out of balance: cached %d, actual %d", ib.depth, total)
 }
 
-// checkRingBounds asserts one channel's ring counter invariants with
-// the head/tail values the caller just observed: the head never
-// overtakes the tail and the occupancy never exceeds the capacity.
-func (ib *Inbox) checkRingBounds(r *inboxRing, head, tail uint64) {
-	checkf(head <= tail,
-		"inbox ring head %d overtook tail %d", head, tail)
-	checkf(tail-head <= ringCap,
-		"inbox ring occupancy %d exceeds capacity %d (head %d, tail %d)",
-		tail-head, ringCap, head, tail)
+// chanCheck is one src→dst channel's audit state. pushed is the next
+// channel sequence Push hands out — the channel's producer owns it,
+// pushes of one source being ordered; next and arrive are the
+// consumer's view: the sequence absorb expects and the last arrival
+// clock it saw.
+type chanCheck struct {
+	pushed uint64
+	next   uint64
+	arrive float64
 }
 
-// ringCheckFor resolves (lazily creating) one channel's audit state.
-// The side map keeps audit-only fields out of the hot ring structs that
-// default builds zero world² times per run.
-func (ib *Inbox) ringCheckFor(r *inboxRing) *ringCheck {
-	if ib.checkRings == nil {
-		ib.checkRings = make(map[*inboxRing]*ringCheck)
-	}
-	c, ok := ib.checkRings[r]
-	if !ok {
-		c = &ringCheck{}
-		ib.checkRings[r] = c
-	}
-	return c
+// inboxCheck is the ygmcheck channel audit: Push numbers every packet
+// on its channel on the producer side, and absorb asserts each channel
+// continues gap-free — the per-channel FIFO the stack reversal exists
+// to guarantee. mu guards the map only; a mutex is fine here, audit
+// builds are not timed.
+type inboxCheck struct {
+	mu    sync.Mutex
+	chans map[machine.Rank]*chanCheck
+	// monotone additionally asserts that arrivals absorbed from one
+	// channel never decrease. That only holds when senders emit
+	// fixed-size packets or the non-overtaking clamp is active, so it is
+	// opt-in for fixtures.
+	monotone bool
 }
 
-// checkAbsorbed records one packet drained from a channel (ring slot or
-// overflow list) for the end-of-pass sequence audit.
-func (ib *Inbox) checkAbsorbed(r *inboxRing, p *Packet) {
-	c := ib.ringCheckFor(r)
-	c.batch = append(c.batch, seqArrive{seq: p.seq, arrive: p.Arrive})
+// channel resolves (lazily creating) the audit state for src.
+func (c *inboxCheck) channel(src machine.Rank) *chanCheck {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.chans == nil {
+		c.chans = make(map[machine.Rank]*chanCheck)
+	}
+	ch := c.chans[src]
+	if ch == nil {
+		ch = &chanCheck{}
+		c.chans[src] = ch
+	}
+	return ch
 }
 
-// checkRingFlush audits one drain pass of a channel: the absorbed
-// sequence numbers must form a gap-free continuation of the channel
-// sequence (no packet lost, duplicated, or absorbed ahead of an earlier
-// one left behind — the prefix-closure drainChannel's ring/overflow
-// re-read loop exists to guarantee). With Inbox.checkMonotone set it
-// additionally asserts the channel's arrival clocks never decrease in
-// sequence order; that extra property only holds for fixed-size traffic
-// or under the non-overtaking clamp, so fixtures opt in.
-func (ib *Inbox) checkRingFlush(r *inboxRing) {
-	c, ok := ib.checkRings[r]
-	if !ok || len(c.batch) == 0 {
-		return
+// checkPush asserts p is not already on a stack — pushing a linked
+// packet would splice that stack's tail into this one — and stamps p's
+// channel sequence into p.seq for checkAbsorbed.
+func (ib *Inbox) checkPush(p *Packet) {
+	checkf(p.next == nil,
+		"inbox push of a packet that is still linked (src %d, tag %d)", p.Src, p.Tag)
+	ch := ib.check.channel(p.Src)
+	p.seq = ch.pushed
+	ch.pushed++
+}
+
+// checkAbsorbed audits one packet in absorb order: its channel sequence
+// must continue the channel gap-free (no packet lost, duplicated, or
+// absorbed ahead of an earlier one left behind), and with
+// inboxCheck.monotone its arrival clock must not run backwards.
+func (ib *Inbox) checkAbsorbed(p *Packet) {
+	ch := ib.check.channel(p.Src)
+	checkf(p.seq == ch.next,
+		"inbox channel sequence gap: absorbed seq %d from rank %d where %d was expected",
+		p.seq, p.Src, ch.next)
+	ch.next++
+	if ib.check.monotone {
+		checkf(p.Arrive >= ch.arrive,
+			"inbox channel arrival clock ran backwards: seq %d arrives at %g after %g",
+			p.seq, p.Arrive, ch.arrive)
+		ch.arrive = p.Arrive
 	}
-	batch := c.batch
-	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
-	for i, sa := range batch {
-		want := c.seq + uint64(i)
-		checkf(sa.seq == want,
-			"inbox channel sequence gap: absorbed seq %d where %d was expected (pass of %d packets from seq %d)",
-			sa.seq, want, len(batch), c.seq)
-		if ib.checkMonotone {
-			checkf(sa.arrive >= c.arrive,
-				"inbox channel arrival clock ran backwards: seq %d arrives at %g after %g",
-				sa.seq, sa.arrive, c.arrive)
-			c.arrive = sa.arrive
-		}
-	}
-	c.seq += uint64(len(batch))
-	c.batch = batch[:0]
 }
 
 // checkClockMonotone asserts that the rank's virtual clock never ran

@@ -3,104 +3,33 @@ package transport
 import (
 	"runtime"
 	"testing"
-
-	"ygm/internal/machine"
 )
 
-// TestInboxLayoutThresholds pins which structural regime each world
-// size lands in: the preallocated dense layout (with the world²
-// single-slab optimization up to ringSlabWorlds) below denseWorlds, the
-// lazy sparse layout above it. The small-world fast paths must stay
-// exactly as they were before sparse inboxes existed.
-func TestInboxLayoutThresholds(t *testing.T) {
-	for _, tc := range []struct {
-		size   int
-		sparse bool
-	}{
-		{1, false},
-		{ringSlabWorlds, false},
-		{ringSlabWorlds + 1, false},
-		{denseWorlds, false},
-		{denseWorlds + 1, true},
-		{512, true},
-	} {
-		ibs := buildInboxes(tc.size)
-		if len(ibs) != tc.size {
-			t.Fatalf("size %d: got %d inboxes", tc.size, len(ibs))
-		}
-		for i, ib := range ibs {
-			gotSparse := ib.srings != nil
-			if gotSparse != tc.sparse {
-				t.Fatalf("size %d rank %d: sparse=%v, want %v", tc.size, i, gotSparse, tc.sparse)
-			}
-			if tc.sparse {
-				if ib.rings != nil || ib.active != nil {
-					t.Fatalf("size %d rank %d: sparse inbox still carries dense rings/bitmap", tc.size, i)
-				}
-			} else {
-				if len(ib.rings) != tc.size {
-					t.Fatalf("size %d rank %d: %d dense rings, want %d", tc.size, i, len(ib.rings), tc.size)
-				}
-				if wantWords := (tc.size + 63) / 64; len(ib.active) != wantWords {
-					t.Fatalf("size %d rank %d: %d bitmap words, want %d", tc.size, i, len(ib.active), wantWords)
-				}
-			}
-		}
-	}
-}
-
 // idleWorldBudget is the memory ceiling for building every inbox of a
-// 16k-rank world that has not exchanged a single message. The dense
-// layout would need 16384² rings (≥ 14 GiB at 56 bytes each); the
-// sparse layout must stay within a fixed few-megabyte budget because it
-// allocates per-rank bookkeeping only — rings materialize per active
-// src→dst edge on first use.
-const idleWorldBudget = 32 << 20
+// 16k-rank world that has not exchanged a single message. An inbox
+// holds no per-sender state — a sender exists for it only while one of
+// its packets is on the stack — so the cost is per-rank bookkeeping
+// (the struct, the tag map, the heap free list): 4.6 MiB measured,
+// budgeted with room for a few more words per inbox.
+const idleWorldBudget = 6 << 20
 
-// TestSparseWorldIdleFootprint measures the allocation cost of a 16k
-// idle world and fails if it regresses past the fixed budget — the
-// guard that keeps "create a huge world" O(P), not O(P²).
-func TestSparseWorldIdleFootprint(t *testing.T) {
+// TestIdleWorldFootprint measures the allocation cost of a 16k idle
+// world and fails if it regresses past the fixed budget — the guard
+// that keeps "create a huge world" O(P), not O(P²).
+func TestIdleWorldFootprint(t *testing.T) {
 	const world = 16384
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	ibs := buildInboxes(world)
+	ibs := make([]*Inbox, world)
+	for i := range ibs {
+		ibs[i] = NewInbox(world)
+	}
 	runtime.ReadMemStats(&after)
 	alloc := after.TotalAlloc - before.TotalAlloc
 	runtime.KeepAlive(ibs)
-	t.Logf("buildInboxes(%d) allocated %.2f MiB", world, float64(alloc)/(1<<20))
+	t.Logf("%d idle inboxes allocated %.2f MiB", world, float64(alloc)/(1<<20))
 	if alloc > idleWorldBudget {
 		t.Fatalf("idle %d-rank world allocated %d bytes, budget %d", world, alloc, idleWorldBudget)
-	}
-}
-
-// TestSparseRingMaterialization checks rings appear only for edges that
-// actually carried traffic, and that a materialized edge's overflow and
-// reuse behave like the dense path's.
-func TestSparseRingMaterialization(t *testing.T) {
-	const world = denseWorlds + 1
-	ibs := buildInboxes(world)
-	ib := ibs[0]
-	// Push well past ringCap from two sources; everything must drain
-	// with only those two edges materialized.
-	const perSrc = ringCap + 17
-	for i := 0; i < perSrc; i++ {
-		for _, src := range []machine.Rank{7, 200} {
-			ib.Push(&Packet{Src: src, Tag: TagUser, Arrive: float64(i), Payload: []byte{byte(src)}})
-		}
-	}
-	ib.srMu.RLock()
-	live := len(ib.srings)
-	ib.srMu.RUnlock()
-	if live != 2 {
-		t.Fatalf("%d rings materialized, want 2 (two srcs pushed)", live)
-	}
-	got := 0
-	for ib.TryPop(TagUser) != nil {
-		got++
-	}
-	if got != 2*perSrc {
-		t.Fatalf("drained %d packets, want %d", got, 2*perSrc)
 	}
 }

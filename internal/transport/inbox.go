@@ -1,58 +1,20 @@
 package transport
 
 import (
-	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"ygm/internal/machine"
 )
 
-// The inbox is organized as one single-producer/single-consumer ring per
-// sending rank (the "channel" src→dst), merged on the consumer side into
-// per-tag min-heaps ordered by virtual arrival. The split mirrors what
-// lightweight communication runtimes do in hardware terms: producers
-// append to their private ring with two atomic sequence counters and no
-// lock, and the owning rank absorbs all non-empty rings before every
-// pop. Single-producer is structural — a channel's producer is the
-// sending rank's goroutine, and each rank runs on exactly one goroutine.
-const (
-	// ringCap is the per-channel ring capacity (power of two). A full
-	// ring falls back to the mutex-guarded overflow list, so capacity
-	// stays unbounded; 16 slots absorb the coalesced flush bursts the
-	// mailbox emits between two consumer polls while keeping the
-	// per-world slot memory (world² · ringCap pointers) small enough
-	// that constructing many short-lived worlds stays cheap.
-	ringCap  = 16
-	ringMask = ringCap - 1
-
-	// ringSlabWorlds bounds the world size for which every ring's slot
-	// array is carved out of one shared slab at construction (world
-	// memory P²·ringCap pointers). Larger worlds allocate each ring's
-	// slots lazily on first push instead, trading a few allocations for
-	// not committing O(P²) slots when most channels never carry traffic.
-	ringSlabWorlds = 128
-
-	// denseWorlds bounds the world size for which an inbox keeps the
-	// dense layout: a P-wide ring-header array plus the active-channel
-	// bitmap (covered by activeInline up to exactly this size). Larger
-	// worlds switch to the sparse layout — channels materialize on first
-	// push and readiness rides a dirty-ring stack — so an idle world
-	// costs O(P) instead of O(P²) bytes. Worlds of at most
-	// ringSlabWorlds ranks are untouched by the split: they keep the
-	// slab-carved fast path bit for bit.
-	denseWorlds = 256
-
-	// parkSpins bounds the spin phase of a blocking receive: the
-	// consumer re-absorbs and yields this many times before parking on
-	// the wake channel. Spinning must yield — on GOMAXPROCS=1 a
-	// non-yielding spin would stall the very producer it waits for —
-	// and every yield walks the scheduler's run queue, so the spin
-	// budget is kept small: enough to catch a producer that is about
-	// to publish, cheap enough to lose to a park otherwise.
-	parkSpins = 2
-)
+// parkSpins bounds the spin phase of a blocking receive: the consumer
+// re-absorbs and yields this many times before parking on the wake
+// channel. Spinning must yield — on GOMAXPROCS=1 a non-yielding spin
+// would stall the very producer it waits for — and every yield walks
+// the scheduler's run queue, so the spin budget is kept small: enough
+// to catch a producer that is about to publish, cheap enough to lose to
+// a park otherwise.
+const parkSpins = 2
 
 // parker states (Inbox.pstate).
 const (
@@ -60,60 +22,11 @@ const (
 	pParked
 )
 
-// seqArrive is a (channel sequence, arrival clock) pair collected by the
-// ygmcheck absorb assertions; unused in default builds.
-type seqArrive struct {
-	seq    uint64
-	arrive float64
-}
-
-// ringCheck is one channel's ygmcheck audit state, kept out of inboxRing
-// so default builds do not zero (and GC-scan) it world² times per run.
-// Inbox.checkRings maps ring → state lazily, in ygmcheck builds only.
-type ringCheck struct {
-	seq    uint64
-	arrive float64
-	batch  []seqArrive
-}
-
-// inboxRing is one src→dst channel: a fixed-capacity SPSC ring plus an
-// unbounded mutex-guarded overflow list. The producer owns tail, seq
-// and ofPushed; the consumer owns head and ofTaken; buf slots are
-// handed across on the tail release/acquire edge. The producer-owned
-// counters get their own cache line; the rest is packed — inboxes are
-// built per world, so every padding byte is zeroed world² times.
-type inboxRing struct {
-	// tail is the count of packets published to the ring; its Store is
-	// the release edge that publishes the slot write. seq numbers every
-	// packet on this channel (ring or overflow) in push order; it needs
-	// no atomicity because the channel has exactly one producer.
-	// ofPushed counts packets diverted to the overflow list.
-	tail     atomic.Uint64
-	ofPushed atomic.Uint64
-	seq      uint64
-	_        [40]byte
-
-	// head is the count of packets drained from the ring; its Store is
-	// the release edge that returns slots to the producer. ofTaken
-	// counts overflow packets absorbed. Both consumer-owned.
-	head    atomic.Uint64
-	ofTaken uint64
-
-	// buf holds the ring slots. With a construction slab it is fixed;
-	// otherwise the producer allocates it on first push and publishes
-	// it through the tail release/acquire edge. of is the overflow
-	// list, appended under ofMu by the producer and swapped out whole
-	// by the consumer (which rotates in the inbox-level scratch array
-	// so steady overflow traffic reuses two backing arrays per ring).
-	buf  []*Packet
-	ofMu sync.Mutex
-	of   []*Packet
-}
-
 // packetHeap orders packets by virtual arrival time, breaking ties with
-// (source rank, per-channel sequence) so the merge order is fully
-// deterministic — unlike a global push counter, the tie-break does not
-// depend on host scheduling of concurrent senders.
+// (source rank, absorb order). seq is only ever compared between packets
+// of one source, and absorb order extends every sender's push order, so
+// the merge order is a function of the traffic alone — it does not
+// depend on how the host interleaved concurrent senders.
 type packetHeap []*Packet
 
 func (h packetHeap) less(i, j int) bool {
@@ -168,47 +81,20 @@ func (h *packetHeap) popMin() *Packet {
 	return p
 }
 
-// sparseRing is one lazily-materialized src→dst channel of a sparse
-// inbox: the same SPSC ring, created by its producer on first push
-// instead of being slab-carved at world construction. dirty/next link
-// it into the inbox's Treiber stack of rings with unabsorbed packets —
-// the sparse replacement for the dense active bitmap, O(dirty channels)
-// to drain instead of O(P/64) words to scan.
-type sparseRing struct {
-	inboxRing
-	src machine.Rank
-	// dirty is true while the ring sits on (or is being pushed onto) the
-	// inbox's dirty stack. The producer sets it after publishing a
-	// packet; the CAS winner links the ring into the stack. The consumer
-	// clears it before draining, so a packet published after the clear
-	// re-queues the ring rather than being stranded.
-	dirty atomic.Bool
-	// next is the stack link, written only by the dirty-CAS winner
-	// before the stack-head CAS publishes it.
-	next *sparseRing
-}
-
-// Inbox is a rank's receive queue. Producers (one goroutine per sending
-// rank) push lock-free into their channel's ring; the owning rank — the
-// only consumer — absorbs all non-empty rings into consumer-private
-// per-tag min-heaps on virtual arrival and pops from those. Blocking
-// receives spin briefly (re-absorbing between yields) and then park on a
-// one-token wake channel that producers post to only when they observe
-// the parked state.
-//
-// Worlds larger than denseWorlds use the sparse layout instead of the
-// dense P-wide ring array: srings maps source rank → lazily created
-// ring, and dirtyHead stacks the rings with unabsorbed traffic.
+// Inbox is a rank's receive queue — the paper's mailbox: one queue that
+// every sender appends to. Producers — the sending ranks' goroutines, or
+// a wire's reader goroutines — push lock-free onto one intrusive stack;
+// the owning rank, the only consumer, absorbs the stack into
+// consumer-private per-tag min-heaps on virtual arrival and pops from
+// those. Blocking receives spin briefly (re-absorbing between
+// yields) and then park on a one-token wake channel that producers post
+// to only when they observe the parked state.
 type Inbox struct {
-	rings []inboxRing
-
-	// srMu guards srings, the sparse channel table (nil on the dense
-	// path — srings non-nil is the layout discriminator). Producers take
-	// the read lock per push and the write lock once per materialized
-	// channel; the watchdog's progress scan reads under the read lock.
-	srMu      sync.RWMutex
-	srings    map[machine.Rank]*sparseRing
-	dirtyHead atomic.Pointer[sparseRing]
+	// head is the stack of pushed-but-unabsorbed packets, newest first,
+	// linked through Packet.next. Producers only ever CAS a new packet
+	// in front of it and the consumer only ever swaps the whole stack
+	// out, so no node is unlinked while a producer may hold it (no ABA).
+	head atomic.Pointer[Packet]
 
 	// sched/self route the park protocol to the world's M:N rank
 	// scheduler when one is active: producers that win the unpark CAS
@@ -217,13 +103,6 @@ type Inbox struct {
 	// sched is nil under the direct goroutine-per-rank model.
 	sched *scheduler
 	self  machine.Rank
-	// active is a bitmap of channels with possibly-unabsorbed packets:
-	// producers set their bit after every push, the consumer swaps
-	// whole words to zero while absorbing. An all-zero bitmap makes the
-	// empty-poll path a handful of loads. activeInline backs it without
-	// a separate allocation for worlds of up to 256 ranks.
-	active       []atomic.Uint64
-	activeInline [4]atomic.Uint64
 
 	// pstate/wake implement the park protocol. The consumer publishes
 	// pParked, re-checks for data, then receives on wake; a producer
@@ -241,12 +120,14 @@ type Inbox struct {
 	waitTag  atomic.Uint64
 	poisoned atomic.Bool
 
-	// pops counts heap pops; the watchdog reads it (together with the
-	// per-ring push counters) as its progress signal. wakeups counts
-	// pushes that won the unpark CAS; the remaining pushes found no
-	// parked receiver and suppressed the signal.
-	pops    atomic.Uint64
-	wakeups atomic.Uint64
+	// absorbed counts packets moved from the stack into the heaps and
+	// pops counts heap pops; both are written by the consumer only.
+	// wakeups counts pushes that won the unpark CAS; the remaining
+	// pushes found no parked receiver and suppressed the signal. The
+	// watchdog reads all three as its progress signal.
+	absorbed atomic.Uint64
+	pops     atomic.Uint64
+	wakeups  atomic.Uint64
 
 	// Consumer-private merge state: per-tag heaps keyed by tag, with
 	// emptied heaps retired to freeHeaps for reuse (round-matched
@@ -257,11 +138,6 @@ type Inbox struct {
 	lastTag   Tag
 	lastQ     *packetHeap
 	depth     int
-	// ofScratch is the rotation buffer for overflow grabs: drainChannel
-	// hands it to the ring being drained and keeps that ring's old
-	// backing array here for the next grab (any ring's — overflow is
-	// rare enough that one rotation slot serves the whole inbox).
-	ofScratch []*Packet
 	// maxDepth tracks the high-water mark of merged packets, a proxy
 	// for the receive-side memory pressure the mailbox capacity bounds.
 	maxDepth int
@@ -270,172 +146,43 @@ type Inbox struct {
 	spinHits uint64
 	parks    uint64
 
-	// checkMonotone additionally asserts (ygmcheck builds only) that
-	// arrivals absorbed from one channel never decrease per tag. That
-	// only holds when senders emit fixed-size packets or the
-	// non-overtaking clamp is active, so it is opt-in for fixtures.
-	// checkRings holds the per-channel audit state, populated lazily
-	// and only in ygmcheck builds.
-	checkMonotone bool
-	checkRings    map[*inboxRing]*ringCheck
+	// check is the ygmcheck channel audit; an empty struct in default
+	// builds.
+	check inboxCheck
 }
 
-// NewInbox returns an empty inbox for a world of worldSize ranks. Dense
-// worlds (≤ denseWorlds) give every sending rank its own SPSC ring up
-// front; larger worlds use the sparse layout and materialize channels
-// on first push. worldSize is also the only legal exclusive upper bound
-// for Packet.Src values pushed here.
-func NewInbox(worldSize int) *Inbox {
-	if worldSize > denseWorlds {
-		return newSparseInbox()
-	}
-	var slab []*Packet
-	if worldSize <= ringSlabWorlds {
-		slab = make([]*Packet, worldSize*ringCap)
-	}
-	return newInboxFrom(make([]inboxRing, worldSize), slab)
-}
-
-// newSparseInbox builds an inbox with the sparse channel layout: no
-// per-source ring array, no active bitmap — O(1) memory until traffic
-// materializes channels.
-func newSparseInbox() *Inbox {
+// NewInbox returns an empty inbox. An inbox holds no per-sender state —
+// idle, it costs the same few hundred bytes at 4 ranks and at 65,536 —
+// so the world-size parameter sizes nothing; it stays because callers
+// outside this module pass it.
+func NewInbox(int) *Inbox {
 	return &Inbox{
-		srings:    make(map[machine.Rank]*sparseRing, 8),
-		queues:    make(map[Tag]*packetHeap),
-		freeHeaps: make([]*packetHeap, 0, 8),
-	}
-}
-
-// newInboxFrom builds an inbox over caller-provided ring headers and an
-// optional slot slab (length len(rings)·ringCap when non-nil, each ring
-// getting a fixed ringCap window). Run carves both out of world-sized
-// slabs so a P-rank world pays O(1) allocations for its P inboxes.
-func newInboxFrom(rings []inboxRing, slab []*Packet) *Inbox {
-	ib := &Inbox{
-		rings: rings,
 		// Tag heaps churn (round exchanges mint a tag per round), so the
 		// free list fills early; sizing it up front beats growing it.
 		queues:    make(map[Tag]*packetHeap),
 		freeHeaps: make([]*packetHeap, 0, 8),
 	}
-	words := (len(rings) + 63) / 64
-	if words <= len(ib.activeInline) {
-		ib.active = ib.activeInline[:words]
-	} else {
-		ib.active = make([]atomic.Uint64, words)
-	}
-	if slab != nil {
-		for i := range rings {
-			rings[i].buf = slab[i*ringCap : (i+1)*ringCap : (i+1)*ringCap]
-		}
-	}
-	return ib
 }
 
-// Push enqueues p on the channel of its source rank. Steady state is
-// lock-free and allocation-free: assign the channel sequence, write the
-// slot, publish with a tail store, set the channel's active bit, and
-// wake the receiver only if it is parked. A full ring diverts to the
-// channel's overflow list under its mutex. Push must only be called by
-// the goroutine running rank p.Src.
+// Push enqueues p: link it in front of the stack head with one CAS and
+// wake the receiver only if it is parked. Lock-free, allocation-free
+// and unbounded. Any goroutine may push, but all pushes of one p.Src
+// must be ordered (one goroutine per source, which every wire
+// provides): that order is the channel's FIFO order.
 //
 //ygm:hotpath
 func (ib *Inbox) Push(p *Packet) {
-	if ib.srings != nil {
-		ib.pushSparse(p)
-		return
-	}
-	// Everything needed after publication is read before it: the moment
-	// the tail store (or the overflow unlock) makes p visible, the
-	// consumer may absorb, deliver, and recycle it.
-	src := uint64(p.Src)
-	r := &ib.rings[src]
-	p.seq = r.seq
-	r.seq++
-	t := r.tail.Load()
-	h := r.head.Load()
-	if t-h < ringCap {
-		if r.buf == nil {
-			// First push on a lazily-sized channel: the slot array is
-			// published to the consumer by the tail store below.
-			r.buf = make([]*Packet, ringCap) //ygmvet:ignore allocinloop -- once per channel, large-world lazy sizing
-		}
-		r.buf[t&ringMask] = p
-		r.tail.Store(t + 1)
-		ib.checkRingBounds(r, h, t+1)
-	} else {
-		r.ofMu.Lock()
-		r.of = append(r.of, p)
-		r.ofPushed.Add(1)
-		r.ofMu.Unlock()
-	}
-	ib.markActive(src)
-	ib.signal()
-}
-
-// pushSparse is Push for the sparse layout: resolve (or materialize)
-// the source channel, publish into its ring, and flag it on the dirty
-// stack instead of the bitmap.
-//
-//ygm:hotpath
-func (ib *Inbox) pushSparse(p *Packet) {
-	r := ib.sparseRingFor(p.Src)
-	p.seq = r.seq
-	r.seq++
-	t := r.tail.Load()
-	h := r.head.Load()
-	if t-h < ringCap {
-		r.buf[t&ringMask] = p
-		r.tail.Store(t + 1)
-		ib.checkRingBounds(&r.inboxRing, h, t+1)
-	} else {
-		r.ofMu.Lock()
-		r.of = append(r.of, p)
-		r.ofPushed.Add(1)
-		r.ofMu.Unlock()
-	}
-	ib.markDirty(r)
-	ib.signal()
-}
-
-// sparseRingFor resolves the channel for src, creating it on first use.
-// The read-locked lookup is the steady state; creation takes the write
-// lock once per (src→dst) edge that ever carries traffic.
-//
-//ygm:hotpath
-func (ib *Inbox) sparseRingFor(src machine.Rank) *sparseRing {
-	ib.srMu.RLock()
-	r := ib.srings[src]
-	ib.srMu.RUnlock()
-	if r != nil {
-		return r
-	}
-	ib.srMu.Lock()
-	if r = ib.srings[src]; r == nil {
-		r = &sparseRing{src: src}        //ygmvet:ignore allocinloop -- once per materialized channel
-		r.buf = make([]*Packet, ringCap) //ygmvet:ignore allocinloop -- once per materialized channel
-		ib.srings[src] = r
-	}
-	ib.srMu.Unlock()
-	return r
-}
-
-// markDirty queues r on the dirty stack unless it is already queued.
-// The pre-check keeps the steady state (ring already flagged from a
-// previous un-absorbed push) to one load, mirroring markActive; the
-// dirty CAS elects exactly one producer to link the ring in.
-func (ib *Inbox) markDirty(r *sparseRing) {
-	if r.dirty.Load() || !r.dirty.CompareAndSwap(false, true) {
-		return
-	}
+	ib.checkPush(p)
+	// The CAS publishes p: from then on the consumer may absorb,
+	// deliver and recycle it, so nothing below touches p again.
 	for {
-		head := ib.dirtyHead.Load()
-		r.next = head
-		if ib.dirtyHead.CompareAndSwap(head, r) {
-			return
+		old := ib.head.Load()
+		p.next = old
+		if ib.head.CompareAndSwap(old, p) {
+			break
 		}
 	}
+	ib.signal()
 }
 
 // testLoseWakeup, when non-nil, makes signal drop the wake it owes the
@@ -463,103 +210,39 @@ func (ib *Inbox) signal() {
 	}
 }
 
-// markActive sets the channel's bit in the active bitmap. The pre-check
-// keeps the steady state (bit already set from a previous un-absorbed
-// push) to a single load; the CAS loop stands in for atomic Or, which
-// the module's Go version floor predates.
-func (ib *Inbox) markActive(src uint64) {
-	w := &ib.active[src>>6]
-	bit := uint64(1) << (src & 63)
-	for {
-		old := w.Load()
-		if old&bit != 0 || w.CompareAndSwap(old, old|bit) {
-			return
-		}
-	}
-}
-
-// absorb moves every pushed-but-unmerged packet from the rings into the
+// absorb moves every pushed-but-unmerged packet into the
 // consumer-private per-tag heaps. Only the owning rank may call it. An
-// empty inbox costs one load per bitmap word (one word up to 64 ranks).
+// empty inbox costs one load. Taking the stack whole and reversing it
+// restores every sender's push order, so each pass absorbs a prefix of
+// every channel — the per-channel FIFO the upper layers and the trace
+// flow-arrow matcher rely on — and stamping seq in that order makes it
+// a valid tie-break within one source.
 //
 //ygm:hotpath
 func (ib *Inbox) absorb() {
-	if ib.srings != nil {
-		ib.absorbSparse()
-	} else {
-		for w := range ib.active {
-			if ib.active[w].Load() == 0 {
-				continue
-			}
-			set := ib.active[w].Swap(0)
-			base := w << 6
-			for set != 0 {
-				b := bits.TrailingZeros64(set)
-				set &= set - 1
-				ib.drainChannel(&ib.rings[base+b])
-			}
-		}
+	if ib.head.Load() == nil {
+		return
 	}
+	var first *Packet
+	for p := ib.head.Swap(nil); p != nil; {
+		next := p.next
+		p.next = first
+		first = p
+		p = next
+	}
+	seq := ib.absorbed.Load()
+	for p := first; p != nil; {
+		next := p.next
+		p.next = nil
+		ib.checkAbsorbed(p)
+		p.seq = seq
+		seq++
+		ib.enqueue(p)
+		p = next
+	}
+	ib.absorbed.Store(seq)
 	if ib.depth > ib.maxDepth {
 		ib.maxDepth = ib.depth
-	}
-}
-
-// absorbSparse drains every ring on the dirty stack — the sparse
-// analogue of the bitmap word-swap. Each ring's dirty flag is cleared
-// BEFORE its drain: a producer that publishes a packet after the clear
-// re-wins the dirty CAS and re-queues the ring (the drain may or may
-// not see that packet; either way it is never stranded). A packet
-// published before the clear is seen by the drain, because the producer
-// stores the slot before the dirty CAS and the consumer reads tail
-// after the clear. An empty swap costs one load.
-func (ib *Inbox) absorbSparse() {
-	r := ib.dirtyHead.Swap(nil)
-	for r != nil {
-		next := r.next
-		r.dirty.Store(false)
-		ib.drainChannel(&r.inboxRing)
-		r = next
-	}
-}
-
-// drainChannel merges one channel's ring and overflow contents into the
-// tag heaps. The loop re-reads the ring after every overflow grab: a
-// packet observed in the overflow list was pushed after every
-// lower-sequence ring packet, so re-draining the ring before returning
-// guarantees each drain pass absorbs a prefix-closed (gap-free) range
-// of the channel sequence — the per-channel FIFO the upper layers and
-// the trace flow-arrow matcher rely on.
-func (ib *Inbox) drainChannel(r *inboxRing) {
-	for {
-		h := r.head.Load()
-		t := r.tail.Load()
-		ib.checkRingBounds(r, h, t)
-		if h != t {
-			for ; h != t; h++ {
-				slot := &r.buf[h&ringMask]
-				p := *slot
-				*slot = nil
-				ib.checkAbsorbed(r, p)
-				ib.enqueue(p)
-			}
-			r.head.Store(h)
-		}
-		if r.ofPushed.Load() == r.ofTaken {
-			ib.checkRingFlush(r)
-			return
-		}
-		r.ofMu.Lock()
-		of := r.of
-		r.of = ib.ofScratch[:0]
-		r.ofMu.Unlock()
-		for _, p := range of {
-			ib.checkAbsorbed(r, p)
-			ib.enqueue(p)
-		}
-		r.ofTaken += uint64(len(of))
-		clear(of)
-		ib.ofScratch = of[:0]
 	}
 }
 
@@ -761,32 +444,26 @@ func (ib *Inbox) DrainInto(tag Tag, dst []*Packet) []*Packet {
 	return dst
 }
 
-// pushCount sums every channel's push counters (ring tails plus
-// overflow). Safe from the watchdog goroutine: the sparse table is read
-// under the read lock, the counters are atomic.
-func (ib *Inbox) pushCount() uint64 {
-	var pushes uint64
-	if ib.srings != nil {
-		ib.srMu.RLock()
-		for _, r := range ib.srings {
-			pushes += r.tail.Load() + r.ofPushed.Load()
-		}
-		ib.srMu.RUnlock()
-		return pushes
+// unabsorbed counts the packets still on the stack. The chain below a
+// loaded head is immutable until the consumer's next swap, so the walk
+// is safe from the owning rank, and from anyone once that rank has
+// stopped.
+func (ib *Inbox) unabsorbed() int {
+	n := 0
+	for p := ib.head.Load(); p != nil; p = p.next {
+		n++
 	}
-	for i := range ib.rings {
-		r := &ib.rings[i]
-		pushes += r.tail.Load() + r.ofPushed.Load()
-	}
-	return pushes
+	return n
 }
 
-// progress returns a counter that increases with every push and pop —
-// the watchdog's signal that the run is still moving. blocked reports
-// whether the owning rank is parked in WaitPop, and on which tag.
-// Safe to call from the watchdog goroutine.
+// progress returns a counter that moves with every absorb, pop and
+// wake — the watchdog's signal that the run is still moving. A push
+// that wakes nobody is not counted until its receiver absorbs it, and
+// that receiver is by construction not parked. blocked reports whether
+// the owning rank is parked in WaitPop, and on which tag. Safe to call
+// from the watchdog goroutine.
 func (ib *Inbox) progress() (count uint64, blocked bool, tag Tag) {
-	return ib.pushCount() + ib.pops.Load(), ib.waiting.Load(), Tag(ib.waitTag.Load())
+	return ib.absorbed.Load() + ib.pops.Load() + ib.wakeups.Load(), ib.waiting.Load(), Tag(ib.waitTag.Load())
 }
 
 // poison makes all future WaitPop calls return nil and wakes the
@@ -822,25 +499,9 @@ func (ib *Inbox) poison() {
 }
 
 // Len returns the number of packets currently queued across all tags,
-// including pushed-but-unabsorbed ring and overflow occupancy. Exact
-// only from the owning rank or when producers are quiescent (both true
-// for its callers: deadlock dumps and post-run accounting).
-func (ib *Inbox) Len() int {
-	n := ib.depth
-	if ib.srings != nil {
-		ib.srMu.RLock()
-		for _, r := range ib.srings {
-			n += int(r.tail.Load()-r.head.Load()) + int(r.ofPushed.Load()-r.ofTaken)
-		}
-		ib.srMu.RUnlock()
-		return n
-	}
-	for i := range ib.rings {
-		r := &ib.rings[i]
-		n += int(r.tail.Load()-r.head.Load()) + int(r.ofPushed.Load()-r.ofTaken)
-	}
-	return n
-}
+// including pushed-but-unabsorbed ones. Owning rank or post-run only
+// (its callers: deadlock dumps and post-run accounting).
+func (ib *Inbox) Len() int { return ib.depth + ib.unabsorbed() }
 
 // LenTag returns the number of packets queued under one tag. Owning
 // rank only (it absorbs).
@@ -876,7 +537,7 @@ func (ib *Inbox) MaxDepth() int { return ib.maxDepth }
 // signal because nobody was waiting. pushes == wakeups + suppressed.
 // Exact when producers are quiescent (post-run accounting).
 func (ib *Inbox) WakeStats() (pushes, wakeups, suppressed uint64) {
-	pushes = ib.pushCount()
+	pushes = ib.absorbed.Load() + uint64(ib.unabsorbed())
 	wakeups = ib.wakeups.Load()
 	return pushes, wakeups, pushes - wakeups
 }
@@ -886,20 +547,4 @@ func (ib *Inbox) WakeStats() (pushes, wakeups, suppressed uint64) {
 // post-run only.
 func (ib *Inbox) SpinParkStats() (spinHits, parks uint64) {
 	return ib.spinHits, ib.parks
-}
-
-// ringOccupancy reports one channel's unabsorbed ring and overflow
-// counts; machine.Rank keys the channel by source. Test/debug helper.
-func (ib *Inbox) ringOccupancy(src machine.Rank) (ring, overflow int) {
-	if ib.srings != nil {
-		ib.srMu.RLock()
-		r := ib.srings[src]
-		ib.srMu.RUnlock()
-		if r == nil {
-			return 0, 0
-		}
-		return int(r.tail.Load() - r.head.Load()), int(r.ofPushed.Load() - r.ofTaken)
-	}
-	r := &ib.rings[src]
-	return int(r.tail.Load() - r.head.Load()), int(r.ofPushed.Load() - r.ofTaken)
 }

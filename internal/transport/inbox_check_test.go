@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// Fixtures for the ygmcheck ring audit (`go test -tags ygmcheck`).
+// Fixtures for the ygmcheck channel audit (`go test -tags ygmcheck`).
 // Default-build tests prove packets come out correctly; these prove the
-// assertion layer itself — that a legitimate overflow-heavy workload
-// passes the per-channel sequence audit with the opt-in monotone-clock
-// check armed, and that the audit actually fires on a seeded sequence
-// gap and on a seeded clock regression. An assertion that cannot fail
-// verifies nothing.
+// assertion layer itself — that a legitimate bursty workload passes the
+// per-channel sequence audit with the opt-in monotone-clock check
+// armed, and that the audit actually fires on a seeded sequence gap, a
+// seeded clock regression and a seeded double push. An assertion that
+// cannot fail verifies nothing.
 
 // mustCheckPanic runs fn and requires it to panic with a ygmcheck
 // message containing substr.
@@ -33,24 +33,18 @@ func mustCheckPanic(t *testing.T, substr string, fn func()) {
 }
 
 // TestCheckRingOverflowFixture drives one channel through repeated
-// ring-overflow cycles with checkMonotone armed: every absorb pass runs
-// the gap-free sequence audit plus the arrival-clock check, and the
-// fixture's strictly increasing arrivals must satisfy both. Three
-// bursts make the overflow scratch-array rotation turn over at least
-// twice.
+// 35-packet bursts with the monotone check armed: every absorb pass
+// runs the gap-free sequence audit plus the arrival-clock check, and
+// the fixture's strictly increasing arrivals must satisfy both.
 func TestCheckRingOverflowFixture(t *testing.T) {
-	const burst = ringCap*2 + 3 // ring full + overflow engaged every burst
+	const burst = 35
 	ib := NewInbox(1)
-	ib.checkMonotone = true
+	ib.check.monotone = true
 	arrive := 0.0
 	for cycle := 0; cycle < 3; cycle++ {
 		for i := 0; i < burst; i++ {
 			arrive++
 			ib.Push(&Packet{Tag: TagUser, Arrive: arrive})
-		}
-		ring, overflow := ib.ringOccupancy(0)
-		if ring != ringCap || overflow != burst-ringCap {
-			t.Fatalf("cycle %d: ring=%d overflow=%d, want %d/%d", cycle, ring, overflow, ringCap, burst-ringCap)
 		}
 		for i := 0; i < burst; i++ {
 			if p := ib.TryPop(TagUser); p == nil {
@@ -61,7 +55,7 @@ func TestCheckRingOverflowFixture(t *testing.T) {
 			t.Fatalf("cycle %d: duplicate packet", cycle)
 		}
 	}
-	if c, ok := ib.checkRings[&ib.rings[0]]; !ok || c.seq != 3*burst {
+	if c := ib.check.chans[0]; c == nil || c.pushed != 3*burst || c.next != 3*burst {
 		t.Fatalf("audit state did not track the channel sequence: %+v", c)
 	}
 }
@@ -73,19 +67,19 @@ func TestCheckRingOverflowFixture(t *testing.T) {
 func TestCheckDetectsSequenceGap(t *testing.T) {
 	ib := NewInbox(1)
 	ib.Push(&Packet{Tag: TagUser, Arrive: 1})
-	ib.rings[0].seq++ // the packet that should have carried seq 1 is never pushed
+	ib.check.chans[0].pushed++ // the packet that should have carried seq 1 is never pushed
 	ib.Push(&Packet{Tag: TagUser, Arrive: 2})
 	mustCheckPanic(t, "sequence gap", func() { ib.TryPop(TagUser) })
 }
 
-// TestCheckDetectsArrivalRegression arms checkMonotone and feeds a
+// TestCheckDetectsArrivalRegression arms the monotone check and feeds a
 // channel an arrival clock that runs backwards across two absorb
 // passes. The audit must reject it; without the opt-in flag the same
 // traffic must pass (variable-size traffic may legitimately reorder
 // arrivals, which is why the clock check is fixture-only).
 func TestCheckDetectsArrivalRegression(t *testing.T) {
 	ib := NewInbox(1)
-	ib.checkMonotone = true
+	ib.check.monotone = true
 	ib.Push(&Packet{Tag: TagUser, Arrive: 5})
 	if p := ib.TryPop(TagUser); p == nil || p.Arrive != 5 {
 		t.Fatalf("first pop = %v", p)
@@ -102,4 +96,17 @@ func TestCheckDetectsArrivalRegression(t *testing.T) {
 	if p := relaxed.TryPop(TagUser); p == nil || p.Arrive != 1 {
 		t.Fatalf("relaxed inbox rejected legitimate out-of-clock traffic: %v", p)
 	}
+}
+
+// TestCheckDetectsLinkedPush pushes a packet that is still on the
+// stack. Unchecked, the second push would make the packet its own
+// successor's successor and absorb would walk a cycle; the audit must
+// refuse it at the push.
+func TestCheckDetectsLinkedPush(t *testing.T) {
+	ib := NewInbox(1)
+	first := &Packet{Tag: TagUser, Arrive: 1}
+	second := &Packet{Tag: TagUser, Arrive: 2}
+	ib.Push(first)
+	ib.Push(second) // second.next == first
+	mustCheckPanic(t, "still linked", func() { ib.Push(second) })
 }

@@ -82,11 +82,10 @@ func TestInboxWaitPopBlocks(t *testing.T) {
 	}
 }
 
-// TestInboxConcurrentPushers exercises the SPSC contract at full width:
-// one producer goroutine per source channel (the structural guarantee
-// the transport provides — each rank is one goroutine), all bursting
-// far past the ring capacity so every channel takes the overflow
-// fallback, while Len/ordering/MaxDepth accounting must stay exact.
+// TestInboxConcurrentPushers pushes from one goroutine per source (what
+// every wire provides — each rank is one goroutine) with no consumer
+// running, so the whole burst piles up on the stack, while
+// Len/ordering/MaxDepth accounting must stay exact.
 func TestInboxConcurrentPushers(t *testing.T) {
 	const pushers, each = 8, 200
 	ib := NewInbox(pushers)
@@ -118,22 +117,18 @@ func TestInboxConcurrentPushers(t *testing.T) {
 	}
 }
 
-// TestInboxOverflowFallback pins the ring→overflow transition on one
-// channel: pushes past ringCap must land in the overflow list (capacity
-// stays unbounded), absorb must deliver ring and overflow contents
-// gap-free, and the drained ring must be reusable afterwards.
+// TestInboxOverflowFallback pushes a 48-packet burst on one channel
+// with no consumer running: capacity is unbounded, absorb must deliver
+// the burst gap-free in push order, and the drained inbox must take a
+// fresh push afterwards.
 func TestInboxOverflowFallback(t *testing.T) {
-	const total = ringCap * 3
+	const total = 48
 	ib := NewInbox(1)
 	for i := 0; i < total; i++ {
 		ib.Push(&Packet{Tag: TagUser, Arrive: float64(i)})
 	}
-	ring, overflow := ib.ringOccupancy(0)
-	if ring != ringCap {
-		t.Fatalf("ring occupancy = %d, want full ring %d", ring, ringCap)
-	}
-	if overflow != total-ringCap {
-		t.Fatalf("overflow occupancy = %d, want %d", overflow, total-ringCap)
+	if n := ib.Len(); n != total {
+		t.Fatalf("Len = %d after %d pushes", n, total)
 	}
 	for i := 0; i < total; i++ {
 		p := ib.TryPop(TagUser)
@@ -141,12 +136,133 @@ func TestInboxOverflowFallback(t *testing.T) {
 			t.Fatalf("pop %d = %v, want arrive %d", i, p, i)
 		}
 	}
-	// The drained channel must accept a fresh burst through the ring.
 	ib.Push(&Packet{Tag: TagUser, Arrive: 1000})
-	if ring, overflow = ib.ringOccupancy(0); ring != 1 || overflow != 0 {
-		t.Fatalf("post-drain push landed ring=%d overflow=%d, want 1/0", ring, overflow)
+	if n := ib.Len(); n != 1 {
+		t.Fatalf("Len = %d after the post-drain push, want 1", n)
 	}
 	if p := ib.TryPop(TagUser); p == nil || p.Arrive != 1000 {
 		t.Fatalf("post-drain pop = %v", p)
+	}
+}
+
+// TestInboxOrderIgnoresInterleaving is the tie-break property DESIGN.md
+// §10 proves: the pop order is a function of the traffic — each
+// source's push order and the arrival stamps — and not of how the host
+// interleaved the producers or where the consumer's absorb passes fell.
+// Arrivals collide heavily across and within sources, so almost every
+// comparison reaches the (Src, seq) tie-break.
+func TestInboxOrderIgnoresInterleaving(t *testing.T) {
+	const srcs, each = 5, 40
+	type key struct {
+		src machine.Rank
+		idx byte
+	}
+	// traffic[s] is source s's packets in its push order.
+	traffic := func() [][]*Packet {
+		rng := rand.New(rand.NewSource(42))
+		out := make([][]*Packet, srcs)
+		for s := range out {
+			for i := 0; i < each; i++ {
+				out[s] = append(out[s], &Packet{
+					Src: machine.Rank(s), Tag: TagUser,
+					Arrive: float64(rng.Intn(4)), Payload: []byte{byte(i)},
+				})
+			}
+		}
+		return out
+	}
+	// run pushes the traffic with pick choosing which source goes next
+	// and absorbAfter saying whether to absorb after the n-th push.
+	run := func(pick func(live []int) int, absorbAfter func(n int) bool) []key {
+		ib := NewInbox(srcs)
+		tr := traffic()
+		next := make([]int, srcs)
+		live := make([]int, srcs)
+		for s := range live {
+			live[s] = s
+		}
+		for n := 1; len(live) > 0; n++ {
+			li := pick(live)
+			s := live[li]
+			ib.Push(tr[s][next[s]])
+			if next[s]++; next[s] == each {
+				live = append(live[:li], live[li+1:]...)
+			}
+			if absorbAfter(n) {
+				ib.absorb()
+			}
+		}
+		var order []key
+		for p := ib.TryPop(TagUser); p != nil; p = ib.TryPop(TagUser) {
+			order = append(order, key{p.Src, p.Payload[0]})
+		}
+		return order
+	}
+	roundRobin := 0
+	a := run(func(live []int) int { roundRobin++; return roundRobin % len(live) },
+		func(int) bool { return false })
+	rng := rand.New(rand.NewSource(7))
+	b := run(func(live []int) int { return rng.Intn(len(live)) },
+		func(n int) bool { return n%13 == 0 })
+	// One source at a time, highest first, absorbing after every push.
+	c := run(func(live []int) int { return len(live) - 1 },
+		func(int) bool { return true })
+	if len(a) != srcs*each {
+		t.Fatalf("popped %d packets, want %d", len(a), srcs*each)
+	}
+	for name, got := range map[string][]key{"random": b, "sequential": c} {
+		if len(got) != len(a) {
+			t.Fatalf("%s interleaving popped %d packets, want %d", name, len(got), len(a))
+		}
+		for i := range a {
+			if got[i] != a[i] {
+				t.Fatalf("%s interleaving diverges at pop %d: %v, round-robin gave %v", name, i, got[i], a[i])
+			}
+		}
+	}
+}
+
+// TestInboxPopsCarryNoLink checks that the intrusive link does not
+// outlive the stack: every popped packet has a nil next — so neither
+// the GC nor the packet pool is handed a chain of delivered packets —
+// and a drained inbox holds nothing.
+func TestInboxPopsCarryNoLink(t *testing.T) {
+	const srcs, each = 4, 64
+	ib := NewInbox(srcs)
+	var wg sync.WaitGroup
+	for s := 0; s < srcs; s++ {
+		wg.Add(1)
+		go func(src machine.Rank) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ib.Push(&Packet{Src: src, Tag: TagUser + Tag(i%3), Arrive: float64(i)})
+			}
+		}(machine.Rank(s))
+	}
+	wg.Wait()
+	popped := 0
+	check := func(p *Packet) {
+		if p.next != nil {
+			t.Fatalf("popped packet (src %d, arrive %g) still linked to %p", p.Src, p.Arrive, p.next)
+		}
+		popped++
+	}
+	for p := ib.TryPop(TagUser); p != nil; p = ib.TryPop(TagUser) {
+		check(p)
+	}
+	for p := ib.TryPopArrived(TagUser+1, each); p != nil; p = ib.TryPopArrived(TagUser+1, each) {
+		check(p)
+	}
+	for _, p := range ib.DrainInto(TagUser+2, nil) {
+		check(p)
+	}
+	if popped != srcs*each {
+		t.Fatalf("popped %d packets, want %d", popped, srcs*each)
+	}
+	if n := ib.Len(); n != 0 {
+		t.Fatalf("drained inbox reports Len = %d", n)
+	}
+	if ib.head.Load() != nil {
+		t.Fatal("drained inbox still holds a stack")
 	}
 }

@@ -39,10 +39,15 @@ type Packet struct {
 	Arrive  float64 // virtual arrival time at the destination, seconds
 	Payload []byte
 
-	// seq is the packet's position in its src→dst channel's push order,
-	// assigned by Inbox.Push. It breaks arrival-time ties (together with
-	// Src) deterministically and lets the ygmcheck layer audit that ring
-	// drains absorb every channel gap-free.
+	// next links the packet into the destination inbox's stack between
+	// Inbox.Push and the absorb pass that takes it; nil at all other
+	// times, so a delivered or pooled packet retains no chain.
+	next *Packet
+
+	// seq is the packet's position in the destination inbox's absorb
+	// order, which extends its src→dst channel's push order. It breaks
+	// arrival-time ties between packets of one Src. In ygmcheck builds
+	// Push first stamps the channel sequence here for absorb to audit.
 	seq uint64
 
 	// pooled marks a payload obtained from Proc.AcquireBuf and sent via

@@ -254,13 +254,16 @@ func (p *Proc) send(dst machine.Rank, tag Tag, payload []byte, pooled bool) {
 	pkt.Arrive = arrive
 	pkt.Payload = payload
 	pkt.pooled = pooled
-	w.wire.Inject(p, dst, pkt)
+	// Record and trace before Inject: once the wire has the packet the
+	// receiver may pop it and report PacketReceived, and a send that is
+	// not yet on record then has no arrow to end.
 	if p.rec != nil {
 		p.rec.Record(obs.Event{Kind: obs.KSend, T: p.now(), Peer: int32(dst), Tag: uint64(tag), Size: int64(len(payload))})
 	}
 	if w.trace != nil {
 		w.trace.PacketSent(p.rank, dst, tag, len(payload), p.now(), arrive)
 	}
+	w.wire.Inject(p, dst, pkt)
 }
 
 // Recv blocks until a packet with the given tag arrives, fast-forwards

@@ -57,7 +57,7 @@ type Config struct {
 	// scheduler with that many worker tokens (any world size, any wire);
 	// -1 forces the direct model. See DESIGN.md §15.
 	Workers int
-	// Wire selects the transport backend below the inbox rings: nil (the
+	// Wire selects the transport backend below the inboxes: nil (the
 	// default) is the virtual-time SimWire; LocalWire runs the same
 	// in-process world in real time; TCPWire runs one rank per OS
 	// process over localhost TCP. Real-time wires ignore Model, Delay,
@@ -258,13 +258,15 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 		w.spanObs = so
 	}
 	w.pool.init()
-	w.inboxes = buildInboxes(size)
 	if n := resolveWorkers(cfg.Workers, size, w.realtime); n > 0 {
 		w.sched = newScheduler(size, n)
 	}
-	for i, ib := range w.inboxes {
+	w.inboxes = make([]*Inbox, size)
+	for i := range w.inboxes {
+		ib := NewInbox(size)
 		ib.self = machine.Rank(i)
 		ib.sched = w.sched
+		w.inboxes[i] = ib
 	}
 	w.dead = make([]*RankDeadState, size)
 	// local is the set of ranks this process hosts (nil from the wire
@@ -462,34 +464,4 @@ func resolveWorkers(cfgWorkers, size int, realtime bool) int {
 	default:
 		return 0
 	}
-}
-
-// buildInboxes constructs the per-rank inboxes for a world of size
-// ranks. Dense worlds (≤ denseWorlds) share two world-sized slabs — P²
-// ring headers and, for slab-eligible sizes, P²·ringCap packet slots —
-// so setup is a handful of allocations per world. Sparse worlds
-// materialize (src→dst) channels on first push instead, keeping an
-// idle world's footprint O(P) rather than O(P²).
-func buildInboxes(size int) []*Inbox {
-	inboxes := make([]*Inbox, size)
-	if size > denseWorlds {
-		for i := range inboxes {
-			inboxes[i] = newSparseInbox()
-		}
-		return inboxes
-	}
-	ringSlab := make([]inboxRing, size*size)
-	var slotSlab []*Packet
-	if size <= ringSlabWorlds {
-		slotSlab = make([]*Packet, size*size*ringCap)
-	}
-	for i := range inboxes {
-		rings := ringSlab[i*size : (i+1)*size : (i+1)*size]
-		var slots []*Packet
-		if slotSlab != nil {
-			slots = slotSlab[i*size*ringCap : (i+1)*size*ringCap]
-		}
-		inboxes[i] = newInboxFrom(rings, slots)
-	}
-	return inboxes
 }

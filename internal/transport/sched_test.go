@@ -176,7 +176,7 @@ func TestYieldSingleWorkerNoLivelock(t *testing.T) {
 // largeWorldRanks returns the large-world smoke size: 16k ranks in a
 // default build, scaled down under the race detector (which multiplies
 // per-goroutine cost by an order of magnitude) while staying above the
-// scheduler's and the sparse inbox's auto-enable thresholds.
+// scheduler's auto-enable threshold.
 func largeWorldRanks() int {
 	if raceEnabled {
 		return 2048
@@ -186,9 +186,9 @@ func largeWorldRanks() int {
 
 // TestLargeWorldSchedulerSmoke is the scaled-down CI version of the
 // 65k experiment: a broadcast and a full barrier across a 16k-rank
-// world, which only completes in reasonable memory because the sparse
-// inboxes allocate O(active edges) rings and the M:N scheduler keeps
-// only GOMAXPROCS rank goroutines runnable.
+// world, which only completes in reasonable memory because an inbox
+// holds no per-sender state and the M:N scheduler keeps only GOMAXPROCS
+// rank goroutines runnable.
 func TestLargeWorldSchedulerSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-world smoke skipped in -short mode")
@@ -212,14 +212,12 @@ func TestLargeWorldSchedulerSmoke(t *testing.T) {
 	}
 }
 
-// TestSparseInboxExactlyOnce pins delivery through the sparse
-// (map-of-rings plus dirty-stack) inbox path: a world past denseWorlds
-// fans all traffic into one rank, which must observe every packet
-// exactly once with its source intact — under the scheduler, since
-// large worlds run scheduled in production.
-func TestSparseInboxExactlyOnce(t *testing.T) {
+// TestFanInExactlyOnce fans 299 ranks' traffic into one inbox, which
+// must observe every packet exactly once with its source intact — under
+// the scheduler, since large worlds run scheduled in production.
+func TestFanInExactlyOnce(t *testing.T) {
 	const msgs = 4
-	topo := machine.New(30, 10) // 300 ranks > denseWorlds
+	topo := machine.New(30, 10)
 	counts := make([]int, topo.WorldSize())
 	cfg := NewConfig(topo, WithSeed(9), WithWorkers(4))
 	runWithTimeout(t, 2*time.Minute, cfg, func(p *Proc) error {

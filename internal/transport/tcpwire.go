@@ -86,9 +86,9 @@ type TCPOptions struct {
 // TCPWire runs one rank per OS process over localhost (or LAN) TCP:
 // rank 0 serves a rendezvous handshake, every pair of ranks holds one
 // framed stream, and per-peer reader goroutines push decoded packets
-// into the local rank's inbox rings — each reader is the single
-// producer for its (local, peer) channel, so the lock-free ring
-// discipline carries over unchanged. Sends are asynchronous: Inject
+// into the local rank's inbox — each reader is the only producer for
+// its (local, peer) channel, so per-channel order is the stream's
+// order. Sends are asynchronous: Inject
 // copies the frame into the peer's send queue and a per-peer writer
 // goroutine hands everything queued to the kernel in one write (see
 // tcpPeer). Connection faults (a failed write, a peer reset or EOF
@@ -611,9 +611,9 @@ func (t *TCPWire) writeLoop(dst machine.Rank, peer *tcpPeer) {
 }
 
 // readLoop decodes one peer's stream into the local inbox. It is the
-// single producer for the (local, src) channel, preserving the SPSC
-// ring discipline. Frames become pooled packets stamped with the
-// receiving host's clock.
+// only producer for the (local, src) channel, so pushes on it are
+// ordered. Frames become pooled packets stamped with the receiving
+// host's clock.
 func (t *TCPWire) readLoop(src machine.Rank, peer *tcpPeer) {
 	defer t.readers.Done()
 	br := bufio.NewReaderSize(peer.conn, 64<<10)

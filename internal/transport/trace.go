@@ -13,7 +13,8 @@ import "ygm/internal/machine"
 // payload-backed state of a packet beyond the call.
 type Tracer interface {
 	// PacketSent fires on the sender's goroutine after the packet has
-	// been charged and enqueued: sent is the sender's virtual clock at
+	// been charged and before it is handed to the wire, so it precedes
+	// the packet's PacketReceived: sent is the sender's virtual clock at
 	// the end of Send, arrive the packet's virtual arrival at dst.
 	PacketSent(src, dst machine.Rank, tag Tag, size int, sent, arrive float64)
 	// PacketReceived fires on the receiver's goroutine after a packet

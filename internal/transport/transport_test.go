@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -272,6 +273,63 @@ func TestManyToOne(t *testing.T) {
 	}
 	if got := rep.Ranks[0].Stats.RecvMsgs; got != senders {
 		t.Fatalf("rank 0 received %d, want %d", got, senders)
+	}
+}
+
+// sendFirstTracer fails a run in which a receive is reported before its
+// send on the same (src, dst, tag) channel. PacketSent yields before it
+// records, so a send that is traced only after the wire has the packet
+// loses the race to an already-woken receiver.
+type sendFirstTracer struct {
+	mu       sync.Mutex
+	inFlight map[[3]uint64]int
+	early    int
+}
+
+func (s *sendFirstTracer) PacketSent(src, dst machine.Rank, tag Tag, size int, sent, arrive float64) {
+	runtime.Gosched()
+	s.mu.Lock()
+	s.inFlight[[3]uint64{uint64(src), uint64(dst), uint64(tag)}]++
+	s.mu.Unlock()
+}
+
+func (s *sendFirstTracer) PacketReceived(src, dst machine.Rank, tag Tag, size int, now float64) {
+	s.mu.Lock()
+	k := [3]uint64{uint64(src), uint64(dst), uint64(tag)}
+	if s.inFlight[k]--; s.inFlight[k] < 0 {
+		s.early++
+	}
+	s.mu.Unlock()
+}
+
+// TestTraceSendPrecedesReceive: every PacketReceived a Tracer sees has
+// its PacketSent behind it. ChromeTracer drops the flow arrow of a
+// receive it cannot match to a recorded send.
+func TestTraceSendPrecedesReceive(t *testing.T) {
+	const msgs = 200
+	tr := &sendFirstTracer{inFlight: make(map[[3]uint64]int)}
+	cfg := testConfig(1, 4)
+	cfg.Trace = tr
+	_, err := Run(cfg, func(p *Proc) error {
+		// A ring: each rank's receiver is parked in Recv when the send
+		// reaches it, so the push wakes it at once.
+		next := machine.Rank((int(p.Rank()) + 1) % p.WorldSize())
+		for i := 0; i < msgs; i++ {
+			if p.Rank() == 0 {
+				p.Send(next, TagUser, []byte{byte(i)})
+				p.Recycle(p.Recv(TagUser))
+			} else {
+				p.Recycle(p.Recv(TagUser))
+				p.Send(next, TagUser, []byte{byte(i)})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.early != 0 {
+		t.Fatalf("%d of %d receives were traced before their send", tr.early, 4*msgs)
 	}
 }
 

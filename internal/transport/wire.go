@@ -7,11 +7,12 @@ import (
 )
 
 // Wire is the pluggable bottom edge of the runtime: everything below the
-// per-rank SPSC inbox rings — how a stamped packet physically travels
-// from the sending rank to the destination inbox. The zero-alloc
-// AcquireBuf/SendPooled/Recycle discipline, the per-channel rings, the
-// per-tag arrival heaps, and the delivery semantics the oracles certify
-// all sit *above* this seam and are shared by every backend.
+// per-rank inboxes — how a stamped packet physically travels from the
+// sending rank to the destination inbox. The zero-alloc
+// AcquireBuf/SendPooled/Recycle discipline, the inbox's multi-producer
+// stack, the per-tag arrival heaps, and the delivery semantics the
+// oracles certify all sit *above* this seam and are shared by every
+// backend.
 //
 // Contract:
 //
@@ -19,8 +20,9 @@ import (
 //     sender has fully stamped (Src, Tag, Arrive, Payload, pooled).
 //     Ownership of the packet transfers to the wire. For a destination
 //     hosted in this process the wire must Push the packet into
-//     w.Inbox(dst) from exactly one goroutine per (dst, src) channel —
-//     the single-producer rule the lock-free rings rely on. A wire that
+//     w.Inbox(dst) from exactly one goroutine per (dst, src) channel:
+//     the inbox takes pushes from any number of goroutines, but a
+//     channel's FIFO order is the order of its pushes. A wire that
 //     serializes the packet onto an external transport must return it to
 //     the world pool afterwards so the sender-side recycle balance holds.
 //     Inject may return before the bytes have left the process: TCPWire
@@ -76,7 +78,7 @@ type Wire interface {
 // bottom edge, extracted behind the Wire seam with zero behavior change.
 // Every rank runs as a goroutine in this process, arrival stamps come
 // from the netsim cost model, and Inject is a direct Push into the
-// destination's inbox rings. A nil Config.Wire selects SimWire.
+// destination's inbox. A nil Config.Wire selects SimWire.
 type SimWire struct{}
 
 func (SimWire) Name() string       { return "sim" }
@@ -100,7 +102,7 @@ func (SimWire) Finish() error  { return nil }
 // netsim clock — arrival stamps are host time, model charges are
 // skipped, and the Report measures actual wall seconds on real
 // hardware. It exists so the benches can measure the runtime itself
-// (injection rate, handler dispatch, ring handoff) rather than the cost
+// (injection rate, handler dispatch, inbox handoff) rather than the cost
 // model, and as the single-process anchor of the backend-conformance
 // suite.
 type LocalWire struct{}
