@@ -23,6 +23,7 @@ var blockingFuncs = map[string]string{
 	"ygm/internal/ygm.ExchangeUntilQuiet":     "is a synchronous all-ranks exchange",
 	"ygm/internal/transport.Recv":             "blocks until a packet arrives",
 	"ygm/internal/transport.WaitPop":          "blocks until a packet arrives",
+	"ygm/internal/transport.WaitAny":          "blocks until a packet arrives",
 	"ygm/internal/collective.Barrier":         "is a blocking collective",
 	"ygm/internal/collective.Bcast":           "is a blocking collective",
 	"ygm/internal/collective.ReduceU64":       "is a blocking collective",

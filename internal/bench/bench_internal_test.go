@@ -275,20 +275,32 @@ func TestFig8dRuns(t *testing.T) {
 	}
 }
 
-// TestAblationStragglerShape: with a straggler, the synchronous exchange
-// must lose more utilization than the asynchronous mailbox.
+// TestAblationStragglerShape: what Section III-A claims and the table
+// supports. A straggler slows both designs, but the asynchronous mailbox
+// couples ranks only through message routes, so with one rank computing
+// 10x slower it must still finish at least twice as soon as the
+// synchronous ALLTOALLV does, and sooner than ALLTOALLV finishes with no
+// straggler at all. (Comparing utilization drops is not the claim: the
+// collective idles every rank equally and so loses little utilization
+// while losing the most time.)
 func TestAblationStragglerShape(t *testing.T) {
 	tbl := AblationStraggler(quickTiny())
-	util := map[string]float64{}
+	simTime := map[string]float64{}
 	for _, r := range tbl.Rows {
-		u, _ := r.Get("utilization")
-		util[r.LabelVal("exchange")+"/"+r.LabelVal("load")] = u
+		v, ok := r.Get("sim_time")
+		if !ok || v <= 0 {
+			t.Fatalf("row without a simulated time: %+v", r)
+		}
+		simTime[r.LabelVal("exchange")+"/"+r.LabelVal("load")] = v
 	}
-	asyncDrop := util["ygm-async/none"] - util["ygm-async/straggler"]
-	syncDrop := util["alltoallv-sync/none"] - util["alltoallv-sync/straggler"]
-	if syncDrop <= asyncDrop {
-		t.Fatalf("sync should lose more utilization to the straggler: async drop %g, sync drop %g (%v)",
-			asyncDrop, syncDrop, util)
+	async, sync := simTime["ygm-async/straggler"], simTime["alltoallv-sync/straggler"]
+	if 2*async > sync {
+		t.Fatalf("under the straggler the async mailbox (%g s) should finish at least 2x sooner than ALLTOALLV (%g s): %v",
+			async, sync, simTime)
+	}
+	if quiet := simTime["alltoallv-sync/none"]; async >= quiet {
+		t.Fatalf("the async mailbox with a straggler (%g s) should still beat ALLTOALLV without one (%g s): %v",
+			async, quiet, simTime)
 	}
 }
 

@@ -3,6 +3,7 @@ package container
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"ygm/internal/collective"
@@ -306,11 +307,11 @@ func TestChainedVisitDetectsForcedVerdict(t *testing.T) {
 		depth   = 8
 		perRank = 24
 	)
-	forced := 0
+	var forced atomic.Int64 // every rank evaluates the verdict
 	hooks := &ygm.TestHooks{
 		ForceVerdict: func(balanced, unchanged bool) bool {
 			if !balanced || !unchanged {
-				forced++
+				forced.Add(1)
 			}
 			return true // declare quiescence no matter what the counters say
 		},
@@ -358,7 +359,7 @@ func TestChainedVisitDetectsForcedVerdict(t *testing.T) {
 		t.Logf("forced verdict caught by the runtime invariant layer: %v", err)
 		return
 	}
-	if forced == 0 {
+	if forced.Load() == 0 {
 		t.Skip("forced-verdict window never opened (all chains drained before the vote); nothing to assert")
 	}
 	if !caught {

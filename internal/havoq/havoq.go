@@ -160,14 +160,20 @@ func (e *Engine) Run() {
 		}
 		// Local queue empty: make nonblocking termination progress.
 		// TestEmpty drains arrived mailbox traffic, which may enqueue
-		// new visitors — loop back if so; only a true verdict with a
-		// still-empty queue terminates.
-		done := e.mb.TestEmpty()
+		// new visitors — loop back if so. A true verdict is final as it
+		// stands: the call that returns it delivers nothing (a peer
+		// already in its next Run may have visitors waiting in our inbox,
+		// and the mailbox keeps them there until the verdict is in), so
+		// it must never be weighed against the queue and discarded — the
+		// peers that hold the same verdict will not agree to another.
+		if e.mb.TestEmpty() {
+			if n := e.queueLen(); n > 0 {
+				panic(fmt.Sprintf("havoq: rank %d holds %d queued visitors at a quiescence verdict", e.p.Rank(), n))
+			}
+			return
+		}
 		if e.queueLen() > 0 {
 			continue
-		}
-		if done {
-			return
 		}
 		// Idle: give peer goroutines the host CPU while we poll.
 		e.p.Yield()

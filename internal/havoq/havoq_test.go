@@ -362,3 +362,47 @@ func TestEngineReuse(t *testing.T) {
 		t.Fatalf("rank 0 ran %d visitors, want 8", count)
 	}
 }
+
+// TestEngineReuseRing: back-to-back Runs where every rank pushes to its
+// right-hand neighbour, on the real-time wire. A rank that leaves Run n
+// first pushes its Run n+1 visitor while the neighbour may still be
+// polling for Run n's verdict; that visitor must run in the neighbour's
+// Run n+1 and not before, and the neighbour must still get its verdict
+// (a Run that weighs a true verdict against a freshly filled queue and
+// polls on would wait for peers that have moved on — a hang, caught here
+// by the test timeout). No rank is special: TestEngineReuse pushes to
+// rank 0 alone.
+func TestEngineReuseRing(t *testing.T) {
+	const phases, reps = 3, 200
+	for rep := 0; rep < reps; rep++ {
+		_, err := transport.Run(transport.Config{
+			Topo: machine.New(2, 2),
+			Seed: int64(rep),
+			Wire: transport.LocalWire{},
+		}, func(p *transport.Proc) error {
+			phase, ran := byte(0), 0
+			var bad error
+			e := New(p, func(e *Engine, payload []byte) {
+				ran++
+				if payload[0] != phase && bad == nil {
+					bad = fmt.Errorf("rank %d ran a phase-%d visitor in phase %d", p.Rank(), payload[0], phase)
+				}
+			}, Config{Mailbox: ygm.Options{Scheme: machine.NLNR}})
+			next := machine.Rank((int(p.Rank()) + 1) % p.WorldSize())
+			for ; phase < phases; phase++ {
+				e.Push(next, []byte{phase})
+				e.Run()
+				if bad == nil && ran != int(phase)+1 {
+					bad = fmt.Errorf("rank %d left Run %d having run %d visitors", p.Rank(), phase, ran)
+				}
+				if bad != nil {
+					return bad
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("repetition %d: %v", rep, err)
+		}
+	}
+}

@@ -113,8 +113,8 @@ type Inbox struct {
 	wake   chan struct{}
 
 	// waiting/waitTag expose whether the owning rank is parked inside
-	// WaitPop, and on which tag — the deadlock watchdog's blocked
-	// signal. poisoned makes WaitPop return nil so blocked ranks can
+	// WaitAny, and on which tag — the deadlock watchdog's blocked
+	// signal. poisoned makes WaitAny return false so blocked ranks can
 	// unwind and report their state instead of hanging forever.
 	waiting  atomic.Bool
 	waitTag  atomic.Uint64
@@ -323,30 +323,53 @@ func (ib *Inbox) releaseEmpty(tag Tag, q *packetHeap) {
 }
 
 // WaitPop blocks until a packet with the given tag is present, then
-// removes and returns the one with the earliest virtual arrival. The
-// wait is adaptive: re-absorb and yield up to parkSpins times (cheap
-// when the producer is about to publish), then publish the parked state
-// and sleep on the wake channel until a producer posts its one token.
-// It returns nil only after the inbox has been poisoned by the deadlock
+// removes and returns the one with the earliest virtual arrival. It
+// returns nil only after the inbox has been poisoned by the deadlock
 // watchdog; Proc.Recv turns that into a per-rank state dump.
 func (ib *Inbox) WaitPop(tag Tag) *Packet {
-	ib.absorb()
-	if p := ib.popTag(tag); p != nil {
-		return p
-	}
-	if ib.poisoned.Load() {
+	if !ib.WaitAny(tag, tag) {
 		return nil
 	}
-	ib.waitTag.Store(uint64(tag))
+	return ib.popTag(tag)
+}
+
+// has reports whether a packet is merged under a or under b.
+func (ib *Inbox) has(a, b Tag) bool {
+	if q := ib.heapFor(a); q != nil && len(*q) > 0 {
+		return true
+	}
+	if a == b {
+		return false
+	}
+	q := ib.heapFor(b)
+	return q != nil && len(*q) > 0
+}
+
+// WaitAny blocks until a packet is present under a or b and removes
+// nothing: a progress loop that serves two streams waits here and then
+// drains whichever moved. The wait is adaptive: re-absorb and yield up
+// to parkSpins times (cheap when the producer is about to publish),
+// then publish the parked state and sleep on the wake channel until a
+// producer posts its one token. It reports false only after the inbox
+// has been poisoned; the watchdog sees the rank blocked on a.
+func (ib *Inbox) WaitAny(a, b Tag) bool {
+	ib.absorb()
+	if ib.has(a, b) {
+		return true
+	}
+	if ib.poisoned.Load() {
+		return false
+	}
+	ib.waitTag.Store(uint64(a))
 	spins := 0
 	for {
 		ib.absorb()
-		if p := ib.popTag(tag); p != nil {
+		if ib.has(a, b) {
 			ib.spinHits++
-			return p
+			return true
 		}
 		if ib.poisoned.Load() {
-			return nil
+			return false
 		}
 		if spins < parkSpins {
 			spins++
@@ -364,14 +387,14 @@ func (ib *Inbox) WaitPop(tag Tag) *Packet {
 		// token. Sequentially consistent atomics rule out the window
 		// where both sides miss each other.
 		ib.absorb()
-		if p := ib.popTag(tag); p != nil {
+		if ib.has(a, b) {
 			ib.unpark()
 			ib.spinHits++
-			return p
+			return true
 		}
 		if ib.poisoned.Load() {
 			ib.unpark()
-			return nil
+			return false
 		}
 		ib.parks++
 		if ib.sched != nil {
@@ -460,14 +483,14 @@ func (ib *Inbox) unabsorbed() int {
 // wake — the watchdog's signal that the run is still moving. A push
 // that wakes nobody is not counted until its receiver absorbs it, and
 // that receiver is by construction not parked. blocked reports whether
-// the owning rank is parked in WaitPop, and on which tag. Safe to call
+// the owning rank is parked in WaitAny, and on which tag. Safe to call
 // from the watchdog goroutine.
 func (ib *Inbox) progress() (count uint64, blocked bool, tag Tag) {
 	return ib.absorbed.Load() + ib.pops.Load() + ib.wakeups.Load(), ib.waiting.Load(), Tag(ib.waitTag.Load())
 }
 
-// poison makes all future WaitPop calls return nil and wakes the
-// receiver if one is parked. Called by the deadlock watchdog only. The
+// poison makes every future wait fail (WaitAny false, WaitPop nil) and
+// wakes the receiver if one is parked. Called by the deadlock watchdog only. The
 // unpark CAS is the same protocol producers use, so poison and Push
 // can never both owe a token for one park. If the CAS finds the parked
 // state already claimed but the rank still reports itself waiting, the

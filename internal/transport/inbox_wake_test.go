@@ -27,36 +27,93 @@ func TestPushNoWaiterElidesSignal(t *testing.T) {
 	}
 }
 
-// TestPushWakesParkedReceiver covers the other half of the contract: a
-// receiver parked in WaitPop is signalled by the next push — the elision
-// cannot turn into a missed wakeup — and the wake is counted.
-func TestPushWakesParkedReceiver(t *testing.T) {
-	ib := NewInbox(1)
-	got := make(chan *Packet, 1)
-	go func() { got <- ib.WaitPop(TagUser) }()
-	// Wait until the receiver has published its parked state.
+// blockingWaits are the two ways a rank parks on its inbox: WaitPop on
+// one tag, and WaitAny on two streams, woken here through the second.
+// Each reports whether the wait was satisfied (false = poisoned).
+var blockingWaits = []struct {
+	name string
+	wait func(ib *Inbox) bool
+}{
+	{"WaitPop", func(ib *Inbox) bool { return ib.WaitPop(TagUser) != nil }},
+	{"WaitAny", func(ib *Inbox) bool {
+		return ib.WaitAny(TagData, TagUser) && ib.TryPop(TagData) == nil && ib.TryPop(TagUser) != nil
+	}},
+}
+
+// parkReceiver starts wait on its own goroutine and returns once it has
+// published its parked state.
+func parkReceiver(t *testing.T, ib *Inbox, wait func(*Inbox) bool) <-chan bool {
+	t.Helper()
+	got := make(chan bool, 1)
+	go func() { got <- wait(ib) }()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, waiting, _ := ib.progress(); waiting {
-			break
+			return got
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("receiver never parked")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	ib.Push(&Packet{Tag: TagUser, Arrive: 1})
-	select {
-	case p := <-got:
-		if p == nil {
-			t.Fatal("WaitPop returned nil without poisoning")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("parked receiver never woke — missed wakeup")
+}
+
+// TestPushWakesParkedReceiver covers the other half of the contract: a
+// receiver parked in a blocking wait is signalled by the next push — the
+// elision cannot turn into a missed wakeup — and the wake is counted. A
+// push under a tag the receiver does not wait for wakes it too; it must
+// park again rather than return.
+func TestPushWakesParkedReceiver(t *testing.T) {
+	for _, bw := range blockingWaits {
+		t.Run(bw.name, func(t *testing.T) {
+			ib := NewInbox(1)
+			got := parkReceiver(t, ib, bw.wait)
+			ib.Push(&Packet{Tag: TagUser + 1, Arrive: 1})
+			select {
+			case <-got:
+				t.Fatal("wait returned on a packet of a foreign tag")
+			case <-time.After(20 * time.Millisecond):
+			}
+			ib.Push(&Packet{Tag: TagUser, Arrive: 1})
+			select {
+			case ok := <-got:
+				if !ok {
+					t.Fatal("wait failed without poisoning")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("parked receiver never woke — missed wakeup")
+			}
+			if pushes, wakeups, suppressed := ib.WakeStats(); pushes != 2 || wakeups+suppressed != 2 || wakeups == 0 {
+				t.Fatalf("pushes=%d wakeups=%d suppressed=%d, want 2 pushes, every one accounted, at least one wake", pushes, wakeups, suppressed)
+			}
+		})
 	}
-	_, wakeups, suppressed := ib.WakeStats()
-	if wakeups != 1 || suppressed != 0 {
-		t.Fatalf("wakeups=%d suppressed=%d, want 1/0", wakeups, suppressed)
+}
+
+// TestPoisonUnblocksParkedReceiver: the watchdog's poison must fail a
+// parked wait of either kind (so the rank unwinds into a deadlock
+// report) and every wait after it.
+func TestPoisonUnblocksParkedReceiver(t *testing.T) {
+	for _, bw := range blockingWaits {
+		t.Run(bw.name, func(t *testing.T) {
+			ib := NewInbox(1)
+			got := parkReceiver(t, ib, bw.wait)
+			if _, _, tag := ib.progress(); bw.name == "WaitAny" && tag != TagData {
+				t.Fatalf("WaitAny(TagData, TagUser) reports blocked on %#x, want its first tag", uint64(tag))
+			}
+			ib.poison()
+			select {
+			case ok := <-got:
+				if ok {
+					t.Fatal("poisoned wait reported a packet")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("poison did not wake the parked receiver")
+			}
+			if bw.wait(ib) {
+				t.Fatal("wait on a poisoned, empty inbox succeeded")
+			}
+		})
 	}
 }
 

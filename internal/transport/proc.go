@@ -86,7 +86,7 @@ type rtClock struct {
 // simulated path, host seconds since the world epoch in real time.
 func (p *Proc) now() float64 {
 	if p.rt != nil {
-		return hostNow().Sub(p.world.epoch).Seconds()
+		return hostSince(p.world.epoch)
 	}
 	return p.clock.Now()
 }
@@ -94,10 +94,10 @@ func (p *Proc) now() float64 {
 // clocks returns a consistent (now, busy, wait) snapshot in the run's
 // time base. Under a real-time wire all three derive from one host
 // clock reading, so RankReport.Time == Busy + Wait holds exactly
-// instead of drifting by the interval between two hostNow calls.
+// instead of drifting by the interval between two clock reads.
 func (p *Proc) clocks() (now, busy, wait float64) {
 	if p.rt != nil {
-		now = hostNow().Sub(p.world.epoch).Seconds()
+		now = hostSince(p.world.epoch)
 		return now, now - p.rt.wait, p.rt.wait
 	}
 	return p.clock.Now(), p.clock.Busy(), p.clock.Wait()
@@ -208,14 +208,16 @@ func (p *Proc) send(dst machine.Rank, tag Tag, payload []byte, pooled bool) {
 		panic(fmt.Sprintf("transport: send to invalid rank %d", dst))
 	}
 	local := w.topo.SameNode(p.rank, dst)
-	var arrive float64
+	// sent is the rank's clock at the send, arrive the packet's stamp.
+	var sent, arrive float64
 	if p.rt != nil {
 		// Real-time wire: overheads and transfer times are real
 		// instructions and real latency, not model charges. The arrival
-		// stamp is the sender's host clock; a remote backend re-stamps on
-		// the receiving host so clock skew can never place a packet in
-		// the receiver's past.
-		arrive = p.now()
+		// stamp is the sender's host clock — the one clock read a send
+		// makes; a remote backend re-stamps on the receiving host so
+		// clock skew can never place a packet in the receiver's past.
+		sent = p.now()
+		arrive = sent
 	} else {
 		p.clock.Advance(w.model.SendOverheadFor(local))
 		var transfer float64
@@ -229,7 +231,8 @@ func (p *Proc) send(dst machine.Rank, tag Tag, payload []byte, pooled bool) {
 				transfer += extra
 			}
 		}
-		arrive = p.clock.Now() + transfer
+		sent = p.clock.Now()
+		arrive = sent + transfer
 		if w.delay != nil {
 			// Clamp so injected delay never reorders a channel.
 			if p.lastArrive == nil {
@@ -258,10 +261,10 @@ func (p *Proc) send(dst machine.Rank, tag Tag, payload []byte, pooled bool) {
 	// receiver may pop it and report PacketReceived, and a send that is
 	// not yet on record then has no arrow to end.
 	if p.rec != nil {
-		p.rec.Record(obs.Event{Kind: obs.KSend, T: p.now(), Peer: int32(dst), Tag: uint64(tag), Size: int64(len(payload))})
+		p.rec.Record(obs.Event{Kind: obs.KSend, T: sent, Peer: int32(dst), Tag: uint64(tag), Size: int64(len(payload))})
 	}
 	if w.trace != nil {
-		w.trace.PacketSent(p.rank, dst, tag, len(payload), p.now(), arrive)
+		w.trace.PacketSent(p.rank, dst, tag, len(payload), sent, arrive)
 	}
 	w.wire.Inject(p, dst, pkt)
 }
@@ -272,22 +275,52 @@ func (p *Proc) send(dst machine.Rank, tag Tag, payload []byte, pooled bool) {
 // determined that every active rank is blocked, Recv records this rank's
 // state and unwinds the rank instead of hanging forever.
 func (p *Proc) Recv(tag Tag) *Packet {
-	var t0 float64
+	ib := p.world.inboxes[p.rank]
 	if p.rt != nil {
-		// Real-time wires account wait by measuring the blocking pop;
 		// Progress lets a polled backend move bytes before the park.
 		p.world.wire.Progress(p)
-		t0 = p.now()
 	}
-	pkt := p.world.inboxes[p.rank].WaitPop(tag)
-	if p.rt != nil {
-		p.rt.wait += p.now() - t0
-	}
+	pkt := ib.TryPop(tag)
 	if pkt == nil {
-		p.deadlockExit(tag)
+		p.await(ib, tag, tag)
+		pkt = ib.popTag(tag)
 	}
 	p.absorb(pkt)
 	return pkt
+}
+
+// WaitAny blocks until a packet is physically present under a or b and
+// consumes nothing: the caller drains what it finds and absorbs each
+// packet as it uses it, so waiting here moves no virtual clock. It is
+// the blocking step of a progress loop that serves two streams (the
+// mailbox's termination and data traffic). A deadlocked run unwinds the
+// rank as Recv does, reported as blocked on a.
+func (p *Proc) WaitAny(a, b Tag) {
+	ib := p.world.inboxes[p.rank]
+	if p.rt != nil {
+		p.world.wire.Progress(p)
+	}
+	ib.absorb()
+	if !ib.has(a, b) {
+		p.await(ib, a, b)
+	}
+}
+
+// await parks the rank until a or b has a packet, after a first look
+// found neither. Real-time wires account wait by timing exactly this —
+// a receive that finds its packet waiting reads no clock.
+func (p *Proc) await(ib *Inbox, a, b Tag) {
+	var t0 float64
+	if p.rt != nil {
+		t0 = p.now()
+	}
+	ok := ib.WaitAny(a, b)
+	if p.rt != nil {
+		p.rt.wait += p.now() - t0
+	}
+	if !ok {
+		p.deadlockExit(a)
+	}
 }
 
 // Poll returns the earliest packet with the given tag whose arrival is
@@ -295,9 +328,15 @@ func (p *Proc) Recv(tag Tag) *Packet {
 // clock past the present (beyond the receive overhead). Under a
 // real-time wire every physically queued packet has already arrived
 // (stamps are taken before the push, on the receiving host's clock), so
-// Poll degenerates to a nonblocking pop.
+// Poll degenerates to a nonblocking pop and reads no clock.
 func (p *Proc) Poll(tag Tag) *Packet {
-	pkt := p.world.inboxes[p.rank].TryPopArrived(tag, p.now())
+	ib := p.world.inboxes[p.rank]
+	var pkt *Packet
+	if p.rt != nil {
+		pkt = ib.TryPop(tag)
+	} else {
+		pkt = ib.TryPopArrived(tag, p.clock.Now())
+	}
 	if pkt != nil {
 		if p.rt == nil {
 			p.clock.Advance(p.world.model.RecvOverheadFor(p.world.topo.SameNode(p.rank, pkt.Src)))

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"sync"
+	"time"
 
 	"ygm/internal/machine"
 	"ygm/internal/obs"
@@ -110,7 +111,7 @@ type scheduler struct {
 	inQueue []bool
 
 	// Metrics, updated under mu. busyInt integrates busy-worker-seconds
-	// (host time) for the worker-utilization gauge; epoch anchors it.
+	// (host seconds since epoch) for the worker-utilization gauge.
 	dispatches   uint64 // total token grants
 	directGrants uint64 // grants straight from ready() (no queue wait)
 	handoffs     uint64 // tokens passed rank→rank on park/exit/yield
@@ -121,7 +122,7 @@ type scheduler struct {
 	busyHWM      int
 	busyInt      float64
 	lastT        float64
-	epoch        float64
+	epoch        time.Time
 }
 
 // newScheduler returns a scheduler for a world of `world` ranks over
@@ -147,9 +148,7 @@ func newScheduler(world, workers int) *scheduler {
 	if ygmcheckEnabled {
 		s.inQueue = make([]bool, world)
 	}
-	now := hostNow()
-	s.epoch = float64(now.UnixNano()) * 1e-9
-	s.lastT = s.epoch
+	s.epoch = hostNow()
 	return s
 }
 
@@ -159,7 +158,7 @@ func schedHome(r machine.Rank) int { return int(r) & (schedShards - 1) }
 // delta. Called before every busy transition so the worker-utilization
 // integral is exact.
 func (s *scheduler) tickBusyLocked(delta int) {
-	now := float64(hostNow().UnixNano()) * 1e-9
+	now := hostSince(s.epoch)
 	if now > s.lastT {
 		s.busyInt += float64(s.busy) * (now - s.lastT)
 		s.lastT = now
@@ -392,7 +391,7 @@ func (s *scheduler) snapshot() obs.Snapshot {
 	reg.Gauge("sched.workers").Set(float64(s.workers))
 	reg.Gauge("sched.ready_depth_hwm").Set(float64(s.readyHWM))
 	reg.Gauge("sched.workers_busy_hwm").Set(float64(s.busyHWM))
-	if elapsed := s.lastT - s.epoch; elapsed > 0 {
+	if elapsed := s.lastT; elapsed > 0 {
 		reg.Gauge("sched.worker_utilization").Set(s.busyInt / (elapsed * float64(s.workers)))
 	}
 	return reg.Snapshot()

@@ -652,7 +652,7 @@ func (t *TCPWire) readLoop(src machine.Rank, peer *tcpPeer) {
 			pkt := t.w.pool.getPkt()
 			pkt.Src = src
 			pkt.Tag = tag
-			pkt.Arrive = hostNow().Sub(t.w.epoch).Seconds()
+			pkt.Arrive = hostSince(t.w.epoch)
 			pkt.Payload = payload
 			pkt.pooled = true
 			t.w.inboxes[t.self].Push(pkt)

@@ -121,13 +121,22 @@ func (LocalWire) Progress(*Proc) {}
 func (LocalWire) Flush(*Proc)    {}
 func (LocalWire) Finish() error  { return nil }
 
-// hostNow reads the host clock for the real-time wires and the TCP
-// handshake deadlines. Like the deadlock watchdog, real-time backends
-// run on host time by design: the virtual-clock rule exists to keep
-// *simulated* experiments independent of host scheduling, and a
-// real-time wire's entire point is to measure that scheduling.
+// hostNow reads the host clock to anchor an epoch or a handshake
+// deadline — once per run, never per packet. Like the deadlock watchdog,
+// real-time backends run on host time by design: the virtual-clock rule
+// exists to keep *simulated* experiments independent of host scheduling,
+// and a real-time wire's entire point is to measure that scheduling.
 func hostNow() time.Time {
 	return time.Now() //ygmvet:ignore wallclock — real-time wire backends measure host time by design
+}
+
+// hostSince returns the host seconds elapsed since epoch (a hostNow
+// value). Every per-packet timestamp of the real-time wires is taken
+// here: against an epoch that carries a monotonic reading, time.Since
+// reads the monotonic clock alone — about 0.6 of the cost of time.Now,
+// which reads the wall clock as well — and cannot step backwards.
+func hostSince(epoch time.Time) float64 {
+	return time.Since(epoch).Seconds() //ygmvet:ignore wallclock — as hostNow
 }
 
 // WireFail records a wire-level fault (a peer connection reset, a failed

@@ -179,11 +179,12 @@ func TestSyncSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestTermSteadyStateZeroAlloc pins the termination-detection path: a
-// WaitEmpty on a quiet mailbox runs whole detection generations —
-// contribution encode into the detector's scratch writer, pooled send up
-// the binomial tree, verdict relay down, absorb-and-recycle on both
-// ranks — and none of it may allocate once the scratch writer and the
-// transport pool have warmed up.
+// WaitEmpty on a quiet mailbox runs a whole detection generation — the
+// snapshot encoded into the detector's scratch writer, a pooled send to
+// the butterfly partner, the partner's packet batched out of the inbox,
+// filed in its slot, absorbed and recycled — and none of it may allocate
+// once the scratch writer, the batch slice and the transport pool have
+// warmed up.
 func TestTermSteadyStateZeroAlloc(t *testing.T) {
 	skipIfYgmcheck(t)
 	var failure error

@@ -56,11 +56,12 @@ func checkQuiescent(p *transport.Proc, pendingSends int, site string) {
 }
 
 // checkVerdictBalanced asserts the counting-consensus invariant at the
-// moment rank 0 declares global quiescence: every record hop sent has
-// been received.
+// moment a rank declares global quiescence (every rank evaluates the
+// verdict, so every rank checks): every record hop sent has been
+// received.
 func (td *termDetector) checkVerdictBalanced(done bool) {
 	if done {
-		checkf(td.accS == td.accR,
-			"termination verdict with unbalanced counters: sent %d, received %d", td.accS, td.accR)
+		checkf(td.sumS == td.sumR,
+			"termination verdict with unbalanced counters: sent %d, received %d", td.sumS, td.sumR)
 	}
 }

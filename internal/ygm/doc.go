@@ -72,8 +72,17 @@
 // themselves done producing messages, flush (including empty buffers —
 // here, counter reports), and the layer detects global quiescence by a
 // counting consensus: record-hop send and receive totals must balance and
-// stay unchanged over two consecutive global reductions. The lazy
-// Mailbox's TestEmpty drives the same state machine without blocking;
-// round-matched and collective exchanges cannot progress unilaterally,
-// so their types do not have the method.
+// equal the totals of the previous global reduction. Each reduction (a
+// generation) is a recursive-doubling allreduce that leaves the totals,
+// and so the verdict, on every rank after log2(P) exchanges; the totals
+// of the last quiescent instant are kept, so a WaitEmpty with nothing
+// sent since costs one generation. The detector never blocks: the lazy
+// Mailbox's WaitEmpty is one progress loop over the termination and data
+// streams — data keeps moving while a generation is in flight, except
+// while that generation may be the final one, when what sits in the
+// inbox may already belong to the next phase — TestEmpty steps the same
+// machine between units of external work, and the round-matched policy
+// steps it between rounds. Collective exchanges detect quiescence on
+// their own; round-matched and collective exchanges cannot progress
+// unilaterally, so their types do not have TestEmpty.
 package ygm

@@ -35,10 +35,14 @@ type TestHooks struct {
 	// a message instead of invoking the handler — a lost delivery that
 	// leaves every transport-level counter balanced.
 	DropDelivery func(at machine.Rank, payload []byte) bool
-	// ForceVerdict, when non-nil, replaces rank 0's termination verdict
-	// for one generation. balanced and unchanged are the two halves of
-	// the honest four-counter condition; returning true while either is
-	// false manufactures a premature termination.
+	// ForceVerdict, when non-nil, replaces the termination verdict of a
+	// generation. balanced and unchanged are the two halves of the honest
+	// four-counter condition; returning true while either is false
+	// manufactures a premature termination. Every rank evaluates the
+	// verdict on the same totals, concurrently, so the hook must be a
+	// pure function of its two arguments: a result that differed between
+	// ranks would split the world over whether the phase ended, and any
+	// state it keeps is shared between rank goroutines.
 	ForceVerdict func(balanced, unchanged bool) bool
 	// ReorderPacket, when non-nil and returning true for a packet,
 	// makes the decode loop hold that packet's first record and dispatch

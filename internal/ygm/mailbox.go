@@ -318,8 +318,9 @@ func (mb *Mailbox) drainAvailable() {
 	if mb.processing > 0 {
 		// A handler illegally re-entered the termination path (the
 		// blockincallback pattern). Drain into a private batch so the
-		// outer drain's scratch stays intact; the collective step that
-		// follows will block and the deadlock watchdog reports the abuse.
+		// outer drain's scratch stays intact; the nested wait consumes the
+		// verdict the outer one needs, which then blocks for good, and the
+		// deadlock watchdog reports the abuse.
 		var scratch []*transport.Packet
 		mb.drainWaves(&scratch)
 		return
@@ -347,15 +348,21 @@ func (mb *Mailbox) drainWaves(scratch *[]*transport.Packet) {
 	}
 }
 
-// generation drains, then advances termination detection through at
-// most one generation (blocking on it or not), and reports whether that
-// generation established global quiescence.
-func (mb *Mailbox) generation(block bool, site string) bool {
-	mb.drainAvailable()
-	if !mb.term.step(block) {
+// generation drains, then advances termination detection as far as the
+// arrived packets allow, and reports whether a generation established
+// global quiescence. While the generation in flight may be the final one
+// (term.hold) a peer may already be past the verdict, so what sits in
+// the data stream may belong to the next phase and stays there; sends a
+// poller queued since its snapshot are still flushed.
+func (mb *Mailbox) generation(site string) bool {
+	if mb.term.hold() {
+		mb.flushAll()
+	} else {
+		mb.drainAvailable()
+	}
+	if !mb.term.step() {
 		return false
 	}
-	mb.term.reset()
 	mb.releaseLeak()
 	checkQuiescent(mb.p, mb.queued, site)
 	return true
@@ -367,22 +374,37 @@ func (mb *Mailbox) generation(block bool, site string) bool {
 // (Section IV-B). It is a collective operation: every rank must call it,
 // and all ranks return during the same detection generation. The mailbox
 // remains usable afterwards.
+//
+// It is one progress loop: drain data, step the detector, then block
+// until a packet arrives on either stream, so multi-hop forwards keep
+// moving while a generation is in flight — except under term.hold, when
+// only the verdict can move this rank.
 func (mb *Mailbox) WaitEmpty() {
 	sp := mb.p.Span("lazy.waitempty")
 	defer sp.End()
-	for !mb.generation(true, "WaitEmpty") {
+	for !mb.generation("WaitEmpty") {
+		switch {
+		case !mb.term.busy:
+			// A generation just completed without quiescence: drain and
+			// snapshot again at once.
+		case mb.term.hold():
+			mb.p.WaitAny(TagTerm, TagTerm)
+		default:
+			mb.p.WaitAny(TagTerm, transport.TagData)
+		}
 	}
 }
 
 // TestEmpty makes nonblocking progress on termination detection and
 // reports whether global quiescence has been established. Callers that
 // maintain external work queues (the HavoqGT pattern) call it in a loop,
-// interleaving their own work; once any rank observes true, every rank
-// will observe true for the same generation. After returning true the
-// detector resets and the mailbox can be reused. Only the lazy policy
-// offers it: round-matched and collective exchanges cannot progress
-// unilaterally.
-func (mb *Mailbox) TestEmpty() bool { return mb.generation(false, "TestEmpty") }
+// interleaving their own work; every rank observes true for the same
+// generation, and a call that returns true has delivered nothing after
+// the snapshot that generation counted, so work a handler queues never
+// coincides with a true result. The mailbox can be reused afterwards.
+// Only the lazy policy offers it: round-matched and collective exchanges
+// cannot progress unilaterally.
+func (mb *Mailbox) TestEmpty() bool { return mb.generation("TestEmpty") }
 
 // Flush forces the communication context to run even if the mailbox is
 // below capacity (exposed for tests and latency-sensitive callers).

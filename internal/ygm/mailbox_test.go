@@ -216,20 +216,13 @@ func TestChannelConstraints(t *testing.T) {
 				for _, r := range topo.RemotePartners(scheme, rr.Rank) {
 					allowed[r] = true
 				}
-				// Termination detection uses the binomial tree over world
-				// ranks; those packets are exempt (tag-separated in real
-				// traffic, but Partners() counts all). Build the exempt set.
-				me := int(rr.Rank)
+				// Termination detection runs a butterfly over world ranks;
+				// those packets are exempt (tag-separated in real traffic,
+				// but Partners() counts all): {me ^ mask}. The 32-rank
+				// world is a power of two, so no rank folds.
 				exempt := map[machine.Rank]bool{}
 				for mask := 1; mask < topo.WorldSize(); mask <<= 1 {
-					if me&mask == 0 {
-						if me|mask < topo.WorldSize() {
-							exempt[machine.Rank(me|mask)] = true
-						}
-					} else {
-						exempt[machine.Rank(me&^mask)] = true
-						break
-					}
+					exempt[rr.Rank^machine.Rank(mask)] = true
 				}
 				for dst := range rr.Stats.Partners() {
 					if !allowed[dst] && !exempt[dst] {

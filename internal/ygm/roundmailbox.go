@@ -172,8 +172,7 @@ func (mb *RoundMailbox) WaitEmpty() {
 		for mb.queued > 0 || mb.roundTrafficPending() {
 			mb.executeRound()
 		}
-		if mb.term.step(false) {
-			mb.term.reset()
+		if mb.term.step() {
 			mb.releaseLeak()
 			checkQuiescent(mb.p, mb.queued, "WaitEmpty")
 			// Epoch boundary: quiescence means no rounds of this epoch

@@ -2,6 +2,7 @@ package ygm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ygm/internal/codec"
 	"ygm/internal/machine"
@@ -14,40 +15,56 @@ import (
 const TagTerm transport.Tag = 2
 
 // termDetector implements the counting-consensus termination detection
-// of Section IV-B as an incremental state machine, so that TestEmpty can
-// make progress without blocking (the HavoqGT polling pattern) while
-// WaitEmpty drives the same machine with blocking receives.
+// of Section IV-B as a nonblocking state machine: step consumes what has
+// arrived and returns, so one progress loop can serve detection and data
+// traffic together (WaitEmpty), poll between units of external work
+// (TestEmpty, the HavoqGT pattern) or interleave with exchange rounds.
 //
-// Each detection *generation* is a binomial-tree reduction of the global
-// (HopsSent, HopsRecv) counters to rank 0 followed by a binomial
-// broadcast of the verdict. Rank 0 declares quiescence when the counters
-// balance and are unchanged from the previous generation — Mattern's
-// four-counter condition, which tolerates messages observed in flight
-// across unsynchronized counter snapshots.
+// Each detection *generation* is a recursive-doubling allreduce of the
+// global (HopsSent, HopsRecv) counters: at step k a rank swaps running
+// sums with rank me^(1<<k), so after log2(P) steps every rank holds the
+// same totals. Ranks at or above the largest power of two fold their
+// snapshot into rank me-pow beforehand and are handed the totals
+// afterwards. Every rank then evaluates the same verdict — quiescence
+// when the totals balance and equal the previous generation's, Mattern's
+// four-counter condition, sound because every snapshot of one generation
+// causally follows every snapshot of the one before. There is no root
+// and nothing to broadcast.
+//
+// The previous totals and this rank's previous snapshot survive a
+// verdict (they start at zero, the counters of a world that has not
+// sent): when the first generation of a new cycle reads the last
+// quiescent totals again, no rank has sent since a known-quiet instant,
+// and an idle WaitEmpty costs one generation.
 type termDetector struct {
 	p     *transport.Proc
 	stats *Stats
-
-	gen      uint64
-	phase    termPhase
-	got      int    // children contributions received this generation
-	accS     uint64 // accumulated subtree sent count
-	accR     uint64 // accumulated subtree recv count
-	prevS    uint64 // previous generation's global sent count (rank 0)
-	prevR    uint64
-	havePrev bool
-
-	children []int // world-rank children in the binomial tree (root 0)
-	parent   int   // world-rank parent, -1 for rank 0
-
 	// hooks carries the mutation-test fault injection points (nil in
 	// production); only ForceVerdict applies here.
 	hooks *TestHooks
 
-	// pending buffers contributions/verdicts that physically arrived
-	// ahead of this rank's progress through their generation.
-	pendingContrib map[uint64][][2]uint64
-	pendingVerdict map[uint64]bool
+	me, pow, rem int // rank; largest power of two <= P; P - pow
+	steps        int // log2(pow) butterfly steps
+
+	gen  uint64 // generation most recently started
+	busy bool   // gen is in flight
+	// wait is the slot the generation consumes next, last the final one
+	// this rank needs: slot 0 carries the fold-in from rank me+pow, slot
+	// k+1 the step-k sums from rank me^(1<<k), slot steps+1 the totals
+	// handed back to a folded rank.
+	wait, last int
+
+	sumS, sumR   uint64 // running sums; the totals once gen completes
+	mineS, mineR uint64 // this rank's snapshot for gen
+	prevS, prevR uint64 // totals of the generation before gen
+	still        bool   // the snapshot equals this rank's previous one
+
+	// slots files packets by (generation parity, slot). A partner runs at
+	// most one generation ahead — it cannot finish gen+1 without this
+	// rank's gen+1 packet — and each slot has one sender, so two rows
+	// hold everything that can arrive early.
+	slots [2][]termSlot
+	batch []*transport.Packet
 
 	// scratch is the reusable encoder for outgoing termination packets.
 	// Encoded bytes are copied into pooled payload buffers before
@@ -59,214 +76,153 @@ type termDetector struct {
 	gens *obs.Counter
 }
 
-type termPhase int
-
-const (
-	termCollect      termPhase = iota // gathering children contributions
-	termAwaitVerdict                  // contribution sent, waiting on verdict
-)
+// termSlot is one filed termination packet. The packet itself is kept
+// until the state machine consumes the slot and absorbed only then: its
+// arrival is charged to the rank's clock where the protocol depends on
+// it, not where the host happened to deliver it.
+type termSlot struct {
+	pkt  *transport.Packet
+	s, r uint64
+}
 
 func (td *termDetector) init(p *transport.Proc, stats *Stats, hooks *TestHooks) {
-	td.p = p
-	td.stats = stats
-	td.hooks = hooks
-	size := p.WorldSize()
-	me := int(p.Rank())
-	td.parent = -1
-	for mask := 1; mask < size; mask <<= 1 {
-		if me&mask == 0 {
-			if me|mask < size {
-				td.children = append(td.children, me|mask)
-			}
-		} else {
-			td.parent = me &^ mask
-			break
-		}
+	td.p, td.stats, td.hooks = p, stats, hooks
+	td.me = int(p.Rank())
+	td.steps = bits.Len(uint(p.WorldSize())) - 1
+	td.pow = 1 << td.steps
+	td.rem = p.WorldSize() - td.pow
+	td.last = td.steps
+	if td.me >= td.pow {
+		td.last = td.steps + 1
 	}
-	td.pendingContrib = make(map[uint64][][2]uint64)
-	td.pendingVerdict = make(map[uint64]bool)
+	for i := range td.slots {
+		td.slots[i] = make([]termSlot, td.steps+2)
+	}
 	td.gens = p.Metrics().Counter("term.generations")
-	td.startGeneration()
 }
 
-// reset prepares the detector for the next WaitEmpty/TestEmpty cycle
-// after a generation concluded with a positive verdict.
-func (td *termDetector) reset() {
-	td.phase = termCollect
-	td.havePrev = false
-	td.startGeneration()
+// hold reports whether the generation in flight may be the final one:
+// the previous totals balanced and this rank's counters had not moved
+// between its last two snapshots. Only then can a peer already hold a
+// quiescence verdict and be sending next-phase data, so exactly then the
+// mailbox must leave its data stream alone until the verdict is in; in
+// every other state no rank can conclude and arrived data is of this
+// phase.
+func (td *termDetector) hold() bool {
+	return td.busy && td.still && td.prevS == td.prevR
 }
 
-func (td *termDetector) startGeneration() {
+// start snapshots this rank's counters and opens the next generation.
+func (td *termDetector) start() {
 	td.gen++
 	td.stats.Generations++
 	td.gens.Inc()
 	td.p.Mark("term.gen", td.gen)
-	td.phase = termCollect
-	td.got = 0
-	td.accS = 0
-	td.accR = 0
-	// Generations are adopted only by exact match against td.gen, and
-	// td.gen is monotonic across cycles, so buffered state for older
-	// generations is dead — it accumulates across WaitEmpty cycles (e.g.
-	// after forced verdicts or peer-failure unwinds) unless purged here.
-	for g := range td.pendingContrib {
-		if g < td.gen {
-			delete(td.pendingContrib, g)
-		}
-	}
-	for g := range td.pendingVerdict {
-		if g < td.gen {
-			delete(td.pendingVerdict, g)
-		}
-	}
-	// Adopt any contributions that raced ahead of us.
-	if early, ok := td.pendingContrib[td.gen]; ok {
-		for _, c := range early {
-			td.accS += c[0]
-			td.accR += c[1]
-			td.got++
-		}
-		delete(td.pendingContrib, td.gen)
+	s, r := td.stats.HopsSent, td.stats.HopsRecv
+	td.still = s == td.mineS && r == td.mineR
+	td.mineS, td.mineR = s, r
+	td.sumS, td.sumR = s, r
+	td.busy = true
+	switch {
+	case td.me >= td.pow:
+		td.send(td.me-td.pow, 0)
+		td.wait = td.last
+	case td.me < td.rem:
+		td.wait = 0
+	default:
+		td.wait = 1
+		td.forward(0)
 	}
 }
 
-// step advances the state machine through at most one complete
-// generation. With block=true it blocks on needed packets until the
-// current generation's verdict is known; with block=false it consumes
-// whatever has arrived and returns early. It returns true exactly when a
-// generation concluded with a global-quiescence verdict; a false verdict
-// also returns (with the next generation started) so that the caller can
-// drain data traffic between generations.
-func (td *termDetector) step(block bool) bool {
-	for {
-		switch td.phase {
-		case termCollect:
-			if td.got < len(td.children) {
-				if !td.absorb(block) {
-					return false
-				}
-				continue
-			}
-			// All children in: add own counters and escalate.
-			td.accS += td.stats.HopsSent
-			td.accR += td.stats.HopsRecv
-			if td.parent < 0 {
-				done := td.verdict()
-				td.relayVerdict(done)
-				if done {
-					return true
-				}
-				td.startGeneration()
-				return false
-			}
-			td.scratch.Reset()
-			td.scratch.Byte(0) // contribution
-			td.scratch.Uvarint(td.gen)
-			td.scratch.Uvarint(td.accS)
-			td.scratch.Uvarint(td.accR)
-			buf := td.p.AcquireBuf(td.scratch.Len())
-			copy(buf, td.scratch.Bytes())
-			td.p.SendPooled(machine.Rank(td.parent), TagTerm, buf)
-			td.phase = termAwaitVerdict
-		case termAwaitVerdict:
-			if done, ok := td.pendingVerdict[td.gen]; ok {
-				delete(td.pendingVerdict, td.gen)
-				td.relayVerdict(done)
-				if done {
-					return true
-				}
-				td.startGeneration()
-				return false
-			}
-			if !td.absorb(block) {
-				return false
-			}
-		}
+// forward sends the running sums on once slot has been added in: to the
+// next butterfly partner, or after the last step to the rank that folded
+// in.
+func (td *termDetector) forward(slot int) {
+	switch {
+	case slot < td.steps:
+		td.send(td.me^1<<slot, slot+1)
+	case td.me < td.rem:
+		td.send(td.me+td.pow, td.steps+1)
 	}
 }
 
-// verdict evaluates rank 0's termination condition for the accumulated
-// global counters of this generation.
+func (td *termDetector) send(to, slot int) {
+	td.scratch.Reset()
+	td.scratch.Byte(byte(slot))
+	td.scratch.Uvarint(td.gen)
+	td.scratch.Uvarint(td.sumS)
+	td.scratch.Uvarint(td.sumR)
+	buf := td.p.AcquireBuf(td.scratch.Len())
+	copy(buf, td.scratch.Bytes())
+	td.p.SendPooled(machine.Rank(to), TagTerm, buf)
+}
+
+// step makes nonblocking progress: it opens a generation if none is in
+// flight, files the termination packets that have arrived and consumes
+// slots in protocol order as far as they go. It returns true exactly
+// when a generation completed with a global-quiescence verdict. After a
+// completed generation — either verdict — busy is false and the next
+// call snapshots afresh, so the caller can drain data in between; while
+// busy, only a further TagTerm packet can move it.
+func (td *termDetector) step() bool {
+	if !td.busy {
+		td.start()
+	}
+	td.file()
+	row := td.slots[td.gen&1]
+	for ; td.wait <= td.last; td.wait++ {
+		sl := &row[td.wait]
+		if sl.pkt == nil {
+			return false
+		}
+		td.p.Absorb(sl.pkt)
+		td.p.Recycle(sl.pkt)
+		sl.pkt = nil
+		if td.wait > td.steps {
+			td.sumS, td.sumR = sl.s, sl.r
+		} else {
+			td.sumS += sl.s
+			td.sumR += sl.r
+		}
+		td.forward(td.wait)
+	}
+	td.busy = false
+	return td.verdict()
+}
+
+// file moves every arrived termination packet into its slot.
+func (td *termDetector) file() {
+	td.batch = td.p.DrainBatch(TagTerm, td.batch[:0])
+	for i, pkt := range td.batch {
+		td.batch[i] = nil
+		r := codec.NewReader(pkt.Payload)
+		slot, err0 := r.Byte()
+		gen, err1 := r.Uvarint()
+		s, err2 := r.Uvarint()
+		rr, err3 := r.Uvarint()
+		if err0 != nil || err1 != nil || err2 != nil || err3 != nil || int(slot) > td.steps+1 {
+			panic(fmt.Sprintf("ygm: rank %d corrupt termination packet from %d", td.me, pkt.Src))
+		}
+		sl := &td.slots[gen&1][slot]
+		if (gen != td.gen && gen != td.gen+1) || sl.pkt != nil || (gen == td.gen && int(slot) < td.wait) {
+			panic(fmt.Sprintf("ygm: rank %d in generation %d got slot %d of generation %d from %d (stale, too early or duplicate)",
+				td.me, td.gen, slot, gen, pkt.Src))
+		}
+		*sl = termSlot{pkt: pkt, s: s, r: rr}
+	}
+}
+
+// verdict evaluates the termination condition on the completed
+// generation's totals; every rank holds the same ones.
 func (td *termDetector) verdict() bool {
-	balanced := td.accS == td.accR
-	unchanged := td.havePrev && td.accS == td.prevS && td.accR == td.prevR
-	td.prevS, td.prevR = td.accS, td.accR
-	td.havePrev = true
+	balanced := td.sumS == td.sumR
+	unchanged := td.sumS == td.prevS && td.sumR == td.prevR
+	td.prevS, td.prevR = td.sumS, td.sumR
 	done := balanced && unchanged
 	if td.hooks != nil && td.hooks.ForceVerdict != nil {
 		done = td.hooks.ForceVerdict(balanced, unchanged)
 	}
 	td.checkVerdictBalanced(done)
 	return done
-}
-
-// relayVerdict forwards the verdict for the current generation down the
-// binomial broadcast tree: encoded once into the scratch writer, copied
-// into a pooled payload per child.
-func (td *termDetector) relayVerdict(done bool) {
-	if len(td.children) == 0 {
-		return
-	}
-	td.scratch.Reset()
-	td.scratch.Byte(1) // verdict
-	td.scratch.Uvarint(td.gen)
-	flag := byte(0)
-	if done {
-		flag = 1
-	}
-	td.scratch.Byte(flag)
-	for _, child := range td.children {
-		buf := td.p.AcquireBuf(td.scratch.Len())
-		copy(buf, td.scratch.Bytes())
-		td.p.SendPooled(machine.Rank(child), TagTerm, buf)
-	}
-}
-
-// absorb consumes one termination packet, buffering it under its
-// generation. Returns false when nothing is available and block is
-// false.
-func (td *termDetector) absorb(block bool) bool {
-	var pkt *transport.Packet
-	if block {
-		pkt = td.p.Recv(TagTerm)
-	} else {
-		pkt = td.p.Drain(TagTerm)
-		if pkt == nil {
-			return false
-		}
-	}
-	r := codec.NewReader(pkt.Payload)
-	typ, err1 := r.Byte()
-	gen, err2 := r.Uvarint()
-	if err1 != nil || err2 != nil {
-		panic(fmt.Sprintf("ygm: corrupt termination packet: %v %v", err1, err2))
-	}
-	switch typ {
-	case 0: // contribution
-		s, err1 := r.Uvarint()
-		rr, err2 := r.Uvarint()
-		if err1 != nil || err2 != nil {
-			panic("ygm: corrupt termination contribution")
-		}
-		if gen == td.gen && td.phase == termCollect {
-			td.accS += s
-			td.accR += rr
-			td.got++
-		} else {
-			td.pendingContrib[gen] = append(td.pendingContrib[gen], [2]uint64{s, rr})
-		}
-	case 1: // verdict
-		flag, err := r.Byte()
-		if err != nil {
-			panic("ygm: corrupt termination verdict")
-		}
-		td.pendingVerdict[gen] = flag == 1
-	default:
-		panic(fmt.Sprintf("ygm: unknown termination packet type %d", typ))
-	}
-	// Every field has been decoded into detector state; the pooled
-	// payload can go back to the transport pool.
-	td.p.Recycle(pkt)
-	return true
 }

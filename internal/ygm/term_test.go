@@ -2,99 +2,213 @@ package ygm
 
 import (
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"ygm/internal/codec"
 	"ygm/internal/machine"
 	"ygm/internal/netsim"
 	"ygm/internal/transport"
 )
 
-// TestTermPurgesStalePending is the regression test for the pending-map
-// leak: buffered contributions/verdicts whose generation is already
-// behind the detector can never be adopted (adoption matches td.gen
-// exactly and gen is monotonic), so startGeneration must drop them.
-// Future-generation entries must survive the purge.
-func TestTermPurgesStalePending(t *testing.T) {
-	_, err := transport.Run(transport.Config{
-		Topo:  machine.New(1, 1),
-		Model: netsim.Quartz(),
-		Seed:  1,
-	}, func(p *transport.Proc) error {
-		mb := New(p, func(s Sender, payload []byte) {},
-			WithExchange(LazyExchange)).(*Mailbox)
-		td := &mb.term
-		// Simulate buffered traffic: stale generations below td.gen, plus
-		// entries for the next two generations that must be preserved.
-		for g := uint64(0); g < td.gen; g++ {
-			td.pendingContrib[g] = [][2]uint64{{1, 1}}
-			td.pendingVerdict[g] = false
-		}
-		futureC := td.gen + 2
-		futureV := td.gen + 3
-		td.pendingContrib[futureC] = [][2]uint64{{2, 2}}
-		td.pendingVerdict[futureV] = true
+// termWires are the two in-process time bases the detector runs on: the
+// simulator, where arrival order is virtual, and the real-time local
+// wire, where it is whatever the host scheduler produced.
+var termWires = []struct {
+	name string
+	wire transport.Wire
+}{
+	{"sim", nil},
+	{"local", transport.LocalWire{}},
+}
 
-		td.startGeneration() // td.gen advances by one; stale gens purged
-
-		for g := range td.pendingContrib {
-			if g < td.gen {
-				return fmt.Errorf("stale contribution for gen %d survived purge (gen now %d)", g, td.gen)
+// TestTermEveryWorldSize: the butterfly has three kinds of rank — inside
+// the largest power of two, folded into it, and taking a fold — and
+// every world size from 1 to 17 mixes them differently. On each, under
+// both policies that use the detector and on both wires, every rank must
+// reach the verdicts having run the same number of generations, with
+// every message delivered before the first one.
+func TestTermEveryWorldSize(t *testing.T) {
+	for _, tw := range termWires {
+		for _, style := range []ExchangeStyle{LazyExchange, RoundExchange} {
+			for world := 1; world <= 17; world++ {
+				t.Run(fmt.Sprintf("%s/%v/%d", tw.name, style, world), func(t *testing.T) {
+					gens := make([]uint64, world)
+					var delivered atomic.Int64
+					_, err := transport.Run(transport.Config{
+						Topo:  machine.New(world, 1),
+						Model: netsim.Quartz(),
+						Seed:  int64(world),
+						Wire:  tw.wire,
+					}, func(p *transport.Proc) error {
+						mb := New(p, func(Sender, []byte) { delivered.Add(1) }, WithExchange(style))
+						me := int(p.Rank())
+						mb.Send(machine.Rank((me+1)%world), []byte("next"))
+						mb.Send(machine.Rank((me+world/2)%world), []byte("across"))
+						mb.WaitEmpty()
+						if n := delivered.Load(); n != int64(2*world) {
+							return fmt.Errorf("rank %d left WaitEmpty with %d of %d messages delivered", me, n, 2*world)
+						}
+						mb.WaitEmpty()
+						gens[me] = mb.Stats().Generations
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for r, g := range gens {
+						if g != gens[0] {
+							t.Fatalf("rank %d ran %d generations, rank 0 ran %d: %v", r, g, gens[0], gens)
+						}
+					}
+				})
 			}
 		}
-		for g := range td.pendingVerdict {
-			if g < td.gen {
-				return fmt.Errorf("stale verdict for gen %d survived purge (gen now %d)", g, td.gen)
-			}
-		}
-		if _, ok := td.pendingContrib[futureC]; !ok {
-			return fmt.Errorf("future contribution (gen %d) dropped by purge", futureC)
-		}
-		if v, ok := td.pendingVerdict[futureV]; !ok || !v {
-			return fmt.Errorf("future verdict (gen %d) dropped by purge", futureV)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestTermPendingBoundedAcrossCycles asserts the behavioural fix: over
-// many WaitEmpty cycles with real traffic, the pending maps stay
-// bounded on every rank instead of accumulating one dead entry set per
-// cycle.
-func TestTermPendingBoundedAcrossCycles(t *testing.T) {
-	const cycles = 50
-	topo := machine.New(2, 2)
-	sizes := make([]int, topo.WorldSize())
-	_, err := transport.Run(transport.Config{
-		Topo:  topo,
-		Model: netsim.Quartz(),
-		Seed:  3,
-	}, func(p *transport.Proc) error {
-		mb := New(p, func(s Sender, payload []byte) {},
-			WithScheme(machine.NLNR),
-			WithExchange(LazyExchange),
-			WithCapacity(8)).(*Mailbox)
-		peer := machine.Rank((int(p.Rank()) + 1) % topo.WorldSize())
-		for c := 0; c < cycles; c++ {
-			for i := 0; i < 16; i++ {
-				mb.Send(peer, []byte("payload"))
+// TestTermIdleIsOneGeneration pins the exact costs: a WaitEmpty with
+// nothing sent since the last quiet instant — the start of the program
+// included — is one generation, which in a 4-rank world is log2(4) = 2
+// packets from each rank; one that follows a send cannot conclude before
+// a second generation confirms the first.
+func TestTermIdleIsOneGeneration(t *testing.T) {
+	for _, tw := range termWires {
+		t.Run(tw.name, func(t *testing.T) {
+			_, err := transport.Run(transport.Config{
+				Topo:  machine.New(2, 2),
+				Model: netsim.Quartz(),
+				Seed:  5,
+				Wire:  tw.wire,
+			}, func(p *transport.Proc) error {
+				mb := New(p, func(Sender, []byte) {}, WithExchange(LazyExchange))
+				sent := func() uint64 { return p.Stats().LocalMsgs + p.Stats().RemoteMsgs }
+				for _, step := range []struct {
+					send     bool
+					min, max uint64 // generations this WaitEmpty may take
+				}{
+					{false, 1, 1}, // nothing ever sent
+					{true, 2, 1 << 20},
+					{false, 1, 1}, // nothing sent since the last verdict
+					{false, 1, 1},
+				} {
+					if step.send && p.Rank() == 0 {
+						mb.Send(3, []byte("x"))
+					}
+					g0, s0 := mb.Stats().Generations, sent()
+					mb.WaitEmpty()
+					if g := mb.Stats().Generations - g0; g < step.min || g > step.max {
+						return fmt.Errorf("rank %d: WaitEmpty (send=%v) took %d generations, want %d..%d",
+							p.Rank(), step.send, g, step.min, step.max)
+					}
+					if n := sent() - s0; !step.send && n != 2 {
+						return fmt.Errorf("rank %d: idle WaitEmpty sent %d packets, want 2 (8 in the world)", p.Rank(), n)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			mb.WaitEmpty()
-		}
-		sizes[p.Rank()] = len(mb.term.pendingContrib) + len(mb.term.pendingVerdict)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
-	// Without the purge, rank 0 (every parent, really) accretes buffered
-	// state across the 50 cycles; with it, at most a couple of entries
-	// for the generation in progress can remain.
-	for r, n := range sizes {
-		if n > 2 {
-			t.Fatalf("rank %d ends with %d pending entries after %d cycles, want <= 2", r, n, cycles)
-		}
+}
+
+// TestPhaseIsolation: WaitEmpty processes data while a detection
+// generation is in flight, and ranks leave a verdict at different host
+// instants, so a rank already in phase n+1 can have its data sitting in
+// the inbox of a rank still waiting for the phase-n verdict. Nothing may
+// deliver it there: every handler invocation must see a payload of the
+// receiver's own phase. The real-time wire is the one that produces the
+// interleaving; NLNR's three hops put forwarding intermediaries in the
+// window too, and the 6-rank world adds the fold ranks, the last to
+// learn a verdict.
+//
+// The guard is termDetector.hold. With it disabled —
+//
+//	func (td *termDetector) hold() bool { return false }
+//
+// — this test fails in its first cycles on every scheme ("phase 1
+// payload delivered to rank 0 in phase 0"), as does TestMailboxReuse
+// ("rank 1 after batch 0 has 2 deliveries").
+func TestPhaseIsolation(t *testing.T) {
+	const cycles = 300
+	for _, scheme := range machine.Schemes {
+		t.Run(scheme.String(), func(t *testing.T) {
+			_, err := transport.Run(transport.Config{
+				Topo: machine.New(3, 2),
+				Seed: 9,
+				Wire: transport.LocalWire{},
+			}, func(p *transport.Proc) error {
+				world := p.WorldSize()
+				me := int(p.Rank())
+				phase := uint64(0) // confined to this rank: handlers run on its goroutine
+				var bad error
+				mb := New(p, func(_ Sender, payload []byte) {
+					if got := decodeU64(payload); got != phase && bad == nil {
+						bad = fmt.Errorf("phase %d payload delivered to rank %d in phase %d", got, me, phase)
+					}
+				}, WithScheme(scheme), WithExchange(LazyExchange))
+				for ; phase < cycles; phase++ {
+					for _, d := range []int{1, 3, world - 1} {
+						mb.Send(machine.Rank((me+d)%world), encodeU64(phase))
+					}
+					mb.WaitEmpty()
+					if bad != nil {
+						return bad
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestTermRejectsImpossiblePackets: each (generation parity, slot) has
+// one sender and a partner runs at most one generation ahead, so a
+// packet of any other generation, a second packet for a filled slot, one
+// for a slot already consumed, or one for a slot the world does not have
+// is a protocol bug and must panic rather than be filed over live state.
+func TestTermRejectsImpossiblePackets(t *testing.T) {
+	// In a 1-rank world (no steps, slots 0 and 1) after one idle
+	// WaitEmpty the detector has finished generation 1.
+	for _, tc := range []struct {
+		name    string
+		packets [][2]uint64 // (slot, generation)
+		want    string
+	}{
+		{"stale generation", [][2]uint64{{1, 0}}, "stale, too early or duplicate"},
+		{"two generations ahead", [][2]uint64{{1, 3}}, "stale, too early or duplicate"},
+		{"duplicate slot", [][2]uint64{{1, 2}, {1, 2}}, "stale, too early or duplicate"},
+		{"slot already consumed", [][2]uint64{{0, 1}}, "stale, too early or duplicate"},
+		{"no such slot", [][2]uint64{{2, 2}}, "corrupt termination packet"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := transport.Run(transport.Config{
+				Topo:  machine.New(1, 1),
+				Model: netsim.Quartz(),
+				Seed:  1,
+			}, func(p *transport.Proc) error {
+				mb := New(p, func(Sender, []byte) {}, WithExchange(LazyExchange)).(*Mailbox)
+				mb.WaitEmpty()
+				for _, pk := range tc.packets {
+					w := codec.NewWriter(8)
+					w.Byte(byte(pk[0]))
+					w.Uvarint(pk[1])
+					w.Uvarint(0)
+					w.Uvarint(0)
+					p.Send(0, TagTerm, w.Bytes())
+				}
+				mb.term.file()
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want a panic mentioning %q, got %v", tc.want, err)
+			}
+		})
 	}
 }
