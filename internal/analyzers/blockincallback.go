@@ -30,12 +30,8 @@ var blockingFuncs = map[string]string{
 	"ygm/internal/collective.AllreduceU64":    "is a blocking collective",
 	"ygm/internal/collective.ReduceF64":       "is a blocking collective",
 	"ygm/internal/collective.AllreduceF64":    "is a blocking collective",
-	"ygm/internal/collective.Gatherv":         "is a blocking collective",
-	"ygm/internal/collective.Allgatherv":      "is a blocking collective",
-	"ygm/internal/collective.Scatterv":        "is a blocking collective",
 	"ygm/internal/collective.Alltoallv":       "is a blocking collective",
 	"ygm/internal/collective.AlltoallvPooled": "is a blocking collective",
-	"ygm/internal/collective.ExscanU64":       "is a blocking collective",
 }
 
 // trustedFrameworkPkgs are packages whose internals the walk does not

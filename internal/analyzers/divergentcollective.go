@@ -21,12 +21,8 @@ var collectiveFuncs = map[string]string{
 	"ygm/internal/collective.AllreduceU64":    "reduction",
 	"ygm/internal/collective.ReduceF64":       "reduction",
 	"ygm/internal/collective.AllreduceF64":    "reduction",
-	"ygm/internal/collective.Gatherv":         "gather collective",
-	"ygm/internal/collective.Allgatherv":      "gather collective",
-	"ygm/internal/collective.Scatterv":        "scatter collective",
 	"ygm/internal/collective.Alltoallv":       "all-to-all exchange",
 	"ygm/internal/collective.AlltoallvPooled": "all-to-all exchange",
-	"ygm/internal/collective.ExscanU64":       "prefix scan",
 }
 
 // rankSourceFuncs are the calls whose results differ across ranks:

@@ -152,49 +152,6 @@ func TestAllreduceF64(t *testing.T) {
 	})
 }
 
-func TestGathervAndAllgatherv(t *testing.T) {
-	runWorld(t, 2, 3, func(p *transport.Proc, c *Comm) error {
-		mine := []byte(fmt.Sprintf("rank-%d", c.Index()))
-		got := c.Gatherv(1, mine)
-		if c.Index() == 1 {
-			if len(got) != c.Size() {
-				return fmt.Errorf("gather len = %d", len(got))
-			}
-			for i, b := range got {
-				if string(b) != fmt.Sprintf("rank-%d", i) {
-					return fmt.Errorf("gather[%d] = %q", i, b)
-				}
-			}
-		} else if got != nil {
-			return fmt.Errorf("non-root gather = %v", got)
-		}
-		all := c.Allgatherv(mine)
-		for i, b := range all {
-			if string(b) != fmt.Sprintf("rank-%d", i) {
-				return fmt.Errorf("allgather[%d] = %q", i, b)
-			}
-		}
-		return nil
-	})
-}
-
-func TestScatterv(t *testing.T) {
-	runWorld(t, 2, 2, func(p *transport.Proc, c *Comm) error {
-		var in [][]byte
-		if c.Index() == 0 {
-			in = make([][]byte, c.Size())
-			for i := range in {
-				in[i] = []byte{byte(i * 10)}
-			}
-		}
-		got := c.Scatterv(0, in)
-		if len(got) != 1 || got[0] != byte(c.Index()*10) {
-			return fmt.Errorf("scatter piece = %v", got)
-		}
-		return nil
-	})
-}
-
 func TestAlltoallv(t *testing.T) {
 	runWorld(t, 2, 3, func(p *transport.Proc, c *Comm) error {
 		out := make([][]byte, c.Size())
@@ -206,18 +163,6 @@ func TestAlltoallv(t *testing.T) {
 			if want := fmt.Sprintf("%d->%d", i, c.Index()); string(b) != want {
 				return fmt.Errorf("alltoallv[%d] = %q, want %q", i, b, want)
 			}
-		}
-		return nil
-	})
-}
-
-func TestExscan(t *testing.T) {
-	runWorld(t, 2, 3, func(p *transport.Proc, c *Comm) error {
-		got := c.ExscanU64(uint64(c.Index()+1), 0, SumU64)
-		// exclusive prefix sum of 1,2,3,4,5,6
-		want := uint64(c.Index() * (c.Index() + 1) / 2)
-		if got != want {
-			return fmt.Errorf("exscan = %d, want %d", got, want)
 		}
 		return nil
 	})

@@ -1,9 +1,10 @@
 // Package collective implements synchronous MPI-style collective
 // operations on top of the transport layer: barrier, broadcast, reduce,
-// allreduce, gather, scatter, all-to-all and friends. YGM's termination
-// detection runs on these, and the CombBLAS-style baseline uses them for
-// its bulk-synchronous phases — exhibiting exactly the slowest-rank
-// coupling the paper's asynchronous mailbox avoids.
+// allreduce and all-to-all. The synchronous mailbox's exchanges and the
+// containers' global queries run on these, and the CombBLAS-style
+// baseline uses them for its bulk-synchronous phases — exhibiting
+// exactly the slowest-rank coupling the paper's asynchronous mailbox
+// avoids.
 //
 // Every operation is collective over a Comm: all member ranks must call
 // the same operations in the same order. Tags are derived from a hash of
@@ -119,7 +120,7 @@ func (c *Comm) nextOp() uint64 {
 //	bits  8..31  operation sequence, low 24 bits
 //	bit   32     TagCollective marker
 //	bits 33..40  operation sequence, high 8 bits
-//	bit   41     reply-stream discriminator (0 = collective op, 1 = ReplyTag)
+//	bit   41     unused (always clear)
 //	bits 42..62  member-list hash (21 bits)
 //	bit   63     clear (TagRound space)
 //
@@ -131,7 +132,6 @@ func (c *Comm) nextOp() uint64 {
 const (
 	tagHashBits  = 21
 	tagHashShift = 42
-	tagReplyBit  = transport.Tag(1) << 41
 	tagOpHiShift = 33
 )
 
@@ -148,22 +148,6 @@ func (c *Comm) tag(op uint64, round int) transport.Tag {
 		transport.Tag((c.hash&((1<<tagHashBits)-1))<<tagHashShift) |
 		foldOp(op) |
 		transport.Tag(round&0xff)
-}
-
-// ReplyTag carves a point-to-point tag out of this communicator's tag
-// space for request/reply traffic that is *not* a collective operation
-// (e.g. the container layer's AsyncVisitFetch responses). The reply
-// discriminator bit keeps every ReplyTag structurally disjoint from
-// every collective-op tag of every communicator, including ones with an
-// identical member list: op tags have bit 41 clear, reply tags have it
-// set, and the CommNonce folded into the hash separates same-membership
-// communicators from each other. stream distinguishes independent reply
-// channels on the same communicator (full 32-bit width, split like the
-// op sequence).
-func (c *Comm) ReplyTag(stream uint64) transport.Tag {
-	return transport.TagCollective | tagReplyBit |
-		transport.Tag((c.hash&((1<<tagHashBits)-1))<<tagHashShift) |
-		foldOp(stream)
 }
 
 // send transmits payload to the member at index idx.

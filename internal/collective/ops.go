@@ -208,101 +208,6 @@ func (c *Comm) AllreduceF64(vals []float64, op func(a, b float64) float64) []flo
 	return out
 }
 
-// Gatherv collects every member's payload at root along a binomial tree.
-// The root returns a slice indexed by member position; others return nil.
-func (c *Comm) Gatherv(root int, payload []byte) [][]byte {
-	opSeq := c.nextOp()
-	size := len(c.ranks)
-	c.checkRoot(root)
-	// held maps member index -> payload for the subtree gathered so far.
-	held := map[int][]byte{c.me: payload}
-	rel := (c.me - root + size) % size
-	round := 0
-	for mask := 1; mask < size; mask <<= 1 {
-		if rel&mask == 0 {
-			if rel|mask < size {
-				pkt := c.recv(c.tag(opSeq, round))
-				r := codec.NewReader(pkt.Payload)
-				n, err := r.Uvarint()
-				if err != nil {
-					panic(fmt.Sprintf("collective: gather decode: %v", err))
-				}
-				for i := uint64(0); i < n; i++ {
-					idx, err1 := r.Uvarint()
-					body, err2 := r.Bytes0()
-					if err1 != nil || err2 != nil {
-						panic("collective: gather decode")
-					}
-					held[int(idx)] = body
-				}
-			}
-		} else {
-			parent := (rel&^mask + root) % size
-			w := &codec.Writer{}
-			w.Uvarint(uint64(len(held)))
-			for idx, body := range held {
-				w.Uvarint(uint64(idx))
-				w.Bytes0(body)
-			}
-			c.send(parent, c.tag(opSeq, round), w.Bytes())
-			return nil
-		}
-		round++
-	}
-	out := make([][]byte, size)
-	for idx, body := range held {
-		out[idx] = body
-	}
-	return out
-}
-
-// Allgatherv gathers every payload to member 0 and broadcasts the set.
-func (c *Comm) Allgatherv(payload []byte) [][]byte {
-	gathered := c.Gatherv(0, payload)
-	var blob []byte
-	if c.me == 0 {
-		w := &codec.Writer{}
-		w.Uvarint(uint64(len(gathered)))
-		for _, b := range gathered {
-			w.Bytes0(b)
-		}
-		blob = w.Bytes()
-	}
-	blob = c.Bcast(0, blob)
-	r := codec.NewReader(blob)
-	n, err := r.Uvarint()
-	if err != nil {
-		panic(fmt.Sprintf("collective: allgather decode: %v", err))
-	}
-	out := make([][]byte, n)
-	for i := range out {
-		if out[i], err = r.Bytes0(); err != nil {
-			panic(fmt.Sprintf("collective: allgather decode: %v", err))
-		}
-	}
-	return out
-}
-
-// Scatterv sends payloads[i] from root to member i (flat fan-out) and
-// returns the caller's piece. Non-root callers pass nil.
-func (c *Comm) Scatterv(root int, payloads [][]byte) []byte {
-	opSeq := c.nextOp()
-	c.checkRoot(root)
-	if c.me == root {
-		if len(payloads) != len(c.ranks) {
-			panic(fmt.Sprintf("collective: scatter of %d payloads over %d members", len(payloads), len(c.ranks)))
-		}
-		for i := range c.ranks {
-			if i == root {
-				continue
-			}
-			c.send(i, c.tag(opSeq, 0), payloads[i])
-		}
-		return payloads[root]
-	}
-	return c.recv(c.tag(opSeq, 0)).Payload
-}
-
 // Alltoallv performs the synchronous all-to-all exchange MPI_ALLTOALLV
 // provides: member i's payloads[j] is delivered to member j. Every member
 // must participate; the return slice is indexed by source member. A rank
@@ -389,36 +294,6 @@ func (c *Comm) AlltoallvPooled(payloads [][]byte, scratch []*transport.Packet, s
 		}
 		c.p.Recycle(pkt)
 	}
-}
-
-// ExscanU64 returns the exclusive prefix reduction of val over member
-// order: member i receives op(val_0, ..., val_{i-1}), and member 0
-// receives identity (which the caller supplies).
-func (c *Comm) ExscanU64(val, identity uint64, op func(a, b uint64) uint64) uint64 {
-	w := &codec.Writer{}
-	w.Uvarint(val)
-	gathered := c.Gatherv(0, w.Bytes())
-	var payloads [][]byte
-	if c.me == 0 {
-		payloads = make([][]byte, len(c.ranks))
-		acc := identity
-		for i, blob := range gathered {
-			pw := &codec.Writer{}
-			pw.Uvarint(acc)
-			payloads[i] = pw.Bytes()
-			v, err := codec.NewReader(blob).Uvarint()
-			if err != nil {
-				panic(fmt.Sprintf("collective: exscan decode: %v", err))
-			}
-			acc = op(acc, v)
-		}
-	}
-	piece := c.Scatterv(0, payloads)
-	out, err := codec.NewReader(piece).Uvarint()
-	if err != nil {
-		panic(fmt.Sprintf("collective: exscan decode: %v", err))
-	}
-	return out
 }
 
 func (c *Comm) checkRoot(root int) {

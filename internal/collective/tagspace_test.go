@@ -37,8 +37,8 @@ func TestTagOpFieldFullWidth(t *testing.T) {
 }
 
 // TestTagMarkerBits pins the transport-facing invariants across the
-// whole reachable tag space: bit 32 set, bit 63 clear, and rounds of
-// the same op distinct.
+// whole reachable tag space: bit 32 set, bits 41 and 63 clear, and
+// rounds of the same op distinct.
 func TestTagMarkerBits(t *testing.T) {
 	c := &Comm{hash: ^uint64(0)} // worst case: every hash bit set
 	for _, op := range []uint64{0, 1, 0xffffff, 1 << 24, 0xffffffff} {
@@ -50,52 +50,19 @@ func TestTagMarkerBits(t *testing.T) {
 			if tag >= transport.TagRound {
 				t.Fatalf("tag(%#x,%d) = %#x strays into the TagRound space", op, round, tag)
 			}
+			if tag&(1<<41) != 0 {
+				t.Fatalf("tag(%#x,%d) = %#x sets the unused bit 41", op, round, tag)
+			}
 		}
 		if c.tag(op, 0) == c.tag(op, 1) {
 			t.Fatalf("rounds 0 and 1 of op %#x alias", op)
 		}
 	}
-	for _, stream := range []uint64{0, 1, 1 << 24, 0xffffffff} {
-		tag := c.ReplyTag(stream)
-		if tag&transport.TagCollective == 0 {
-			t.Fatalf("ReplyTag(%#x) = %#x lost the TagCollective marker", stream, tag)
-		}
-		if tag >= transport.TagRound {
-			t.Fatalf("ReplyTag(%#x) = %#x strays into the TagRound space", stream, tag)
-		}
-	}
 }
 
-// TestReplyTagDisjointFromOpTags pins the reply discriminator: no
-// ReplyTag of any communicator may equal a collective-op tag of any
-// communicator — even one with an identical member-list hash — because
-// bit 41 partitions the two streams structurally.
-func TestReplyTagDisjointFromOpTags(t *testing.T) {
-	a := &Comm{hash: 0x123456789abc}
-	b := &Comm{hash: 0x123456789abc} // identical hash: the adversarial case
-	for _, stream := range []uint64{0, 1, 1 << 24, 0xffffffff} {
-		reply := a.ReplyTag(stream)
-		if reply&tagReplyBit == 0 {
-			t.Fatalf("ReplyTag(%#x) = %#x lacks the reply discriminator bit", stream, reply)
-		}
-		for _, op := range []uint64{0, 1, stream, stream + 1, 0xffffffff} {
-			for _, round := range []int{0, 1, 0xff} {
-				if opTag := b.tag(op, round); opTag == reply {
-					t.Fatalf("ReplyTag(%#x) collides with tag(%#x,%d) = %#x",
-						stream, op, round, opTag)
-				}
-			}
-		}
-	}
-	if a.ReplyTag(1) == a.ReplyTag(2) {
-		t.Fatal("distinct reply streams alias")
-	}
-}
-
-// TestIdenticalMembershipCommsDisjoint is the PR 2 CommNonce bug class
-// extended to the reply stream: two communicators built over the same
-// member list must disagree on every op tag and every reply tag,
-// because the construction nonce feeds the hash field.
+// TestIdenticalMembershipCommsDisjoint is the CommNonce bug class: two
+// communicators built over the same member list must disagree on every
+// op tag, because the construction nonce feeds the hash field.
 func TestIdenticalMembershipCommsDisjoint(t *testing.T) {
 	_, err := transport.Run(transport.Config{
 		Topo:  machine.New(1, 2),
@@ -111,9 +78,6 @@ func TestIdenticalMembershipCommsDisjoint(t *testing.T) {
 			if c1.tag(op, 0) == c2.tag(op, 0) {
 				return fmt.Errorf("identical-membership communicators share op tag for op %d", op)
 			}
-		}
-		if c1.ReplyTag(0) == c2.ReplyTag(0) {
-			return fmt.Errorf("identical-membership communicators share reply tag")
 		}
 		return nil
 	})

@@ -15,8 +15,8 @@ import (
 
 // Tests for Counter's owner-local apply and sender-side combining: the
 // table's collision, eviction and re-entrancy paths against a sequential
-// model, the visibility rule, the Barrier agreement term, the hit-rate
-// bypass, and the add counters.
+// model, the visibility rule, handler-issued adds bypassing the table,
+// the hit-rate bypass, and the add counters.
 
 // longKey does not fit a combiner slot's inline key.
 var longKey = []byte("a-key-longer-than-the-inline-width")
@@ -104,20 +104,17 @@ func sweepModel(seed int64, world int) map[string]uint64 {
 // seeded scripts of adds, visits whose handlers add, and fetches whose
 // callbacks add. Every fetch must read at least what its own rank had
 // contributed to the key when it was issued, and the final table must
-// equal the sequential model's.
+// equal the sequential model's. Each Barrier must leave the combiner
+// empty, and the add counters must account for every add issued,
+// handlers' and callbacks' included.
 func TestCombinerTinyTableMatchesModel(t *testing.T) {
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			// On the lazy mailbox a capacity of 4 makes nearly every Send
-			// poll and dispatch handlers into the table mid-operation. The
-			// matched variants need room for what one reply pump's
-			// callbacks send: an exchange started between WaitEmpty and
-			// Barrier's allreduce would wait for ranks that are not coming.
-			capacity := 4
-			if v.name != "lazy" {
-				capacity = 64
-			}
+			// A capacity of 4 makes nearly every Send start an exchange and
+			// dispatch handlers, and their visits and fetches detach slots,
+			// mid-operation.
+			const capacity = 4
 			for seed := int64(1); seed <= 6; seed++ {
 				seed := seed
 				model := sweepModel(seed, 4)
@@ -127,8 +124,10 @@ func TestCombinerTinyTableMatchesModel(t *testing.T) {
 					c := NewCounter(e, nil)
 					me := p.Rank()
 					mine := make(map[string]uint64) // what this rank has contributed, by key
+					adds := uint64(0)
 					add := func(k []byte, delta uint64) {
 						mine[string(k)] += delta
+						adds++
 						c.AsyncAdd(k, delta)
 					}
 					visit := c.RegisterVisitor(func(c *Counter, k, arg []byte) {
@@ -166,13 +165,22 @@ func TestCombinerTinyTableMatchesModel(t *testing.T) {
 							}
 						}
 						e.Barrier()
+						if c.comb.live != 0 {
+							return fmt.Errorf("rank %d, seed %d: %d contributions still in the table after Barrier", me, seed, c.comb.live)
+						}
 					}
 					if len(stale) > 0 {
 						return fmt.Errorf("rank %d, seed %d: %s", me, seed, strings.Join(stale, "; "))
 					}
-					if e.cAddShipped.Value() == 0 || e.cAddCombined.Value() == 0 {
-						return fmt.Errorf("rank %d, seed %d: %d shipped, %d combined: the sweep did not exercise the table",
-							me, seed, e.cAddShipped.Value(), e.cAddCombined.Value())
+					local, combined := e.cAddLocal.Value(), e.cAddCombined.Value()
+					shipped, bypassed := e.cAddShipped.Value(), e.cAddBypassed.Value()
+					if shipped == 0 || combined == 0 || bypassed == 0 {
+						return fmt.Errorf("rank %d, seed %d: %d shipped, %d combined, %d bypassed: the sweep did not exercise the table and its bypass",
+							me, seed, shipped, combined, bypassed)
+					}
+					if got := local + combined + shipped + bypassed; got != adds {
+						return fmt.Errorf("rank %d, seed %d: local %d + combined %d + shipped %d + bypassed %d = %d, want the %d adds issued",
+							me, seed, local, combined, shipped, bypassed, got, adds)
 					}
 					var bad []string
 					c.ForAll(func(k string, n uint64) {
@@ -193,11 +201,11 @@ func TestCombinerTinyTableMatchesModel(t *testing.T) {
 	}
 }
 
-// TestBarrierShipsAddFromItsLastWaitEmpty pins the combiner term of the
-// Barrier agreement. Rank 0 visits a key on rank 1 whose handler adds to
-// a key on rank 2: that add is issued inside Barrier's WaitEmpty, when
-// every flush before the loop is long done, and must still be on rank 2
-// when Barrier returns — read without any further synchronization.
+// TestBarrierShipsAddFromItsLastWaitEmpty: adds issued inside Barrier's
+// WaitEmpty — by a visitor on rank 1 and by a fetch callback on rank 0,
+// both aimed at a key on rank 2 — never enter a combiner table. They ship
+// at once, so both are on rank 2 when Barrier returns, read without any
+// further synchronization, and no rank ever allocated a table.
 func TestBarrierShipsAddFromItsLastWaitEmpty(t *testing.T) {
 	for _, v := range variants {
 		v := v
@@ -206,14 +214,23 @@ func TestBarrierShipsAddFromItsLastWaitEmpty(t *testing.T) {
 				e := NewEngine(p, v.opt, ygm.WithScheme(machine.NoRoute), ygm.WithCapacity(64))
 				c := NewCounter(e, nil)
 				relay := c.RegisterVisitor(func(c *Counter, k, arg []byte) { c.AsyncAdd(arg, 7) })
+				get := c.RegisterFetcher(func(*Counter, []byte, []byte, *codec.Writer) {})
 				via, target := remoteKeys(c, 1, 1)[0], remoteKeys(c, 2, 1)[0]
 				if p.Rank() == 0 {
 					c.AsyncVisit(relay, via, target)
+					c.AsyncVisitFetch(get, via, nil, func([]byte) { c.AsyncAdd(target, 5) })
 				}
 				e.Barrier()
+				if c.comb.slots != nil {
+					return fmt.Errorf("rank %d: a handler- or callback-issued add allocated the combiner table", p.Rank())
+				}
+				want := map[machine.Rank]uint64{0: 1, 1: 1}[p.Rank()]
+				if got := e.cAddBypassed.Value(); got != want {
+					return fmt.Errorf("rank %d: %d adds bypassed the table, want %d", p.Rank(), got, want)
+				}
 				if p.Rank() == 2 {
-					if got := c.LocalCount(target); got != 7 {
-						return fmt.Errorf("handler-issued add read %d on its owner after Barrier, want 7", got)
+					if got := c.LocalCount(target); got != 12 {
+						return fmt.Errorf("handler- and callback-issued adds read %d on their owner after Barrier, want 12", got)
 					}
 				}
 				return nil

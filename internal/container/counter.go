@@ -103,7 +103,9 @@ func (c *Counter) Owner(key []byte) machine.Rank { return c.part.Owner(key, c.wo
 // key is updated in place. A remote key's contribution is merged with
 // this rank's earlier pending contributions to the same key and shipped
 // as one record when its table slot is needed by another key, when this
-// rank visits or fetches the key, or at the next Barrier.
+// rank visits or fetches the key, or at the next Barrier. An add issued
+// from a handler or fetch callback ships at once: those run inside
+// Barrier's WaitEmpty, after its flush.
 //
 // Visibility: the contribution has reached the owner by the time the
 // next Engine.Barrier returns, and before any AsyncVisit or
@@ -126,12 +128,13 @@ func (c *Counter) AsyncAdd(key []byte, delta uint64) {
 func (c *Counter) AsyncIncr(key []byte) { c.AsyncAdd(key, 1) }
 
 // combine merges a remote contribution into the combiner, or ships it
-// directly when the key is too long for a slot or the bypass is on.
+// directly when the key is too long for a slot, the bypass is on, or a
+// handler issued it.
 //
 //ygm:hotpath
 func (c *Counter) combine(owner machine.Rank, key []byte, delta uint64) {
 	cb := &c.comb
-	if cb.bypass > 0 || len(key) > combinerKeyMax {
+	if cb.bypass > 0 || len(key) > combinerKeyMax || c.e.rDepth > 0 {
 		if cb.bypass > 0 {
 			cb.bypass--
 		}
@@ -150,8 +153,8 @@ func (c *Counter) combine(owner machine.Rank, key []byte, delta uint64) {
 		return
 	}
 	cb.sample(0)
-	// Take the slot before shipping what it held: Send polls, and the
-	// handlers it dispatches may add to this very slot.
+	// Take the slot before shipping what it held: Send polls, and a
+	// handler it dispatches may visit or fetch this key and detach it.
 	old := *s
 	s.count, s.owner, s.used, s.n = delta, owner, true, uint8(len(key))
 	copy(s.key[:], key)
@@ -279,9 +282,9 @@ func (c *Counter) leadPending(key []byte) *codec.Writer {
 	return w
 }
 
-// flushPending ships every pending contribution. Each slot is detached
-// before its Send; what re-entrant handlers add behind the sweep stays
-// pending, and Barrier's agreement sees it.
+// flushPending ships every pending contribution, leaving the table
+// empty: each slot is detached before its Send, and the handlers that
+// Send may run only ever detach slots.
 func (c *Counter) flushPending() {
 	cb := &c.comb
 	for i := 0; i < len(cb.slots) && cb.live > 0; i++ {
@@ -314,8 +317,11 @@ func (c *Counter) AsyncVisit(vid uint64, key, arg []byte) {
 }
 
 // AsyncVisitFetch runs fetcher vid on key's owner and routes the reply
-// back to cb (Map.AsyncVisitFetch contract, read-your-writes included:
-// the fetcher sees this rank's earlier contributions to key).
+// back to cb. The Map.AsyncVisitFetch contract holds: cb runs in handler
+// context, before AsyncVisitFetch returns for a self-owned key and by
+// the end of the next Barrier in any case, and must neither retain reply
+// nor call Barrier. Read-your-writes includes the combiner: the fetcher
+// sees this rank's earlier contributions to key.
 func (c *Counter) AsyncVisitFetch(vid uint64, key, arg []byte, cb func(reply []byte)) {
 	c.e.shipFetch(c.leadPending(key), c.Owner(key), c.cid, vid, key, arg, cb)
 }

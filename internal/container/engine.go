@@ -5,19 +5,17 @@
 // on exactly one owning rank (chosen by a pluggable Partitioner) and
 // every mutation is shipped there as a fire-and-forget mailbox message.
 // Quiescence — "all issued operations have been applied" — is the
-// mailbox's own termination-detected WaitEmpty, extended by the engine
-// to cover the reply stream of AsyncVisitFetch.
+// mailbox's own termination-detected WaitEmpty and nothing more.
 //
 // The package is a thin veneer: it adds no communication path of its
-// own. Container traffic is ordinary coalesced mailbox traffic (the
-// zero-alloc exchange hot path), and fetch replies ride a point-to-point
-// transport tag carved from the collective tag space, so the PR 7
-// synchronizability oracle and the delivery oracle judge container
-// workloads exactly as they judge raw mailbox workloads. What it does
-// add is a decision about what needs the path at all: a Counter applies
-// self-owned adds in place and merges remote ones per key on the sender
-// (see combiner), so the mailbox carries a record per distinct key per
-// flush instead of one per AsyncAdd.
+// own. Every container interaction, fetch replies included, is a record
+// of ordinary coalesced mailbox traffic (the zero-alloc exchange hot
+// path), so the synchronizability oracle and the delivery oracle judge
+// container workloads exactly as they judge raw mailbox workloads. What
+// it does add is a decision about what needs the path at all: a Counter
+// applies self-owned adds in place and merges remote ones per key on the
+// sender (see combiner), so the mailbox carries a record per distinct
+// key per flush instead of one per AsyncAdd.
 package container
 
 import (
@@ -41,6 +39,7 @@ const (
 	opAdd                    // delta, key (counter accumulation)
 	opVisit                  // visitor id, key, arg
 	opFetch                  // visitor id, fetch id, caller, key, arg
+	opReply                  // fetch id, reply (cid of the fetching container)
 )
 
 // instance is the owner-side face of one container: the engine decodes
@@ -64,10 +63,9 @@ type instance interface {
 // An Engine (like the mailbox under it) is confined to its rank's
 // goroutine.
 type Engine struct {
-	mb       ygm.Box
-	p        *transport.Proc
-	comm     *collective.Comm
-	replyTag transport.Tag
+	mb   ygm.Box
+	p    *transport.Proc
+	comm *collective.Comm
 
 	conts []instance
 
@@ -91,17 +89,17 @@ type Engine struct {
 	// call, so encode/decode scratch must nest: each logical operation
 	// pushes a slot, and anything it triggers uses deeper slots. Slots
 	// are allocated once and reused, keeping the steady state clean.
+	// Only handle pushes a reader, so rDepth > 0 exactly while a handler
+	// or fetch callback runs.
 	writers []*codec.Writer
 	wDepth  int
 	readers []*codec.Reader
 	rDepth  int
 
-	// Fetch plumbing: callbacks for replies this rank is waiting on,
-	// keyed by a locally unique fetch id. outstanding counts issued
-	// fetches whose callback has not run yet.
-	fetches     map[uint64]func(reply []byte)
-	nextFetch   uint64
-	outstanding uint64
+	// fetches holds the callbacks of this rank's fetches whose reply has
+	// not arrived, keyed by a locally unique fetch id.
+	fetches   map[uint64]func(reply []byte)
+	nextFetch uint64
 }
 
 // NewEngine builds the container engine for this rank. Collective: every
@@ -121,7 +119,6 @@ func NewEngine(p *transport.Proc, opts ...ygm.Option) *Engine {
 	e.cAddCombined = m.Counter("container.add.combined")
 	e.cAddShipped = m.Counter("container.add.shipped")
 	e.cAddBypassed = m.Counter("container.add.bypassed")
-	e.replyTag = e.comm.ReplyTag(0)
 	e.mb = ygm.New(p, e.handle, opts...)
 	return e
 }
@@ -171,14 +168,15 @@ func (e *Engine) popReader() {
 }
 
 // handle is the engine's mailbox handler: decode each frame of the
-// record in turn and run its operation on the owning container. A
-// frame's fields are decoded (as views into the payload, which stays
-// valid for the whole handler) before its visitor runs; the reader slot
-// stays pushed across the visitor, so the chained operations a visitor
-// issues — and any handler they deliver to synchronously — decode in
-// deeper slots and the loop resumes where it left off. The record ends
-// exactly where its last frame does: trailing or truncated bytes fail a
-// field decode and panic as a corrupt frame.
+// record in turn and run its operation on the owning container, or, for
+// a fetch reply, the callback waiting for it. A frame's fields are
+// decoded (as views into the payload, which stays valid for the whole
+// handler) before its visitor or callback runs; the reader slot stays
+// pushed across the call, so the chained operations it issues — and any
+// handler they deliver to synchronously — decode in deeper slots and the
+// loop resumes where it left off. The record ends exactly where its last
+// frame does: trailing or truncated bytes fail a field decode and panic
+// as a corrupt frame.
 //
 //ygm:hotpath
 func (e *Engine) handle(s ygm.Sender, payload []byte) {
@@ -211,11 +209,24 @@ func (e *Engine) handle(s ygm.Sender, payload []byte) {
 			caller := machine.Rank(e.mustUvarint(r))
 			key := e.mustBytes(r)
 			arg := e.mustBytes(r)
+			reply := e.pushWriter()
+			c.runFetch(vid, key, arg, reply)
 			w := e.pushWriter()
+			w.Uvarint(cid)
+			w.Byte(opReply)
 			w.Uvarint(fid)
-			c.runFetch(vid, key, arg, w)
-			e.sendReply(caller, w)
+			w.Bytes0(reply.Bytes())
+			e.ship(caller, w)
 			e.popWriter()
+		case opReply:
+			fid := e.mustUvarint(r)
+			reply := e.mustBytes(r)
+			cb, ok := e.fetches[fid]
+			if !ok {
+				panic(fmt.Sprintf("container: rank %d: reply for unknown fetch %d", e.p.Rank(), fid))
+			}
+			delete(e.fetches, fid)
+			cb(reply)
 		default:
 			panic(fmt.Sprintf("container: rank %d: unknown opcode %d", e.p.Rank(), op))
 		}
@@ -226,70 +237,27 @@ func (e *Engine) handle(s ygm.Sender, payload []byte) {
 	e.popReader()
 }
 
-// sendReply routes one encoded fetch reply back to the caller on the
-// engine's reply tag. The payload travels in a pooled buffer so the
-// steady-state reply cycle stays allocation-free (term.go discipline:
-// encode into scratch, copy into an acquired buffer, SendPooled).
-func (e *Engine) sendReply(caller machine.Rank, w *codec.Writer) {
-	buf := e.p.AcquireBuf(w.Len())
-	copy(buf, w.Bytes())
-	e.p.SendPooled(caller, e.replyTag, buf)
-}
-
-// pumpReplies drains every fetch reply that has arrived and runs its
-// callback. Callbacks may issue new container operations (including new
-// fetches). Returns the number of callbacks fired.
-func (e *Engine) pumpReplies() uint64 {
-	var fired uint64
-	for {
-		pkt := e.p.Drain(e.replyTag)
-		if pkt == nil {
-			return fired
-		}
-		r := e.pushReader(pkt.Payload)
-		fid := e.mustUvarint(r)
-		reply := remaining(r, pkt.Payload)
-		e.popReader()
-		cb, ok := e.fetches[fid]
-		if !ok {
-			panic(fmt.Sprintf("container: rank %d: reply for unknown fetch %d", e.p.Rank(), fid))
-		}
-		delete(e.fetches, fid)
-		e.outstanding--
-		fired++
-		// The callback sees the payload in place; it must not retain the
-		// slice (the packet is recycled as soon as the callback returns).
-		cb(reply)
-		e.p.Recycle(pkt)
-	}
-}
-
 // Barrier blocks until every container operation issued by any rank —
-// including contributions still held in a Counter's combiner, fetch
-// replies in flight, and anything their callbacks spawn — has been
+// including contributions still held in a Counter's combiner, fetches,
+// their replies and callbacks, and anything those issue — has been
 // applied. Collective over all ranks. This is the visibility rule for
 // Counter.AsyncAdd: a contribution has reached its owner by the time the
 // next Barrier returns (Size, TopK and ForAll start with one).
 //
-// Each turn of the loop ships what the combiners hold, runs the mailbox's
-// termination-detected WaitEmpty and pumps replies, then agrees
-// globally: only when no rank has outstanding fetches, no rank fired a
-// callback since its last WaitEmpty and no rank's combiners hold
-// anything can no further work appear anywhere. The combiner term is
-// needed because handlers and fetch callbacks issue AsyncAdd while
-// WaitEmpty and the pump run; the flush sits ahead of WaitEmpty, not
-// ahead of the allreduce, because a flush that fills the round mailbox
-// starts an exchange round, and ranks already waiting in the allreduce
-// would never join it.
+// It ships what application code left in the combiners, then runs one
+// WaitEmpty. That covers the rest: fetch replies are mailbox records,
+// and handlers and callbacks never write a combiner (their adds ship
+// directly), so global mailbox quiescence is container quiescence. It
+// waits for other ranks, so calling it from a handler or fetch callback
+// panics instead of deadlocking the world.
 func (e *Engine) Barrier() {
-	for {
-		e.flushCombiners()
-		e.mb.WaitEmpty()
-		fired := e.pumpReplies()
-		pend := [1]uint64{e.outstanding + fired + e.pendingCombined()}
-		if e.comm.AllreduceU64(pend[:], collective.SumU64)[0] == 0 {
-			return
-		}
+	if e.rDepth > 0 {
+		panic(fmt.Sprintf("container: rank %d: Barrier called from inside a container handler or fetch callback", e.p.Rank()))
+	}
+	e.flushCombiners()
+	e.mb.WaitEmpty()
+	if n := e.pendingCombined(); n != 0 || len(e.fetches) != 0 {
+		panic(fmt.Sprintf("container: rank %d: %d combined contributions and %d fetches pending at quiescence", e.p.Rank(), n, len(e.fetches)))
 	}
 }
 
@@ -328,7 +296,6 @@ func (e *Engine) shipFetch(w *codec.Writer, owner machine.Rank, cid, vid uint64,
 	fid := e.nextFetch
 	e.nextFetch++
 	e.fetches[fid] = cb
-	e.outstanding++
 	w.Uvarint(cid)
 	w.Byte(opFetch)
 	w.Uvarint(vid)
@@ -337,11 +304,6 @@ func (e *Engine) shipFetch(w *codec.Writer, owner machine.Rank, cid, vid uint64,
 	w.Bytes0(key)
 	w.Bytes0(arg)
 	e.ship(owner, w)
-}
-
-// remaining returns the undecoded tail of r's payload as a view.
-func remaining(r *codec.Reader, payload []byte) []byte {
-	return payload[r.Offset():]
 }
 
 // Decode helpers: corrupt container frames are programming errors (the

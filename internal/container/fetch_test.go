@@ -2,10 +2,13 @@ package container
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"ygm/internal/codec"
 	"ygm/internal/machine"
+	"ygm/internal/netsim"
 	"ygm/internal/transport"
 	"ygm/internal/ygm"
 )
@@ -74,9 +77,10 @@ func TestAsyncVisitFetchReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestFetchCallbackChainsFetch pins the Barrier reply-pump loop: a
-// callback that issues a further fetch (and a further insert) must have
-// its chained work completed within the same Barrier.
+// TestFetchCallbackChainsFetch: a callback that issues a further fetch
+// (and a further add) must have its chained work completed within the
+// same Barrier, whose one WaitEmpty sees the chained records like any
+// other mailbox traffic.
 func TestFetchCallbackChainsFetch(t *testing.T) {
 	for _, v := range variants {
 		v := v
@@ -158,5 +162,94 @@ func TestFetchVisitorSpawnsAsyncOps(t *testing.T) {
 				return nil
 			})
 		})
+	}
+}
+
+// TestFetchCallbackFillsMailbox: a fetch callback that queues more
+// records than the mailbox holds. The callback runs inside Barrier's
+// WaitEmpty, so an exchange its inserts start on the round and sync
+// mailboxes is one every other rank is already running.
+func TestFetchCallbackFillsMailbox(t *testing.T) {
+	for _, v := range variants {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
+			const inserts = 16
+			runWorld(t, 2, 2, 24, func(p *transport.Proc) error {
+				e := NewEngine(p, v.opt, ygm.WithScheme(machine.NoRoute), ygm.WithCapacity(4))
+				m := NewMap(e, nil)
+				get := m.RegisterFetcher(func(*Map, []byte, []byte, *codec.Writer) {})
+				if p.Rank() == 0 {
+					var target []byte
+					var keys [][]byte
+					for i := 0; target == nil || len(keys) < inserts; i++ {
+						switch k := key(i); {
+						case m.Owner(k) == 0:
+						case target == nil:
+							target = k
+						default:
+							keys = append(keys, k)
+						}
+					}
+					m.AsyncVisitFetch(get, target, nil, func([]byte) {
+						for _, k := range keys {
+							m.AsyncInsert(k, nil)
+						}
+					})
+				}
+				if got := m.Size(); got != inserts {
+					return fmt.Errorf("rank %d: size = %d, want the %d keys the callback inserted", p.Rank(), got, inserts)
+				}
+				return nil
+			})
+		})
+	}
+}
+
+// TestBarrierInsideHandlerPanics: Barrier, and every query that starts
+// with one, waits for the other ranks, so called from a handler or a
+// fetch callback it would deadlock the world. It panics instead, and
+// transport.Run reports the panic as the rank's error.
+func TestBarrierInsideHandlerPanics(t *testing.T) {
+	const want = "container: rank 0: Barrier called from inside a container handler or fetch callback"
+	queries := []struct {
+		name string
+		call func(c *Counter)
+	}{
+		{"Barrier", func(c *Counter) { c.e.Barrier() }},
+		{"Size", func(c *Counter) { c.Size() }},
+		{"TopK", func(c *Counter) { c.TopK(1) }},
+		{"ForAll", func(c *Counter) { c.ForAll(func(string, uint64) {}) }},
+	}
+	for _, q := range queries {
+		for _, site := range []string{"callback", "visitor"} {
+			q, site := q, site
+			t.Run(site+"/"+q.name, func(t *testing.T) {
+				_, err := transport.Run(transport.Config{
+					Topo:             machine.New(1, 2),
+					Model:            netsim.Quartz(),
+					Seed:             25,
+					WatchdogInterval: 20 * time.Millisecond,
+				}, func(p *transport.Proc) error {
+					e := NewEngine(p, ygm.WithExchange(ygm.LazyExchange), ygm.WithScheme(machine.NoRoute))
+					c := NewCounter(e, nil)
+					get := c.RegisterFetcher(func(*Counter, []byte, []byte, *codec.Writer) {})
+					visit := c.RegisterVisitor(func(c *Counter, _, _ []byte) { q.call(c) })
+					// Rank 0 reaches the query in a callback inside its own
+					// Barrier, or in a visitor it runs inside AsyncVisit.
+					switch {
+					case p.Rank() != 0:
+					case site == "callback":
+						c.AsyncVisitFetch(get, remoteKeys(c, 1, 1)[0], nil, func([]byte) { q.call(c) })
+					default:
+						c.AsyncVisit(visit, remoteKeys(c, 0, 1)[0], nil)
+					}
+					e.Barrier()
+					return nil
+				})
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("Run error = %v, want the panic %q", err, want)
+				}
+			})
+		}
 	}
 }

@@ -13,11 +13,12 @@ import (
 // operation encoded the way the async ops encode it must decode — with
 // the exact helper sequence handle uses, frame after frame until the
 // record is exhausted — back to the same fields, with nothing left over.
-// The opcode selector maps the fuzzer's byte onto the five real opcodes
-// plus the two fused records Counter builds (a pending add leading a
-// visit or a fetch of the same key), so every arm stays covered no
-// matter what bytes the fuzzer mutates toward. A record cut short or
-// followed by a stray byte must fail to decode, not decode to less.
+// The opcode selector maps the fuzzer's byte onto the six real opcodes
+// (fetch replies included: they are records like any other) plus the two
+// fused records Counter builds (a pending add leading a visit or a fetch
+// of the same key), so every arm stays covered no matter what bytes the
+// fuzzer mutates toward. A record cut short or followed by a stray byte
+// must fail to decode, not decode to less.
 func FuzzContainerCodecRoundTrip(f *testing.F) {
 	f.Add(uint64(0), byte(0), []byte("key"), []byte("value"), uint64(1), uint64(0))
 	f.Add(uint64(1), byte(1), []byte(""), []byte(""), uint64(0), uint64(0))
@@ -26,15 +27,18 @@ func FuzzContainerCodecRoundTrip(f *testing.F) {
 	f.Add(uint64(1<<50), byte(4), []byte{0xff}, bytes.Repeat([]byte{0}, 64), uint64(7), uint64(1<<33))
 	f.Add(uint64(3), byte(5), []byte("w42"), []byte("arg"), uint64(2), uint64(17))
 	f.Add(uint64(1), byte(6), []byte("c02"), []byte(""), uint64(0), uint64(1<<20))
+	f.Add(uint64(2), byte(7), []byte(""), []byte("reply"), uint64(0), uint64(41))
 	f.Fuzz(func(t *testing.T, cid uint64, opSel byte, key, val []byte, a, b uint64) {
 		// The frames of the record: one opcode, or a fused pair whose
 		// leading add carries b as its delta.
 		var ops []byte
-		switch sel := opSel % 7; sel {
+		switch sel := opSel % 8; sel {
 		case 5:
 			ops = []byte{opAdd, opVisit}
 		case 6:
 			ops = []byte{opAdd, opFetch}
+		case 7:
+			ops = []byte{opReply}
 		default:
 			ops = []byte{opInsert + sel}
 		}
@@ -67,6 +71,9 @@ func FuzzContainerCodecRoundTrip(f *testing.F) {
 				w.Uvarint(uint64(machine.Rank(b % 1024)))
 				w.Bytes0(key)
 				w.Bytes0(val) // arg
+			case opReply:
+				w.Uvarint(b)  // fid
+				w.Bytes0(val) // reply
 			}
 		}
 		record := w.Bytes()
@@ -132,6 +139,11 @@ func FuzzContainerCodecRoundTrip(f *testing.F) {
 				}
 				check("key", mustB(), key)
 				check("arg", mustB(), val)
+			case opReply:
+				if got := mustU(); got != b {
+					t.Fatalf("fid %d, want %d", got, b)
+				}
+				check("reply", mustB(), val)
 			}
 			// handle's loop condition: another frame follows exactly when
 			// bytes remain.
@@ -152,23 +164,6 @@ func FuzzContainerCodecRoundTrip(f *testing.F) {
 		}
 		if n, err := walkRecord(record); err != nil || n != len(ops) {
 			t.Fatalf("record %x walked as %d frames (err %v), want %d", record, n, err, len(ops))
-		}
-
-		// Fetch replies are the one frame decoded outside handle: the fid
-		// header plus an opaque tail read as a raw remainder view.
-		rw := codec.NewWriter(16)
-		rw.Uvarint(b)
-		rw.Bytes0(val)
-		reply := rw.Bytes()
-		rr := codec.NewReader(reply)
-		fid, err := rr.Uvarint()
-		if err != nil || fid != b {
-			t.Fatalf("reply fid %d (err %v), want %d", fid, err, b)
-		}
-		tailw := codec.NewWriter(16)
-		tailw.Bytes0(val)
-		if !bytes.Equal(reply[rr.Offset():], tailw.Bytes()) {
-			t.Fatalf("reply tail %x, want %x", reply[rr.Offset():], tailw.Bytes())
 		}
 	})
 }
@@ -211,6 +206,9 @@ func walkRecord(buf []byte) (frames int, err error) {
 		case opFetch:
 			uvarints(3)
 			byteStrings(2)
+		case opReply:
+			uvarints(1)
+			byteStrings(1)
 		default:
 			err = fmt.Errorf("unknown opcode %d", op)
 		}

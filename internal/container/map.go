@@ -57,8 +57,8 @@ func (m *Map) Owner(key []byte) machine.Rank { return m.part.Owner(key, m.world)
 // order, because the id — not the function — travels with AsyncVisit.
 // The visitor runs on the owning rank with views of the key and argument
 // bytes (valid only for the call) and may issue further async container
-// operations, but must not call Barrier/Size/ForAll (collectives cannot
-// run inside a handler).
+// operations, but must not call Barrier, Size or ForAll (they panic
+// there: a collective cannot run inside a handler).
 func (m *Map) RegisterVisitor(fn func(m *Map, key, arg []byte)) uint64 {
 	m.visitors = append(m.visitors, fn)
 	return uint64(len(m.visitors) - 1)
@@ -94,8 +94,13 @@ func (m *Map) AsyncVisit(vid uint64, key, arg []byte) {
 }
 
 // AsyncVisitFetch runs fetcher vid on key's owner and routes its reply
-// to cb on this rank. cb runs during a later Engine.Barrier (or by the
-// end of the one in flight) and receives a view it must not retain.
+// to cb on this rank. The reply is a mailbox record like any other, so:
+//   - cb runs in handler context, with a handler's rights and limits;
+//   - for a self-owned key it runs before AsyncVisitFetch returns;
+//   - it always runs by the end of the next Engine.Barrier;
+//   - it must not retain reply (a view into a pooled delivery buffer)
+//     or call Barrier, which panics there.
+//
 // Read-your-writes: operations this rank issued on key before the fetch
 // are applied before the fetcher runs, because both ride the same
 // mailbox channel in order.

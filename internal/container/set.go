@@ -76,7 +76,10 @@ func (s *Set) AsyncVisit(vid uint64, key, arg []byte) {
 }
 
 // AsyncVisitFetch runs fetcher vid on key's owner and routes the reply
-// back to cb (Map.AsyncVisitFetch contract).
+// back to cb. The Map.AsyncVisitFetch contract holds: cb runs in handler
+// context, before AsyncVisitFetch returns for a self-owned key and by
+// the end of the next Barrier in any case, and must neither retain reply
+// nor call Barrier.
 func (s *Set) AsyncVisitFetch(vid uint64, key, arg []byte, cb func(reply []byte)) {
 	s.e.asyncFetch(s.Owner(key), s.cid, vid, key, arg, cb)
 }

@@ -101,8 +101,9 @@ type Box interface {
 	// PendingSends reports records queued but not yet exchanged.
 	PendingSends() int
 	// Proc exposes the transport endpoint the mailbox runs on, so
-	// layers above (collectives, the container engine's reply stream)
-	// can share it without threading it separately.
+	// layers above (collective communicators, like the one the
+	// container engine reduces Size and TopK over) can share it without
+	// threading it separately.
 	Proc() *transport.Proc
 }
 
