@@ -26,7 +26,6 @@ var blockingFuncs = map[string]string{
 	"ygm/internal/transport.WaitAny":          "blocks until a packet arrives",
 	"ygm/internal/collective.Barrier":         "is a blocking collective",
 	"ygm/internal/collective.Bcast":           "is a blocking collective",
-	"ygm/internal/collective.ReduceU64":       "is a blocking collective",
 	"ygm/internal/collective.AllreduceU64":    "is a blocking collective",
 	"ygm/internal/collective.ReduceF64":       "is a blocking collective",
 	"ygm/internal/collective.AllreduceF64":    "is a blocking collective",

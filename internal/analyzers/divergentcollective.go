@@ -17,7 +17,6 @@ var collectiveFuncs = map[string]string{
 	"ygm/internal/ygm.ExchangeUntilQuiet":     "synchronous exchange loop",
 	"ygm/internal/collective.Barrier":         "barrier",
 	"ygm/internal/collective.Bcast":           "broadcast collective",
-	"ygm/internal/collective.ReduceU64":       "reduction",
 	"ygm/internal/collective.AllreduceU64":    "reduction",
 	"ygm/internal/collective.ReduceF64":       "reduction",
 	"ygm/internal/collective.AllreduceF64":    "reduction",

@@ -40,7 +40,7 @@ func MicroBenches() []MicroBench {
 
 // largeWorldWorkload pins the large-world hot path the M:N scheduler
 // and the per-sender-stateless inboxes own: world construction, a
-// binomial broadcast, and a dissemination barrier at `ranks` ranks, all
+// binomial broadcast, and a tree barrier at `ranks` ranks, all
 // multiplexed onto a GOMAXPROCS worker pool. Its allocs/op gates the
 // O(P) setup property — a regression back toward O(P²) per-channel
 // state moves this number by orders of magnitude, not percent.

@@ -17,7 +17,7 @@ const WeakScaleCores = 32
 
 // WeakScalePoint is one world size of the scheduler weak-scaling sweep:
 // the host-side cost of simulating a binomial broadcast plus a
-// dissemination barrier at that rank count, with the M:N scheduler's
+// tree barrier at that rank count, with the M:N scheduler's
 // own counters alongside. SimSeconds comes from the deterministic cost
 // model (identical across hosts); WallSeconds and RanksPerWorker are
 // what the sweep exists to watch — host memory and wall time must grow

@@ -101,27 +101,6 @@ func TestBcastAllSizes(t *testing.T) {
 	}
 }
 
-func TestReduceSum(t *testing.T) {
-	runWorld(t, 2, 3, func(p *transport.Proc, c *Comm) error {
-		vals := []uint64{uint64(c.Index()), 1, uint64(c.Index() * c.Index())}
-		got := c.ReduceU64(2, vals, SumU64)
-		if c.Index() != 2 {
-			if got != nil {
-				return fmt.Errorf("non-root got %v", got)
-			}
-			return nil
-		}
-		// sum of 0..5, count, sum of squares 0..25
-		want := []uint64{15, 6, 55}
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("reduce = %v, want %v", got, want)
-			}
-		}
-		return nil
-	})
-}
-
 func TestAllreduceSumMaxMin(t *testing.T) {
 	runWorld(t, 3, 2, func(p *transport.Proc, c *Comm) error {
 		me := uint64(c.Index())

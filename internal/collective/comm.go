@@ -1,10 +1,14 @@
-// Package collective implements synchronous MPI-style collective
-// operations on top of the transport layer: barrier, broadcast, reduce,
-// allreduce and all-to-all. The synchronous mailbox's exchanges and the
-// containers' global queries run on these, and the CombBLAS-style
-// baseline uses them for its bulk-synchronous phases — exhibiting
-// exactly the slowest-rank coupling the paper's asynchronous mailbox
-// avoids.
+// Package collective implements MPI-style collective operations on top
+// of the transport layer: barrier, broadcast, reduce, allreduce and
+// all-to-all. The synchronous mailbox's exchanges and the containers'
+// global queries run on these, and the CombBLAS-style baseline uses them
+// for its bulk-synchronous phases — exhibiting exactly the slowest-rank
+// coupling the paper's asynchronous mailbox avoids.
+//
+// Every allreduce runs on one machine, Allreduce: Barrier is its
+// zero-width form, AllreduceU64/AllreduceF64 wait on it, and the
+// mailbox's termination detector drives it from its own progress loop.
+// Bcast, the rooted reductions and the all-to-alls keep their own trees.
 //
 // Every operation is collective over a Comm: all member ranks must call
 // the same operations in the same order. Tags are derived from a hash of
@@ -14,6 +18,7 @@
 package collective
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 
@@ -30,6 +35,7 @@ type Comm struct {
 	me    int // index of p.Rank() in ranks
 	hash  uint64
 	seq   uint64
+	ar    Allreduce // on tag(0, 0), nextOp never issuing sequence 0; set up by the first reduction
 }
 
 // New builds a communicator over ranks for the calling rank p. The list
@@ -64,16 +70,10 @@ func New(p *transport.Proc, ranks []machine.Rank) (*Comm, error) {
 	// share a tag space while advancing independent sequence counters —
 	// their traffic would cross-talk. Construction is collective, so all
 	// members draw the same nonce.
-	nonce := p.CommNonce()
-	for i := range buf {
-		buf[i] = byte(nonce >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(buf[:], p.CommNonce())
 	h.Write(buf[:])
 	for _, r := range ranks {
-		buf[0] = byte(r)
-		buf[1] = byte(r >> 8)
-		buf[2] = byte(r >> 16)
-		buf[3] = byte(r >> 24)
+		binary.LittleEndian.PutUint32(buf[:4], uint32(r))
 		h.Write(buf[:4])
 	}
 	members := make([]machine.Rank, len(ranks))
@@ -117,7 +117,7 @@ func (c *Comm) nextOp() uint64 {
 // classifies any tag >= TagRound as round-exchange data traffic.
 //
 //	bits  0..7   round index within one operation
-//	bits  8..31  operation sequence, low 24 bits
+//	bits  8..31  operation sequence, low 24 bits (0: the Allreduce stream)
 //	bit   32     TagCollective marker
 //	bits 33..40  operation sequence, high 8 bits
 //	bit   41     unused (always clear)
@@ -125,10 +125,7 @@ func (c *Comm) nextOp() uint64 {
 //	bit   63     clear (TagRound space)
 //
 // The sequence number is split around the marker bit so its full 32-bit
-// width survives: the previous layout shifted op by 8 across bits
-// 8..39, which overlapped bit 32 — op=X and op=X+2^24 produced
-// identical tags, silently aliasing long-lived communicators after 2^24
-// operations.
+// width survives (TestTagOpFieldFullWidth).
 const (
 	tagHashBits  = 21
 	tagHashShift = 42
@@ -150,22 +147,20 @@ func (c *Comm) tag(op uint64, round int) transport.Tag {
 		transport.Tag(round&0xff)
 }
 
-// send transmits payload to the member at index idx.
-func (c *Comm) send(idx int, t transport.Tag, payload []byte) {
-	c.p.Send(c.ranks[idx], t, payload)
-}
-
-// recv blocks for one packet of tag t and returns it.
+// recv is Proc.Recv for collectives that hand a packet's payload on to
+// their caller instead of recycling it; buflifetime does not follow a
+// packet returned through a helper.
 func (c *Comm) recv(t transport.Tag) *transport.Packet {
 	return c.p.Recv(t)
 }
 
-// indexOf maps a member rank back to its communicator index.
+// indexOf maps a member rank back to its communicator index; a packet
+// from a non-member is a protocol bug.
 func (c *Comm) indexOf(r machine.Rank) int {
 	for i, m := range c.ranks {
 		if m == r {
 			return i
 		}
 	}
-	return -1
+	panic(fmt.Sprintf("collective: packet from non-member rank %d", r))
 }

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"math"
 
 	"ygm/internal/codec"
 	"ygm/internal/transport"
@@ -10,44 +11,56 @@ import (
 // Reduction operators for unsigned and floating-point vectors.
 var (
 	SumU64 = func(a, b uint64) uint64 { return a + b }
-	MaxU64 = func(a, b uint64) uint64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	MinU64 = func(a, b uint64) uint64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
+	MaxU64 = func(a, b uint64) uint64 { return max(a, b) }
+	MinU64 = func(a, b uint64) uint64 { return min(a, b) }
 	SumF64 = func(a, b float64) float64 { return a + b }
-	MaxF64 = func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
+	MaxF64 = func(a, b float64) float64 { return max(a, b) }
 )
 
-// Barrier blocks until every member has entered it, using the
-// dissemination algorithm (ceil(log2 P) rounds, each rank sending one
-// message per round). This is the synchronization cost synchronous
-// collectives impose: a rank leaves only after transitively hearing from
-// everyone, so the exit time is governed by the slowest entrant.
+// Barrier blocks until every member has entered it: a zero-width
+// allreduce. A member leaves only after transitively hearing from
+// everyone, so its exit time is governed by the slowest entrant.
 func (c *Comm) Barrier() {
 	sp := c.p.Span("coll.barrier")
 	defer sp.End()
-	op := c.nextOp()
-	size := len(c.ranks)
-	round := 0
-	for k := 1; k < size; k <<= 1 {
-		t := c.tag(op, round)
-		c.send((c.me+k)%size, t, nil)
-		c.recv(t)
-		round++
+	c.allreduce(nil, nil)
+}
+
+// allreduce runs one generation of c.ar and returns its result slice.
+func (c *Comm) allreduce(vals []uint64, op func(a, b uint64) uint64) []uint64 {
+	if c.ar.p == nil {
+		c.ar.Init(c.p, c.tag(0, 0), c.ranks, c.me)
 	}
+	c.ar.Start(vals, op)
+	for !c.ar.Step() {
+		c.p.WaitAny(c.ar.tag, c.ar.tag)
+	}
+	return c.ar.Result()
+}
+
+// AllreduceU64 combines every member's vals elementwise with op and
+// returns the result to every member. All members must pass
+// equal-length vectors.
+func (c *Comm) AllreduceU64(vals []uint64, op func(a, b uint64) uint64) []uint64 {
+	return append([]uint64(nil), c.allreduce(vals, op)...)
+}
+
+// AllreduceF64 is AllreduceU64 for float vectors: the words carry float
+// bits and are combined as floats. With a commutative op every member
+// gets a bit-identical result.
+func (c *Comm) AllreduceF64(vals []float64, op func(a, b float64) float64) []float64 {
+	words := make([]uint64, len(vals))
+	for i, v := range vals {
+		words[i] = math.Float64bits(v)
+	}
+	words = c.allreduce(words, func(a, b uint64) uint64 {
+		return math.Float64bits(op(math.Float64frombits(a), math.Float64frombits(b)))
+	})
+	out := make([]float64, len(words))
+	for i, w := range words {
+		out[i] = math.Float64frombits(w)
+	}
+	return out
 }
 
 // Bcast distributes root's payload to every member along a binomial tree
@@ -71,93 +84,33 @@ func (c *Comm) Bcast(root int, payload []byte) []byte {
 	for mask > 0 {
 		if rel+mask < size {
 			dst := (rel + mask + root) % size
-			c.send(dst, c.tag(op, 0), payload)
+			c.p.Send(c.ranks[dst], c.tag(op, 0), payload)
 		}
 		mask >>= 1
 	}
 	return payload
 }
 
-// ReduceU64 combines each member's vals elementwise with op along a
-// binomial tree rooted at root. The root returns the reduction; other
-// members return nil. All members must pass equal-length vectors.
-func (c *Comm) ReduceU64(root int, vals []uint64, op func(a, b uint64) uint64) []uint64 {
-	opSeq := c.nextOp()
-	size := len(c.ranks)
-	c.checkRoot(root)
-	acc := make([]uint64, len(vals))
-	copy(acc, vals)
-	rel := (c.me - root + size) % size
-	round := 0
-	for mask := 1; mask < size; mask <<= 1 {
-		if rel&mask == 0 {
-			if rel|mask < size {
-				pkt := c.recv(c.tag(opSeq, round))
-				got, err := codec.NewReader(pkt.Payload).Uvarints()
-				if err != nil || len(got) != len(acc) {
-					panic(fmt.Sprintf("collective: reduce payload mismatch: %v", err))
-				}
-				for i := range acc {
-					acc[i] = op(acc[i], got[i])
-				}
-			}
-		} else {
-			parent := (rel&^mask + root) % size
-			w := codec.NewWriter(10 * len(acc))
-			w.Uvarints(acc)
-			c.send(parent, c.tag(opSeq, round), w.Bytes())
-			return nil
-		}
-		round++
-	}
-	return acc
-}
-
-// AllreduceU64 reduces to member 0 and broadcasts the result back.
-func (c *Comm) AllreduceU64(vals []uint64, op func(a, b uint64) uint64) []uint64 {
-	acc := c.ReduceU64(0, vals, op)
-	var payload []byte
-	if c.me == 0 {
-		w := codec.NewWriter(10 * len(acc))
-		w.Uvarints(acc)
-		payload = w.Bytes()
-	}
-	out, err := codec.NewReader(c.Bcast(0, payload)).Uvarints()
-	if err != nil {
-		panic(fmt.Sprintf("collective: allreduce decode: %v", err))
-	}
-	return out
-}
-
-// ReduceF64 is ReduceU64 for float vectors.
+// ReduceF64 combines each member's vals elementwise with op along
+// ReduceBytes's tree. The root returns the reduction; other members
+// return nil. All members must pass equal-length vectors.
 func (c *Comm) ReduceF64(root int, vals []float64, op func(a, b float64) float64) []float64 {
-	opSeq := c.nextOp()
-	size := len(c.ranks)
-	c.checkRoot(root)
-	acc := make([]float64, len(vals))
-	copy(acc, vals)
-	rel := (c.me - root + size) % size
-	round := 0
-	for mask := 1; mask < size; mask <<= 1 {
-		if rel&mask == 0 {
-			if rel|mask < size {
-				pkt := c.recv(c.tag(opSeq, round))
-				got, err := codec.NewReader(pkt.Payload).Float64s()
-				if err != nil || len(got) != len(acc) {
-					panic(fmt.Sprintf("collective: reduce payload mismatch: %v", err))
-				}
-				for i := range acc {
-					acc[i] = op(acc[i], got[i])
-				}
-			}
-		} else {
-			parent := (rel&^mask + root) % size
-			w := codec.NewWriter(8*len(acc) + 2)
-			w.Float64s(acc)
-			c.send(parent, c.tag(opSeq, round), w.Bytes())
-			return nil
+	acc := append([]float64(nil), vals...)
+	w := codec.NewWriter(8*len(acc) + 2)
+	w.Float64s(acc)
+	if c.ReduceBytes(root, w.Bytes(), func(_, in []byte) []byte {
+		got, err := codec.NewReader(in).Float64s()
+		if err != nil || len(got) != len(acc) {
+			panic(fmt.Sprintf("collective: reduce payload mismatch: %v", err))
 		}
-		round++
+		for i := range acc {
+			acc[i] = op(acc[i], got[i])
+		}
+		w.Reset()
+		w.Float64s(acc)
+		return w.Bytes()
+	}) == nil {
+		return nil
 	}
 	return acc
 }
@@ -184,28 +137,12 @@ func (c *Comm) ReduceBytes(root int, payload []byte, merge func(acc, in []byte) 
 			}
 		} else {
 			parent := (rel&^mask + root) % size
-			c.send(parent, c.tag(opSeq, round), acc)
+			c.p.Send(c.ranks[parent], c.tag(opSeq, round), acc)
 			return nil
 		}
 		round++
 	}
 	return acc
-}
-
-// AllreduceF64 reduces float vectors to member 0 and broadcasts back.
-func (c *Comm) AllreduceF64(vals []float64, op func(a, b float64) float64) []float64 {
-	acc := c.ReduceF64(0, vals, op)
-	var payload []byte
-	if c.me == 0 {
-		w := codec.NewWriter(8*len(acc) + 2)
-		w.Float64s(acc)
-		payload = w.Bytes()
-	}
-	out, err := codec.NewReader(c.Bcast(0, payload)).Float64s()
-	if err != nil {
-		panic(fmt.Sprintf("collective: allreduce decode: %v", err))
-	}
-	return out
 }
 
 // Alltoallv performs the synchronous all-to-all exchange MPI_ALLTOALLV
@@ -226,15 +163,11 @@ func (c *Comm) Alltoallv(payloads [][]byte) [][]byte {
 	out := make([][]byte, size)
 	out[c.me] = payloads[c.me]
 	for shift := 1; shift < size; shift++ {
-		c.send((c.me+shift)%size, t, payloads[(c.me+shift)%size])
+		c.p.Send(c.ranks[(c.me+shift)%size], t, payloads[(c.me+shift)%size])
 	}
 	for i := 1; i < size; i++ {
 		pkt := c.recv(t)
-		idx := c.indexOf(pkt.Src)
-		if idx < 0 {
-			panic("collective: alltoallv packet from non-member")
-		}
-		out[idx] = pkt.Payload
+		out[c.indexOf(pkt.Src)] = pkt.Payload
 	}
 	return out
 }
@@ -273,12 +206,8 @@ func (c *Comm) AlltoallvPooled(payloads [][]byte, scratch []*transport.Packet, s
 		c.p.SendPooled(c.ranks[i], t, payloads[i])
 	}
 	for i := 1; i < size; i++ {
-		pkt := c.recv(t)
-		idx := c.indexOf(pkt.Src)
-		if idx < 0 {
-			panic("collective: alltoallv packet from non-member")
-		}
-		scratch[idx] = pkt
+		pkt := c.p.Recv(t)
+		scratch[c.indexOf(pkt.Src)] = pkt
 	}
 	for idx := 0; idx < size; idx++ {
 		if idx == c.me {

@@ -180,11 +180,10 @@ func TestSyncSteadyStateZeroAlloc(t *testing.T) {
 
 // TestTermSteadyStateZeroAlloc pins the termination-detection path: a
 // WaitEmpty on a quiet mailbox runs a whole detection generation — the
-// snapshot encoded into the detector's scratch writer, a pooled send to
-// the butterfly partner, the partner's packet batched out of the inbox,
-// filed in its slot, absorbed and recycled — and none of it may allocate
-// once the scratch writer, the batch slice and the transport pool have
-// warmed up.
+// snapshot encoded straight into a pooled buffer, sent to the butterfly
+// partner, the partner's packet batched out of the inbox, filed in its
+// slot, absorbed and recycled — and none of it may allocate once the
+// transport pool has warmed up.
 func TestTermSteadyStateZeroAlloc(t *testing.T) {
 	skipIfYgmcheck(t)
 	var failure error

@@ -14,4 +14,4 @@ func (c *core) checkCapacityBound() {}
 
 func checkQuiescent(*transport.Proc, int, string) {}
 
-func (td *termDetector) checkVerdictBalanced(bool) {}
+func (td *termDetector) checkVerdictBalanced(bool, [2]uint64) {}

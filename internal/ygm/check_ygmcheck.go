@@ -59,9 +59,9 @@ func checkQuiescent(p *transport.Proc, pendingSends int, site string) {
 // moment a rank declares global quiescence (every rank evaluates the
 // verdict, so every rank checks): every record hop sent has been
 // received.
-func (td *termDetector) checkVerdictBalanced(done bool) {
+func (td *termDetector) checkVerdictBalanced(done bool, sum [2]uint64) {
 	if done {
-		checkf(td.sumS == td.sumR,
-			"termination verdict with unbalanced counters: sent %d, received %d", td.sumS, td.sumR)
+		checkf(sum[0] == sum[1],
+			"termination verdict with unbalanced counters: sent %d, received %d", sum[0], sum[1])
 	}
 }

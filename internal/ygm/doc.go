@@ -73,8 +73,9 @@
 // here, counter reports), and the layer detects global quiescence by a
 // counting consensus: record-hop send and receive totals must balance and
 // equal the totals of the previous global reduction. Each reduction (a
-// generation) is a recursive-doubling allreduce that leaves the totals,
-// and so the verdict, on every rank after log2(P) exchanges; the totals
+// generation) is one run of collective.Allreduce, the recursive-doubling
+// allreduce under Comm.Barrier too, which leaves the totals, and so the
+// verdict, on every rank after log2(P) exchanges; the totals
 // of the last quiescent instant are kept, so a WaitEmpty with nothing
 // sent since costs one generation. The detector never blocks: the lazy
 // Mailbox's WaitEmpty is one progress loop over the termination and data

@@ -385,7 +385,7 @@ func (mb *Mailbox) WaitEmpty() {
 	defer sp.End()
 	for !mb.generation("WaitEmpty") {
 		switch {
-		case !mb.term.busy:
+		case !mb.term.Busy():
 			// A generation just completed without quiescence: drain and
 			// snapshot again at once.
 		case mb.term.hold():

@@ -168,42 +168,42 @@ func TestPhaseIsolation(t *testing.T) {
 	}
 }
 
-// TestTermRejectsImpossiblePackets: each (generation parity, slot) has
-// one sender and a partner runs at most one generation ahead, so a
-// packet of any other generation, a second packet for a filled slot, one
-// for a slot already consumed, or one for a slot the world does not have
-// is a protocol bug and must panic rather than be filed over live state.
+// TestTermRejectsImpossiblePackets: the detector's TagTerm stream is a
+// collective.Allreduce stream, so a forged packet there meets each of the
+// machine's reject rules (TestAllreduceRejectsImpossiblePackets covers
+// them on sub-communicators too) instead of being filed over live state.
+// In a 2-rank world after one idle WaitEmpty, rank 0 has consumed slot 1
+// of generation 1 and receives only slot 1.
 func TestTermRejectsImpossiblePackets(t *testing.T) {
-	// In a 1-rank world (no steps, slots 0 and 1) after one idle
-	// WaitEmpty the detector has finished generation 1.
 	for _, tc := range []struct {
 		name    string
 		packets [][2]uint64 // (slot, generation)
 		want    string
 	}{
-		{"stale generation", [][2]uint64{{1, 0}}, "stale, too early or duplicate"},
-		{"two generations ahead", [][2]uint64{{1, 3}}, "stale, too early or duplicate"},
-		{"duplicate slot", [][2]uint64{{1, 2}, {1, 2}}, "stale, too early or duplicate"},
-		{"slot already consumed", [][2]uint64{{0, 1}}, "stale, too early or duplicate"},
-		{"no such slot", [][2]uint64{{2, 2}}, "corrupt termination packet"},
+		{"stale generation", [][2]uint64{{1, 0}}, "stale"},
+		{"two generations ahead", [][2]uint64{{1, 3}}, "too early"},
+		{"duplicate slot", [][2]uint64{{1, 2}, {1, 2}}, "duplicate"},
+		{"slot already consumed", [][2]uint64{{1, 1}}, "already consumed"},
+		{"no such slot", [][2]uint64{{2, 2}}, "no such slot"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := transport.Run(transport.Config{
-				Topo:  machine.New(1, 1),
+				Topo:  machine.New(2, 1),
 				Model: netsim.Quartz(),
 				Seed:  1,
 			}, func(p *transport.Proc) error {
 				mb := New(p, func(Sender, []byte) {}, WithExchange(LazyExchange)).(*Mailbox)
 				mb.WaitEmpty()
+				if p.Rank() != 0 {
+					return nil
+				}
 				for _, pk := range tc.packets {
 					w := codec.NewWriter(8)
 					w.Byte(byte(pk[0]))
 					w.Uvarint(pk[1])
-					w.Uvarint(0)
-					w.Uvarint(0)
 					p.Send(0, TagTerm, w.Bytes())
 				}
-				mb.term.file()
+				mb.term.Step()
 				return nil
 			})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
