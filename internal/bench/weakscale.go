@@ -88,11 +88,11 @@ func WeakScale(rankCounts []int, seed int64) ([]WeakScalePoint, error) {
 }
 
 // The sweep's collective is a hand-rolled binomial tree over raw
-// transport sends rather than collective.World: constructing a world
-// communicator costs O(P) per rank (member list + dedup map), which is
-// O(P²) across the world — at 65k ranks that alone is tens of GiB. The
-// tree keeps every rank at O(log P) work and O(1) state, so the sweep
-// measures the scheduler and inbox layer, not communicator setup.
+// transport sends rather than a collective.Comm, so that it measures the
+// scheduler and inbox layer, not a collective protocol: every rank does
+// O(log P) work with O(1) state. (It was chosen when collective.World
+// cost O(P) per rank; World is O(1) now, and the tree stays so that the
+// sweep's numbers remain comparable with earlier ones.)
 
 // treeReduce gathers one message per rank up a binomial tree to rank 0:
 // every non-root rank sends exactly one packet to its parent after

@@ -49,7 +49,9 @@ func TestAllreduceRejectsImpossiblePackets(t *testing.T) {
 			}, func(p *transport.Proc) error {
 				members := tc.members
 				if members == nil {
-					members = World(p).Ranks()
+					for r := range p.WorldSize() {
+						members = append(members, machine.Rank(r))
+					}
 				}
 				c, err := New(p, members)
 				if err != nil {

@@ -31,8 +31,9 @@ import (
 // member list in the same order.
 type Comm struct {
 	p     *transport.Proc
-	ranks []machine.Rank
-	me    int // index of p.Rank() in ranks
+	ranks []machine.Rank // member -> rank; nil for World: member i is rank i
+	size  int
+	me    int // index of p.Rank() in the members
 	hash  uint64
 	seq   uint64
 	ar    Allreduce // on tag(0, 0), nextOp never issuing sequence 0; set up by the first reduction
@@ -62,46 +63,54 @@ func New(p *transport.Proc, ranks []machine.Rank) (*Comm, error) {
 	if me < 0 {
 		return nil, fmt.Errorf("collective: rank %d not a member of communicator", p.Rank())
 	}
+	members := make([]machine.Rank, len(ranks))
+	copy(members, ranks)
+	return &Comm{p: p, ranks: members, size: len(ranks), me: me, hash: commHash(p, ranks)}, nil
+}
+
+// World returns the communicator spanning every rank, in rank order. It
+// costs O(1) per rank: the member list is the identity, so World keeps
+// none, and the caller is member p.Rank().
+func World(p *transport.Proc) *Comm {
+	size := p.WorldSize()
+	// The hash covers the world size in place of the list: the bytes New
+	// would hash for the one-member list {size}, which no communicator
+	// can have (size is not a valid rank).
+	return &Comm{p: p, size: size, me: int(p.Rank()), hash: commHash(p, []machine.Rank{machine.Rank(size)})}
+}
+
+// commHash hashes the calling rank's next construction nonce and a
+// member list. The nonce is folded in because two communicators over the
+// same member list (e.g. NLNR's first and third exchange stages, or a
+// stage communicator that coincides with the world) would otherwise
+// share a tag space while advancing independent sequence counters —
+// their traffic would cross-talk. Construction is collective, so all
+// members draw the same nonce.
+func commHash(p *transport.Proc, ranks []machine.Rank) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	// Fold in the per-rank construction nonce: two communicators over the
-	// same member list (e.g. NLNR's first and third exchange stages, or a
-	// stage communicator that coincides with the world) would otherwise
-	// share a tag space while advancing independent sequence counters —
-	// their traffic would cross-talk. Construction is collective, so all
-	// members draw the same nonce.
 	binary.LittleEndian.PutUint64(buf[:], p.CommNonce())
 	h.Write(buf[:])
 	for _, r := range ranks {
 		binary.LittleEndian.PutUint32(buf[:4], uint32(r))
 		h.Write(buf[:4])
 	}
-	members := make([]machine.Rank, len(ranks))
-	copy(members, ranks)
-	return &Comm{p: p, ranks: members, me: me, hash: h.Sum64()}, nil
-}
-
-// World returns the communicator spanning every rank, in rank order.
-func World(p *transport.Proc) *Comm {
-	ranks := make([]machine.Rank, p.WorldSize())
-	for i := range ranks {
-		ranks[i] = machine.Rank(i)
-	}
-	c, err := New(p, ranks)
-	if err != nil {
-		panic(err) // cannot happen: world always contains the caller
-	}
-	return c
+	return h.Sum64()
 }
 
 // Size returns the number of member ranks.
-func (c *Comm) Size() int { return len(c.ranks) }
+func (c *Comm) Size() int { return c.size }
 
 // Index returns the calling rank's position within the communicator.
 func (c *Comm) Index() int { return c.me }
 
-// Ranks returns the member list (callers must not mutate it).
-func (c *Comm) Ranks() []machine.Rank { return c.ranks }
+// Rank returns member i's rank.
+func (c *Comm) Rank(i int) machine.Rank {
+	if c.ranks == nil {
+		return machine.Rank(i)
+	}
+	return c.ranks[i]
+}
 
 // nextOp advances the per-communicator sequence number and returns it.
 // All members advance in lockstep because operations are collective.
@@ -157,6 +166,9 @@ func (c *Comm) recv(t transport.Tag) *transport.Packet {
 // indexOf maps a member rank back to its communicator index; a packet
 // from a non-member is a protocol bug.
 func (c *Comm) indexOf(r machine.Rank) int {
+	if c.ranks == nil && int(r) < c.size {
+		return int(r)
+	}
 	for i, m := range c.ranks {
 		if m == r {
 			return i

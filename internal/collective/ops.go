@@ -68,7 +68,7 @@ func (c *Comm) AllreduceF64(vals []float64, op func(a, b float64) float64) []flo
 // pass nil.
 func (c *Comm) Bcast(root int, payload []byte) []byte {
 	op := c.nextOp()
-	size := len(c.ranks)
+	size := c.size
 	c.checkRoot(root)
 	rel := (c.me - root + size) % size
 	mask := 1
@@ -84,7 +84,7 @@ func (c *Comm) Bcast(root int, payload []byte) []byte {
 	for mask > 0 {
 		if rel+mask < size {
 			dst := (rel + mask + root) % size
-			c.p.Send(c.ranks[dst], c.tag(op, 0), payload)
+			c.p.Send(c.Rank(dst), c.tag(op, 0), payload)
 		}
 		mask >>= 1
 	}
@@ -124,7 +124,7 @@ func (c *Comm) ReduceF64(root int, vals []float64, op func(a, b float64) float64
 // The container layer's top-K heavy-hitters query rides on this.
 func (c *Comm) ReduceBytes(root int, payload []byte, merge func(acc, in []byte) []byte) []byte {
 	opSeq := c.nextOp()
-	size := len(c.ranks)
+	size := c.size
 	c.checkRoot(root)
 	acc := payload
 	rel := (c.me - root + size) % size
@@ -137,7 +137,7 @@ func (c *Comm) ReduceBytes(root int, payload []byte, merge func(acc, in []byte) 
 			}
 		} else {
 			parent := (rel&^mask + root) % size
-			c.p.Send(c.ranks[parent], c.tag(opSeq, round), acc)
+			c.p.Send(c.Rank(parent), c.tag(opSeq, round), acc)
 			return nil
 		}
 		round++
@@ -155,7 +155,7 @@ func (c *Comm) Alltoallv(payloads [][]byte) [][]byte {
 	sp := c.p.Span("coll.alltoallv")
 	defer sp.End()
 	opSeq := c.nextOp()
-	size := len(c.ranks)
+	size := c.size
 	if len(payloads) != size {
 		panic(fmt.Sprintf("collective: alltoallv of %d payloads over %d members", len(payloads), size))
 	}
@@ -163,7 +163,7 @@ func (c *Comm) Alltoallv(payloads [][]byte) [][]byte {
 	out := make([][]byte, size)
 	out[c.me] = payloads[c.me]
 	for shift := 1; shift < size; shift++ {
-		c.p.Send(c.ranks[(c.me+shift)%size], t, payloads[(c.me+shift)%size])
+		c.p.Send(c.Rank((c.me+shift)%size), t, payloads[(c.me+shift)%size])
 	}
 	for i := 1; i < size; i++ {
 		pkt := c.recv(t)
@@ -181,8 +181,8 @@ type BlobSink interface {
 
 // AlltoallvPooled is Alltoallv for pooled payload buffers: member i's
 // payloads[j] — acquired from Proc.AcquireBuf — is delivered to member
-// j's sink, and each received packet (payload included) is recycled to
-// the world pool once its sink call returns, so a steady-state exchange
+// j's sink, and each received packet (payload included) is recycled
+// (Proc.Recycle) once its sink call returns, so a steady-state exchange
 // allocates nothing. Blobs are visited in member order, matching the
 // iteration order of Alltoallv's return slice; empty contributions are
 // skipped. The caller's own payloads[me] is visited directly without a
@@ -193,7 +193,7 @@ func (c *Comm) AlltoallvPooled(payloads [][]byte, scratch []*transport.Packet, s
 	sp := c.p.Span("coll.alltoallv")
 	defer sp.End()
 	opSeq := c.nextOp()
-	size := len(c.ranks)
+	size := c.size
 	if len(payloads) != size {
 		panic(fmt.Sprintf("collective: alltoallv of %d payloads over %d members", len(payloads), size))
 	}
@@ -203,7 +203,7 @@ func (c *Comm) AlltoallvPooled(payloads [][]byte, scratch []*transport.Packet, s
 	t := c.tag(opSeq, 0)
 	for shift := 1; shift < size; shift++ {
 		i := (c.me + shift) % size
-		c.p.SendPooled(c.ranks[i], t, payloads[i])
+		c.p.SendPooled(c.Rank(i), t, payloads[i])
 	}
 	for i := 1; i < size; i++ {
 		pkt := c.p.Recv(t)
@@ -226,7 +226,7 @@ func (c *Comm) AlltoallvPooled(payloads [][]byte, scratch []*transport.Packet, s
 }
 
 func (c *Comm) checkRoot(root int) {
-	if root < 0 || root >= len(c.ranks) {
-		panic(fmt.Sprintf("collective: root %d outside communicator of size %d", root, len(c.ranks)))
+	if root < 0 || root >= c.size {
+		panic(fmt.Sprintf("collective: root %d outside communicator of size %d", root, c.size))
 	}
 }

@@ -7,11 +7,13 @@ package transport
 // RaceEnabled reports whether the race detector is compiled in.
 const RaceEnabled = raceEnabled
 
-// StallPool holds the world's pool lock until release is called. A TCP
-// reader takes that lock for every frame, so this stops the process
-// reading its sockets — the peer's kernel buffers, then its send queue,
-// fill up. The caller must not touch the pool (AcquireBuf, Recv,
-// Recycle) while it holds the stall.
+// StallPool holds the world's shared pool lock until release is called.
+// A TCP reader takes that lock whenever its cache runs dry — at most
+// poolBatch frames after the stall begins, since a reader only takes —
+// so this stops the process reading its sockets: the peer's kernel
+// buffers, then its send queue, fill up. The caller must not make its
+// own cache refill or spill (AcquireBuf, Recycle beyond a few packets)
+// while it holds the stall.
 func StallPool(p *Proc) (release func()) {
 	p.world.pool.mu.Lock()
 	return p.world.pool.mu.Unlock

@@ -51,7 +51,7 @@ type Packet struct {
 	seq uint64
 
 	// pooled marks a payload obtained from Proc.AcquireBuf and sent via
-	// Proc.SendPooled; Recycle returns such payloads to the world pool.
+	// Proc.SendPooled; Recycle keeps such payloads for reuse.
 	pooled bool
 }
 

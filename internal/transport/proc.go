@@ -66,6 +66,10 @@ type Proc struct {
 	// dumped by deadlock and panic paths. Nil when disabled via
 	// Config.FlightRecorder.
 	rec *obs.Recorder
+
+	// cache is this rank's packets and pooled buffers, in front of the
+	// world's shared pool; see poolCache.
+	cache poolCache
 }
 
 // chanKey identifies one ordered (destination, tag) channel.
@@ -179,26 +183,28 @@ func (p *Proc) Send(dst machine.Rank, tag Tag, payload []byte) {
 }
 
 // SendPooled is Send for payloads obtained from AcquireBuf: the packet is
-// marked so that the receiver's Recycle returns the payload buffer to the
-// world pool once it has been fully consumed. The sender must not retain
-// the payload; the receiver must not retain it past Recycle.
+// marked so that the receiver's Recycle takes the payload buffer back
+// into the receiving rank's cache once it has been fully consumed. The
+// sender must not retain the payload; the receiver must not retain it
+// past Recycle.
 func (p *Proc) SendPooled(dst machine.Rank, tag Tag, payload []byte) {
 	p.send(dst, tag, payload, true)
 }
 
-// AcquireBuf returns a length-n payload buffer from the world's recycle
-// pool (allocating only when the pool is dry). Buffers acquired here are
-// meant to be sent with SendPooled and returned by the receiver via
-// Recycle — the cycle that keeps steady-state mailbox traffic
-// allocation-free.
-func (p *Proc) AcquireBuf(n int) []byte { return p.world.pool.getBuf(n) }
+// AcquireBuf returns a length-n payload buffer from this rank's cache,
+// which refills from the world's shared pool in batches (allocating only
+// when both are dry). Buffers acquired here are meant to be sent with
+// SendPooled and returned by the receiver via Recycle — the cycle that
+// keeps steady-state mailbox traffic allocation-free.
+func (p *Proc) AcquireBuf(n int) []byte { return p.cache.getBuf(n) }
 
 // Recycle returns a received packet — and, when it was sent with
-// SendPooled, its payload buffer — to the world pool. The caller must not
-// touch pkt or its payload afterwards.
+// SendPooled, its payload buffer — to this rank's cache, which spills to
+// the world's shared pool in batches. The caller must not touch pkt or
+// its payload afterwards.
 func (p *Proc) Recycle(pkt *Packet) {
 	p.stats.Recycles++
-	p.world.pool.put(pkt)
+	p.cache.put(pkt)
 }
 
 //ygm:hotpath
@@ -251,7 +257,7 @@ func (p *Proc) send(dst machine.Rank, tag Tag, payload []byte, pooled bool) {
 	} else {
 		p.szRemote.Observe(uint64(len(payload)))
 	}
-	pkt := w.pool.getPkt()
+	pkt := p.cache.getPkt()
 	pkt.Src = p.rank
 	pkt.Tag = tag
 	pkt.Arrive = arrive

@@ -90,8 +90,8 @@ type World struct {
 	spanObs SpanObserver
 	delay   DelayFn
 
-	// pool recycles packet structs and pooled payload buffers; see
-	// bufPool for the ownership protocol.
+	// pool is the shared backend of every owner's poolCache; see pool.go
+	// for the ownership protocol.
 	pool bufPool
 
 	// active counts ranks whose SPMD body is still running; the deadlock
@@ -325,6 +325,7 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 				computeScale: 1,
 				metrics:      obs.NewRegistry(),
 			}
+			p.cache.pool = &w.pool
 			if w.realtime {
 				p.rt = &rtClock{}
 			}
@@ -379,6 +380,7 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 				p.metrics.Counter("inbox.spin_hits").Add(spinHits)
 				p.metrics.Counter("inbox.parks").Add(parks)
 				p.metrics.Gauge("inbox.max_depth").Set(float64(w.inboxes[r].MaxDepth()))
+				p.metrics.Counter("transport.pool.shared_ops").Add(p.cache.shared)
 				now, busy, wait := p.clocks()
 				report.Ranks[r] = RankReport{
 					Rank:          r,

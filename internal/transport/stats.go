@@ -20,7 +20,7 @@ type Stats struct {
 	DataRemoteBytes uint64
 	// RecvMsgs counts packets this rank received (any locality).
 	RecvMsgs uint64
-	// Recycles counts packets this rank returned to the world pool.
+	// Recycles counts packets this rank returned for reuse (Recycle).
 	// Under the pooled ownership protocol every received packet must be
 	// recycled exactly once, so at the end of a well-behaved run
 	// Recycles == RecvMsgs; a shortfall is a packet leak.

@@ -126,6 +126,9 @@ type TCPWire struct {
 	// goodbye) queue them, writes as the writers issue them, and
 	// windowStalls once per Inject that found the window full.
 	frames, bytes, writes, windowStalls atomic.Uint64
+	// readerPoolOps sums the readers' shared-pool refills, added as each
+	// reader exits; the ranks count their own.
+	readerPoolOps atomic.Uint64
 }
 
 // tcpPeer is one mesh connection, its send queue and its reader state.
@@ -515,8 +518,8 @@ func (t *TCPWire) startBarrier(deadline time.Time) error {
 // Inject delivers one stamped packet: a self-send is a direct inbox
 // push (same as the in-process wires); a remote send copies the packet
 // into the peer's send queue as one data frame and returns the packet —
-// and any pooled payload — to the local pool, so the per-process recycle
-// balance holds. It returns before the frame reaches the kernel and
+// and any pooled payload — to the sending rank's cache, so the
+// per-process recycle balance holds. It returns before the frame reaches the kernel and
 // waits only while the queue already holds a full window; a frame
 // larger than the window passes once the queue is below it. Waking the
 // writer costs a signal only when the queue was idle: a busy writer
@@ -546,7 +549,7 @@ func (t *TCPWire) Inject(p *Proc, dst machine.Rank, pkt *Packet) {
 	}
 	t.frames.Add(1)
 	t.bytes.Add(uint64(n))
-	t.w.pool.put(pkt)
+	p.cache.put(pkt)
 }
 
 // Progress is a no-op: the writer goroutines are the progress context.
@@ -612,10 +615,14 @@ func (t *TCPWire) writeLoop(dst machine.Rank, peer *tcpPeer) {
 
 // readLoop decodes one peer's stream into the local inbox. It is the
 // only producer for the (local, src) channel, so pushes on it are
-// ordered. Frames become pooled packets stamped with the receiving
-// host's clock.
+// ordered. Frames become pooled packets, taken from the reader's own
+// cache and stamped with the receiving host's clock; the rank that
+// recycles them returns them to its cache, and the shared pool carries
+// them back in batches.
 func (t *TCPWire) readLoop(src machine.Rank, peer *tcpPeer) {
 	defer t.readers.Done()
+	cache := poolCache{pool: &t.w.pool}
+	defer func() { t.readerPoolOps.Add(cache.shared) }()
 	br := bufio.NewReaderSize(peer.conn, 64<<10)
 	var hdr [9]byte
 	for {
@@ -644,12 +651,12 @@ func (t *TCPWire) readLoop(src machine.Rank, peer *tcpPeer) {
 				return
 			}
 			tag := Tag(binary.LittleEndian.Uint64(hdr[1:9]))
-			payload := t.w.pool.getBuf(int(n - 9))
+			payload := cache.getBuf(int(n - 9))
 			if _, err := io.ReadFull(br, payload); err != nil {
 				t.readEnd(src, peer, err)
 				return
 			}
-			pkt := t.w.pool.getPkt()
+			pkt := cache.getPkt()
 			pkt.Src = src
 			pkt.Tag = tag
 			pkt.Arrive = hostSince(t.w.epoch)
@@ -727,14 +734,16 @@ func (t *TCPWire) Finish() error {
 	return nil
 }
 
-// Metrics reports what this process's send queues carried. Run stores
-// it in Report.Wire after Finish, when every writer has exited.
+// Metrics reports what this process's send queues carried, and the
+// readers' shared-pool acquisitions. Run stores it in Report.Wire after
+// Finish, when every writer and reader has exited.
 func (t *TCPWire) Metrics() obs.Snapshot {
 	return obs.Snapshot{Counters: map[string]uint64{
-		"wire.tcp.frames":        t.frames.Load(),
-		"wire.tcp.bytes":         t.bytes.Load(),
-		"wire.tcp.writes":        t.writes.Load(),
-		"wire.tcp.window_stalls": t.windowStalls.Load(),
+		"wire.tcp.frames":           t.frames.Load(),
+		"wire.tcp.bytes":            t.bytes.Load(),
+		"wire.tcp.writes":           t.writes.Load(),
+		"wire.tcp.window_stalls":    t.windowStalls.Load(),
+		"transport.pool.shared_ops": t.readerPoolOps.Load(),
 	}}
 }
 

@@ -24,7 +24,8 @@ import (
 //     the inbox takes pushes from any number of goroutines, but a
 //     channel's FIFO order is the order of its pushes. A wire that
 //     serializes the packet onto an external transport must return it to
-//     the world pool afterwards so the sender-side recycle balance holds.
+//     the sending rank's cache afterwards (p.cache.put, on the goroutine
+//     Inject runs on) so the sender-side recycle balance holds.
 //     Inject may return before the bytes have left the process: TCPWire
 //     copies the frame into a per-peer send queue that a writer goroutine
 //     drains, and blocks only while that queue holds a full window

@@ -82,8 +82,8 @@ func newSync(p *transport.Proc, handler Handler, opts Options) (*SyncMailbox, er
 			return nil, err
 		}
 		sc.member = make([]int32, len(st.cur))
-		for j, r := range sc.comm.Ranks() {
-			if i := int(mb.slotOf[r]) - int(st.base); i >= 0 && i < len(st.cur) {
+		for j := range sc.comm.Size() {
+			if i := int(mb.slotOf[sc.comm.Rank(j)]) - int(st.base); i >= 0 && i < len(st.cur) {
 				sc.member[i] = int32(j)
 			}
 		}
@@ -177,7 +177,7 @@ type syncDispatcher struct{ mb *SyncMailbox }
 //ygm:hotpath
 func (d *syncDispatcher) VisitBlob(srcIndex int, blob []byte) {
 	mb := d.mb
-	mb.decode(mb.colls[mb.inStage].comm.Ranks()[srcIndex], blob)
+	mb.decode(mb.colls[mb.inStage].comm.Rank(srcIndex), blob)
 }
 
 // ExchangeUntilQuiet repeats Exchange until no rank holds queued
