@@ -29,9 +29,10 @@ func runFigure(b *testing.B, id string) {
 		b.Fatal(err)
 	}
 	p := quickBench()
+	var serial bench.Runner
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table := exp.Run(p)
+		table := serial.Run(exp, p)
 		if len(table.Rows) == 0 {
 			b.Fatalf("%s produced no rows", id)
 		}

@@ -59,7 +59,6 @@ func run(args []string) (retErr error) {
 	parallel := fs.Int("parallel", 1, "run each figure's independent cells on this many workers (simulated results are identical to serial)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile (captured after the run) to this path")
-	wireMsgs := fs.Int("wire-msgs", 1<<16, "messages per peer for the -wire=tcp exchange benchmark")
 	var wires wirecli.Flags
 	wires.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -67,7 +66,7 @@ func run(args []string) (retErr error) {
 	}
 
 	if wires.Wire == "tcp" {
-		return runWireBench(&wires, *wireMsgs, *seed, args)
+		return fmt.Errorf("-wire=tcp is not a figure backend; for the tcp wire's message rate run: bash benchmark/run.sh --workload stream_tcp")
 	}
 	if err := wires.Validate(0); err != nil {
 		return err

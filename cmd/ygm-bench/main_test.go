@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ygm/internal/transport"
@@ -87,6 +88,16 @@ func TestProfileFlagPlumbing(t *testing.T) {
 	}
 	if err := run([]string{"-fig", "topo", "-memprofile", bad}); err == nil {
 		t.Fatal("run succeeded despite unwritable -memprofile path")
+	}
+}
+
+// TestTCPWirePointsToBenchmark: the figures run on in-process wires
+// only, and the tcp wire's message rate is the stream_tcp workload of
+// the repository benchmark, so -wire=tcp must fail and name it.
+func TestTCPWirePointsToBenchmark(t *testing.T) {
+	err := run([]string{"-wire=tcp", "-ranks", "2", "-spawn"})
+	if err == nil || !strings.Contains(err.Error(), "bash benchmark/run.sh --workload stream_tcp") {
+		t.Fatalf("-wire=tcp: got %v, want an error naming the stream_tcp workload", err)
 	}
 }
 

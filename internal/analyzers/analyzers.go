@@ -83,7 +83,6 @@ var simulatedRankPkgs = map[string]bool{
 	"ygm/internal/ygm":        true,
 	"ygm/internal/collective": true,
 	"ygm/internal/apps":       true,
-	"ygm/internal/havoq":      true,
 }
 
 // DefaultScope is the production rule→package mapping used by cmd/ygmvet

@@ -399,64 +399,6 @@ func TestBFSMatchesOracle(t *testing.T) {
 	}
 }
 
-// --- k-mer counting ----------------------------------------------------------
-
-func TestKmerCountConservation(t *testing.T) {
-	cfg := KmerCountConfig{
-		Mailbox:      ygm.Options{Scheme: machine.NLNR, Capacity: 64},
-		ReadsPerRank: 20,
-		ReadLen:      40,
-		K:            9,
-	}
-	const world = 4
-	results := make([]*KmerCountResult, world)
-	var mu sync.Mutex
-	runApps(t, 2, 2, func(p *transport.Proc) error {
-		res, err := KmerCount(p, cfg)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		results[p.Rank()] = res
-		mu.Unlock()
-		return nil
-	})
-	var produced, counted uint64
-	for _, r := range results {
-		produced += r.TotalKmers
-		for kmer, c := range r.Counts {
-			if len(kmer) != cfg.K {
-				t.Fatalf("stored k-mer %q has wrong length", kmer)
-			}
-			counted += c
-		}
-	}
-	wantPerRank := uint64(cfg.ReadsPerRank * (cfg.ReadLen - cfg.K + 1))
-	if produced != wantPerRank*world {
-		t.Fatalf("produced %d k-mers, want %d", produced, wantPerRank*world)
-	}
-	if counted != produced {
-		t.Fatalf("counted %d != produced %d", counted, produced)
-	}
-	// Ownership: every counted k-mer must live on its hash owner.
-	for r, res := range results {
-		for kmer := range res.Counts {
-			if kmerOwner([]byte(kmer), world) != r {
-				t.Fatalf("k-mer %q stored on rank %d, owner %d", kmer, r, kmerOwner([]byte(kmer), world))
-			}
-		}
-	}
-}
-
-func TestKmerCountRejectsBadConfig(t *testing.T) {
-	runApps(t, 1, 1, func(p *transport.Proc) error {
-		if _, err := KmerCount(p, KmerCountConfig{K: 10, ReadLen: 5, ReadsPerRank: 1}); err == nil {
-			return fmt.Errorf("read shorter than k accepted")
-		}
-		return nil
-	})
-}
-
 // TestAppsAcrossExchangeStyles re-validates the oracle apps under the
 // lazy-forwarding exchange (the figure benchmarks default to the
 // paper's round-matched protocol, covered by the tests above): results

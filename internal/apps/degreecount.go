@@ -3,8 +3,8 @@
 // connected components via label propagation with vertex delegates and
 // asynchronous broadcast synchronization (Section V-B), sparse
 // matrix–dense vector multiplication with delegates (Algorithm 2), plus
-// a Graph500-style BFS and a HipMer-inspired k-mer counter that exercise
-// the same mailbox patterns the paper's introduction motivates.
+// a Graph500-style BFS and chaotic-relaxation SSSP that exercise the same
+// mailbox patterns the paper's introduction motivates.
 package apps
 
 import (

@@ -12,12 +12,10 @@ import (
 	"ygm/internal/ygm"
 )
 
-// AblationMailboxSize sweeps the mailbox capacity for degree counting at
+// ablationMailboxPlan sweeps the mailbox capacity for degree counting at
 // a fixed node count — the design parameter the paper fixes at 2^18 and
 // scales with N in Fig. 8d. Too small: flushes defeat coalescing; too
 // large: messages sit in buffers and receive-side overlap disappears.
-func AblationMailboxSize(p Preset) *Table { return runPlan(ablationMailboxPlan(p)) }
-
 func ablationMailboxPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "ablation-mailbox", Title: "mailbox capacity sweep (degree counting, NLNR and NoRoute)"}}
 	nodes := p.WeakNodes[len(p.WeakNodes)-1]
@@ -37,14 +35,12 @@ func ablationMailboxPlan(p Preset) Plan {
 	return pl
 }
 
-// AblationStraggler is the paper's core motivation measured directly:
+// ablationStragglerPlan is the paper's core motivation measured directly:
 // the same many-to-many counting workload run (a) through the
 // asynchronous mailbox and (b) through synchronous ALLTOALLV exchanges,
 // with one rank's compute slowed 10x. The mailbox couples ranks only
 // through message routes; the collective couples everyone to the
 // straggler every batch.
-func AblationStraggler(p Preset) *Table { return runPlan(ablationStragglerPlan(p)) }
-
 func ablationStragglerPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "ablation-straggler", Title: "async mailbox vs synchronous ALLTOALLV with a 10x straggler"}}
 	nodes := p.WeakNodes[len(p.WeakNodes)-1]
@@ -139,12 +135,10 @@ func syncDegreeCount(proc *transport.Proc, numVertices uint64, edgesPerRank, bat
 	return nil
 }
 
-// AblationZeroCopy evaluates the Section VII future-work direction: a
+// ablationZeroCopyPlan evaluates the Section VII future-work direction: a
 // hybrid (threads-style) runtime where on-node hops hand over pointers
 // instead of copying. Local per-byte costs vanish; the win is largest
 // for NLNR, whose extra local exchange is pure copy overhead.
-func AblationZeroCopy(p Preset) *Table { return runPlan(ablationZeroCopyPlan(p)) }
-
 func ablationZeroCopyPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "ablation-zerocopy", Title: "MPI-only copies vs zero-copy local exchange (Section VII)"}}
 	nodes := p.WeakNodes[len(p.WeakNodes)-1]
@@ -168,11 +162,9 @@ func ablationZeroCopyPlan(p Preset) Plan {
 	return pl
 }
 
-// AblationBroadcast measures the remote cost of asynchronous broadcasts
+// ablationBroadcastPlan measures the remote cost of asynchronous broadcasts
 // per scheme directly (Section III-C's factor-of-C claim): every rank
 // issues B broadcasts and the table reports remote packets and time.
-func AblationBroadcast(p Preset) *Table { return runPlan(ablationBroadcastPlan(p)) }
-
 func ablationBroadcastPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "ablation-bcast", Title: "broadcast remote cost per scheme"}}
 	nodes := p.WeakNodes[len(p.WeakNodes)-1]
@@ -203,14 +195,12 @@ func ablationBroadcastPlan(p Preset) Plan {
 	return pl
 }
 
-// AblationExchangeStyle compares the two exchange implementations of
+// ablationExchangePlan compares the two exchange implementations of
 // Section III-A on identical degree-counting traffic: the asynchronous
 // send/recv mailbox (ranks enter and leave communication independently)
 // versus the ALLTOALLV-backed SyncMailbox (each phase is a collective,
 // as performed better on IBM BG/Q). Balanced load favors the collective;
 // adding a straggler flips the comparison.
-func AblationExchangeStyle(p Preset) *Table { return runPlan(ablationExchangePlan(p)) }
-
 func ablationExchangePlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "ablation-exchange", Title: "async send/recv vs ALLTOALLV-backed exchanges (Section III-A)"}}
 	nodes := p.WeakNodes[len(p.WeakNodes)-1]

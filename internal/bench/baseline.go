@@ -89,7 +89,7 @@ func CollectBaseline(rounds int) Baseline {
 	}
 	p := Quick()
 	for _, e := range baselineFigures() {
-		table := e.Run(p)
+		table := runPlan(e.Plan(p))
 		total := 0.0
 		for _, row := range table.Rows {
 			if v, ok := row.Get("sim_time"); ok {

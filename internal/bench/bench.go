@@ -194,38 +194,36 @@ func (t *Table) Select(key, val string) []Row {
 	return out
 }
 
-// Experiments maps figure ids to their runners, in presentation order.
+// Experiments lists every experiment with its plan, in presentation order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"topo", "Figs. 1-4: exchange topology summary (partner counts per scheme)", Topology, nil},
-		{"fig5", "Fig. 5: network bandwidth vs message size (eager/rendezvous switch)", Fig5, fig5Plan},
-		{"fig6a", "Fig. 6a: degree counting weak scaling", Fig6a, fig6aPlan},
-		{"fig6b", "Fig. 6b: degree counting strong scaling", Fig6b, fig6bPlan},
-		{"fig7a", "Fig. 7a: connected components weak scaling (with broadcast counts)", Fig7a, fig7aPlan},
-		{"fig7b", "Fig. 7b: connected components strong scaling", Fig7b, fig7bPlan},
-		{"fig8a", "Fig. 8a: SpMV weak scaling, RMAT with delegates, vs CombBLAS-style 2D", Fig8a, fig8aPlan},
-		{"fig8b", "Fig. 8b: delegate count growth under SpMV weak scaling", Fig8b, fig8bPlan},
-		{"fig8c", "Fig. 8c: SpMV weak scaling, uniform without delegates, vs CombBLAS-style 2D", Fig8c, fig8cPlan},
-		{"fig8d", "Fig. 8d: SpMV strong scaling on a webgraph-like matrix (mailbox scaled with N)", Fig8d, fig8dPlan},
-		{"fig8x", "Fig. 8a/8c crossover study: YGM vs 2D baseline at paper-scale volumes", Fig8x, fig8xPlan},
-		{"ablation-mailbox", "Ablation: mailbox capacity sweep", AblationMailboxSize, ablationMailboxPlan},
-		{"ablation-exchange", "Ablation: async send/recv vs ALLTOALLV-backed exchanges (III-A)", AblationExchangeStyle, ablationExchangePlan},
-		{"ablation-straggler", "Ablation: async mailbox vs synchronous exchange under stragglers", AblationStraggler, ablationStragglerPlan},
-		{"ablation-zerocopy", "Ablation: Section VII zero-copy local exchanges", AblationZeroCopy, ablationZeroCopyPlan},
-		{"ablation-bcast", "Ablation: broadcast remote cost per scheme", AblationBroadcast, ablationBroadcastPlan},
+		{"topo", "Figs. 1-4: exchange topology summary (partner counts per scheme)", topoPlan},
+		{"fig5", "Fig. 5: network bandwidth vs message size (eager/rendezvous switch)", fig5Plan},
+		{"fig6a", "Fig. 6a: degree counting weak scaling", fig6aPlan},
+		{"fig6b", "Fig. 6b: degree counting strong scaling", fig6bPlan},
+		{"fig7a", "Fig. 7a: connected components weak scaling (with broadcast counts)", fig7aPlan},
+		{"fig7b", "Fig. 7b: connected components strong scaling", fig7bPlan},
+		{"fig8a", "Fig. 8a: SpMV weak scaling, RMAT with delegates, vs CombBLAS-style 2D", fig8aPlan},
+		{"fig8b", "Fig. 8b: delegate count growth under SpMV weak scaling", fig8bPlan},
+		{"fig8c", "Fig. 8c: SpMV weak scaling, uniform without delegates, vs CombBLAS-style 2D", fig8cPlan},
+		{"fig8d", "Fig. 8d: SpMV strong scaling on a webgraph-like matrix (mailbox scaled with N)", fig8dPlan},
+		{"fig8x", "Fig. 8a/8c crossover study: YGM vs 2D baseline at paper-scale volumes", fig8xPlan},
+		{"ablation-mailbox", "Ablation: mailbox capacity sweep", ablationMailboxPlan},
+		{"ablation-exchange", "Ablation: async send/recv vs ALLTOALLV-backed exchanges (III-A)", ablationExchangePlan},
+		{"ablation-straggler", "Ablation: async mailbox vs synchronous exchange under stragglers", ablationStragglerPlan},
+		{"ablation-zerocopy", "Ablation: Section VII zero-copy local exchanges", ablationZeroCopyPlan},
+		{"ablation-bcast", "Ablation: broadcast remote cost per scheme", ablationBroadcastPlan},
 	}
 }
 
-// Experiment couples a figure id with its runner. Run regenerates the
-// table serially. Plan, where present, decomposes the experiment into
-// independent cells for the parallel runner; Run for such experiments
-// is defined as executing the plan's cells in order, so serial and
-// parallel sweeps produce identical tables by construction. Topology is
-// the one plan-less experiment: it runs no simulated worlds at all.
+// Experiment couples a figure id with its plan: the decomposition of
+// the experiment into independent cells. A Runner executes the cells
+// serially or across a worker pool and reassembles their rows in plan
+// order, so serial and parallel sweeps produce identical tables by
+// construction.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(p Preset) *Table
 	Plan  func(p Preset) Plan
 }
 

@@ -70,7 +70,7 @@ func TestPresetByName(t *testing.T) {
 }
 
 func TestTopologyTable(t *testing.T) {
-	tbl := Topology(quickTiny())
+	tbl := runPlan(topoPlan(quickTiny()))
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -94,7 +94,7 @@ func TestTopologyTable(t *testing.T) {
 // TestFig5Shape: model and measured bandwidths agree in order of
 // magnitude, rise within the eager regime, and drop at the threshold.
 func TestFig5Shape(t *testing.T) {
-	tbl := Fig5(quickTiny())
+	tbl := runPlan(fig5Plan(quickTiny()))
 	var lastEager, firstRndv float64
 	prev := 0.0
 	for _, r := range tbl.Rows {
@@ -162,7 +162,7 @@ func TestFig5RecyclesEveryPacket(t *testing.T) {
 // average remote messages.
 func TestFig6aShape(t *testing.T) {
 	p := quickTiny()
-	tbl := Fig6a(p)
+	tbl := runPlan(fig6aPlan(p))
 	last := itoa(p.WeakNodes[len(p.WeakNodes)-1])
 	rows := tbl.Select("nodes", last)
 	times := map[string]float64{}
@@ -188,7 +188,7 @@ func TestFig6aShape(t *testing.T) {
 }
 
 func TestFig6bRuns(t *testing.T) {
-	tbl := Fig6b(quickTiny())
+	tbl := runPlan(fig6bPlan(quickTiny()))
 	if len(tbl.Rows) != 3*4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -203,7 +203,7 @@ func TestFig6bRuns(t *testing.T) {
 // node count, and every point completes with positive time.
 func TestFig7aShape(t *testing.T) {
 	p := quickTiny()
-	tbl := Fig7a(p)
+	tbl := runPlan(fig7aPlan(p))
 	totalBcasts := 0.0
 	for _, r := range tbl.Rows {
 		if v, ok := r.Get("sim_time"); !ok || v <= 0 {
@@ -218,7 +218,7 @@ func TestFig7aShape(t *testing.T) {
 }
 
 func TestFig7bRuns(t *testing.T) {
-	tbl := Fig7b(quickTiny())
+	tbl := runPlan(fig7bPlan(quickTiny()))
 	if len(tbl.Rows) == 0 {
 		t.Fatal("empty table")
 	}
@@ -228,7 +228,7 @@ func TestFig7bRuns(t *testing.T) {
 // every YGM row carries a delegate count.
 func TestFig8aShape(t *testing.T) {
 	p := quickTiny()
-	tbl := Fig8a(p)
+	tbl := runPlan(fig8aPlan(p))
 	combRows := tbl.Select("scheme", "CombBLAS")
 	if len(combRows) != len(p.GridNodes) {
 		t.Fatalf("CombBLAS rows = %d, want %d", len(combRows), len(p.GridNodes))
@@ -245,7 +245,7 @@ func TestFig8aShape(t *testing.T) {
 
 // TestFig8bShape: delegate counts must not shrink as the graph grows.
 func TestFig8bShape(t *testing.T) {
-	tbl := Fig8b(quickTiny())
+	tbl := runPlan(fig8bPlan(quickTiny()))
 	prev := -1.0
 	for _, r := range tbl.Rows {
 		d, _ := r.Get("delegates")
@@ -260,7 +260,7 @@ func TestFig8bShape(t *testing.T) {
 }
 
 func TestFig8cNoDelegates(t *testing.T) {
-	tbl := Fig8c(quickTiny())
+	tbl := runPlan(fig8cPlan(quickTiny()))
 	for _, r := range tbl.Rows {
 		if d, ok := r.Get("delegates"); ok && d != 0 {
 			t.Fatalf("uniform run produced delegates: %+v", r)
@@ -269,7 +269,7 @@ func TestFig8cNoDelegates(t *testing.T) {
 }
 
 func TestFig8dRuns(t *testing.T) {
-	tbl := Fig8d(quickTiny())
+	tbl := runPlan(fig8dPlan(quickTiny()))
 	if len(tbl.Rows) == 0 {
 		t.Fatal("empty table")
 	}
@@ -284,7 +284,7 @@ func TestFig8dRuns(t *testing.T) {
 // collective idles every rank equally and so loses little utilization
 // while losing the most time.)
 func TestAblationStragglerShape(t *testing.T) {
-	tbl := AblationStraggler(quickTiny())
+	tbl := runPlan(ablationStragglerPlan(quickTiny()))
 	simTime := map[string]float64{}
 	for _, r := range tbl.Rows {
 		v, ok := r.Get("sim_time")
@@ -305,7 +305,7 @@ func TestAblationStragglerShape(t *testing.T) {
 }
 
 func TestAblationMailboxRuns(t *testing.T) {
-	tbl := AblationMailboxSize(quickTiny())
+	tbl := runPlan(ablationMailboxPlan(quickTiny()))
 	if len(tbl.Rows) == 0 {
 		t.Fatal("empty table")
 	}
@@ -313,7 +313,7 @@ func TestAblationMailboxRuns(t *testing.T) {
 
 // TestAblationZeroCopyShape: zero-copy local exchange must not be slower.
 func TestAblationZeroCopyShape(t *testing.T) {
-	tbl := AblationZeroCopy(quickTiny())
+	tbl := runPlan(ablationZeroCopyPlan(quickTiny()))
 	times := map[string]float64{}
 	for _, r := range tbl.Rows {
 		v, _ := r.Get("sim_time")
@@ -327,7 +327,7 @@ func TestAblationZeroCopyShape(t *testing.T) {
 // TestAblationBroadcastShape: NodeRemote and NLNR broadcasts must use
 // fewer remote packets than NodeLocal and NoRoute (the factor-C claim).
 func TestAblationBroadcastShape(t *testing.T) {
-	tbl := AblationBroadcast(quickTiny())
+	tbl := runPlan(ablationBroadcastPlan(quickTiny()))
 	msgs := map[string]float64{}
 	for _, r := range tbl.Rows {
 		v, _ := r.Get("remote_msgs")
@@ -343,7 +343,7 @@ func TestAblationBroadcastShape(t *testing.T) {
 // makespan tracks the slowest rank's own total, not the sum of
 // per-round maxima).
 func TestAblationExchangeShape(t *testing.T) {
-	tbl := AblationExchangeStyle(quickTiny())
+	tbl := runPlan(ablationExchangePlan(quickTiny()))
 	times := map[string]float64{}
 	for _, r := range tbl.Rows {
 		v, _ := r.Get("sim_time")
@@ -361,7 +361,7 @@ func TestAblationExchangeShape(t *testing.T) {
 // TestFig8xShape: the 2D baseline's remote traffic must grow faster than
 // YGM's across the crossover sweep (the sqrt(P) dense-vector mechanism).
 func TestFig8xShape(t *testing.T) {
-	tbl := Fig8x(quickTiny())
+	tbl := runPlan(fig8xPlan(quickTiny()))
 	var ygmMB, cbMB []float64
 	for _, r := range tbl.Rows {
 		v, _ := r.Get("remote_MB")

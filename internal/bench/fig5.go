@@ -7,27 +7,31 @@ import (
 	"ygm/internal/transport"
 )
 
-// Topology regenerates the structural content of Figs. 1-4: for an
+// topoPlan regenerates the structural content of Figs. 1-4: for an
 // example cluster it tabulates, per routing scheme, the maximum number
-// of direct remote partners any core has, the resulting average remote
-// message size scaling exponent, and the worst-case hop count — the
-// quantities the exchange-topology diagrams illustrate.
-func Topology(p Preset) *Table {
-	t := &Table{ID: "topo", Title: "exchange topology summary (N=16 nodes, C=4 cores)"}
-	topo := machine.New(16, 4)
-	for _, s := range machine.Schemes {
-		t.Add(Row{
-			Labels: []Label{{Key: "scheme", Val: s.String()}},
-			Values: []Value{
-				{Key: "max_remote_partners", Val: float64(topo.MaxRemotePartners(s))},
-				{Key: "max_hops", Val: float64(machine.MaxHops(s))},
-			},
-		})
-	}
-	return t
+// of direct remote partners any core has and the worst-case hop count —
+// the quantities the exchange-topology diagrams illustrate. It runs no
+// simulated world, so it is one cell.
+func topoPlan(Preset) Plan {
+	pl := Plan{Table: &Table{ID: "topo", Title: "exchange topology summary (N=16 nodes, C=4 cores)"}}
+	pl.addRows("topo", func() []Row {
+		topo := machine.New(16, 4)
+		var rows []Row
+		for _, s := range machine.Schemes {
+			rows = append(rows, Row{
+				Labels: []Label{{Key: "scheme", Val: s.String()}},
+				Values: []Value{
+					{Key: "max_remote_partners", Val: float64(topo.MaxRemotePartners(s))},
+					{Key: "max_hops", Val: float64(machine.MaxHops(s))},
+				},
+			})
+		}
+		return rows
+	})
+	return pl
 }
 
-// Fig5 regenerates the bandwidth-vs-message-size curve: for each size it
+// fig5Plan regenerates the bandwidth-vs-message-size curve: for each size it
 // reports the cost model's effective bandwidth and a measured value from
 // an actual two-rank transfer on the simulated transport (the paper
 // measured MVAPICH between two Quartz ranks). It then adds the scheme
@@ -35,8 +39,6 @@ func Topology(p Preset) *Table {
 // 32-core system, the average remote message size each routing scheme
 // achieves — V/(NC) for no routing, V/N for NodeLocal/NodeRemote, VC/N
 // for NLNR — and the bandwidth the curve yields at that size.
-func Fig5(p Preset) *Table { return runPlan(fig5Plan(p)) }
-
 func fig5Plan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "fig5", Title: "network bandwidth between two ranks vs message size"}}
 	for size := 8; size <= 4<<20; size *= 4 {

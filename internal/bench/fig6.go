@@ -33,13 +33,11 @@ func degreeRun(p Preset, nodes int, scheme machine.Scheme, numVertices uint64, e
 	}
 }
 
-// Fig6a: degree counting weak scaling. The paper used 2^28 vertices and
+// fig6aPlan: degree counting weak scaling. The paper used 2^28 vertices and
 // 2^32 edges per node with a 2^18 mailbox on 36-core nodes; the preset
 // keeps edges-per-rank and mailbox size fixed across the node sweep,
 // which is what produces the NoRoute collapse and the eventual
 // NodeLocal/NodeRemote coalescing falloff.
-func Fig6a(p Preset) *Table { return runPlan(fig6aPlan(p)) }
-
 func fig6aPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "fig6a", Title: "degree counting weak scaling (uniform edges, fixed mailbox)"}}
 	for _, nodes := range p.WeakNodes {
@@ -54,9 +52,7 @@ func fig6aPlan(p Preset) Plan {
 	return pl
 }
 
-// Fig6b: degree counting strong scaling (fixed total problem).
-func Fig6b(p Preset) *Table { return runPlan(fig6bPlan(p)) }
-
+// fig6bPlan: degree counting strong scaling (fixed total problem).
 func fig6bPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "fig6b", Title: "degree counting strong scaling (fixed total edges)"}}
 	for _, nodes := range p.StrongNodes {

@@ -44,13 +44,11 @@ func ccRun(p Preset, nodes int, scheme machine.Scheme, scale, edgesPerRank int) 
 	return row
 }
 
-// Fig7a: connected components weak scaling on Graph500 RMAT graphs. The
+// fig7aPlan: connected components weak scaling on Graph500 RMAT graphs. The
 // vertex count grows with the world (scale = per-rank log + log2(P)),
 // the delegate threshold scales with the expected maximum degree, and
 // the broadcast count per point is reported alongside time — the growth
 // the paper plots on the secondary axis.
-func Fig7a(p Preset) *Table { return runPlan(fig7aPlan(p)) }
-
 func fig7aPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "fig7a", Title: "connected components weak scaling (RMAT, delegates + broadcasts)"}}
 	for _, nodes := range p.WeakNodes {
@@ -65,9 +63,7 @@ func fig7aPlan(p Preset) Plan {
 	return pl
 }
 
-// Fig7b: connected components strong scaling (fixed graph).
-func Fig7b(p Preset) *Table { return runPlan(fig7bPlan(p)) }
-
+// fig7bPlan: connected components strong scaling (fixed graph).
 func fig7bPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "fig7b", Title: "connected components strong scaling (fixed RMAT graph)"}}
 	for _, nodes := range p.StrongNodes {

@@ -99,10 +99,8 @@ func isGridNode(p Preset, nodes int) bool {
 	return false
 }
 
-// Fig8a: SpMV weak scaling on Graph500 RMAT matrices with delegates,
+// fig8aPlan: SpMV weak scaling on Graph500 RMAT matrices with delegates,
 // against the CombBLAS-style 2D baseline at square world sizes.
-func Fig8a(p Preset) *Table { return runPlan(fig8aPlan(p)) }
-
 func fig8aPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "fig8a", Title: "SpMV weak scaling (RMAT 0.57/0.19/0.19/0.05, delegates) vs CombBLAS-style 2D"}}
 	for _, nodes := range p.WeakNodes {
@@ -123,9 +121,7 @@ func fig8aPlan(p Preset) Plan {
 	return pl
 }
 
-// Fig8b: delegate count growth across the Fig. 8a weak-scaling sweep.
-func Fig8b(p Preset) *Table { return runPlan(fig8bPlan(p)) }
-
+// fig8bPlan: delegate count growth across the Fig. 8a weak-scaling sweep.
 func fig8bPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "fig8b", Title: "delegate growth under SpMV weak scaling"}}
 	for _, nodes := range p.WeakNodes {
@@ -147,11 +143,9 @@ func fig8bPlan(p Preset) Plan {
 	return pl
 }
 
-// Fig8c: SpMV weak scaling on uniform matrices (RMAT 0.25 x4) without
+// fig8cPlan: SpMV weak scaling on uniform matrices (RMAT 0.25 x4) without
 // delegates, vs the 2D baseline — isolating the communication layer from
 // the delegate mechanism, as the paper does.
-func Fig8c(p Preset) *Table { return runPlan(fig8cPlan(p)) }
-
 func fig8cPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "fig8c", Title: "SpMV weak scaling (uniform, no delegates) vs CombBLAS-style 2D"}}
 	for _, nodes := range p.WeakNodes {
@@ -172,12 +166,10 @@ func fig8cPlan(p Preset) Plan {
 	return pl
 }
 
-// Fig8d: SpMV strong scaling on the webgraph-like matrix. As in the
+// fig8dPlan: SpMV strong scaling on the webgraph-like matrix. As in the
 // paper, the mailbox size scales with the node count (2^10 x N there);
 // without that scaling, per-channel message sizes shrink until
 // coalescing stops paying.
-func Fig8d(p Preset) *Table { return runPlan(fig8dPlan(p)) }
-
 func fig8dPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "fig8d", Title: "SpMV strong scaling (webgraph-like matrix, mailbox scaled with N)"}}
 	for _, nodes := range p.StrongNodes {

@@ -7,7 +7,7 @@ import (
 	"ygm/internal/machine"
 )
 
-// Fig8x isolates the Fig. 8a/8c crossover between YGM and the 2D
+// fig8xPlan isolates the Fig. 8a/8c crossover between YGM and the 2D
 // synchronous baseline at paper-scale *per-rank volumes*. The mechanism:
 // YGM's remote traffic per rank is proportional to its nonzeros per rank
 // — constant under weak scaling — while the 2D SpMV moves the dense
@@ -17,8 +17,6 @@ import (
 // overtakes. The sweep uses a low edge factor and a mailbox large enough
 // that YGM runs bandwidth-dominated rather than overhead-dominated,
 // exactly the regime the paper's 2^18-record mailboxes produced.
-func Fig8x(p Preset) *Table { return runPlan(fig8xPlan(p)) }
-
 func fig8xPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "fig8x", Title: "SpMV crossover vs CombBLAS-style 2D (paper-scale per-rank volumes)"}}
 	for _, nodes := range p.XoverGridNodes {

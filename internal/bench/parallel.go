@@ -42,10 +42,9 @@ func (pl *Plan) addRows(name string, run func() []Row) {
 	pl.Cells = append(pl.Cells, Cell{Name: name, Rows: run})
 }
 
-// runPlan is the serial executor every decomposed experiment's Run is
-// defined through: cells execute in plan order on the calling
-// goroutine. Because the parallel runner executes the same cells and
-// reassembles rows in the same order, the two paths cannot diverge.
+// runPlan is the serial executor: cells execute in plan order on the
+// calling goroutine. Because the parallel runner executes the same cells
+// and reassembles rows in the same order, the two paths cannot diverge.
 func runPlan(pl Plan) *Table {
 	for _, c := range pl.Cells {
 		pl.Table.Rows = append(pl.Table.Rows, c.Rows()...)
@@ -63,8 +62,8 @@ func cellName(id string, nodes int, scheme machine.Scheme) string {
 // over the sweep. The zero value runs serially with no profiles.
 type Runner struct {
 	// Workers is the number of goroutines executing cells. Values <= 1
-	// (and experiments with no Plan) run serially. Simulated results do
-	// not depend on Workers; only host wall time does.
+	// run serially. Simulated results do not depend on Workers; only host
+	// wall time does.
 	Workers int
 	// CPUProfile, when non-empty, is the path Profile writes a pprof
 	// CPU profile of the sweep to.
@@ -74,22 +73,16 @@ type Runner struct {
 	MemProfile string
 }
 
-// Run executes one experiment. Experiments with a Plan fan their cells
-// out across Workers goroutines; plan-less experiments and Workers <= 1
-// fall back to the serial Run. A non-nil Preset.Trace forces the serial
-// path: a ChromeTracer is safe to share but records one world at a
-// time, and interleaving concurrent worlds would garble the timeline.
+// Run executes one experiment, fanning its cells out across Workers
+// goroutines. Workers <= 1 runs them serially through runPlan, and so
+// does a non-nil Preset.Trace: a ChromeTracer is safe to share but
+// records one world at a time, and interleaving concurrent worlds would
+// garble the timeline.
 func (r *Runner) Run(e Experiment, p Preset) *Table {
-	workers := r.Workers
-	if p.Trace != nil {
-		workers = 1
-	}
-	if e.Plan == nil || workers <= 1 {
-		return e.Run(p)
-	}
 	pl := e.Plan(p)
-	if workers > len(pl.Cells) {
-		workers = len(pl.Cells)
+	workers := min(r.Workers, len(pl.Cells))
+	if p.Trace != nil || workers <= 1 {
+		return runPlan(pl)
 	}
 	rows := make([][]Row, len(pl.Cells))
 	jobs := make(chan int)

@@ -57,7 +57,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial := e.Run(p)
+			serial := runPlan(e.Plan(p))
 			par := (&Runner{Workers: 4}).Run(e, p)
 			if par.ID != serial.ID || par.Title != serial.Title {
 				t.Fatalf("table header mismatch: %q/%q vs %q/%q", par.ID, par.Title, serial.ID, serial.Title)
@@ -126,12 +126,7 @@ func TestRunnerPreservesCellOrder(t *testing.T) {
 		}
 		return pl
 	}
-	e := Experiment{
-		ID:    "synthetic",
-		Title: "synthetic",
-		Run:   func(p Preset) *Table { return runPlan(mkPlan(p)) },
-		Plan:  mkPlan,
-	}
+	e := Experiment{ID: "synthetic", Title: "synthetic", Plan: mkPlan}
 	for _, workers := range []int{1, 3, 8, 2 * n} {
 		table := (&Runner{Workers: workers}).Run(e, Preset{})
 		if len(table.Rows) != n {
@@ -168,7 +163,7 @@ func TestRunnerTraceForcesSerial(t *testing.T) {
 		}
 		return pl
 	}
-	e := Experiment{ID: "x", Title: "x", Run: func(p Preset) *Table { return runPlan(mkPlan(p)) }, Plan: mkPlan}
+	e := Experiment{ID: "x", Title: "x", Plan: mkPlan}
 	p := Preset{Trace: nopTracer{}}
 	(&Runner{Workers: 8}).Run(e, p)
 	if peak != 1 {
@@ -226,9 +221,6 @@ func TestPlansMatchSerialTables(t *testing.T) {
 	}
 	p := shrunkQuick()
 	for _, e := range Experiments() {
-		if e.Plan == nil {
-			continue
-		}
 		t.Run(e.ID, func(t *testing.T) {
 			pl := e.Plan(p)
 			if pl.Table.ID != e.ID {
@@ -237,7 +229,7 @@ func TestPlansMatchSerialTables(t *testing.T) {
 			if len(pl.Cells) == 0 {
 				t.Fatal("plan has no cells")
 			}
-			serial := e.Run(p)
+			serial := runPlan(e.Plan(p))
 			total := 0
 			for _, c := range pl.Cells {
 				if c.Name == "" {

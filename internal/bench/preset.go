@@ -71,8 +71,8 @@ type Preset struct {
 	// for the real-time wire (figures then report wall seconds on real
 	// hardware instead of modeled seconds). The multi-process TCP
 	// backend does not fit a figure sweep — world sizes vary per cell —
-	// so ygm-bench runs its dedicated exchange benchmark for that (see
-	// -wire=tcp).
+	// so ygm-bench rejects -wire=tcp and points to the stream_tcp
+	// workload of benchmark/run.sh.
 	Wire string
 }
 

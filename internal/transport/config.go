@@ -42,12 +42,6 @@ func WithTrace(t Tracer) ConfigOption {
 	return func(c *Config) { c.Trace = t }
 }
 
-// WithDelay installs a virtual flight-time injector (simulated wires
-// only; see Config.Delay).
-func WithDelay(d DelayFn) ConfigOption {
-	return func(c *Config) { c.Delay = d }
-}
-
 // WithWire selects the transport backend; nil (the default) is the
 // virtual-time SimWire. See the Wire interface and DESIGN.md §13.
 func WithWire(w Wire) ConfigOption {
@@ -60,21 +54,10 @@ func WithWatchdogInterval(d time.Duration) ConfigOption {
 	return func(c *Config) { c.WatchdogInterval = d }
 }
 
-// WithTrackPartners enables per-destination send counters.
-func WithTrackPartners() ConfigOption {
-	return func(c *Config) { c.TrackPartners = true }
-}
-
 // WithComputeScale installs a per-rank straggler multiplier (simulated
 // wires only; see Config.ComputeScale).
 func WithComputeScale(f func(machine.Rank) float64) ConfigOption {
 	return func(c *Config) { c.ComputeScale = f }
-}
-
-// WithFlightRecorder sizes each rank's diagnostic event ring (negative
-// disables it; see Config.FlightRecorder).
-func WithFlightRecorder(n int) ConfigOption {
-	return func(c *Config) { c.FlightRecorder = n }
 }
 
 // WithWorkers selects the execution model: a positive n forces the M:N

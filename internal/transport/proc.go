@@ -3,16 +3,12 @@ package transport
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 
 	"ygm/internal/machine"
 	"ygm/internal/netsim"
 	"ygm/internal/obs"
 )
-
-// traceJumps enables stderr tracing of large arrival waits (debug).
-var traceJumps = false
 
 // Proc is the per-rank handle passed to the SPMD body. It bundles the
 // rank's identity, virtual clock, inbox, traffic stats, and a
@@ -34,11 +30,6 @@ type Proc struct {
 	rt *rtClock
 
 	computeScale float64
-
-	jumpD      float64
-	jumpSrc    machine.Rank
-	jumpTag    Tag
-	jumpArrive float64
 
 	// checkLastNow is the last virtual time observed by the ygmcheck
 	// clock-monotonicity assertion; unused in default builds.
@@ -162,16 +153,6 @@ func (p *Proc) Compute(d float64) {
 	}
 	p.clock.Advance(d * p.computeScale)
 	p.checkClockMonotone()
-}
-
-// ChargeRecvOverhead advances the clock by the model's receive overhead;
-// exposed for layers (like the mailbox) that account per-record costs.
-// A no-op under real-time wires, like every model charge.
-func (p *Proc) ChargeRecvOverhead() {
-	if p.rt != nil {
-		return
-	}
-	p.clock.Advance(p.world.model.RecvOverhead)
 }
 
 // Send transmits payload to dst under tag. The sender is charged the send
@@ -356,31 +337,19 @@ func (p *Proc) Poll(tag Tag) *Packet {
 	return pkt
 }
 
-// Drain returns the earliest physically present packet with the given
-// tag regardless of virtual arrival, waiting the clock forward to the
-// arrival time, or nil if the inbox holds none. Used by ranks that have
-// declared themselves idle (e.g. inside WaitEmpty).
-func (p *Proc) Drain(tag Tag) *Packet {
-	pkt := p.world.inboxes[p.rank].TryPop(tag)
-	if pkt == nil {
-		return nil
-	}
-	p.absorb(pkt)
-	return pkt
-}
-
-// DrainBatch removes every physically present packet under tag in one
-// inbox lock acquisition, appending them to scratch in virtual-arrival
-// order, and returns the extended slice. Unlike Drain it does NOT absorb:
-// the caller must Absorb each packet as it processes it, which preserves
-// the per-packet clock accounting of a pop-at-a-time drain while
-// eliminating the per-poll locking and interface traffic.
+// DrainBatch removes every physically present packet under tag,
+// regardless of virtual arrival, in one inbox lock acquisition,
+// appending them to scratch in virtual-arrival order, and returns the
+// extended slice. It does NOT absorb: the caller must Absorb each packet
+// as it processes it, which keeps the per-packet clock accounting of a
+// pop-at-a-time drain without the per-poll locking.
 func (p *Proc) DrainBatch(tag Tag, scratch []*Packet) []*Packet {
 	return p.world.inboxes[p.rank].DrainInto(tag, scratch)
 }
 
 // Absorb applies arrival-wait and receive-overhead accounting for a
-// packet obtained from DrainBatch, exactly as Drain would have.
+// packet obtained from DrainBatch, exactly as Recv does: the clock waits
+// forward to the packet's arrival.
 func (p *Proc) Absorb(pkt *Packet) { p.absorb(pkt) }
 
 // Yield cedes the rank's execution slot to another runnable rank.
@@ -429,27 +398,12 @@ func (p *Proc) absorb(pkt *Packet) {
 	}
 	// One fused clock update covers the whole receive: fast-forward to
 	// the arrival (wait time) plus the receive overhead (busy time).
-	// The returned jump — the idle interval skipped, 0 for packets
-	// already arrived — feeds the diagnostics that used to recompute it.
+	// The returned jump is the idle interval skipped, 0 for packets
+	// already arrived; a large one goes to the flight recorder.
 	before := p.clock.Now()
 	jump := p.clock.AbsorbAt(pkt.Arrive, p.world.model.RecvOverheadFor(p.world.topo.SameNode(p.rank, pkt.Src)))
-	if jump > 50e-6 {
-		// Large arrival waits go to the flight recorder always and, when
-		// traceJumps debugging is enabled, to stderr — never stdout,
-		// which carries machine-read bench output.
-		if p.rec != nil {
-			p.rec.Record(obs.Event{Kind: obs.KJump, T: before, Peer: int32(pkt.Src), Tag: uint64(pkt.Tag), Size: int64(len(pkt.Payload))})
-		}
-		if traceJumps {
-			fmt.Fprintf(os.Stderr, "JUMP rank=%d src=%d tag=%x now=%.3fms arrive=%.3fms size=%d\n",
-				p.rank, pkt.Src, pkt.Tag, before*1e3, pkt.Arrive*1e3, len(pkt.Payload))
-		}
-	}
-	if jump > p.jumpD {
-		p.jumpD = jump
-		p.jumpSrc = pkt.Src
-		p.jumpTag = pkt.Tag
-		p.jumpArrive = pkt.Arrive
+	if jump > 50e-6 && p.rec != nil {
+		p.rec.Record(obs.Event{Kind: obs.KJump, T: before, Peer: int32(pkt.Src), Tag: uint64(pkt.Tag), Size: int64(len(pkt.Payload))})
 	}
 	p.stats.RecvMsgs++
 	if p.rec != nil {
@@ -459,12 +413,6 @@ func (p *Proc) absorb(pkt *Packet) {
 	if p.world.trace != nil {
 		p.world.trace.PacketReceived(pkt.Src, p.rank, pkt.Tag, len(pkt.Payload), p.clock.Now())
 	}
-}
-
-// BigJump reports the packet that caused this rank's largest arrival
-// wait (diagnostic).
-func (p *Proc) BigJump() (src machine.Rank, tag Tag, arrive, d float64) {
-	return p.jumpSrc, p.jumpTag, p.jumpArrive, p.jumpD
 }
 
 // Clock exposes the rank's virtual netsim clock. Under a real-time wire

@@ -158,9 +158,12 @@ func TestYieldSingleWorkerNoLivelock(t *testing.T) {
 				return nil
 			}
 			for got := 0; got < p.WorldSize()-1; {
-				if pkt := p.Drain(TagUser); pkt != nil {
-					got++
-					p.Recycle(pkt)
+				if batch := p.DrainBatch(TagUser, nil); len(batch) > 0 {
+					for _, pkt := range batch {
+						p.Absorb(pkt)
+						p.Recycle(pkt)
+					}
+					got += len(batch)
 					continue
 				}
 				p.Yield()
@@ -338,9 +341,12 @@ func TestSchedulerWorkersResolution(t *testing.T) {
 func TestSchedulerYieldFairness(t *testing.T) {
 	poller := func(p *Proc, tag Tag, want int) {
 		for got := 0; got < want; {
-			if pkt := p.Drain(tag); pkt != nil {
-				got++
-				p.Recycle(pkt)
+			if batch := p.DrainBatch(tag, nil); len(batch) > 0 {
+				for _, pkt := range batch {
+					p.Absorb(pkt)
+					p.Recycle(pkt)
+				}
+				got += len(batch)
 				continue
 			}
 			p.Yield()

@@ -85,14 +85,6 @@ type Totals struct {
 	DataRemoteBytes uint64
 }
 
-// AvgRemoteMsgBytes returns the mean remote packet size over all traffic.
-func (t Totals) AvgRemoteMsgBytes() float64 {
-	if t.RemoteMsgs == 0 {
-		return 0
-	}
-	return float64(t.RemoteBytes) / float64(t.RemoteMsgs)
-}
-
 // AvgDataRemoteMsgBytes returns the mean remote mailbox-packet size, the
 // quantity the bandwidth-maximization analysis of Section III-E reasons
 // about.

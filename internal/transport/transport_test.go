@@ -158,8 +158,9 @@ func TestLocalVsRemoteAccounting(t *testing.T) {
 	if tot.LocalBytes != 64 || tot.RemoteBytes != 64 {
 		t.Fatalf("totals = %+v", tot)
 	}
-	if tot.AvgRemoteMsgBytes() != 64 {
-		t.Fatalf("avg remote = %g", tot.AvgRemoteMsgBytes())
+	// TagUser is control traffic, outside the mailbox payload counters.
+	if tot.DataRemoteMsgs != 0 || tot.AvgDataRemoteMsgBytes() != 0 {
+		t.Fatalf("user packets counted as data: %+v", tot)
 	}
 }
 
@@ -190,7 +191,8 @@ func TestPollRespectsVirtualArrival(t *testing.T) {
 	}
 }
 
-// TestDrainJumpsClock: Drain consumes in-flight packets, charging wait.
+// TestDrainJumpsClock: DrainBatch takes packets still in virtual
+// flight, and Absorb charges the wait to their arrival.
 func TestDrainJumpsClock(t *testing.T) {
 	_, err := Run(testConfig(2, 1), func(p *Proc) error {
 		if p.Rank() == 0 {
@@ -200,15 +202,20 @@ func TestDrainJumpsClock(t *testing.T) {
 		}
 		p.Recv(TagData)
 		before := p.Now()
-		pkt := p.Drain(TagUser)
-		if pkt == nil {
-			return fmt.Errorf("drain missed queued packet")
+		batch := p.DrainBatch(TagUser, nil)
+		if len(batch) != 1 {
+			return fmt.Errorf("drain took %d packets, want 1", len(batch))
 		}
+		if p.Now() != before {
+			return fmt.Errorf("DrainBatch moved the clock from %g to %g", before, p.Now())
+		}
+		pkt := batch[0]
+		p.Absorb(pkt)
 		if p.Now() < pkt.Arrive || p.Now() <= before {
-			return fmt.Errorf("drain did not wait to arrival: now=%g arrive=%g", p.Now(), pkt.Arrive)
+			return fmt.Errorf("absorb did not wait to arrival: now=%g arrive=%g", p.Now(), pkt.Arrive)
 		}
-		if p.Drain(TagUser) != nil {
-			return fmt.Errorf("drain of empty queue should be nil")
+		if n := len(p.DrainBatch(TagUser, nil)); n != 0 {
+			return fmt.Errorf("drain of empty queue took %d packets", n)
 		}
 		return nil
 	})
@@ -235,12 +242,13 @@ func TestArrivalOrdering(t *testing.T) {
 			return nil
 		}
 		p.Recv(TagData)
+		batch := p.DrainBatch(TagUser, nil)
+		if len(batch) != 3 {
+			return fmt.Errorf("drained %d packets, want 3", len(batch))
+		}
 		var got []byte
-		for i := 0; i < 3; i++ {
-			pkt := p.Drain(TagUser)
-			if pkt == nil {
-				return fmt.Errorf("missing packet %d", i)
-			}
+		for _, pkt := range batch {
+			p.Absorb(pkt)
 			got = append(got, pkt.Payload[0])
 		}
 		for i, b := range got {
@@ -442,8 +450,8 @@ func TestInboxDepthTracking(t *testing.T) {
 		if p.Pending(TagUser) != 10 {
 			return fmt.Errorf("pending = %d", p.Pending(TagUser))
 		}
-		for i := 0; i < 10; i++ {
-			p.Drain(TagUser)
+		for _, pkt := range p.DrainBatch(TagUser, nil) {
+			p.Absorb(pkt)
 		}
 		return nil
 	})

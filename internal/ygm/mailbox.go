@@ -69,9 +69,6 @@ type Options struct {
 	// all coalescing buffers — the paper's "mailbox size" (its
 	// experiments fix 2^18). Default 1024.
 	Capacity int
-	// PollEvery is how many Sends pass between opportunistic polls of
-	// the inbox (lazy exchange only). Default 8.
-	PollEvery int
 	// Exchange selects the exchange semantics. Default RoundExchange.
 	Exchange ExchangeStyle
 	// ZeroCopyLocal hands same-node coalescing buffers to the receiver
@@ -117,9 +114,6 @@ func (o Options) withDefaults() Options {
 	if o.Capacity <= 0 {
 		o.Capacity = 1024
 	}
-	if o.PollEvery <= 0 {
-		o.PollEvery = 8
-	}
 	return o
 }
 
@@ -146,6 +140,10 @@ type Stats struct {
 	// on. Always zero for the lazy mailbox.
 	EmptyRoundMsgs uint64
 }
+
+// pollEvery is how many Sends pass between the lazy mailbox's
+// opportunistic polls of the inbox.
+const pollEvery = 8
 
 // Mailbox is the lazy exchange policy over the shared core: a full queue
 // opens a communication context that flushes every non-empty buffer and
@@ -232,7 +230,7 @@ func (mb *Mailbox) afterQueue() {
 		mb.enterCommContext()
 	} else {
 		mb.sinceLastPoll++
-		if mb.sinceLastPoll >= mb.opts.PollEvery {
+		if mb.sinceLastPoll >= pollEvery {
 			mb.sinceLastPoll = 0
 			for mb.pollOnce() {
 			}

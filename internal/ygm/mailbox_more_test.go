@@ -11,11 +11,11 @@ import (
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Capacity != 1024 || o.PollEvery != 8 {
+	if o.Capacity != 1024 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	o = Options{Capacity: 7, PollEvery: 3}.withDefaults()
-	if o.Capacity != 7 || o.PollEvery != 3 {
+	o = Options{Capacity: 7}.withDefaults()
+	if o.Capacity != 7 {
 		t.Fatalf("explicit options clobbered: %+v", o)
 	}
 }

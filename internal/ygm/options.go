@@ -41,12 +41,6 @@ func WithCapacity(n int) Option {
 	return func(o *Options) { o.Capacity = n }
 }
 
-// WithPollEvery sets how many Sends pass between opportunistic inbox
-// polls (lazy exchange only; default 8).
-func WithPollEvery(n int) Option {
-	return func(o *Options) { o.PollEvery = n }
-}
-
 // WithZeroCopyLocal enables the Section VII zero-copy local exchange:
 // coalescing buffers bound for same-node ranks are handed to the
 // receiver without the pack-time copy (the buffer itself travels and is

@@ -318,7 +318,7 @@ func TestRoundReusable(t *testing.T) {
 // immediately starts the next phase's exchanges. A slow rank still
 // concluding the previous WaitEmpty must not join those rounds (its
 // handler would observe phase-k+1 messages while the application is in
-// phase k — exactly the failure the GraphBLAS layer hit). Epoch-tagged
+// phase k — the failure a multi-phase MxV fixpoint once hit). Epoch-tagged
 // rounds pin the fix: every delivery must carry the receiver's current
 // phase.
 func TestRoundEpochIsolation(t *testing.T) {

@@ -115,57 +115,106 @@ func TestTermIdleIsOneGeneration(t *testing.T) {
 	}
 }
 
-// TestPhaseIsolation: WaitEmpty processes data while a detection
-// generation is in flight, and ranks leave a verdict at different host
-// instants, so a rank already in phase n+1 can have its data sitting in
-// the inbox of a rank still waiting for the phase-n verdict. Nothing may
-// deliver it there: every handler invocation must see a payload of the
-// receiver's own phase. The real-time wire is the one that produces the
-// interleaving; NLNR's three hops put forwarding intermediaries in the
-// window too, and the 6-rank world adds the fold ranks, the last to
-// learn a verdict.
+// TestPhaseIsolation: WaitEmpty and TestEmpty process data while a
+// detection generation is in flight, and ranks leave a verdict at
+// different host instants, so a rank already in phase n+1 can have its
+// data sitting in the inbox of a rank still waiting for the phase-n
+// verdict. Nothing may deliver it there: every handler invocation must
+// see a payload of the receiver's own phase, and at the verdict a rank
+// has received exactly its three messages per phase so far. The real-time
+// wire is the one that produces the interleaving; NLNR's three hops put
+// forwarding intermediaries in the window too, and the 6-rank world adds
+// the fold ranks, the last to learn a verdict.
+//
+// Each scheme runs two drivers. WaitEmpty blocks in the progress loop.
+// TestEmpty is the HavoqGT pattern: the rank keeps its sends in a queue
+// of its own, sends one per pass, polls TestEmpty between them and
+// yields when the queue is empty, so polls land with work still queued
+// outside the mailbox and a rank that left the verdict can be sending
+// while a peer is still polling.
 //
 // The guard is termDetector.hold. With it disabled —
 //
 //	func (td *termDetector) hold() bool { return false }
 //
-// — this test fails in its first cycles on every scheme ("phase 1
-// payload delivered to rank 0 in phase 0"), as does TestMailboxReuse
-// ("rank 1 after batch 0 has 2 deliveries").
+// — this test fails in its first cycles on every scheme and both drivers
+// ("phase 1 payload delivered to rank 0 in phase 0"), as does
+// TestMailboxReuse ("rank 1 after batch 0 has 2 deliveries").
 func TestPhaseIsolation(t *testing.T) {
 	const cycles = 300
 	for _, scheme := range machine.Schemes {
 		t.Run(scheme.String(), func(t *testing.T) {
-			_, err := transport.Run(transport.Config{
-				Topo: machine.New(3, 2),
-				Seed: 9,
-				Wire: transport.LocalWire{},
-			}, func(p *transport.Proc) error {
-				world := p.WorldSize()
-				me := int(p.Rank())
-				phase := uint64(0) // confined to this rank: handlers run on its goroutine
-				var bad error
-				mb := New(p, func(_ Sender, payload []byte) {
-					if got := decodeU64(payload); got != phase && bad == nil {
-						bad = fmt.Errorf("phase %d payload delivered to rank %d in phase %d", got, me, phase)
+			for _, driver := range []string{"WaitEmpty", "TestEmpty"} {
+				t.Run(driver, func(t *testing.T) {
+					_, err := transport.Run(transport.Config{
+						Topo: machine.New(3, 2),
+						Seed: 9,
+						Wire: transport.LocalWire{},
+					}, func(p *transport.Proc) error {
+						return phaseCycles(p, scheme, driver == "TestEmpty", cycles)
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}, WithScheme(scheme), WithExchange(LazyExchange))
-				for ; phase < cycles; phase++ {
-					for _, d := range []int{1, 3, world - 1} {
-						mb.Send(machine.Rank((me+d)%world), encodeU64(phase))
-					}
-					mb.WaitEmpty()
-					if bad != nil {
-						return bad
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+				})
 			}
 		})
 	}
+}
+
+// phaseCycles runs one rank of TestPhaseIsolation: each phase sends one
+// message to each of three distinct peers (so each rank receives three)
+// and waits for the verdict, blocking in WaitEmpty or polling TestEmpty.
+func phaseCycles(p *transport.Proc, scheme machine.Scheme, poll bool, cycles uint64) error {
+	world := p.WorldSize()
+	me := int(p.Rank())
+	// phase and received are confined to this rank: handlers run on its
+	// goroutine.
+	phase, received := uint64(0), uint64(0)
+	var bad error
+	mb := New(p, func(_ Sender, payload []byte) {
+		received++
+		if got := decodeU64(payload); got != phase && bad == nil {
+			bad = fmt.Errorf("phase %d payload delivered to rank %d in phase %d", got, me, phase)
+		}
+	}, WithScheme(scheme), WithExchange(LazyExchange)).(*Mailbox)
+	var queue []machine.Rank
+	for ; phase < cycles; phase++ {
+		for _, d := range []int{1, 3, world - 1} {
+			queue = append(queue, machine.Rank((me+d)%world))
+		}
+		if !poll {
+			for _, dst := range queue {
+				mb.Send(dst, encodeU64(phase))
+			}
+			queue = queue[:0]
+			mb.WaitEmpty()
+		} else {
+			for {
+				if len(queue) > 0 {
+					mb.Send(queue[0], encodeU64(phase))
+					queue = queue[1:]
+				}
+				if mb.TestEmpty() {
+					break
+				}
+				if len(queue) == 0 {
+					p.AbortIfPeerFailed() // a spinning poller never parks, so no failure reaches it otherwise
+					p.Yield()
+				}
+			}
+			if len(queue) > 0 && bad == nil {
+				bad = fmt.Errorf("rank %d holds %d queued sends at the phase-%d verdict", me, len(queue), phase)
+			}
+		}
+		if want := 3 * (phase + 1); received != want && bad == nil {
+			bad = fmt.Errorf("rank %d left phase %d having received %d messages, want %d", me, phase, received, want)
+		}
+		if bad != nil {
+			return bad
+		}
+	}
+	return nil
 }
 
 // TestTermRejectsImpossiblePackets: the detector's TagTerm stream is a
