@@ -6,8 +6,6 @@
 // Usage:
 //
 //	go run ./cmd/ygmvet ./...
-//	go run ./cmd/ygmvet -sarif -o findings.sarif ./...
-//	go run ./cmd/ygmvet -json ./...
 //
 // Exit status: 0 clean, 1 findings, 2 load or usage error. The only
 // accepted package pattern is "./..." (the suite is whole-module by
@@ -30,28 +28,19 @@ func main() {
 }
 
 // run is the testable entry point: it parses args, loads the module,
-// runs the suite, and renders findings to stdout (or -o) in the
-// selected format. It returns the process exit code.
+// runs the suite, and prints findings to stdout. It returns the process
+// exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ygmvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	tags := fs.String("tags", "", "comma-separated build tags to apply while loading (e.g. ygmcheck)")
 	dir := fs.String("C", ".", "module root directory (must contain go.mod)")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
-	outPath := fs.String("o", "", "write findings to this file instead of stdout")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: ygmvet [-tags taglist] [-C dir] [-json|-sarif] [-o file] [./...]\n\nAnalyzers:\n")
+		fmt.Fprintf(stderr, "usage: ygmvet [-C dir] [./...]\n\nAnalyzers:\n")
 		for _, a := range analyzers.All() {
-			fmt.Fprintf(stderr, "  %-20s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	if *jsonOut && *sarifOut {
-		fmt.Fprintf(stderr, "ygmvet: -json and -sarif are mutually exclusive\n")
 		return 2
 	}
 	for _, arg := range fs.Args() {
@@ -66,15 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ygmvet: %v\n", err)
 		return 2
 	}
-
-	var tagList []string
-	for _, t := range strings.Split(*tags, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			tagList = append(tagList, t)
-		}
-	}
-
-	loader, err := analyzers.NewLoader(root, tagList...)
+	loader, err := analyzers.NewLoader(root)
 	if err != nil {
 		fmt.Fprintf(stderr, "ygmvet: %v\n", err)
 		return 2
@@ -86,33 +67,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	findings := analyzers.Run(pkgs, pkgs, analyzers.All(), analyzers.DefaultScope)
-
-	out := stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "ygmvet: %v\n", err)
-			return 2
-		}
-		defer f.Close()
-		out = f
-	}
-
-	switch {
-	case *jsonOut:
-		if err := analyzers.WriteJSON(out, findings, root); err != nil {
-			fmt.Fprintf(stderr, "ygmvet: %v\n", err)
-			return 2
-		}
-	case *sarifOut:
-		if err := analyzers.WriteSARIF(out, findings, root); err != nil {
-			fmt.Fprintf(stderr, "ygmvet: %v\n", err)
-			return 2
-		}
-	default:
-		for _, f := range findings {
-			fmt.Fprintln(out, relativize(f, root))
-		}
+	for _, f := range findings {
+		fmt.Fprintln(stdout, relativize(f, root))
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "ygmvet: %d finding(s)\n", len(findings))

@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"ygm/internal/analyzers"
 )
 
 // writeScratchModule creates a minimal standalone module whose only
@@ -35,7 +32,6 @@ func TestRunUsageErrors(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"json-and-sarif", []string{"-json", "-sarif"}, "mutually exclusive"},
 		{"bad-pattern", []string{"./cmd/..."}, "unsupported package pattern"},
 		{"bad-flag", []string{"-nope"}, "flag provided but not defined"},
 	}
@@ -89,47 +85,5 @@ func TestRunFindingsExitOne(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "finding(s)") {
 		t.Errorf("stderr %q missing the finding count", stderr.String())
-	}
-}
-
-func TestRunJSONOutput(t *testing.T) {
-	dir := writeScratchModule(t)
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", dir, "-json"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr.String())
-	}
-	var out []struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &out); err != nil {
-		t.Fatalf("-json output is not valid JSON: %v\n%s", err, stdout.String())
-	}
-	if len(out) != 1 || out[0].Analyzer != "ygmvet" || out[0].File != "a.go" || out[0].Line != 3 {
-		t.Errorf("unexpected -json payload: %+v", out)
-	}
-}
-
-func TestRunSARIFOutputToFile(t *testing.T) {
-	dir := writeScratchModule(t)
-	outFile := filepath.Join(t.TempDir(), "findings.sarif")
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", dir, "-sarif", "-o", outFile}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr.String())
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("-o should leave stdout empty, got:\n%s", stdout.String())
-	}
-	data, err := os.ReadFile(outFile)
-	if err != nil {
-		t.Fatalf("reading -o file: %v", err)
-	}
-	if err := analyzers.ValidateSARIF(data); err != nil {
-		t.Errorf("emitted SARIF fails validation: %v", err)
-	}
-	if !strings.Contains(string(data), "bogusanalyzer") {
-		t.Errorf("SARIF log does not carry the diagnostic")
 	}
 }

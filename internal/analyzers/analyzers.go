@@ -1,16 +1,19 @@
 // Package analyzers is ygmvet's static-analysis suite: whole-module
 // checks, built only on the standard library's go/ast, go/parser,
-// go/token and go/types, for the correctness rules no compiler enforces.
+// go/token and go/types, for the correctness rules no compiler enforces
+// and no runtime check catches.
 //
 // The simulation's validity rests on protocol-level invariants: ranks
 // advance virtual clocks only (wall-clock reads would couple simulated
 // time to host scheduling), all randomness flows from seeded per-rank
 // sources (EXPERIMENTS.md reproducibility), codec decode errors must not
-// be dropped (silent corruption), and mailbox receive callbacks must
-// never block on collectives (the classic self-deadlock the transport
-// watchdog catches only at runtime). Each analyzer machine-checks one of
-// these rules on every build; `go run ./cmd/ygmvet ./...` is wired into
-// CI.
+// be dropped (silent corruption), and every pooled buffer and received
+// packet is released exactly once (a leak only shows as pool growth).
+// Each analyzer machine-checks one of these rules on every build;
+// `go run ./cmd/ygmvet ./...` is wired into CI. Rules a runtime check
+// already enforces (handler blocking, payload retention, rank-divergent
+// collectives, rank confinement, hot-path allocation) are left to it:
+// DESIGN.md §11 lists which.
 //
 // Findings on a line can be suppressed with a `//ygmvet:ignore name`
 // comment on the same line or the line above (names comma-separated, or
@@ -41,9 +44,6 @@ func (f Finding) String() string {
 // Pass is the per-package unit of work handed to an analyzer.
 type Pass struct {
 	Pkg *Package
-	// All holds every loaded package, for cross-package call-graph
-	// walks.
-	All []*Package
 	// Index resolves function objects to their declarations anywhere in
 	// the loaded module.
 	Index *FuncIndex
@@ -56,13 +56,10 @@ type Analyzer struct {
 	Run  func(*Pass) []Finding
 }
 
-// All returns the full analyzer suite: the five syntactic checks plus
-// the flow-sensitive lifetime/escape/divergence analyzers.
+// All returns the full analyzer suite: three syntactic checks and the
+// flow-sensitive buffer-lifetime analyzer.
 func All() []*Analyzer {
-	return []*Analyzer{
-		Wallclock, Seedrand, Codecerr, Blockincallback, Allocinloop,
-		Buflifetime, Payloadescape, Divergentcollective, Rankconfined,
-	}
+	return []*Analyzer{Wallclock, Seedrand, Codecerr, Buflifetime}
 }
 
 // knownAnalyzerNames is the set of valid names for ygmvet:ignore
@@ -82,7 +79,9 @@ var simulatedRankPkgs = map[string]bool{
 	"ygm/internal/transport":  true,
 	"ygm/internal/ygm":        true,
 	"ygm/internal/collective": true,
+	"ygm/internal/container":  true,
 	"ygm/internal/apps":       true,
+	"ygm/internal/combblas":   true,
 }
 
 // DefaultScope is the production rule→package mapping used by cmd/ygmvet
@@ -102,7 +101,7 @@ func Run(pkgs []*Package, all []*Package, analyzers []*Analyzer, scope func(anal
 	index := NewFuncIndex(all)
 	var findings []Finding
 	for _, pkg := range pkgs {
-		pass := &Pass{Pkg: pkg, All: all, Index: index}
+		pass := &Pass{Pkg: pkg, Index: index}
 		sup, diags := suppressions(pkg)
 		findings = append(findings, diags...)
 		for _, a := range analyzers {
@@ -140,16 +139,8 @@ type suppressed struct {
 }
 
 func (s suppressed) match(f Finding) bool {
-	for _, key := range []string{
-		fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line),
-	} {
-		if names, ok := s.byLine[key]; ok {
-			if names[""] || names[f.Analyzer] {
-				return true
-			}
-		}
-	}
-	return false
+	names := s.byLine[fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)]
+	return names[""] || names[f.Analyzer]
 }
 
 // suppressions scans a package's comments for ygmvet:ignore directives

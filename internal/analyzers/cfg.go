@@ -1,11 +1,8 @@
 package analyzers
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
-	"sort"
-	"strings"
 )
 
 // This file is the flow-sensitive half of the suite's foundation: an
@@ -319,21 +316,18 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		sel := b.cur
 		after := b.newBlock()
 		b.breakTargets = append(b.breakTargets, branchTarget{label, after})
-		hasDefault := false
+		// A select with or without a default exits through one clause.
 		for _, cl := range s.Body.List {
 			comm := cl.(*ast.CommClause)
 			blk := b.newBlock()
 			b.link(sel, blk)
-			if comm.Comm == nil {
-				hasDefault = true
-			} else {
+			if comm.Comm != nil {
 				blk.nodes = append(blk.nodes, ast.Node(comm.Comm))
 			}
 			b.cur = blk
 			b.stmtList(comm.Body)
 			b.link(b.cur, after)
 		}
-		_ = hasDefault // a select with no default still exits via a clause
 		b.breakTargets = b.breakTargets[:len(b.breakTargets)-1]
 		b.cur = after
 
@@ -426,164 +420,4 @@ func findTarget(stack []branchTarget, label string) *cfgBlock {
 		}
 	}
 	return nil
-}
-
-// reachableFrom returns the set of blocks reachable from the successors
-// of b (excluding paths that never leave b itself unless it is in a
-// cycle through its successors).
-func reachableFrom(b *cfgBlock) map[*cfgBlock]bool {
-	seen := make(map[*cfgBlock]bool)
-	var stack []*cfgBlock
-	stack = append(stack, b.succs...)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		stack = append(stack, n.succs...)
-	}
-	return seen
-}
-
-// postDominators computes block-level post-dominance over the subgraph
-// of blocks that can reach the exit without passing through a panicking
-// block. pdom[b] is the set of blocks that appear on every normal
-// (non-panicking) path from b to the exit. Panicking blocks and blocks
-// that cannot reach the exit are absent from the result.
-func postDominators(g *cfg) map[*cfgBlock]map[*cfgBlock]bool {
-	// Restrict to blocks that reach exit through non-panic blocks.
-	canReach := map[*cfgBlock]bool{g.exit: true}
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range g.blocks {
-			if b.panics || canReach[b] {
-				continue
-			}
-			for _, s := range b.succs {
-				if canReach[s] {
-					canReach[b] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	sub := make([]*cfgBlock, 0, len(g.blocks))
-	for _, b := range g.blocks {
-		if canReach[b] {
-			sub = append(sub, b)
-		}
-	}
-	pdom := make(map[*cfgBlock]map[*cfgBlock]bool, len(sub))
-	all := make(map[*cfgBlock]bool, len(sub))
-	for _, b := range sub {
-		all[b] = true
-	}
-	for _, b := range sub {
-		if b == g.exit {
-			pdom[b] = map[*cfgBlock]bool{b: true}
-			continue
-		}
-		// Start from the universal set and intersect down.
-		s := make(map[*cfgBlock]bool, len(sub))
-		for k := range all {
-			s[k] = true
-		}
-		pdom[b] = s
-	}
-	changed = true
-	for changed {
-		changed = false
-		for _, b := range sub {
-			if b == g.exit {
-				continue
-			}
-			var inter map[*cfgBlock]bool
-			for _, s := range b.succs {
-				ps, ok := pdom[s]
-				if !ok {
-					continue // successor leaves the subgraph (panic path)
-				}
-				if inter == nil {
-					inter = make(map[*cfgBlock]bool, len(ps))
-					for k := range ps {
-						inter[k] = true
-					}
-				} else {
-					for k := range inter {
-						if !ps[k] {
-							delete(inter, k)
-						}
-					}
-				}
-			}
-			if inter == nil {
-				inter = make(map[*cfgBlock]bool)
-			}
-			inter[b] = true
-			if len(inter) != len(pdom[b]) {
-				pdom[b] = inter
-				changed = true
-			}
-		}
-	}
-	return pdom
-}
-
-// dump renders the reachable graph for tests: one line per block with
-// the names of marker calls it contains and its successor list.
-func (g *cfg) dump() string {
-	reach := map[*cfgBlock]bool{g.entry: true}
-	for b := range reachableFrom(g.entry) {
-		reach[b] = true
-	}
-	var lines []string
-	for _, b := range g.blocks {
-		if !reach[b] {
-			continue
-		}
-		var marks []string
-		for _, n := range b.nodes {
-			// A range header holds the whole RangeStmt for its transfer
-			// function, but only the range expression runs in this block.
-			if r, ok := n.(*ast.RangeStmt); ok {
-				n = r.X
-			}
-			ast.Inspect(n, func(x ast.Node) bool {
-				if call, ok := x.(*ast.CallExpr); ok {
-					if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-						marks = append(marks, id.Name)
-					}
-				}
-				return true
-			})
-		}
-		var succs []int
-		for _, s := range b.succs {
-			succs = append(succs, s.index)
-		}
-		sort.Ints(succs)
-		parts := make([]string, len(succs))
-		for i, s := range succs {
-			parts[i] = fmt.Sprintf("b%d", s)
-		}
-		tag := ""
-		switch {
-		case b == g.entry && b == g.exit:
-			tag = " entry exit"
-		case b == g.entry:
-			tag = " entry"
-		case b == g.exit:
-			tag = " exit"
-		}
-		if b.panics {
-			tag += " panic"
-		}
-		lines = append(lines, fmt.Sprintf("b%d[%s]%s -> %s",
-			b.index, strings.Join(marks, " "), tag, strings.Join(parts, ",")))
-	}
-	return strings.Join(lines, "\n")
 }

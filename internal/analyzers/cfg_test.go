@@ -1,9 +1,11 @@
 package analyzers
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -209,72 +211,76 @@ b4[] exit ->`,
 	}
 }
 
-// TestPostDominators checks the pdom relation the divergence analyzer
-// relies on: the join after a branch post-dominates it, the branch arms
-// do not, and panic-only paths are excluded from the relation.
-func TestPostDominators(t *testing.T) {
-	g := buildBody(t, `
-	m1()
-	if c {
-		m2()
-	} else {
-		m3()
-	}
-	m4()`)
-	pdom := postDominators(g)
-	byMark := func(mark string) *cfgBlock {
-		for _, b := range g.blocks {
-			for _, n := range b.nodes {
-				found := false
-				ast.Inspect(n, func(x ast.Node) bool {
-					if call, ok := x.(*ast.CallExpr); ok {
-						if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == mark {
-							found = true
-						}
-					}
-					return true
-				})
-				if found {
-					return b
-				}
-			}
+// reachableFrom returns the set of blocks reachable from the successors
+// of b (excluding paths that never leave b itself unless it is in a
+// cycle through its successors).
+func reachableFrom(b *cfgBlock) map[*cfgBlock]bool {
+	seen := make(map[*cfgBlock]bool)
+	var stack []*cfgBlock
+	stack = append(stack, b.succs...)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[n] {
+			continue
 		}
-		t.Fatalf("no block contains %s()", mark)
-		return nil
+		seen[n] = true
+		stack = append(stack, n.succs...)
 	}
-	branch, then, els, join := byMark("m1"), byMark("m2"), byMark("m3"), byMark("m4")
-	if !pdom[branch][join] {
-		t.Errorf("join block should post-dominate the branch")
-	}
-	if pdom[branch][then] || pdom[branch][els] {
-		t.Errorf("branch arms must not post-dominate the branch")
-	}
-	if !pdom[then][join] || !pdom[els][join] {
-		t.Errorf("join block should post-dominate both arms")
-	}
-	if !pdom[branch][branch] {
-		t.Errorf("post-dominance is reflexive")
-	}
+	return seen
+}
 
-	// A panicking arm contributes no normal path: the other arm's body
-	// still post-dominates the branch-to-exit paths that complete.
-	g2 := buildBody(t, `
-	m1()
-	if c {
-		panic("x")
+// dump renders the reachable graph: one line per block with
+// the names of marker calls it contains and its successor list.
+func (g *cfg) dump() string {
+	reach := map[*cfgBlock]bool{g.entry: true}
+	for b := range reachableFrom(g.entry) {
+		reach[b] = true
 	}
-	m2()`)
-	pdom2 := postDominators(g2)
-	var panicBlk *cfgBlock
-	for _, b := range g2.blocks {
-		if b.panics {
-			panicBlk = b
+	var lines []string
+	for _, b := range g.blocks {
+		if !reach[b] {
+			continue
 		}
+		var marks []string
+		for _, n := range b.nodes {
+			// A range header holds the whole RangeStmt for its transfer
+			// function, but only the range expression runs in this block.
+			if r, ok := n.(*ast.RangeStmt); ok {
+				n = r.X
+			}
+			ast.Inspect(n, func(x ast.Node) bool {
+				if call, ok := x.(*ast.CallExpr); ok {
+					if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+						marks = append(marks, id.Name)
+					}
+				}
+				return true
+			})
+		}
+		var succs []int
+		for _, s := range b.succs {
+			succs = append(succs, s.index)
+		}
+		sort.Ints(succs)
+		parts := make([]string, len(succs))
+		for i, s := range succs {
+			parts[i] = fmt.Sprintf("b%d", s)
+		}
+		tag := ""
+		switch {
+		case b == g.entry && b == g.exit:
+			tag = " entry exit"
+		case b == g.entry:
+			tag = " entry"
+		case b == g.exit:
+			tag = " exit"
+		}
+		if b.panics {
+			tag += " panic"
+		}
+		lines = append(lines, fmt.Sprintf("b%d[%s]%s -> %s",
+			b.index, strings.Join(marks, " "), tag, strings.Join(parts, ",")))
 	}
-	if panicBlk == nil {
-		t.Fatalf("no panic block built")
-	}
-	if _, ok := pdom2[panicBlk]; ok {
-		t.Errorf("panicking block must be excluded from the post-dominance relation")
-	}
+	return strings.Join(lines, "\n")
 }

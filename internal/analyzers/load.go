@@ -37,26 +37,22 @@ type Loader struct {
 	ModuleRoot string
 	ModulePath string
 
-	ctx  build.Context
 	fset *token.FileSet
 	std  types.Importer
 	pkgs map[string]*Package
 }
 
 // NewLoader returns a loader rooted at the directory containing go.mod.
-// Extra build tags (e.g. "ygmcheck") select the matching file set.
-func NewLoader(moduleRoot string, tags ...string) (*Loader, error) {
+// It selects files as the default build context does (no extra tags).
+func NewLoader(moduleRoot string) (*Loader, error) {
 	modPath, err := modulePath(filepath.Join(moduleRoot, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
-	ctx := build.Default
-	ctx.BuildTags = append(append([]string{}, ctx.BuildTags...), tags...)
 	fset := token.NewFileSet()
 	return &Loader{
 		ModuleRoot: moduleRoot,
 		ModulePath: modPath,
-		ctx:        ctx,
 		fset:       fset,
 		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       make(map[string]*Package),
@@ -83,9 +79,6 @@ func modulePath(gomod string) (string, error) {
 	}
 	return "", fmt.Errorf("analyzers: no module directive in %s", gomod)
 }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Packages returns every module package loaded so far, sorted by path.
 func (l *Loader) Packages() []*Package {
@@ -129,7 +122,7 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	byPath := make(map[string]*parsed)
 	var order []string
 	for _, dir := range dirs {
-		bp, err := l.ctx.ImportDir(dir, 0)
+		bp, err := build.Default.ImportDir(dir, 0)
 		if err != nil {
 			if _, ok := err.(*build.NoGoError); ok {
 				continue
@@ -202,7 +195,7 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 // module's packages must have been loaded first so the fixture's
 // module-internal imports resolve.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	bp, err := l.ctx.ImportDir(dir, 0)
+	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		return nil, fmt.Errorf("analyzers: scanning %s: %w", dir, err)
 	}

@@ -1,12 +1,12 @@
 package analyzers
 
-// summary.go computes lightweight call-graph summaries on demand, so the
-// flow-sensitive analyzers can follow a tracked value through module
-// helpers (take, processPacket, parseRecord, ...) without
-// inlining whole call chains. Summaries are per (function, parameter):
-// how does the callee treat a pooled buffer / payload alias handed to it
-// in that position? Results are memoized per analyzer run; recursion
-// resolves to the conservative answer for the querying analysis.
+// summary.go computes consume summaries on demand, so buflifetime can
+// follow a pooled buffer or packet through module helpers (take,
+// processPacket, parseRecord, ...) without inlining whole call chains.
+// Summaries are per (function, parameter): does the callee read,
+// release, or lose track of a value handed to it in that position?
+// Results are memoized per analyzer run; recursion resolves to the
+// conservative answer (effEscapes).
 
 import (
 	"go/ast"
@@ -28,16 +28,6 @@ const (
 	effEscapes
 )
 
-// escapeEffect classifies what a callee does with a payload alias passed
-// in one parameter position.
-type escapeEffect struct {
-	// stores: the callee writes the alias into memory that outlives the
-	// call (field, global, channel, escaping closure).
-	stores bool
-	// returnsAlias: some result of the callee aliases the parameter.
-	returnsAlias bool
-}
-
 type sumKey struct {
 	fn  *types.Func
 	idx int // combined parameter index: receiver (if any) first
@@ -46,24 +36,16 @@ type sumKey struct {
 // summarizer memoizes per-(function,param) summaries for one analyzer
 // run.
 type summarizer struct {
-	pass       *Pass
-	consume    map[sumKey]consumeEffect
-	escape     map[sumKey]escapeEffect
-	collective map[*types.Func]bool
-	inConsume  map[sumKey]bool
-	inEscape   map[sumKey]bool
-	inColl     map[*types.Func]bool
+	pass      *Pass
+	consume   map[sumKey]consumeEffect
+	inConsume map[sumKey]bool
 }
 
 func newSummarizer(pass *Pass) *summarizer {
 	return &summarizer{
-		pass:       pass,
-		consume:    make(map[sumKey]consumeEffect),
-		escape:     make(map[sumKey]escapeEffect),
-		collective: make(map[*types.Func]bool),
-		inConsume:  make(map[sumKey]bool),
-		inEscape:   make(map[sumKey]bool),
-		inColl:     make(map[*types.Func]bool),
+		pass:      pass,
+		consume:   make(map[sumKey]consumeEffect),
+		inConsume: make(map[sumKey]bool),
 	}
 }
 
@@ -181,77 +163,4 @@ func (s *summarizer) consumeEffectOf(fn *types.Func, idx int) consumeEffect {
 	delete(s.inConsume, key)
 	s.consume[key] = eff
 	return eff
-}
-
-// escapeEffectOf returns the escape summary for parameter idx of fn,
-// computed with the payloadescape transfer in summary mode. Unknown
-// callees outside the module answer neutral (documented false-negative:
-// the Handler/Tap/Hooks contract boundary); recursion answers neutral.
-func (s *summarizer) escapeEffectOf(fn *types.Func, idx int) escapeEffect {
-	key := sumKey{fn, idx}
-	if eff, ok := s.escape[key]; ok {
-		return eff
-	}
-	if s.inEscape[key] {
-		return escapeEffect{}
-	}
-	decl := s.pass.Index.Lookup(fn)
-	if decl == nil || idx < 0 {
-		return escapeEffect{}
-	}
-	params := combinedParams(decl.Pkg, decl.Decl)
-	if idx >= len(params) || params[idx] == nil {
-		s.escape[key] = escapeEffect{}
-		return escapeEffect{}
-	}
-	s.inEscape[key] = true
-	eff := summarizeEscape(s, decl, params[idx])
-	delete(s.inEscape, key)
-	s.escape[key] = eff
-	return eff
-}
-
-// performsCollective reports whether fn transitively calls one of the
-// collective primitives, descending through module code but not into
-// the trusted framework packages (whose collective entry points are
-// themselves in the table).
-func (s *summarizer) performsCollective(fn *types.Func) bool {
-	if v, ok := s.collective[fn]; ok {
-		return v
-	}
-	if s.inColl[fn] {
-		return false
-	}
-	decl := s.pass.Index.Lookup(fn)
-	if decl == nil {
-		return false
-	}
-	s.inColl[fn] = true
-	found := false
-	ast.Inspect(decl.Decl.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := calleeOf(decl.Pkg.Info, call)
-		if callee == nil || callee.Pkg() == nil {
-			return true
-		}
-		key := callee.Pkg().Path() + "." + callee.Name()
-		if collectiveFuncs[key] != "" {
-			found = true
-			return false
-		}
-		if !trustedFrameworkPkgs[callee.Pkg().Path()] && s.performsCollective(callee) {
-			found = true
-			return false
-		}
-		return true
-	})
-	delete(s.inColl, fn)
-	s.collective[fn] = found
-	return found
 }

@@ -31,8 +31,6 @@ func NewBag(e *Engine) *Bag {
 }
 
 // AsyncInsert ships item to the next rank in this rank's dealing cycle.
-//
-//ygm:hotpath
 func (b *Bag) AsyncInsert(item []byte) {
 	dst := machine.Rank(b.next)
 	b.next++

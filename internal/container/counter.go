@@ -110,8 +110,6 @@ func (c *Counter) Owner(key []byte) machine.Rank { return c.part.Owner(key, c.wo
 // Visibility: the contribution has reached the owner by the time the
 // next Engine.Barrier returns, and before any AsyncVisit or
 // AsyncVisitFetch this rank issues on the same key afterwards runs.
-//
-//ygm:hotpath
 func (c *Counter) AsyncAdd(key []byte, delta uint64) {
 	owner := c.Owner(key)
 	if owner == c.me {
@@ -123,15 +121,11 @@ func (c *Counter) AsyncAdd(key []byte, delta uint64) {
 }
 
 // AsyncIncr is AsyncAdd with delta 1.
-//
-//ygm:hotpath
 func (c *Counter) AsyncIncr(key []byte) { c.AsyncAdd(key, 1) }
 
 // combine merges a remote contribution into the combiner, or ships it
 // directly when the key is too long for a slot, the bypass is on, or a
 // handler issued it.
-//
-//ygm:hotpath
 func (c *Counter) combine(owner machine.Rank, key []byte, delta uint64) {
 	cb := &c.comb
 	if cb.bypass > 0 || len(key) > combinerKeyMax || c.e.rDepth > 0 {
@@ -171,8 +165,6 @@ func (c *Counter) combine(owner machine.Rank, key []byte, delta uint64) {
 
 // sample counts one table probe (hit is 1 or 0) and, at the end of each
 // window, turns the bypass on if the window saw too little reuse.
-//
-//ygm:hotpath
 func (cb *combiner) sample(hit uint32) {
 	cb.hits += hit
 	if cb.probes++; cb.probes == combinerWindow {
@@ -184,8 +176,6 @@ func (cb *combiner) sample(hit uint32) {
 }
 
 // detach empties s and returns what it held.
-//
-//ygm:hotpath
 func (cb *combiner) detach(s *combSlot) combSlot {
 	old := *s
 	s.used = false
@@ -216,23 +206,17 @@ func (c *Counter) growCombiner() {
 }
 
 // slot returns the one slot key can occupy in the (allocated) table.
-//
-//ygm:hotpath
 func (cb *combiner) slot(key []byte) *combSlot {
 	return &cb.slots[slotHash(key)&uint64(len(cb.slots)-1)]
 }
 
 // holds reports whether s is the pending contribution for key.
-//
-//ygm:hotpath
 func (s *combSlot) holds(key []byte) bool {
 	return s.used && string(s.key[:s.n]) == string(key)
 }
 
 // slotHash is FNV-1a with the high half folded down: the multiply only
 // carries upward, and the table index is the low bits.
-//
-//ygm:hotpath
 func slotHash(key []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, b := range key {
@@ -243,8 +227,6 @@ func slotHash(key []byte) uint64 {
 
 // shipSlot sends a contribution that has already been detached from the
 // table as one ordinary opAdd record.
-//
-//ygm:hotpath
 func (c *Counter) shipSlot(s *combSlot) {
 	c.e.cAddShipped.Inc()
 	c.e.asyncAdd(s.owner, c.cid, s.key[:s.n], s.count)
@@ -252,8 +234,6 @@ func (c *Counter) shipSlot(s *combSlot) {
 
 // takePending detaches and returns the pending contribution for key, if
 // the combiner holds one.
-//
-//ygm:hotpath
 func (c *Counter) takePending(key []byte) (delta uint64, ok bool) {
 	cb := &c.comb
 	if cb.live == 0 || len(key) > combinerKeyMax {
@@ -271,8 +251,6 @@ func (c *Counter) takePending(key []byte) (delta uint64, ok bool) {
 // it. Program order per key is kept inside one mailbox record; a
 // separate Send ahead of the visit would poll, and a handler-spawned
 // visit could then overtake the one the caller has already announced.
-//
-//ygm:hotpath
 func (c *Counter) leadPending(key []byte) *codec.Writer {
 	w := c.e.pushWriter()
 	if delta, ok := c.takePending(key); ok {
@@ -310,8 +288,6 @@ func (c *Counter) RegisterFetcher(fn func(c *Counter, key, arg []byte, reply *co
 // AsyncVisit runs visitor vid on key's owner. The visitor sees every
 // contribution this rank made to key before the call (AsyncAdd's
 // visibility rule).
-//
-//ygm:hotpath
 func (c *Counter) AsyncVisit(vid uint64, key, arg []byte) {
 	c.e.shipVisit(c.leadPending(key), c.Owner(key), c.cid, vid, key, arg)
 }
@@ -430,7 +406,6 @@ func (c *Counter) applyErase(key []byte) {
 	delete(c.local, string(key))
 }
 
-//ygm:hotpath
 func (c *Counter) applyAdd(key []byte, delta uint64) {
 	if p, ok := c.local[string(key)]; ok {
 		*p += delta

@@ -139,7 +139,7 @@ func (e *Engine) register(c instance) uint64 {
 // any encodes already in flight on this rank.
 func (e *Engine) pushWriter() *codec.Writer {
 	if e.wDepth == len(e.writers) {
-		e.writers = append(e.writers, codec.NewWriter(64)) //ygmvet:ignore allocinloop -- depth grows to the chain depth once, then slots are reused
+		e.writers = append(e.writers, codec.NewWriter(64))
 	}
 	w := e.writers[e.wDepth]
 	e.wDepth++
@@ -152,7 +152,7 @@ func (e *Engine) popWriter() { e.wDepth-- }
 // pushReader returns a reader over payload, nested like pushWriter.
 func (e *Engine) pushReader(payload []byte) *codec.Reader {
 	if e.rDepth == len(e.readers) {
-		e.readers = append(e.readers, codec.NewReader(nil)) //ygmvet:ignore allocinloop -- depth grows to the chain depth once, then slots are reused
+		e.readers = append(e.readers, codec.NewReader(nil))
 	}
 	r := e.readers[e.rDepth]
 	e.rDepth++
@@ -177,10 +177,8 @@ func (e *Engine) popReader() {
 // loop resumes where it left off. The record ends exactly where its last
 // frame does: trailing or truncated bytes fail a field decode and panic
 // as a corrupt frame.
-//
-//ygm:hotpath
 func (e *Engine) handle(s ygm.Sender, payload []byte) {
-	r := e.pushReader(payload) //ygmvet:ignore payloadescape -- popReader nils the slot before handle returns; the alias never outlives the handler
+	r := e.pushReader(payload)
 	for {
 		cid := e.mustUvarint(r)
 		op := e.mustByte(r)
@@ -248,12 +246,10 @@ func (e *Engine) handle(s ygm.Sender, payload []byte) {
 // WaitEmpty. That covers the rest: fetch replies are mailbox records,
 // and handlers and callbacks never write a combiner (their adds ship
 // directly), so global mailbox quiescence is container quiescence. It
-// waits for other ranks, so calling it from a handler or fetch callback
-// panics instead of deadlocking the world.
+// waits for other ranks; handlers and fetch callbacks run inside the
+// mailbox's handler, so called from one, its WaitEmpty panics instead of
+// deadlocking the world.
 func (e *Engine) Barrier() {
-	if e.rDepth > 0 {
-		panic(fmt.Sprintf("container: rank %d: Barrier called from inside a container handler or fetch callback", e.p.Rank()))
-	}
 	e.flushCombiners()
 	e.mb.WaitEmpty()
 	if n := e.pendingCombined(); n != 0 || len(e.fetches) != 0 {

@@ -207,10 +207,11 @@ func TestFetchCallbackFillsMailbox(t *testing.T) {
 
 // TestBarrierInsideHandlerPanics: Barrier, and every query that starts
 // with one, waits for the other ranks, so called from a handler or a
-// fetch callback it would deadlock the world. It panics instead, and
-// transport.Run reports the panic as the rank's error.
+// fetch callback it would deadlock the world. Both run inside the
+// engine's mailbox handler, so the mailbox's WaitEmpty panics instead,
+// and transport.Run reports the panic as the rank's error.
 func TestBarrierInsideHandlerPanics(t *testing.T) {
-	const want = "container: rank 0: Barrier called from inside a container handler or fetch callback"
+	const want = "ygm: rank 0: WaitEmpty called from inside a handler"
 	queries := []struct {
 		name string
 		call func(c *Counter)

@@ -73,22 +73,16 @@ func (m *Map) RegisterFetcher(fn func(m *Map, key, arg []byte, reply *codec.Writ
 }
 
 // AsyncInsert ships key→val to the owner (last writer wins).
-//
-//ygm:hotpath
 func (m *Map) AsyncInsert(key, val []byte) {
 	m.e.asyncInsert(m.Owner(key), m.cid, key, val)
 }
 
 // AsyncErase ships an erase of key to the owner.
-//
-//ygm:hotpath
 func (m *Map) AsyncErase(key []byte) {
 	m.e.asyncErase(m.Owner(key), m.cid, key)
 }
 
 // AsyncVisit runs the registered visitor vid on key's owner with arg.
-//
-//ygm:hotpath
 func (m *Map) AsyncVisit(vid uint64, key, arg []byte) {
 	m.e.asyncVisit(m.Owner(key), m.cid, vid, key, arg)
 }
@@ -149,13 +143,14 @@ func (m *Map) LocalSize() int { return len(m.local) }
 
 // instance implementation (owner side).
 
-//ygm:hotpath
 func (m *Map) applyInsert(key, val []byte) {
 	if ent, ok := m.local[string(key)]; ok {
 		ent.val = append(ent.val[:0], val...)
 		return
 	}
-	cp := make([]byte, len(val)) //ygmvet:ignore allocinloop -- first-touch insert copies the value by design; the overwrite path above reuses storage
+	// val borrows the delivery buffer, which is recycled after the
+	// handler returns: a first insert keeps a copy.
+	cp := make([]byte, len(val))
 	copy(cp, val)
 	m.local[string(key)] = &mapEntry{val: cp}
 }

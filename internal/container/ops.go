@@ -17,8 +17,6 @@ import (
 // ship*/asyncFetch call on the same writer).
 
 // putAdd appends one opAdd frame to w.
-//
-//ygm:hotpath
 func putAdd(w *codec.Writer, cid uint64, key []byte, delta uint64) {
 	w.Uvarint(cid)
 	w.Byte(opAdd)
@@ -28,14 +26,11 @@ func putAdd(w *codec.Writer, cid uint64, key []byte, delta uint64) {
 
 // ship queues the record built in w — the engine's innermost scratch
 // writer — for owner and releases the writer.
-//
-//ygm:hotpath
 func (e *Engine) ship(owner machine.Rank, w *codec.Writer) {
 	e.mb.Send(owner, w.Bytes())
 	e.popWriter()
 }
 
-//ygm:hotpath
 func (e *Engine) asyncInsert(owner machine.Rank, cid uint64, key, val []byte) {
 	w := e.pushWriter()
 	w.Uvarint(cid)
@@ -45,7 +40,6 @@ func (e *Engine) asyncInsert(owner machine.Rank, cid uint64, key, val []byte) {
 	e.ship(owner, w)
 }
 
-//ygm:hotpath
 func (e *Engine) asyncErase(owner machine.Rank, cid uint64, key []byte) {
 	w := e.pushWriter()
 	w.Uvarint(cid)
@@ -54,14 +48,12 @@ func (e *Engine) asyncErase(owner machine.Rank, cid uint64, key []byte) {
 	e.ship(owner, w)
 }
 
-//ygm:hotpath
 func (e *Engine) asyncAdd(owner machine.Rank, cid uint64, key []byte, delta uint64) {
 	w := e.pushWriter()
 	putAdd(w, cid, key, delta)
 	e.ship(owner, w)
 }
 
-//ygm:hotpath
 func (e *Engine) asyncVisit(owner machine.Rank, cid, vid uint64, key, arg []byte) {
 	e.shipVisit(e.pushWriter(), owner, cid, vid, key, arg)
 }
@@ -69,8 +61,6 @@ func (e *Engine) asyncVisit(owner machine.Rank, cid, vid uint64, key, arg []byte
 // shipVisit appends an opVisit frame to w, which the caller pushed and
 // may have led with an opAdd frame for the same key, and ships the
 // record.
-//
-//ygm:hotpath
 func (e *Engine) shipVisit(w *codec.Writer, owner machine.Rank, cid, vid uint64, key, arg []byte) {
 	w.Uvarint(cid)
 	w.Byte(opVisit)

@@ -20,8 +20,6 @@ type HashPartitioner struct {
 }
 
 // Owner implements Partitioner.
-//
-//ygm:hotpath
 func (h HashPartitioner) Owner(key []byte, world int) machine.Rank {
 	x := h.Seed ^ 0x9e3779b97f4a7c15
 	for _, b := range key {

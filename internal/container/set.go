@@ -54,23 +54,17 @@ func (s *Set) RegisterFetcher(fn func(s *Set, key, arg []byte, reply *codec.Writ
 }
 
 // AsyncInsert ships key to its owner.
-//
-//ygm:hotpath
 func (s *Set) AsyncInsert(key []byte) {
 	s.e.asyncInsert(s.Owner(key), s.cid, key, nil)
 }
 
 // AsyncErase ships an erase of key to its owner.
-//
-//ygm:hotpath
 func (s *Set) AsyncErase(key []byte) {
 	s.e.asyncErase(s.Owner(key), s.cid, key)
 }
 
 // AsyncVisit runs visitor vid on key's owner (whether or not key is a
 // member — the visitor checks LocalContains if it cares).
-//
-//ygm:hotpath
 func (s *Set) AsyncVisit(vid uint64, key, arg []byte) {
 	s.e.asyncVisit(s.Owner(key), s.cid, vid, key, arg)
 }
@@ -110,7 +104,6 @@ func (s *Set) LocalSize() int { return len(s.local) }
 
 // instance implementation (owner side).
 
-//ygm:hotpath
 func (s *Set) applyInsert(key, val []byte) {
 	if _, ok := s.local[string(key)]; ok {
 		return

@@ -22,8 +22,6 @@ func (t Topology) NewRouter(s Scheme, cur Rank) *Router {
 
 // Next returns the next hop toward dst. It is equivalent to
 // Topology.NextHop for the scheme and rank the Router was built for.
-//
-//ygm:hotpath
 func (r *Router) Next(dst Rank) Rank { return r.next[dst] }
 
 // HopPartners returns every rank that r can ever transmit a packet to

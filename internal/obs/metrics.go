@@ -11,13 +11,9 @@ import (
 type Counter struct{ v uint64 }
 
 // Inc adds one.
-//
-//ygm:hotpath
 func (c *Counter) Inc() { c.v++ }
 
 // Add adds n.
-//
-//ygm:hotpath
 func (c *Counter) Add(n uint64) { c.v += n }
 
 // Value returns the current count.
@@ -27,8 +23,6 @@ func (c *Counter) Value() uint64 { return c.v }
 type Gauge struct{ last, max float64 }
 
 // Set records the current level, raising the high-water mark.
-//
-//ygm:hotpath
 func (g *Gauge) Set(v float64) {
 	g.last = v
 	if v > g.max {
@@ -58,8 +52,6 @@ type Histogram struct {
 }
 
 // Observe records one value.
-//
-//ygm:hotpath
 func (h *Histogram) Observe(v uint64) {
 	b := bits.Len64(v)
 	if b >= HistBuckets {

@@ -98,8 +98,6 @@ func NewRecorder(n int) *Recorder {
 }
 
 // Record appends one event, overwriting the oldest when full.
-//
-//ygm:hotpath
 func (r *Recorder) Record(e Event) {
 	r.buf[r.pos] = e
 	r.pos++

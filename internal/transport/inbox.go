@@ -149,6 +149,13 @@ type Inbox struct {
 	// check is the ygmcheck channel audit; an empty struct in default
 	// builds.
 	check inboxCheck
+
+	// yields counts the owner's Proc.Yield calls, its idle loop's mark;
+	// lastYields is the count at the watchdog's previous look (watchdog
+	// goroutine only). A rank that yields and never parks is idle to the
+	// watchdog exactly as a parked one is.
+	yields     atomic.Uint64
+	lastYields uint64
 }
 
 // NewInbox returns an empty inbox. An inbox holds no per-sender state —
@@ -169,8 +176,6 @@ func NewInbox(int) *Inbox {
 // and unbounded. Any goroutine may push, but all pushes of one p.Src
 // must be ordered (one goroutine per source, which every wire
 // provides): that order is the channel's FIFO order.
-//
-//ygm:hotpath
 func (ib *Inbox) Push(p *Packet) {
 	ib.checkPush(p)
 	// The CAS publishes p: from then on the consumer may absorb,
@@ -194,8 +199,6 @@ var testLoseWakeup func(machine.Rank) bool
 // producer that wins the pParked→pIdle CAS owes exactly one wake — a
 // channel token under the direct model, a scheduler ready() under the
 // M:N model.
-//
-//ygm:hotpath
 func (ib *Inbox) signal() {
 	if ib.pstate.Load() == pParked && ib.pstate.CompareAndSwap(pParked, pIdle) {
 		if testLoseWakeup != nil && testLoseWakeup(ib.self) {
@@ -217,8 +220,6 @@ func (ib *Inbox) signal() {
 // every channel — the per-channel FIFO the upper layers and the trace
 // flow-arrow matcher rely on — and stamping seq in that order makes it
 // a valid tie-break within one source.
-//
-//ygm:hotpath
 func (ib *Inbox) absorb() {
 	if ib.head.Load() == nil {
 		return
@@ -435,8 +436,6 @@ func (ib *Inbox) TryPop(tag Tag) *Packet {
 // tag whose virtual arrival is at or before now. It returns nil if the
 // queue is empty or the earliest packet is still in virtual flight —
 // polling never makes a rank wait.
-//
-//ygm:hotpath
 func (ib *Inbox) TryPopArrived(tag Tag, now float64) *Packet {
 	ib.absorb()
 	q := ib.heapFor(tag)
@@ -487,6 +486,15 @@ func (ib *Inbox) unabsorbed() int {
 // from the watchdog goroutine.
 func (ib *Inbox) progress() (count uint64, blocked bool, tag Tag) {
 	return ib.absorbed.Load() + ib.pops.Load() + ib.wakeups.Load(), ib.waiting.Load(), Tag(ib.waitTag.Load())
+}
+
+// spun reports whether the owning rank yielded since the previous call:
+// it is in a nonblocking idle loop. Watchdog goroutine only.
+func (ib *Inbox) spun() bool {
+	y := ib.yields.Load()
+	moved := y != ib.lastYields
+	ib.lastYields = y
+	return moved
 }
 
 // poison makes every future wait fail (WaitAny false, WaitPop nil) and

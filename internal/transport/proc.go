@@ -188,7 +188,6 @@ func (p *Proc) Recycle(pkt *Packet) {
 	p.cache.put(pkt)
 }
 
-//ygm:hotpath
 func (p *Proc) send(dst machine.Rank, tag Tag, payload []byte, pooled bool) {
 	w := p.world
 	if !w.topo.Valid(dst) {
@@ -223,7 +222,7 @@ func (p *Proc) send(dst machine.Rank, tag Tag, payload []byte, pooled bool) {
 		if w.delay != nil {
 			// Clamp so injected delay never reorders a channel.
 			if p.lastArrive == nil {
-				p.lastArrive = make(map[chanKey]float64) //ygmvet:ignore allocinloop -- fault-injection runs only; never on the steady-state path
+				p.lastArrive = make(map[chanKey]float64)
 			}
 			key := chanKey{dst: dst, tag: tag}
 			if last := p.lastArrive[key]; arrive < last {
@@ -360,7 +359,14 @@ func (p *Proc) Absorb(pkt *Packet) { p.absorb(pkt) }
 // container TestEmpty polling) must call this instead of
 // runtime.Gosched on their idle path: a token-holding spinner would
 // otherwise starve the very ranks whose messages it polls for.
+//
+// Yield also marks the rank idle for the deadlock watchdog, which counts
+// a rank that keeps yielding while no inbox makes progress as blocked.
+// Call it only when the loop has nothing to do until a packet arrives,
+// and call AbortIfPeerFailed beside it so a poisoned run unwinds the
+// loop.
 func (p *Proc) Yield() {
+	p.world.inboxes[p.rank].yields.Add(1)
 	if s := p.world.sched; s != nil && s.yield(p.rank) {
 		return
 	}

@@ -146,9 +146,10 @@ type rankDeadlocked struct{}
 
 // AbortIfPeerFailed unwinds the calling rank if another rank has already
 // failed (panic or error return) or the run was poisoned. Nonblocking
-// progress loops — which never park in a receive, so neither a peer's
-// death nor the deadlock watchdog can interrupt them — must call this on
-// their idle path or a failed run livelocks them forever. The unwind
+// progress loops — which never park in a receive, so no poison wakes
+// them when a peer dies or the watchdog declares a deadlock — must call
+// this on their idle path, beside Yield, or a failed run livelocks them
+// forever. The unwind
 // follows the orderly deadlock path, so Run reports the original failure
 // rather than this secondary exit.
 func (p *Proc) AbortIfPeerFailed() {
@@ -176,12 +177,13 @@ func (p *Proc) deadlockExit(tag Tag) {
 }
 
 // watchdog polls all inboxes until the run ends or a deadlock is found:
-// every rank still running its body is parked in a blocking receive and
-// no packet was pushed or popped between two consecutive observations.
-// Under that condition no rank can ever wake another (wakeups require
-// pushes, and every potential pusher is blocked), so the watchdog
-// poisons the inboxes; each blocked rank then unwinds through
-// deadlockExit and Run assembles the DeadlockError.
+// every rank still running its body is parked in a blocking receive or
+// idling in a Yield loop, and no packet was pushed or popped between two
+// consecutive observations. Under that condition no rank can ever wake
+// another (wakeups require pushes, a parked rank pushes nothing, and an
+// idle loop acts only on arrivals), so the watchdog poisons the inboxes;
+// each parked rank then unwinds through deadlockExit, each idle one
+// through AbortIfPeerFailed, and Run assembles the DeadlockError.
 //
 // The watchdog runs on host time by design — it supervises the
 // simulation from outside, so the virtual-clock rule does not apply.
@@ -205,7 +207,7 @@ func (w *World) watchdog(interval time.Duration, stop <-chan struct{}) {
 		for _, ib := range w.inboxes {
 			n, waiting, _ := ib.progress()
 			progress += n
-			if waiting {
+			if spun := ib.spun(); waiting || spun {
 				blocked++
 			}
 		}

@@ -89,6 +89,63 @@ func TestWatchdogDetectsMutualWait(t *testing.T) {
 	}
 }
 
+// TestWatchdogDetectsIdleYieldLoop: a rank in a nonblocking idle loop
+// never parks, yet waits as surely as a parked one. With its only peer
+// parked on a receive nobody satisfies, the world is stuck; the loop's
+// Yields count it as blocked and its AbortIfPeerFailed unwinds it.
+func TestWatchdogDetectsIdleYieldLoop(t *testing.T) {
+	cfg := Config{
+		Topo:             machine.New(1, 2),
+		WatchdogInterval: 10 * time.Millisecond,
+	}
+	err := guard(t, 30*time.Second, func() error {
+		_, err := Run(cfg, func(p *Proc) error {
+			if p.Rank() == 1 {
+				p.Recv(TagUser)
+			}
+			for p.Pending(TagUser) == 0 {
+				p.AbortIfPeerFailed()
+				p.Yield()
+			}
+			return nil
+		})
+		return err
+	})
+	var derr *DeadlockError
+	if !errors.As(err, &derr) {
+		t.Fatalf("want DeadlockError, got %v", err)
+	}
+	if len(derr.Blocked) != 2 {
+		t.Fatalf("want both ranks blocked, got %+v", derr.Blocked)
+	}
+}
+
+// TestWatchdogQuietOnBusyPeerOfIdleLoop: an idle loop waiting on a peer
+// that is busy without touching any inbox is not a deadlock — the busy
+// rank neither parks nor yields.
+func TestWatchdogQuietOnBusyPeerOfIdleLoop(t *testing.T) {
+	cfg := Config{
+		Topo:             machine.New(1, 2),
+		WatchdogInterval: time.Millisecond,
+	}
+	_, err := Run(cfg, func(p *Proc) error {
+		if p.Rank() == 1 {
+			time.Sleep(50 * time.Millisecond) // fifty watchdog ticks of work
+			p.Send(0, TagUser, nil)
+			return nil
+		}
+		for p.Pending(TagUser) == 0 {
+			p.AbortIfPeerFailed()
+			p.Yield()
+		}
+		p.Recycle(p.Recv(TagUser))
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("healthy run aborted: %v", err)
+	}
+}
+
 // TestWatchdogQuietOnHealthyRun checks that ordinary traffic, including
 // blocking receives that are eventually satisfied, never trips the
 // watchdog even at an aggressive polling interval.

