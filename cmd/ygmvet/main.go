@@ -1,7 +1,9 @@
 // Command ygmvet runs the repository's static-analysis suite
-// (internal/analyzers) over the whole module. It is stdlib-only: no
-// go/packages, no x/tools — the module is parsed and type-checked with
-// go/parser and go/types directly.
+// (internal/analyzers: the wallclock, seedrand and codecerr AST walks)
+// over the whole module. It is stdlib-only: no go/packages, no x/tools —
+// the module is parsed and type-checked with go/parser and go/types
+// directly. Packet and buffer release is not a vet rule: transport.Run
+// checks it at run end (PacketLeakError).
 //
 // Usage:
 //
@@ -35,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	dir := fs.String("C", ".", "module root directory (must contain go.mod)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: ygmvet [-C dir] [./...]\n\nAnalyzers:\n")
+		fmt.Fprintf(stderr, "usage: ygmvet [-C dir] [./...]\n\nAnalyzers (AST walks; packet release is checked by transport.Run, not here):\n")
 		for _, a := range analyzers.All() {
 			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -66,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	findings := analyzers.Run(pkgs, pkgs, analyzers.All(), analyzers.DefaultScope)
+	findings := analyzers.Run(pkgs, analyzers.All(), analyzers.DefaultScope)
 	for _, f := range findings {
 		fmt.Fprintln(stdout, relativize(f, root))
 	}

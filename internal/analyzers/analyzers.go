@@ -6,14 +6,13 @@
 // The simulation's validity rests on protocol-level invariants: ranks
 // advance virtual clocks only (wall-clock reads would couple simulated
 // time to host scheduling), all randomness flows from seeded per-rank
-// sources (EXPERIMENTS.md reproducibility), codec decode errors must not
-// be dropped (silent corruption), and every pooled buffer and received
-// packet is released exactly once (a leak only shows as pool growth).
-// Each analyzer machine-checks one of these rules on every build;
-// `go run ./cmd/ygmvet ./...` is wired into CI. Rules a runtime check
-// already enforces (handler blocking, payload retention, rank-divergent
-// collectives, rank confinement, hot-path allocation) are left to it:
-// DESIGN.md §11 lists which.
+// sources (EXPERIMENTS.md reproducibility), and codec decode errors must
+// not be dropped (silent corruption). Each analyzer is one walk over the
+// type-checked AST that machine-checks one of these rules on every
+// build; `go run ./cmd/ygmvet ./...` is wired into CI. Rules a runtime
+// check already enforces (packet and buffer release, handler blocking,
+// payload retention, rank-divergent collectives, rank confinement,
+// hot-path allocation) are left to it: DESIGN.md §11 lists which.
 //
 // Findings on a line can be suppressed with a `//ygmvet:ignore name`
 // comment on the same line or the line above (names comma-separated, or
@@ -41,25 +40,16 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// Pass is the per-package unit of work handed to an analyzer.
-type Pass struct {
-	Pkg *Package
-	// Index resolves function objects to their declarations anywhere in
-	// the loaded module.
-	Index *FuncIndex
-}
-
 // Analyzer is one named rule.
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(*Pass) []Finding
+	Run  func(*Package) []Finding
 }
 
-// All returns the full analyzer suite: three syntactic checks and the
-// flow-sensitive buffer-lifetime analyzer.
+// All returns the full analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{Wallclock, Seedrand, Codecerr, Buflifetime}
+	return []*Analyzer{Wallclock, Seedrand, Codecerr}
 }
 
 // knownAnalyzerNames is the set of valid names for ygmvet:ignore
@@ -97,18 +87,16 @@ func DefaultScope(analyzer, pkgPath string) bool {
 // Run applies each analyzer to each package its scope admits, filters
 // suppressed findings, and returns the remainder sorted by position.
 // scope may be nil to run everything everywhere.
-func Run(pkgs []*Package, all []*Package, analyzers []*Analyzer, scope func(analyzer, pkgPath string) bool) []Finding {
-	index := NewFuncIndex(all)
+func Run(pkgs []*Package, analyzers []*Analyzer, scope func(analyzer, pkgPath string) bool) []Finding {
 	var findings []Finding
 	for _, pkg := range pkgs {
-		pass := &Pass{Pkg: pkg, Index: index}
 		sup, diags := suppressions(pkg)
 		findings = append(findings, diags...)
 		for _, a := range analyzers {
 			if scope != nil && !scope(a.Name, pkg.Path) {
 				continue
 			}
-			for _, f := range a.Run(pass) {
+			for _, f := range a.Run(pkg) {
 				if !sup.match(f) {
 					findings = append(findings, f)
 				}
@@ -207,41 +195,6 @@ func suppressions(pkg *Package) (suppressed, []Finding) {
 		}
 	}
 	return s, diags
-}
-
-// FuncIndex maps function and method objects to their declarations
-// across every loaded package, so analyzers can walk call graphs.
-type FuncIndex struct {
-	decls map[types.Object]*IndexedFunc
-}
-
-// IndexedFunc is one declared function with its owning package.
-type IndexedFunc struct {
-	Pkg  *Package
-	Decl *ast.FuncDecl
-}
-
-// NewFuncIndex builds the declaration index over pkgs.
-func NewFuncIndex(pkgs []*Package) *FuncIndex {
-	idx := &FuncIndex{decls: make(map[types.Object]*IndexedFunc)}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-					if obj := pkg.Info.Defs[fd.Name]; obj != nil {
-						idx.decls[obj] = &IndexedFunc{Pkg: pkg, Decl: fd}
-					}
-				}
-			}
-		}
-	}
-	return idx
-}
-
-// Lookup returns the declaration of fn, or nil if it is not declared in
-// the loaded module (stdlib, interface method, etc.).
-func (idx *FuncIndex) Lookup(fn *types.Func) *IndexedFunc {
-	return idx.decls[fn]
 }
 
 // calleeOf resolves the static callee of a call expression using the

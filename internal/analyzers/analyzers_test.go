@@ -65,18 +65,16 @@ func parseWants(t *testing.T, pkg *Package) []*expectation {
 	return wants
 }
 
-// runFixture loads testdata/<name>, runs one analyzer over it (with the
-// module's packages available for call-graph walks), and diffs the
-// findings against the fixture's want-comments.
+// runFixture loads testdata/<name>, runs one analyzer over it, and diffs
+// the findings against the fixture's want-comments.
 func runFixture(t *testing.T, name string, a *Analyzer) {
 	t.Helper()
-	ldr, pkgs := modulePackages(t)
+	ldr, _ := modulePackages(t)
 	fix, err := ldr.LoadDir(filepath.Join("testdata", name), "fixture/"+name)
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	all := append(append([]*Package{}, pkgs...), fix)
-	findings := Run([]*Package{fix}, all, []*Analyzer{a}, nil)
+	findings := Run([]*Package{fix}, []*Analyzer{a}, nil)
 	wants := parseWants(t, fix)
 	if len(wants) == 0 {
 		t.Fatalf("fixture %s has no want-comments", name)
@@ -102,10 +100,9 @@ func runFixture(t *testing.T, name string, a *Analyzer) {
 	}
 }
 
-func TestWallclockFixture(t *testing.T)   { runFixture(t, "wallclock", Wallclock) }
-func TestSeedrandFixture(t *testing.T)    { runFixture(t, "seedrand", Seedrand) }
-func TestCodecerrFixture(t *testing.T)    { runFixture(t, "codecerr", Codecerr) }
-func TestBuflifetimeFixture(t *testing.T) { runFixture(t, "buflifetime", Buflifetime) }
+func TestWallclockFixture(t *testing.T) { runFixture(t, "wallclock", Wallclock) }
+func TestSeedrandFixture(t *testing.T)  { runFixture(t, "seedrand", Seedrand) }
+func TestCodecerrFixture(t *testing.T)  { runFixture(t, "codecerr", Codecerr) }
 
 // TestSuppressFixture exercises the ygmvet:ignore directive forms:
 // block comments, scoped names, and the unknown-name diagnostic, with
@@ -116,7 +113,7 @@ func TestSuppressFixture(t *testing.T) { runFixture(t, "suppress", Wallclock) }
 // scope — the same invocation CI runs through cmd/ygmvet.
 func TestRepoClean(t *testing.T) {
 	_, pkgs := modulePackages(t)
-	findings := Run(pkgs, pkgs, All(), DefaultScope)
+	findings := Run(pkgs, All(), DefaultScope)
 	for _, f := range findings {
 		t.Errorf("repo not ygmvet-clean: %s", f)
 	}
@@ -132,7 +129,7 @@ func TestSuiteRegistered(t *testing.T) {
 			t.Errorf("analyzer %s missing doc or run function", a.Name)
 		}
 	}
-	for _, name := range []string{"wallclock", "seedrand", "codecerr", "buflifetime"} {
+	for _, name := range []string{"wallclock", "seedrand", "codecerr"} {
 		if !got[name] {
 			t.Errorf("analyzer %s not registered in All()", name)
 		}

@@ -20,9 +20,9 @@ var Codecerr = &Analyzer{
 	Run:  runCodecerr,
 }
 
-func runCodecerr(pass *Pass) []Finding {
+func runCodecerr(pkg *Package) []Finding {
 	var findings []Finding
-	for _, file := range pass.Pkg.Files {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			stmt, ok := n.(*ast.ExprStmt)
 			if !ok {
@@ -32,7 +32,7 @@ func runCodecerr(pass *Pass) []Finding {
 			if !ok {
 				return true
 			}
-			fn := calleeOf(pass.Pkg.Info, call)
+			fn := calleeOf(pkg.Info, call)
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != codecPkg {
 				return true
 			}
@@ -41,7 +41,7 @@ func runCodecerr(pass *Pass) []Finding {
 				return true
 			}
 			findings = append(findings, Finding{
-				Pos:      pass.Pkg.Fset.Position(call.Pos()),
+				Pos:      pkg.Fset.Position(call.Pos()),
 				Analyzer: "codecerr",
 				Message: fmt.Sprintf("result of codec %s is discarded, dropping its error; corrupt or short buffers go unnoticed",
 					fn.Name()),

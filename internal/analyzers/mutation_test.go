@@ -8,31 +8,32 @@ import (
 	"testing"
 )
 
-// mutationSrc seeds exactly one violation per analyzer class the flow
-// engine and the syntactic walk serve, in a scratch package; the
-// `// MUT:<analyzer>` markers name the finding each line must produce.
+// mutationSrc seeds exactly one violation per analyzer in a scratch
+// package; the `// MUT:<analyzer>` markers name the finding each line
+// must produce.
 const mutationSrc = `package scratch
 
 import (
+	"math/rand"
 	"time"
 
-	"ygm/internal/transport"
+	"ygm/internal/codec"
 )
 
-func driver(p *transport.Proc) {
-	buf := p.AcquireBuf(8) // MUT:buflifetime
-	_ = time.Now()         // MUT:wallclock
-	_ = buf
+func driver(r *codec.Reader) int {
+	_ = time.Now()      // MUT:wallclock
+	r.Uint64()          // MUT:codecerr
+	return rand.Intn(3) // MUT:seedrand
 }
 `
 
 // TestMutationSmoke writes the scratch package to a temp dir, runs the
 // whole suite over it, and checks that every seeded violation — and
-// nothing else — is reported on its marked line. This is the end-to-end
-// guard that a refactor of the flow engine cannot silently blind one of
-// buflifetime: each class has exactly one witness.
+// nothing else — is reported on its marked line: the end-to-end guard
+// that a change to the loader or the suppression pass cannot silently
+// blind an analyzer.
 func TestMutationSmoke(t *testing.T) {
-	ldr, pkgs := modulePackages(t)
+	ldr, _ := modulePackages(t)
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "scratch.go"), []byte(mutationSrc), 0o644); err != nil {
 		t.Fatalf("writing scratch package: %v", err)
@@ -41,8 +42,7 @@ func TestMutationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading scratch package: %v", err)
 	}
-	all := append(append([]*Package{}, pkgs...), fix)
-	findings := Run([]*Package{fix}, all, All(), nil)
+	findings := Run([]*Package{fix}, All(), nil)
 
 	want := make(map[string]bool) // "analyzer:line"
 	for i, line := range strings.Split(mutationSrc, "\n") {
@@ -50,8 +50,8 @@ func TestMutationSmoke(t *testing.T) {
 			want[fmt.Sprintf("%s:%d", strings.TrimSpace(name), i+1)] = false
 		}
 	}
-	if len(want) != 2 {
-		t.Fatalf("expected 2 seeded mutations, found %d markers", len(want))
+	if len(want) != len(All()) {
+		t.Fatalf("expected %d seeded mutations, found %d markers", len(All()), len(want))
 	}
 	for _, f := range findings {
 		key := fmt.Sprintf("%s:%d", f.Analyzer, f.Pos.Line)

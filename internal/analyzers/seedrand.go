@@ -29,15 +29,15 @@ var Seedrand = &Analyzer{
 	Run:  runSeedrand,
 }
 
-func runSeedrand(pass *Pass) []Finding {
+func runSeedrand(pkg *Package) []Finding {
 	var findings []Finding
-	for _, file := range pass.Pkg.Files {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
+			fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
 			if !ok || fn.Pkg() == nil {
 				return true
 			}
@@ -53,7 +53,7 @@ func runSeedrand(pass *Pass) []Finding {
 				return true
 			}
 			findings = append(findings, Finding{
-				Pos:      pass.Pkg.Fset.Position(sel.Pos()),
+				Pos:      pkg.Fset.Position(sel.Pos()),
 				Analyzer: "seedrand",
 				Message: fmt.Sprintf("rand.%s draws from the process-global source; use a seeded per-rank source (Proc.Rng or rand.New(rand.NewSource(seed)))",
 					fn.Name()),

@@ -31,15 +31,15 @@ var Wallclock = &Analyzer{
 	Run:  runWallclock,
 }
 
-func runWallclock(pass *Pass) []Finding {
+func runWallclock(pkg *Package) []Finding {
 	var findings []Finding
-	for _, file := range pass.Pkg.Files {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
+			fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
 			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
 				return true
 			}
@@ -50,7 +50,7 @@ func runWallclock(pass *Pass) []Finding {
 				return true
 			}
 			findings = append(findings, Finding{
-				Pos:      pass.Pkg.Fset.Position(sel.Pos()),
+				Pos:      pkg.Fset.Position(sel.Pos()),
 				Analyzer: "wallclock",
 				Message: fmt.Sprintf("wall-clock time.%s in simulated-rank code; ranks must use virtual time (netsim.Clock)",
 					fn.Name()),

@@ -94,7 +94,7 @@ const pingPongMsgs = 8
 // pingPongWorld runs the Fig. 5 measurement workload — pingPongMsgs
 // messages of the given size bounced between two ranks on different
 // nodes — and returns the run report. Every Recv is paired with a
-// Recycle; TestFig5RecyclesEveryPacket pins that packet balance.
+// Recycle, which Run's packet ledger checks.
 func pingPongWorld(p Preset, size int) *transport.Report {
 	rep, _ := runWorld(p, 2, nil, func(proc *transport.Proc, ex *extras) error {
 		peer := proc.Topo().RankOf(1, 0)

@@ -156,11 +156,15 @@ func (c *Comm) tag(op uint64, round int) transport.Tag {
 		transport.Tag(round&0xff)
 }
 
-// recv is Proc.Recv for collectives that hand a packet's payload on to
-// their caller instead of recycling it; buflifetime does not follow a
-// packet returned through a helper.
-func (c *Comm) recv(t transport.Tag) *transport.Packet {
-	return c.p.Recv(t)
+// recv receives one packet under t, recycles it and returns its source
+// and payload. The payload outlives Recycle: collectives send with plain
+// Send, never SendPooled, so Recycle takes back only the packet header
+// and the payload stays the receiver's to keep or forward.
+func (c *Comm) recv(t transport.Tag) (machine.Rank, []byte) {
+	pkt := c.p.Recv(t)
+	src, payload := pkt.Src, pkt.Payload
+	c.p.Recycle(pkt)
+	return src, payload
 }
 
 // indexOf maps a member rank back to its communicator index; a packet

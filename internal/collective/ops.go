@@ -74,8 +74,7 @@ func (c *Comm) Bcast(root int, payload []byte) []byte {
 	mask := 1
 	for mask < size {
 		if rel&mask != 0 {
-			pkt := c.recv(c.tag(op, 0))
-			payload = pkt.Payload
+			_, payload = c.recv(c.tag(op, 0))
 			break
 		}
 		mask <<= 1
@@ -119,7 +118,7 @@ func (c *Comm) ReduceF64(root int, vals []float64, op func(a, b float64) float64
 // root with a caller-supplied merge. The root returns the reduction;
 // other members return nil. merge receives the accumulator and one
 // child's contribution and returns the new accumulator; the contribution
-// aliases a received packet, so merge must copy anything it keeps.
+// aliases a received payload, so merge must copy anything it keeps.
 // Payload ownership passes to the collective (it may be sent onward).
 // The container layer's top-K heavy-hitters query rides on this.
 func (c *Comm) ReduceBytes(root int, payload []byte, merge func(acc, in []byte) []byte) []byte {
@@ -132,8 +131,8 @@ func (c *Comm) ReduceBytes(root int, payload []byte, merge func(acc, in []byte) 
 	for mask := 1; mask < size; mask <<= 1 {
 		if rel&mask == 0 {
 			if rel|mask < size {
-				pkt := c.recv(c.tag(opSeq, round))
-				acc = merge(acc, pkt.Payload)
+				_, in := c.recv(c.tag(opSeq, round))
+				acc = merge(acc, in)
 			}
 		} else {
 			parent := (rel&^mask + root) % size
@@ -166,8 +165,8 @@ func (c *Comm) Alltoallv(payloads [][]byte) [][]byte {
 		c.p.Send(c.Rank((c.me+shift)%size), t, payloads[(c.me+shift)%size])
 	}
 	for i := 1; i < size; i++ {
-		pkt := c.recv(t)
-		out[c.indexOf(pkt.Src)] = pkt.Payload
+		src, payload := c.recv(t)
+		out[c.indexOf(src)] = payload
 	}
 	return out
 }

@@ -123,6 +123,19 @@ func (p *Proc) checkClockMonotone() {
 	p.checkLastNow = now
 }
 
+// poisonByte fills pooled payloads as Recycle takes them back. Its high
+// bit is set, so a uvarint read from poisoned bytes overflows.
+const poisonByte = 0xdb
+
+// poisonPayload overwrites a pooled payload as it returns to the pool,
+// so a read after Recycle sees garbage, which codec errors and the
+// oracles catch, instead of stale bytes that still decode.
+func poisonPayload(b []byte) {
+	for i := range b {
+		b[i] = poisonByte
+	}
+}
+
 // checkSchedEnqueue asserts a rank is never placed on a run queue it is
 // already on (a double-enqueue would eventually double-grant its gate
 // and deadlock the dispatcher). Called under the scheduler mutex.

@@ -105,7 +105,9 @@ func TestStressManyToOneBurst(t *testing.T) {
 			if pkt == nil {
 				return fmt.Errorf("Recv returned nil after %d packets", n)
 			}
-			if err := audit.observe(pkt); err != nil {
+			err := audit.observe(pkt)
+			p.Recycle(pkt)
+			if err != nil {
 				return err
 			}
 		}
@@ -160,7 +162,9 @@ func TestStressBroadcastStorm(t *testing.T) {
 			if pkt == nil {
 				return fmt.Errorf("rank %d: Recv returned nil after %d packets", me, n)
 			}
-			if err := audit.observe(pkt); err != nil {
+			err := audit.observe(pkt)
+			p.Recycle(pkt)
+			if err != nil {
 				return fmt.Errorf("rank %d: %w", me, err)
 			}
 		}

@@ -15,9 +15,10 @@ import "sync"
 // dispatched every record — the cross-rank flow that makes the
 // steady-state exchange path allocation-free, and the one that the
 // shared pool exists to close (senders drain their caches, receivers
-// fill theirs). Only payloads sent via SendPooled are recycled: plain
-// Send makes no ownership claim beyond "receiver owns it", and
-// collectives legitimately alias one payload across several receivers.
+// fill theirs). Every received packet is recycled, but only payloads
+// sent via SendPooled go back with it: a plain Send payload belongs to
+// the receiver, which may keep or forward it after recycling the packet
+// (the collectives do both). Run's packet ledger checks the packets.
 //
 // Retention is bounded per kind by poolKeep in the shared pool plus
 // 2·poolBatch in each cache.
@@ -110,6 +111,9 @@ func (c *poolCache) getBuf(n int) []byte {
 func (c *poolCache) put(pkt *Packet) {
 	payload := pkt.Payload
 	keepBuf := pkt.pooled && payload != nil
+	if keepBuf {
+		poisonPayload(payload)
+	}
 	*pkt = Packet{}
 	if c.npkt == len(c.pkts) || keepBuf && c.nbuf == len(c.bufs) {
 		c.spill()

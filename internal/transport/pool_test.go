@@ -149,9 +149,9 @@ func TestPoolCacheDryPool(t *testing.T) {
 // TestPoolCacheBounded runs a LocalWire fan-in of three senders into one
 // receiver, with a credit window so that packets circulate, and then
 // checks every cache against its 2B bound, the shared pool against
-// poolKeep, that no packet is owned twice, that every received packet
-// was recycled, and that the shared lock was taken at most 2/B times per
-// packet.
+// poolKeep, that no packet is owned twice, and that the shared lock was
+// taken at most 2/B times per packet. Run's packet ledger checks that
+// every received packet was recycled.
 func TestPoolCacheBounded(t *testing.T) {
 	const perSender, window = 20000, 64
 	const tagData, tagAck = TagUser, TagUser + 1
@@ -209,11 +209,6 @@ func TestPoolCacheBounded(t *testing.T) {
 	}
 	if bound := poolKeep + len(caches)*2*poolBatch; len(owned) > bound {
 		t.Fatalf("%d packets retained, bound %d", len(owned), bound)
-	}
-	for _, rr := range rep.Ranks {
-		if rr.Stats.Recycles != rr.Stats.RecvMsgs {
-			t.Fatalf("rank %d recycled %d of %d received packets", rr.Rank, rr.Stats.Recycles, rr.Stats.RecvMsgs)
-		}
 	}
 	pkts := rep.Totals().LocalMsgs
 	ops := rep.Metrics().Counter("transport.pool.shared_ops")

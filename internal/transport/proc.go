@@ -181,8 +181,10 @@ func (p *Proc) AcquireBuf(n int) []byte { return p.cache.getBuf(n) }
 
 // Recycle returns a received packet — and, when it was sent with
 // SendPooled, its payload buffer — to this rank's cache, which spills to
-// the world's shared pool in batches. The caller must not touch pkt or
-// its payload afterwards.
+// the world's shared pool in batches. The caller must not touch pkt
+// afterwards, nor a SendPooled payload; a plain Send payload stays the
+// caller's. Every received packet must be recycled exactly once, which
+// Run checks at the end of a clean run (PacketLeakError).
 func (p *Proc) Recycle(pkt *Packet) {
 	p.stats.Recycles++
 	p.cache.put(pkt)

@@ -439,7 +439,29 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 	if ferr != nil {
 		return report, fmt.Errorf("transport: wire %s: finish: %w", w.wire.Name(), ferr)
 	}
+	// The packet ledger: a run that finished cleanly owes the pool every
+	// packet it received. A failed run returned above, since it may have
+	// unwound holding packets.
+	for _, rr := range report.Ranks {
+		if rr.Stats.Recycles != rr.Stats.RecvMsgs {
+			return report, &PacketLeakError{Rank: rr.Rank, Recycled: rr.Stats.Recycles, Received: rr.Stats.RecvMsgs}
+		}
+	}
 	return report, nil
+}
+
+// PacketLeakError reports a run whose body returned cleanly while a rank
+// had not recycled exactly the packets it received: a receive path that
+// drops a packet without Recycle (a leak), or one that recycles twice.
+// Run names the lowest such rank.
+type PacketLeakError struct {
+	Rank     machine.Rank
+	Recycled uint64
+	Received uint64
+}
+
+func (e *PacketLeakError) Error() string {
+	return fmt.Sprintf("transport: packet ledger: rank %d recycled %d of %d received packets", e.Rank, e.Recycled, e.Received)
 }
 
 // errRankDeadlocked marks a rank unwound by the deadlock watchdog; Run

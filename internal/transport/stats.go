@@ -21,9 +21,9 @@ type Stats struct {
 	// RecvMsgs counts packets this rank received (any locality).
 	RecvMsgs uint64
 	// Recycles counts packets this rank returned for reuse (Recycle).
-	// Under the pooled ownership protocol every received packet must be
-	// recycled exactly once, so at the end of a well-behaved run
-	// Recycles == RecvMsgs; a shortfall is a packet leak.
+	// Every received packet must be recycled exactly once, so a run
+	// whose body returns cleanly ends with Recycles == RecvMsgs on every
+	// rank; Run fails any other with a PacketLeakError.
 	Recycles uint64
 
 	// partners, when enabled, counts packets sent per destination rank —

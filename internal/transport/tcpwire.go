@@ -30,7 +30,11 @@ import (
 // and validated field by field. Data frames keep the tag as a fixed u64
 // so the reader can size one exact pooled-buffer read for the payload:
 //
-//	[u32 n][kindMsg][u64 LE tag][n-9 payload bytes]
+//	[u32 n][kindMsg or kindPooled][u64 LE tag][n-9 payload bytes]
+//
+// The kind carries the packet's pooled mark: only a kindPooled payload
+// goes back to the pool at Recycle, since a plain Send payload belongs
+// to the receiver, which may keep it.
 //
 // Arrival stamps are assigned on the RECEIVING host (reader goroutine,
 // host clock) rather than carried in the frame: the inbox only needs
@@ -46,8 +50,9 @@ const (
 	kindReady     byte = 3 // client -> rank 0: mesh established
 	kindGo        byte = 4 // rank 0 -> client: every rank is ready, run
 	kindPeerHello byte = 5 // mesh dialer -> listener: my rank
-	kindMsg       byte = 6 // data packet
+	kindMsg       byte = 6 // data packet sent with Send
 	kindGoodbye   byte = 7 // clean end-of-stream; EOF without it is a fault
+	kindPooled    byte = 8 // data packet sent with SendPooled
 
 	// tcpMaxFrame bounds one data-frame body; larger reads indicate stream
 	// corruption, not traffic (mailbox payloads are capacity-bounded).
@@ -540,7 +545,11 @@ func (t *TCPWire) Inject(p *Proc, dst machine.Rank, pkt *Packet) {
 	idle := len(peer.pending) == 0 && !peer.writing
 	n := dataHdrLen + len(pkt.Payload)
 	b := binary.LittleEndian.AppendUint32(peer.pending, uint32(n-4))
-	b = append(b, kindMsg)
+	kind := kindMsg
+	if pkt.pooled {
+		kind = kindPooled
+	}
+	b = append(b, kind)
 	b = binary.LittleEndian.AppendUint64(b, uint64(pkt.Tag))
 	peer.pending = append(b, pkt.Payload...)
 	peer.mu.Unlock()
@@ -615,10 +624,11 @@ func (t *TCPWire) writeLoop(dst machine.Rank, peer *tcpPeer) {
 
 // readLoop decodes one peer's stream into the local inbox. It is the
 // only producer for the (local, src) channel, so pushes on it are
-// ordered. Frames become pooled packets, taken from the reader's own
-// cache and stamped with the receiving host's clock; the rank that
-// recycles them returns them to its cache, and the shared pool carries
-// them back in batches.
+// ordered. Frames become packets, taken with their payload buffers from
+// the reader's own cache and stamped with the receiving host's clock;
+// the rank that recycles them returns them to its cache, with the
+// payload only for a kindPooled frame, and the shared pool carries them
+// back in batches.
 func (t *TCPWire) readLoop(src machine.Rank, peer *tcpPeer) {
 	defer t.readers.Done()
 	cache := poolCache{pool: &t.w.pool}
@@ -641,7 +651,7 @@ func (t *TCPWire) readLoop(src machine.Rank, peer *tcpPeer) {
 			return
 		}
 		switch kind {
-		case kindMsg:
+		case kindMsg, kindPooled:
 			if n < 9 {
 				t.readEnd(src, peer, fmt.Errorf("short data frame (%d bytes)", n))
 				return
@@ -661,7 +671,7 @@ func (t *TCPWire) readLoop(src machine.Rank, peer *tcpPeer) {
 			pkt.Tag = tag
 			pkt.Arrive = hostSince(t.w.epoch)
 			pkt.Payload = payload
-			pkt.pooled = true
+			pkt.pooled = kind == kindPooled
 			t.w.inboxes[t.self].Push(pkt)
 		case kindGoodbye:
 			peer.sawGoodbye.Store(true)

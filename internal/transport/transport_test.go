@@ -89,9 +89,11 @@ func TestPingPong(t *testing.T) {
 			if pkt.Src != 1 || pkt.Size() != payload {
 				return fmt.Errorf("bad reply %v", pkt)
 			}
+			p.Recycle(pkt)
 		} else {
 			pkt := p.Recv(TagUser)
 			p.Send(pkt.Src, TagUser, make([]byte, payload))
+			p.Recycle(pkt)
 		}
 		return nil
 	})
@@ -121,7 +123,7 @@ func TestVirtualTimeCausality(t *testing.T) {
 			p.Send(1, TagUser, make([]byte, 100))
 			sendDone = p.Now()
 		} else {
-			p.Recv(TagUser)
+			p.Recycle(p.Recv(TagUser))
 			recvTime = p.Now()
 		}
 		return nil
@@ -144,7 +146,7 @@ func TestLocalVsRemoteAccounting(t *testing.T) {
 			p.Send(topo.RankOf(0, 1), TagUser, make([]byte, 64)) // local
 			p.Send(topo.RankOf(1, 0), TagUser, make([]byte, 64)) // remote
 		case 1, 2:
-			p.Recv(TagUser)
+			p.Recycle(p.Recv(TagUser))
 		}
 		return nil
 	})
@@ -174,16 +176,18 @@ func TestPollRespectsVirtualArrival(t *testing.T) {
 			return nil
 		}
 		// Wait until the big packet is physically present.
-		p.Recv(TagData)
+		p.Recycle(p.Recv(TagData))
 		// Clock is near zero (data packet has tiny transfer); the 1 MiB
 		// payload arrives later in virtual time.
 		if pkt := p.Poll(TagUser); pkt != nil {
 			return fmt.Errorf("poll returned a packet still in virtual flight (now=%g arrive=%g)", p.Now(), pkt.Arrive)
 		}
 		p.Compute(1) // fast-forward a full second
-		if pkt := p.Poll(TagUser); pkt == nil {
+		pkt := p.Poll(TagUser)
+		if pkt == nil {
 			return fmt.Errorf("poll missed an arrived packet")
 		}
+		p.Recycle(pkt)
 		return nil
 	})
 	if err != nil {
@@ -200,7 +204,7 @@ func TestDrainJumpsClock(t *testing.T) {
 			p.Send(1, TagData, nil)
 			return nil
 		}
-		p.Recv(TagData)
+		p.Recycle(p.Recv(TagData))
 		before := p.Now()
 		batch := p.DrainBatch(TagUser, nil)
 		if len(batch) != 1 {
@@ -214,6 +218,7 @@ func TestDrainJumpsClock(t *testing.T) {
 		if p.Now() < pkt.Arrive || p.Now() <= before {
 			return fmt.Errorf("absorb did not wait to arrival: now=%g arrive=%g", p.Now(), pkt.Arrive)
 		}
+		p.Recycle(pkt)
 		if n := len(p.DrainBatch(TagUser, nil)); n != 0 {
 			return fmt.Errorf("drain of empty queue took %d packets", n)
 		}
@@ -241,7 +246,7 @@ func TestArrivalOrdering(t *testing.T) {
 			p.Send(1, TagData, nil)
 			return nil
 		}
-		p.Recv(TagData)
+		p.Recycle(p.Recv(TagData))
 		batch := p.DrainBatch(TagUser, nil)
 		if len(batch) != 3 {
 			return fmt.Errorf("drained %d packets, want 3", len(batch))
@@ -250,6 +255,7 @@ func TestArrivalOrdering(t *testing.T) {
 		for _, pkt := range batch {
 			p.Absorb(pkt)
 			got = append(got, pkt.Payload[0])
+			p.Recycle(pkt)
 		}
 		for i, b := range got {
 			if int(b) != i+1 {
@@ -269,7 +275,7 @@ func TestManyToOne(t *testing.T) {
 	rep, err := Run(testConfig(4, 4), func(p *Proc) error {
 		if p.Rank() == 0 {
 			for i := 0; i < senders; i++ {
-				p.Recv(TagUser)
+				p.Recycle(p.Recv(TagUser))
 			}
 			return nil
 		}
@@ -371,11 +377,11 @@ func TestPartnerTracking(t *testing.T) {
 			p.Send(3, TagUser, nil)
 		}
 		if p.Rank() == 1 {
-			p.Recv(TagUser)
-			p.Recv(TagUser)
+			p.Recycle(p.Recv(TagUser))
+			p.Recycle(p.Recv(TagUser))
 		}
 		if p.Rank() == 3 {
-			p.Recv(TagUser)
+			p.Recycle(p.Recv(TagUser))
 		}
 		return nil
 	})
@@ -446,12 +452,13 @@ func TestInboxDepthTracking(t *testing.T) {
 			p.Send(1, TagData, nil)
 			return nil
 		}
-		p.Recv(TagData)
+		p.Recycle(p.Recv(TagData))
 		if p.Pending(TagUser) != 10 {
 			return fmt.Errorf("pending = %d", p.Pending(TagUser))
 		}
 		for _, pkt := range p.DrainBatch(TagUser, nil) {
 			p.Absorb(pkt)
+			p.Recycle(pkt)
 		}
 		return nil
 	})
@@ -474,7 +481,7 @@ func TestReportUtilizationBounds(t *testing.T) {
 			}
 			return nil
 		}
-		p.Recv(TagUser)
+		p.Recycle(p.Recv(TagUser))
 		return nil
 	})
 	if err != nil {

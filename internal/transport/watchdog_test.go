@@ -158,7 +158,7 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 		next := machine.Rank((int(p.Rank()) + 1) % p.WorldSize())
 		for i := 0; i < 50; i++ {
 			p.Send(next, TagUser, []byte{byte(i)})
-			p.Recv(TagUser)
+			p.Recycle(p.Recv(TagUser))
 			// Stretch host time so watchdog ticks land mid-run.
 			time.Sleep(time.Millisecond)
 		}

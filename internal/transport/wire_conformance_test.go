@@ -110,8 +110,8 @@ func gatherDigest(p *transport.Proc, local uint64) (uint64, bool) {
 
 // scenarioExactlyOnceFIFO sends a counted, sequenced stream from every
 // rank to every other rank over the pooled path and asserts each
-// channel arrives gap-free, duplicate-free, and in order — then checks
-// the pooled recycle balance.
+// channel arrives gap-free, duplicate-free, and in order; Run's packet
+// ledger then checks that every received packet was recycled.
 func scenarioExactlyOnceFIFO(p *transport.Proc, seed int64) (uint64, error) {
 	const perPeer = 64
 	me, world := p.Rank(), p.WorldSize()
@@ -145,9 +145,6 @@ func scenarioExactlyOnceFIFO(p *transport.Proc, seed int64) (uint64, error) {
 		nextSeq[src]++
 		digest += mix(val)
 		p.Recycle(pkt)
-	}
-	if s := p.Stats(); s.Recycles != s.RecvMsgs {
-		return 0, fmt.Errorf("rank %d: recycle balance: %d recycles for %d received packets", me, s.Recycles, s.RecvMsgs)
 	}
 	return digest, nil
 }
@@ -194,8 +191,8 @@ func scenarioBarrier(p *transport.Proc, seed int64) (uint64, error) {
 // spawns whose keys and destinations derive only from the parent key,
 // and a WaitEmpty quiescence barrier per phase. Its delivery multiset —
 // and therefore the gathered digest — must be identical on every
-// backend. After quiescence the pooled recycle balance must hold
-// exactly: every received packet was returned to the pool.
+// backend. Run's packet ledger checks that every received packet was
+// returned to the pool.
 func scenarioMailboxScript(p *transport.Proc, seed int64) (uint64, error) {
 	const (
 		phases   = 3
@@ -236,10 +233,6 @@ func scenarioMailboxScript(p *transport.Proc, seed int64) (uint64, error) {
 			mb.Send(machine.Rank(rng.Intn(world)), buf)
 		}
 		mb.WaitEmpty()
-	}
-	if s := p.Stats(); s.Recycles != s.RecvMsgs {
-		return 0, fmt.Errorf("rank %d: recycle balance after quiescence: %d recycles for %d received packets",
-			me, s.Recycles, s.RecvMsgs)
 	}
 	return digest, nil
 }
