@@ -61,3 +61,21 @@ func FuzzTopologyRanks(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRouter checks Router.Next against Topology.NextHop on arbitrary
+// shapes up to 255×255, schemes and (cur, dst) pairs. The seed corpus
+// in testdata/fuzz/FuzzRouter includes C = 1, where a 2^64/C reciprocal
+// would wrap to 0.
+func FuzzRouter(f *testing.F) {
+	f.Add(uint8(5), uint8(0), uint16(3), uint16(1), uint8(3))
+	f.Add(uint8(255), uint8(36), uint16(9000), uint16(17), uint8(3))
+	f.Fuzz(func(t *testing.T, nodes, cores uint8, a, b uint16, schemeSel uint8) {
+		topo := New(int(nodes)+1, int(cores)+1)
+		world := topo.WorldSize()
+		cur, dst := Rank(int(a)%world), Rank(int(b)%world)
+		s := Schemes[int(schemeSel)%len(Schemes)]
+		if got, want := topo.NewRouter(s, cur).Next(dst), topo.NextHop(s, cur, dst); got != want {
+			t.Fatalf("%v %v: Router(%d).Next(%d) = %d, NextHop = %d", topo, s, cur, dst, got, want)
+		}
+	})
+}

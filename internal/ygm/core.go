@@ -29,12 +29,9 @@ type core struct {
 	stats Stats
 	// cost caches the model scalars charged per dispatched record.
 	cost recordCost
-	// router is the precomputed next-hop table for this rank.
-	router *machine.Router
-
-	// slotOf maps a rank to its index in the hop universe (-1 outside
-	// it); each stage's buffers cover a contiguous slot range.
-	slotOf     []int32
+	// rt finds a hop's slot in the hop universe; each stage's buffers
+	// cover a contiguous slot range.
+	rt         hopRouter
 	stages     []stage // stageStore[:n]
 	stageStore [maxStages]stage
 	// inStage is the stage currently exchanging, -1 outside a staged
@@ -74,11 +71,7 @@ func (c *core) init(p *transport.Proc, self Sender, handler Handler, opts Option
 	c.opts = opts.withDefaults()
 	c.cost = newRecordCost(p.Model())
 	c.inStage = -1
-	if err := c.initSlots(staged); err != nil {
-		return err
-	}
-	c.router = p.Topo().NewRouter(c.opts.Scheme, c.me)
-	return nil
+	return c.initSlots(staged)
 }
 
 // Proc exposes the transport endpoint the mailbox runs on.
@@ -89,15 +82,6 @@ func (c *core) Stats() Stats { return c.stats }
 
 // PendingSends reports records queued but not yet exchanged.
 func (c *core) PendingSends() int { return c.queued }
-
-// nextHop routes one unicast record held by this rank: a routing-table
-// load, or the mutation hook when one is installed.
-func (c *core) nextHop(dst machine.Rank) machine.Rank {
-	if c.opts.Hooks != nil && c.opts.Hooks.NextHop != nil {
-		return c.opts.Hooks.NextHop(c.p.Topo(), c.opts.Scheme, c.me, dst)
-	}
-	return c.router.Next(dst)
-}
 
 // send is Send without the policy's trigger: validate, count, deliver a
 // self-send on the spot or route and queue anything else. It reports
@@ -111,7 +95,7 @@ func (c *core) send(dst machine.Rank, payload []byte) bool {
 		c.deliver(payload)
 		return false
 	}
-	c.place(c.nextHop(dst), kindUnicast, dst, payload)
+	c.place(c.rt.route(c.rt.hooked(dst)), kindUnicast, dst, payload)
 	return true
 }
 
@@ -125,7 +109,7 @@ func (c *core) broadcast(payload []byte) {
 	case machine.NoRoute:
 		for r := machine.Rank(0); int(r) < c.p.WorldSize(); r++ {
 			if r != c.me {
-				c.place(r, kindUnicast, r, payload)
+				c.place(c.rt.slotOf(r), kindUnicast, r, payload)
 			}
 		}
 	case machine.NodeLocal:
@@ -151,7 +135,7 @@ func (c *core) fanLocal(kind recordKind, payload []byte) {
 	node, off := topo.Node(c.me), topo.Core(c.me)
 	for k := 0; k < topo.Cores(); k++ {
 		if k != off {
-			c.place(topo.RankOf(node, k), kind, machine.Nil, payload)
+			c.place(c.rt.slotOf(topo.RankOf(node, k)), kind, machine.Nil, payload)
 		}
 	}
 }
@@ -163,7 +147,7 @@ func (c *core) fanRemote(kind recordKind, payload []byte) {
 	node, off := topo.Node(c.me), topo.Core(c.me)
 	for n := 0; n < topo.Nodes(); n++ {
 		if n != node {
-			c.place(topo.RankOf(n, off), kind, machine.Nil, payload)
+			c.place(c.rt.slotOf(topo.RankOf(n, off)), kind, machine.Nil, payload)
 		}
 	}
 }
@@ -176,7 +160,7 @@ func (c *core) fanNLNR(payload []byte) {
 	node, off := topo.Node(c.me), topo.Core(c.me)
 	for n := off; n < topo.Nodes(); n += topo.Cores() {
 		if n != node {
-			c.place(topo.NLNRRemoteIntermediary(node, n), kindBcastNLNRDistribute, machine.Nil, payload)
+			c.place(c.rt.slotOf(topo.NLNRRemoteIntermediary(node, n)), kindBcastNLNRDistribute, machine.Nil, payload)
 		}
 	}
 }
@@ -192,16 +176,11 @@ func (c *core) stageOf(slot int32, after int) int {
 	return -1
 }
 
-// place appends one record to hop's coalescing buffer: in the earliest
-// stage of the running exchange that can still carry it, otherwise in
-// the next generation of the earliest stage that carries it at all.
-func (c *core) place(hop machine.Rank, kind recordKind, dst machine.Rank, payload []byte) {
-	i := c.slotOf[hop]
-	if i < 0 {
-		// Includes a self-hop: no rank holds a slot for itself.
-		panic(fmt.Sprintf("ygm: rank %d has no coalescing slot for hop %d under %v",
-			c.me, hop, c.opts.Scheme))
-	}
+// place appends one record to the coalescing buffer of the hop at slot
+// i: in the earliest stage of the running exchange that can still carry
+// it, otherwise in the next generation of the earliest stage that
+// carries it at all.
+func (c *core) place(i int32, kind recordKind, dst machine.Rank, payload []byte) {
 	var b *hopBuf
 	if s := c.stageOf(i, c.inStage); s >= 0 {
 		st := &c.stages[s]
@@ -217,7 +196,7 @@ func (c *core) place(hop machine.Rank, kind recordKind, dst machine.Rank, payloa
 	appendRecord(&b.w, kind, dst, payload)
 	b.count++
 	c.queued++
-	c.opts.tapQueued(c.me, hop, dst, kind, payload)
+	c.opts.tapQueued(c.me, b.hop, dst, kind, payload)
 }
 
 // coalesceArmBytes is the storage each coalescing buffer is armed with
@@ -302,7 +281,7 @@ func (c *core) dispatch(rec record) {
 			c.deliver(rec.payload)
 			return
 		}
-		c.place(c.nextHop(rec.dst), kindUnicast, rec.dst, rec.payload)
+		c.place(c.rt.route(c.rt.hooked(rec.dst)), kindUnicast, rec.dst, rec.payload)
 	case kindBcastDeliver:
 		c.deliver(rec.payload)
 	case kindBcastLocalFanout:

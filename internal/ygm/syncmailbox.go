@@ -83,7 +83,7 @@ func newSync(p *transport.Proc, handler Handler, opts Options) (*SyncMailbox, er
 		}
 		sc.member = make([]int32, len(st.cur))
 		for j := range sc.comm.Size() {
-			if i := int(mb.slotOf[sc.comm.Rank(j)]) - int(st.base); i >= 0 && i < len(st.cur) {
+			if i := int(mb.rt.slotOf(sc.comm.Rank(j))) - int(st.base); i >= 0 && i < len(st.cur) {
 				sc.member[i] = int32(j)
 			}
 		}
