@@ -13,7 +13,9 @@
 //
 // Experiments report *simulated* seconds from the netsim cost model (one
 // host executes every rank as a goroutine); see EXPERIMENTS.md for how
-// the resulting shapes compare with the paper's figures.
+// the resulting shapes compare with the paper's figures. The summed
+// simulated seconds of fig6a and fig8a on the quick preset are pinned in
+// BENCH_ygm.json, which internal/bench's TestFigurePins checks.
 package main
 
 import (
@@ -48,9 +50,6 @@ func run(args []string) (retErr error) {
 	mailbox := fs.Int("mailbox", 0, "override mailbox capacity (records)")
 	format := fs.String("format", "table", "output format: table or csv")
 	list := fs.Bool("list", false, "list experiments and exit")
-	benchJSON := fs.String("bench-json", "", "collect the regression baseline and write it to this path")
-	benchCompare := fs.String("bench-compare", "", "collect a fresh baseline and gate it against this committed file")
-	benchRounds := fs.Int("bench-rounds", 3, "micro-bench rounds per entry for -bench-json/-bench-compare (best kept)")
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON timeline of the run to this path (open in ui.perfetto.dev)")
 	weakScaling := fs.String("weak-scaling", "", "run the scheduler weak-scaling sweep at these comma-separated rank counts (e.g. 1024,4096,16384,65536)")
 	synchSweep := fs.String("synch-sweep", "", "run the synchronizability sweep (all shapes x schemes x variants) and write the per-cell JSON summary to this path")
@@ -82,10 +81,6 @@ func run(args []string) (retErr error) {
 			retErr = err
 		}
 	}()
-
-	if *benchJSON != "" || *benchCompare != "" {
-		return runBaseline(*benchJSON, *benchCompare, *benchRounds)
-	}
 
 	if *synchSweep != "" {
 		return runSynchSweep(*synchSweep, *synchSeeds, *seed)
@@ -203,41 +198,6 @@ func run(args []string) (retErr error) {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "# wrote trace to %s (open in ui.perfetto.dev)\n", *tracePath)
-	}
-	return nil
-}
-
-// runBaseline implements -bench-json (collect and write) and
-// -bench-compare (collect and gate against a committed file). Both may be
-// given together: the fresh measurement is written, then gated.
-func runBaseline(writePath, comparePath string, rounds int) error {
-	fmt.Printf("# collecting micro benches (%d rounds each) + figure sim-seconds\n", rounds)
-	current := bench.CollectBaseline(rounds)
-	for _, m := range current.Micro {
-		fmt.Printf("%-24s %12.0f ns/op %10d B/op %8d allocs/op\n",
-			m.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
-	}
-	for _, f := range current.Figures {
-		fmt.Printf("%-24s %12.4f simulated s\n", f.ID, f.SimSeconds)
-	}
-	if writePath != "" {
-		if err := current.WriteJSON(writePath); err != nil {
-			return err
-		}
-		fmt.Printf("# wrote %s\n", writePath)
-	}
-	if comparePath != "" {
-		committed, err := bench.LoadBaseline(comparePath)
-		if err != nil {
-			return err
-		}
-		if regressions := bench.CompareBaseline(committed, current); len(regressions) > 0 {
-			for _, r := range regressions {
-				fmt.Fprintln(os.Stderr, "REGRESSION:", r)
-			}
-			return fmt.Errorf("%d benchmark regression(s) against %s", len(regressions), comparePath)
-		}
-		fmt.Printf("# no regressions against %s\n", comparePath)
 	}
 	return nil
 }

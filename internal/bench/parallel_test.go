@@ -25,7 +25,7 @@ func shrunkQuick() Preset {
 // physically arrived when it polls, so virtual waits absorb overhead
 // charges in a scheduling-dependent order and these columns jitter
 // run to run — serial or parallel alike (that pre-existing jitter is
-// what the baseline gate's SimTolerance bounds). Everything else —
+// what TestFigurePins' pinTolerance bounds). Everything else —
 // labels, traffic counts, message sizes, delegate/broadcast counts —
 // is a deterministic function of the workload and must match exactly.
 var jitterKeys = map[string]bool{
@@ -37,12 +37,12 @@ var jitterKeys = map[string]bool{
 
 // simTestTolerance bounds the per-value relative drift allowed on
 // jitter columns between two runs of the same experiment. Looser than
-// the baseline gate's SimTolerance: single cells on the shrunk preset
+// TestFigurePins' pinTolerance: single cells on the shrunk preset
 // are short, so tie-break jitter is relatively larger than on figure
 // totals.
 const simTestTolerance = 0.15
 
-// TestParallelMatchesSerial runs the two pinned baseline figures both
+// TestParallelMatchesSerial runs the two pinned figures both
 // serially and through the worker pool and requires identical tables up
 // to simulator tie-break jitter: same row order, byte-identical labels,
 // exactly equal deterministic columns.

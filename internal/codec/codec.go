@@ -66,18 +66,6 @@ func (w *Writer) Arm(n int) {
 	}
 }
 
-// Detach hands the encoded buffer to the caller and re-arms the Writer
-// with replacement storage (which may be nil). The returned slice is
-// exactly the accumulated encoding and no longer aliases the Writer;
-// replacement's contents are discarded but its capacity is kept. This is
-// the zero-copy handoff used by pooled coalescing buffers: the packed
-// bytes ship as-is and a recycled buffer takes their place.
-func (w *Writer) Detach(replacement []byte) []byte {
-	b := w.buf
-	w.buf = replacement[:0]
-	return b
-}
-
 // Uvarint appends v in unsigned LEB128 form (1-10 bytes).
 func (w *Writer) Uvarint(v uint64) {
 	w.buf = binary.AppendUvarint(w.buf, v)

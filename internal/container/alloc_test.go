@@ -218,26 +218,6 @@ func TestCounterAsyncAddSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestSetAsyncInsertSteadyStateZeroAlloc(t *testing.T) {
-	skipIfYgmcheck(t)
-	runAllocPin(t, func(e *Engine) error {
-		s := NewSet(e, nil)
-		keys := allocKeySet()
-		insertAll := func() {
-			for _, k := range keys {
-				s.AsyncInsert(k)
-			}
-		}
-		for i := 0; i < allocWarmup; i++ {
-			insertAll()
-		}
-		if avg := testing.AllocsPerRun(allocRuns, insertAll); avg != 0 {
-			return fmt.Errorf("set AsyncInsert of %d live keys allocates %.1f allocs/run, want 0", allocKeys, avg)
-		}
-		return nil
-	})
-}
-
 // TestChainedVisitRemoteSteadyState complements the self-delivery pins
 // with a remote smoke check (not an alloc pin): on a two-rank world the
 // same operations flow through the real coalescing exchange, and the

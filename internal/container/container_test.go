@@ -89,77 +89,6 @@ func TestMapInsertEraseSize(t *testing.T) {
 	}
 }
 
-func TestSetMembership(t *testing.T) {
-	for _, v := range variants {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			const universe = 300
-			runWorld(t, 2, 2, 12, func(p *transport.Proc) error {
-				e := NewEngine(p, v.opt, ygm.WithScheme(machine.NoRoute), ygm.WithCapacity(64))
-				s := NewSet(e, nil)
-				// Every rank inserts the same universe: duplicates collapse.
-				for i := 0; i < universe; i++ {
-					s.AsyncInsert(key(i))
-				}
-				if got := s.Size(); got != universe {
-					return fmt.Errorf("rank %d: set size = %d, want %d", p.Rank(), got, universe)
-				}
-				// Rank 0 erases multiples of 3.
-				if p.Rank() == 0 {
-					for i := 0; i < universe; i += 3 {
-						s.AsyncErase(key(i))
-					}
-				}
-				want := uint64(universe - (universe+2)/3)
-				if got := s.Size(); got != want {
-					return fmt.Errorf("rank %d: set size after erase = %d, want %d", p.Rank(), got, want)
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestBagDealsAndSweeps(t *testing.T) {
-	for _, v := range variants {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			const perRank = 150
-			runWorld(t, 2, 2, 13, func(p *transport.Proc) error {
-				e := NewEngine(p, v.opt, ygm.WithScheme(machine.NLNR), ygm.WithCapacity(64))
-				b := NewBag(e)
-				me := int(p.Rank())
-				world := p.WorldSize()
-				for i := 0; i < perRank; i++ {
-					b.AsyncInsert(key(me*perRank + i))
-				}
-				if got, want := b.Size(), uint64(world*perRank); got != want {
-					return fmt.Errorf("rank %d: bag size = %d, want %d", me, got, want)
-				}
-				// The cyclic dealer must have balanced the shards exactly.
-				if got := b.LocalSize(); got != perRank {
-					return fmt.Errorf("rank %d: shard size = %d, want %d", me, got, perRank)
-				}
-				// Global item-id sum via an order-independent sweep.
-				var local uint64
-				b.ForAll(func(item []byte) {
-					id, err := strconv.ParseUint(string(item), 10, 64)
-					if err != nil {
-						t.Errorf("corrupt bag item %q: %v", item, err)
-						return
-					}
-					local += id
-				})
-				n := uint64(world * perRank)
-				if got, want := e.allreduceSum(local), n*(n-1)/2; got != want {
-					return fmt.Errorf("rank %d: bag id sum = %d, want %d", me, got, want)
-				}
-				return nil
-			})
-		})
-	}
-}
-
 func TestCounterAccumulatesAndTopK(t *testing.T) {
 	for _, v := range variants {
 		v := v

@@ -1,6 +1,6 @@
 // Package container provides YGM's headline user-facing feature: owner-
-// computes partitioned storage containers (Map, Set, Bag, Counter)
-// layered purely on the asynchronous mailbox. Insertions, erasures, and
+// computes partitioned storage containers (Map and Counter) layered
+// purely on the asynchronous mailbox. Insertions, erasures, and
 // visitor RPCs may be issued from any rank at any time; each key lives
 // on exactly one owning rank (chosen by a pluggable Partitioner) and
 // every mutation is shipped there as a fire-and-forget mailbox message.

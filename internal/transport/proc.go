@@ -54,8 +54,8 @@ type Proc struct {
 	szRemote *obs.Histogram
 
 	// rec is this rank's flight recorder — a ring of recent events
-	// dumped by deadlock and panic paths. Nil when disabled via
-	// Config.FlightRecorder.
+	// (sends, receives, arrival jumps, marks) dumped by deadlock and
+	// panic paths.
 	rec *obs.Recorder
 
 	// cache is this rank's packets and pooled buffers, in front of the
@@ -248,9 +248,7 @@ func (p *Proc) send(dst machine.Rank, tag Tag, payload []byte, pooled bool) {
 	// Record and trace before Inject: once the wire has the packet the
 	// receiver may pop it and report PacketReceived, and a send that is
 	// not yet on record then has no arrow to end.
-	if p.rec != nil {
-		p.rec.Record(obs.Event{Kind: obs.KSend, T: sent, Peer: int32(dst), Tag: uint64(tag), Size: int64(len(payload))})
-	}
+	p.rec.Record(obs.Event{Kind: obs.KSend, T: sent, Peer: int32(dst), Tag: uint64(tag), Size: int64(len(payload))})
 	if w.trace != nil {
 		w.trace.PacketSent(p.rank, dst, tag, len(payload), sent, arrive)
 	}
@@ -396,9 +394,7 @@ func (p *Proc) PendingTags(tags []Tag) int {
 func (p *Proc) absorb(pkt *Packet) {
 	if p.rt != nil {
 		p.stats.RecvMsgs++
-		if p.rec != nil {
-			p.rec.Record(obs.Event{Kind: obs.KRecv, T: p.now(), Peer: int32(pkt.Src), Tag: uint64(pkt.Tag), Size: int64(len(pkt.Payload))})
-		}
+		p.rec.Record(obs.Event{Kind: obs.KRecv, T: p.now(), Peer: int32(pkt.Src), Tag: uint64(pkt.Tag), Size: int64(len(pkt.Payload))})
 		if p.world.trace != nil {
 			p.world.trace.PacketReceived(pkt.Src, p.rank, pkt.Tag, len(pkt.Payload), p.now())
 		}
@@ -410,13 +406,11 @@ func (p *Proc) absorb(pkt *Packet) {
 	// already arrived; a large one goes to the flight recorder.
 	before := p.clock.Now()
 	jump := p.clock.AbsorbAt(pkt.Arrive, p.world.model.RecvOverheadFor(p.world.topo.SameNode(p.rank, pkt.Src)))
-	if jump > 50e-6 && p.rec != nil {
+	if jump > 50e-6 {
 		p.rec.Record(obs.Event{Kind: obs.KJump, T: before, Peer: int32(pkt.Src), Tag: uint64(pkt.Tag), Size: int64(len(pkt.Payload))})
 	}
 	p.stats.RecvMsgs++
-	if p.rec != nil {
-		p.rec.Record(obs.Event{Kind: obs.KRecv, T: p.clock.Now(), Peer: int32(pkt.Src), Tag: uint64(pkt.Tag), Size: int64(len(pkt.Payload))})
-	}
+	p.rec.Record(obs.Event{Kind: obs.KRecv, T: p.clock.Now(), Peer: int32(pkt.Src), Tag: uint64(pkt.Tag), Size: int64(len(pkt.Payload))})
 	p.checkClockMonotone()
 	if p.world.trace != nil {
 		p.world.trace.PacketReceived(pkt.Src, p.rank, pkt.Tag, len(pkt.Payload), p.clock.Now())
@@ -436,9 +430,9 @@ func (p *Proc) Clock() *netsim.Clock { return &p.clock }
 // Report.Metrics merges them.
 func (p *Proc) Metrics() *obs.Registry { return p.metrics }
 
-// FlightRecorder returns this rank's event ring, or nil when disabled
-// via Config.FlightRecorder. Upper layers may Record their own events;
-// deadlock and panic dumps include the ring's recent contents.
+// FlightRecorder returns this rank's event ring. Upper layers may
+// Record their own events; deadlock and panic dumps include the ring's
+// recent contents.
 func (p *Proc) FlightRecorder() *obs.Recorder { return p.rec }
 
 // Span is an open virtual-time interval on one rank, returned by
@@ -477,13 +471,8 @@ func (s Span) End() {
 // termination generation number) in the flight recorder and, when the
 // tracer observes spans, in the trace.
 func (p *Proc) Mark(name string, value uint64) {
-	if p.rec == nil && p.world.spanObs == nil {
-		return
-	}
 	now := p.now()
-	if p.rec != nil {
-		p.rec.Record(obs.Event{Kind: obs.KMark, T: now, Peer: -1, Tag: value, Name: name})
-	}
+	p.rec.Record(obs.Event{Kind: obs.KMark, T: now, Peer: -1, Tag: value, Name: name})
 	if so := p.world.spanObs; so != nil {
 		so.Mark(p.rank, name, value, now)
 	}

@@ -44,11 +44,6 @@ type Config struct {
 	// Delay, when non-nil, adds extra virtual flight time to each packet
 	// (fault injection for schedule exploration); see DelayFn.
 	Delay DelayFn
-	// FlightRecorder sizes each rank's ring of recent events (sends,
-	// receives, arrival jumps, spans, marks) that deadlock and panic
-	// dumps include. Zero selects obs.DefaultRecorderSize; a negative
-	// value disables the recorder entirely.
-	FlightRecorder int
 	// Workers selects the execution model. Zero (the default) is
 	// automatic: worlds larger than schedAutoWorlds ranks on a simulated
 	// wire run under the M:N rank scheduler with one worker token per
@@ -324,6 +319,7 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 				rng:          rand.New(newRngSource(cfg.Seed*1000003 + int64(r))),
 				computeScale: 1,
 				metrics:      obs.NewRegistry(),
+				rec:          obs.NewRecorder(obs.DefaultRecorderSize),
 			}
 			p.cache.pool = &w.pool
 			if w.realtime {
@@ -331,9 +327,6 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 			}
 			p.szLocal = p.metrics.Histogram("transport.msg_size.local")
 			p.szRemote = p.metrics.Histogram("transport.msg_size.remote")
-			if cfg.FlightRecorder >= 0 {
-				p.rec = obs.NewRecorder(cfg.FlightRecorder)
-			}
 			if cfg.ComputeScale != nil {
 				if s := cfg.ComputeScale(r); s > 0 {
 					p.computeScale = s
@@ -362,11 +355,9 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 						// on its messages); surface the cause immediately
 						// rather than only after every goroutine unwinds.
 						fmt.Fprintf(os.Stderr, "transport: rank %d died: %v\n", r, rec)
-						if p.rec != nil {
-							if evs := p.rec.Snapshot(); len(evs) > 0 {
-								fmt.Fprintf(os.Stderr, "transport: rank %d recent events:\n%s",
-									r, obs.FormatEvents(evs, "  "))
-							}
+						if evs := p.rec.Snapshot(); len(evs) > 0 {
+							fmt.Fprintf(os.Stderr, "transport: rank %d recent events:\n%s",
+								r, obs.FormatEvents(evs, "  "))
 						}
 					}
 				} else if errs[r] != nil {

@@ -162,16 +162,12 @@ func (p *Proc) AbortIfPeerFailed() {
 // unwinds the rank. Called from Recv when its inbox has been poisoned.
 func (p *Proc) deadlockExit(tag Tag) {
 	w := p.world
-	var recent []obs.Event
-	if p.rec != nil {
-		recent = p.rec.Snapshot()
-	}
 	w.dead[p.rank] = &RankDeadState{
 		Rank:       p.rank,
 		Clock:      p.now(),
 		InboxDepth: w.inboxes[p.rank].Len(),
 		BlockedTag: tag,
-		Recent:     recent,
+		Recent:     p.rec.Snapshot(),
 	}
 	panic(rankDeadlocked{})
 }

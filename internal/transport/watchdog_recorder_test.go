@@ -74,37 +74,3 @@ func TestDeadlockErrorCarriesFlightRecorder(t *testing.T) {
 		t.Fatalf("dump renders %d event histories for %d blocked ranks:\n%s", got, len(derr.Blocked), dump)
 	}
 }
-
-// TestDeadlockErrorWithRecorderDisabled: a negative FlightRecorder size
-// disables the recorder; the deadlock dump must still work, just without
-// event histories.
-func TestDeadlockErrorWithRecorderDisabled(t *testing.T) {
-	cfg := Config{
-		Topo:             machine.New(1, 2),
-		Model:            netsim.Quartz(),
-		WatchdogInterval: 10 * time.Millisecond,
-		FlightRecorder:   -1,
-	}
-	err := guard(t, 30*time.Second, func() error {
-		_, err := Run(cfg, func(p *Proc) error {
-			if p.Rank() == 0 {
-				p.Compute(1e-6)
-				p.Recv(TagUser)
-			}
-			return nil
-		})
-		return err
-	})
-	var derr *DeadlockError
-	if !errors.As(err, &derr) {
-		t.Fatalf("want DeadlockError, got %v", err)
-	}
-	for _, s := range derr.Blocked {
-		if len(s.Recent) != 0 {
-			t.Fatalf("recorder disabled but rank %d carries %d events", s.Rank, len(s.Recent))
-		}
-	}
-	if strings.Contains(err.Error(), " events:") {
-		t.Fatalf("dump renders event history with recorder disabled:\n%s", err.Error())
-	}
-}

@@ -207,20 +207,14 @@ func (c *core) place(i int32, kind recordKind, dst machine.Rank, payload []byte)
 const coalesceArmBytes = 256
 
 // take empties b into a pooled payload for the transport and re-arms
-// its writer. The default path copies the packed bytes into a
-// pool-recycled buffer (modeling the send-side copy onto the wire); with
-// ZeroCopyLocal, same-node buffers skip the copy and travel as-is, the
-// writer taking a recycled buffer in their place — the hybrid exchange
-// of the paper's Section VII. Either way the payload returns to the pool
-// when the receiver recycles the packet, so steady-state exchanges
-// allocate nothing.
+// its writer. It copies the packed bytes into a pool-recycled buffer
+// (modeling the send-side copy onto the wire); the payload returns to
+// the pool when the receiver recycles the packet, so steady-state
+// exchanges allocate nothing.
 func (c *core) take(b *hopBuf) []byte {
 	c.stats.HopsSent += uint64(b.count)
 	c.queued -= b.count
 	b.count = 0
-	if c.opts.ZeroCopyLocal && b.local {
-		return b.w.Detach(c.p.AcquireBuf(0))
-	}
 	payload := c.p.AcquireBuf(b.w.Len())
 	copy(payload, b.w.Bytes())
 	b.w.Reset()

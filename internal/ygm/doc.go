@@ -64,10 +64,6 @@
 // (Test{Lazy,Round,Sync}SteadyStateZeroAlloc) are what hold the path to
 // zero: an allocation added anywhere on it fails them.
 //
-// WithZeroCopyLocal enables Section VII's optimization: local-hop
-// packets detach the coalescing buffer itself instead of copying it,
-// trading a pooled-buffer swap for the memcpy.
-//
 // Termination detection follows the paper's Section IV-B: ranks declare
 // themselves done producing messages, flush (including empty buffers —
 // here, counter reports), and the layer detects global quiescence by a

@@ -71,9 +71,6 @@ type Options struct {
 	Capacity int
 	// Exchange selects the exchange semantics. Default RoundExchange.
 	Exchange ExchangeStyle
-	// ZeroCopyLocal hands same-node coalescing buffers to the receiver
-	// without the pack-time copy; see WithZeroCopyLocal.
-	ZeroCopyLocal bool
 	// CopyOnDeliver copies each payload before the handler sees it; see
 	// WithCopyOnDeliver.
 	CopyOnDeliver bool

@@ -41,15 +41,6 @@ func WithCapacity(n int) Option {
 	return func(o *Options) { o.Capacity = n }
 }
 
-// WithZeroCopyLocal enables the Section VII zero-copy local exchange:
-// coalescing buffers bound for same-node ranks are handed to the
-// receiver without the pack-time copy (the buffer itself travels and is
-// recycled after delivery). Off by default to model the copying
-// interconnect path the paper measures.
-func WithZeroCopyLocal(on bool) Option {
-	return func(o *Options) { o.ZeroCopyLocal = on }
-}
-
 // WithCopyOnDeliver makes the mailbox copy each payload before invoking
 // the handler. Handlers are normally forbidden from retaining payload
 // slices — delivery buffers are pooled and recycled as soon as the

@@ -9,12 +9,10 @@ import (
 )
 
 // hopBuf is one partner's coalescing buffer. The writer's backing
-// storage is retained across exchanges (or replaced from the transport
-// buffer pool on zero-copy handoff), so a buffer never allocates in
+// storage is retained across exchanges, so a buffer never allocates in
 // steady state.
 type hopBuf struct {
 	hop   machine.Rank
-	local bool // hop shares this rank's node
 	w     codec.Writer
 	count int
 }
@@ -97,7 +95,7 @@ func (c *core) initSlots(staged bool) error {
 		out := bufs[:len(part):len(part)]
 		bufs = bufs[len(part):]
 		for i, hop := range part {
-			out[i].hop, out[i].local = hop, topo.SameNode(c.me, hop)
+			out[i].hop = hop
 		}
 		return out
 	}
