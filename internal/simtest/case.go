@@ -2,13 +2,15 @@
 // mailbox stack. Each Case describes one randomized workload — a
 // topology, a routing scheme, a mailbox variant, and a seeded pattern of
 // sends, broadcasts, handler-spawned follow-ups, and mid-run WaitEmpty
-// barriers — executed under optional delivery-delay injection while a
-// delivery-semantics oracle (see oracle.go) records every logical send
-// and checks, post-run: exactly-once delivery to the correct rank with
-// intact payloads, hop sequences conforming to machine.Path, remote
-// transmissions staying inside each scheme's channel set, packet
-// conservation, and that no WaitEmpty barrier returned while messages of
-// its phase were still in flight.
+// barriers — executed under optional delivery-delay injection. Every
+// logical send, delivery and barrier goes into one synch.Log, on which
+// synch.Judge decides exactly-once delivery to the correct rank and
+// synchronizability. The oracle (see oracle.go) checks what that log
+// cannot show: intact payloads, hop sequences conforming to
+// machine.Path, remote transmissions staying inside each scheme's
+// channel set, and that no barrier returned while messages of its phase
+// were still in flight. transport.Run itself checks packet
+// conservation.
 //
 // Cases are value types with a compact string form (String/ParseCase) so
 // a failing run — after the shrinker minimizes it — reproduces from a
@@ -237,9 +239,12 @@ func (c Case) validate() error {
 		return fmt.Errorf("simtest: invalid workload dimensions in %q", c.String())
 	}
 	// Deterministic spawn keys (see msgKey in oracle.go) pack the parent
-	// sequence number into 8-bit fields: per-rank top-level send counts
-	// must stay below 128 and spawn depth below 3. FromSeed stays far
-	// inside both bounds.
+	// sequence number and origin into 8-bit fields: per-rank top-level
+	// send counts must stay below 128, the world at 128 ranks and spawn
+	// depth below 3. FromSeed stays far inside all three bounds.
+	if c.Nodes*c.Cores > 128 {
+		return fmt.Errorf("simtest: %d ranks overflow the deterministic spawn-key encoding (max 128)", c.Nodes*c.Cores)
+	}
 	if c.Phases*c.Msgs > 127 {
 		return fmt.Errorf("simtest: %d sends per rank overflow the deterministic spawn-key encoding (max 127)", c.Phases*c.Msgs)
 	}

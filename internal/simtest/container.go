@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"ygm/internal/codec"
 	"ygm/internal/container"
@@ -17,23 +16,22 @@ import (
 // ContainerCase is one randomized distributed-container workload: every
 // rank runs a seeded script of Map puts/erases, Counter bumps (with
 // chained owner-side visits), read-your-writes fetches, and phase
-// barriers, on the engine variant and wire under test. Two oracles judge
+// barriers, on the engine variant and wire under test. Two records judge
 // the run:
 //
-//   - a container delivery oracle: the script is deterministic, so every
-//     rank independently replays all ranks' scripts into a sequential
-//     model and checks the final distributed state (ForAll sweeps, owner
-//     placement, global sizes, TopK, fetch replies) against it, plus
-//     transport packet conservation;
-//   - the PR 7 synchronizability oracle: container operations that run
-//     user code on the owner carry their (origin, seq) message identity
-//     in the visitor argument, so the run's MSC is recorded exactly as
-//     for raw mailbox workloads and checked for reorder-equivalence to
-//     synchronous rounds.
+//   - a container model: the script is deterministic, so every rank
+//     independently replays all ranks' scripts into a sequential model
+//     and checks the final distributed state (ForAll sweeps, owner
+//     placement, global sizes, TopK, fetch replies) against it;
+//   - the run's synch.Log: container operations that run user code on
+//     the owner carry their (origin, seq) message identity in the
+//     visitor argument, so the run's MSC is recorded exactly as for raw
+//     mailbox workloads, and judge checks it for exactly-once delivery
+//     at the owner and for reorder-equivalence to synchronous rounds.
 //
 // Raw fire-and-forget operations (AsyncInsert/AsyncErase/AsyncAdd) have
 // no owner-side code to report their delivery, so they are judged by the
-// model oracle only; their packets still count toward conservation.
+// model only; transport.Run's ledger still counts their packets.
 type ContainerCase struct {
 	Seed         int64
 	Nodes, Cores int
@@ -76,8 +74,12 @@ func (c ContainerCase) validate() error {
 		return fmt.Errorf("simtest: invalid container case %q", c)
 	}
 	// Chained-visit keys reuse the harness's deterministic spawn-key
-	// packing (see msgKey): per-rank recorded ops stay below 128 and the
-	// chain depth below 3 so child keys never collide.
+	// packing (see msgKey): per-rank recorded ops stay below 128, the
+	// world at 128 ranks and the chain depth below 3 so child keys never
+	// collide.
+	if c.Nodes*c.Cores > 128 {
+		return fmt.Errorf("simtest: %d ranks overflow the deterministic spawn-key encoding (max 128)", c.Nodes*c.Cores)
+	}
 	if c.Phases*c.Ops > 127 {
 		return fmt.Errorf("simtest: %d container ops per rank overflow the spawn-key encoding (max 127)", c.Phases*c.Ops)
 	}
@@ -256,7 +258,6 @@ func runContainerChecked(c ContainerCase, model containerModel) Outcome {
 
 	cfgOpts := []transport.ConfigOption{
 		transport.WithSeed(c.Seed),
-		transport.WithTrace(rec),
 		transport.WithWorkers(c.Workers),
 	}
 	if c.Wire == "local" {
@@ -272,35 +273,11 @@ func runContainerChecked(c ContainerCase, model containerModel) Outcome {
 		return Outcome{Runtime: err}
 	}
 
-	out := Outcome{SynchChecked: true}
 	var viols []string
 	for _, vs := range vlogs {
 		viols = append(viols, vs...)
 	}
-	log := rec.Log()
-	if log.PktSent != log.PktRecv {
-		viols = append(viols, fmt.Sprintf(
-			"packet conservation violated: %d sent, %d received", log.PktSent, log.PktRecv))
-	}
-	if len(viols) > 0 {
-		if len(viols) > 12 {
-			viols = viols[:12]
-		}
-		out.Delivery = fmt.Errorf("container oracle: %d violation(s):\n  %s",
-			len(viols), strings.Join(viols, "\n  "))
-	}
-	v := synch.Check(log)
-	switch {
-	case !v.OK:
-		out.Synch = fmt.Errorf("synchronizability: %v", v.Violation)
-	default:
-		if err := synch.ValidateCertificate(log, v.Cert); err != nil {
-			out.Synch = fmt.Errorf("synchronizability: certificate failed independent validation: %v", err)
-		} else {
-			out.Cert = v.Cert
-		}
-	}
-	return out
+	return judge(rec.Log(), viols)
 }
 
 // Visitor argument layouts (encoded with internal/codec):

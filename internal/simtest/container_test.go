@@ -119,6 +119,11 @@ func TestContainerCaseValidation(t *testing.T) {
 	if deep.validate() == nil {
 		t.Fatal("chain depth 3 accepted; keys would collide")
 	}
+	wide := ok
+	wide.Nodes, wide.Cores = 43, 3 // 129 ranks
+	if wide.validate() == nil {
+		t.Fatal("129-rank world accepted; spawn keys would collide")
+	}
 	wire := ok
 	wire.Wire = "tcp"
 	if wire.validate() == nil {

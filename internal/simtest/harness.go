@@ -3,6 +3,8 @@ package simtest
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"time"
 
 	"ygm/internal/machine"
@@ -23,9 +25,11 @@ const testEmptySpinCap = 1 << 22
 
 // Outcome is the full multi-oracle verdict of one fuzz run. The three
 // error fields are independent dimensions: Runtime reports rank panics,
-// deadlock-watchdog dumps, or invalid cases (nothing else was checked);
-// Delivery is the exactly-once/path-conformance oracle verdict; Synch is
-// the synchronizability oracle verdict (the run's event log was not
+// deadlock-watchdog dumps, packet-ledger failures, or invalid cases
+// (nothing else was checked); Delivery is the delivery verdict — the
+// event log's exactly-once faults (synch.Judge) plus the harness's own
+// route, payload, barrier and container-model checks; Synch is the
+// synchronizability verdict (the run's event log was not
 // reorder-equivalent to synchronous rounds, or its certificate failed
 // independent validation).
 type Outcome struct {
@@ -54,43 +58,60 @@ func (o Outcome) Err() error {
 	}
 }
 
+// judge produces the delivery and synchronizability verdicts of a run
+// that finished, from its event log. viols are the harness's own
+// findings (routes, payloads, barriers, the container model); they join
+// the log's delivery faults in Delivery.
+func judge(log *synch.Log, viols []string) Outcome {
+	faults, cert, err := synch.Judge(log)
+	out := Outcome{Synch: err, Cert: cert, SynchChecked: true}
+	if viols = append(viols, faults...); len(viols) > 0 {
+		n := len(viols)
+		sort.Strings(viols)
+		if len(viols) > 12 {
+			viols = viols[:12]
+		}
+		out.Delivery = fmt.Errorf("oracle: %d violation(s):\n  %s", n, strings.Join(viols, "\n  "))
+	}
+	return out
+}
+
 // RunCase executes one fuzz workload and checks it against every
 // oracle. A nil return means the run completed and every
 // delivery-semantics and synchronizability property held; the error
 // otherwise describes the first violation (see Outcome.Err).
-func RunCase(c Case) error { return RunCaseOutcome(c, nil).Err() }
+func RunCase(c Case) error { return RunCaseOutcome(c).Err() }
 
-// RunCaseTraced is RunCase with an extra tracer riding alongside the
-// oracles — the observability layer's packet and span events mirror
-// into tr while the oracles still see (and judge) every packet. Used by
-// the CI trace smoke job to prove trace export works on real fuzz
-// traffic.
+// RunCaseTraced is RunCase with tr as the run's tracer: the
+// observability layer's packet and span events go to tr while the
+// oracles judge the run as usual. Used by the CI trace smoke job to
+// prove trace export works on real fuzz traffic.
 func RunCaseTraced(c Case, tr transport.Tracer) error {
-	return RunCaseOutcome(c, tr).Err()
+	out, _ := runCaseLogged(c, tr)
+	return out.Err()
 }
 
 // RunCaseOutcome executes one fuzz workload and returns the per-oracle
 // verdicts separately, so callers (the mutation smoke test, the
 // synchronizability sweep) can tell which oracle saw what.
-func RunCaseOutcome(c Case, tr transport.Tracer) Outcome {
-	out, _ := runCaseLogged(c, tr)
+func RunCaseOutcome(c Case) Outcome {
+	out, _ := runCaseLogged(c, nil)
 	return out
 }
 
-// runCaseLogged is RunCaseOutcome plus the frozen synchronizability
-// event log (nil when the run died at the Runtime level), for the
-// cross-validation replay's script comparison.
+// runCaseLogged runs c with tracer tr (nil for none) and returns its
+// verdicts plus the frozen event log (nil when the run died at the
+// Runtime level), for the cross-validation replay's script comparison.
 func runCaseLogged(c Case, tr transport.Tracer) (Outcome, *synch.Log) {
 	if err := c.validate(); err != nil {
 		return Outcome{Runtime: err}, nil
 	}
 	topo := c.Topo()
 	o := newOracle(topo, c.Scheme, c.Phases)
-	rec := synch.NewRecorder(topo.WorldSize())
 	hooks := c.Mutant.hooks()
 	cfg := transport.NewConfig(topo,
 		transport.WithSeed(c.Seed),
-		transport.WithTrace(transport.NewMultiTracer(o, rec, tr)),
+		transport.WithTrace(tr),
 		transport.WithWatchdogInterval(watchdogInterval),
 		transport.WithWorkers(c.Workers),
 	)
@@ -98,25 +119,13 @@ func runCaseLogged(c Case, tr transport.Tracer) (Outcome, *synch.Log) {
 		cfg.Delay = jitterDelay(c.Seed, topo.WorldSize())
 	}
 	_, err := transport.Run(cfg, func(p *transport.Proc) error {
-		return runRank(p, c, o, rec, hooks)
+		return runRank(p, c, o, hooks)
 	})
 	if err != nil {
 		return Outcome{Runtime: err}, nil
 	}
-	out := Outcome{Delivery: o.validate(), SynchChecked: true}
-	log := rec.Log()
-	v := synch.Check(log)
-	switch {
-	case !v.OK:
-		out.Synch = fmt.Errorf("synchronizability: %v", v.Violation)
-	default:
-		if err := synch.ValidateCertificate(log, v.Cert); err != nil {
-			out.Synch = fmt.Errorf("synchronizability: certificate failed independent validation: %v", err)
-		} else {
-			out.Cert = v.Cert
-		}
-	}
-	return out, log
+	log := o.rec.Log()
+	return judge(log, o.validate(log)), log
 }
 
 // jitterDelay builds a seeded per-source delay injector: every packet
@@ -135,19 +144,15 @@ func jitterDelay(seed int64, world int) transport.DelayFn {
 }
 
 // runRank is the SPMD body of one rank: Phases rounds of seeded sends
-// followed by a quiescence barrier, with the delivery oracle and the
-// synchronizability recorder logging every logical event on this rank's
-// goroutine.
-func runRank(p *transport.Proc, c Case, o *oracle, rec *synch.Recorder, hooks *ygm.TestHooks) error {
+// followed by a quiescence barrier, with the oracle logging every
+// logical event on this rank's goroutine.
+func runRank(p *transport.Proc, c Case, o *oracle, hooks *ygm.TestHooks) error {
 	me := p.Rank()
 	world := p.WorldSize()
 	rng := rand.New(rand.NewSource(c.Seed*1000003 + int64(me)*8191 + 17))
 
 	handler := func(s ygm.Sender, payload []byte) {
 		m, ok := o.recordDelivery(me, payload)
-		if ok {
-			rec.Recv(me, m.key.key64())
-		}
 		if !ok || m.bcast || m.ttl <= 0 {
 			return
 		}
@@ -160,8 +165,7 @@ func runRank(p *transport.Proc, c Case, o *oracle, rec *synch.Recorder, hooks *y
 		h := spawnHash(key)
 		dst := machine.Rank(h % uint64(world))
 		fill := int((h >> 32) % uint64(c.MaxPayload+1))
-		o.recordSendKeyed(key, false, dst, m.phase)
-		rec.Spawn(me, key.key64(), dst, m.key.key64())
+		o.recordSpawn(me, key, dst, m.key, m.phase)
 		s.Send(dst, encodePayload(key, false, m.phase, m.ttl-1, dst, fill))
 	}
 
@@ -210,20 +214,17 @@ func runRank(p *transport.Proc, c Case, o *oracle, rec *synch.Recorder, hooks *y
 		for i := 0; i < c.Msgs; i++ {
 			if c.BcastEvery > 0 && rng.Intn(c.BcastEvery) == 0 {
 				key := o.recordSend(me, true, machine.Nil, phase)
-				rec.Broadcast(me, key.key64())
 				bcast(encodePayload(key, true, phase, 0, machine.Nil, rng.Intn(c.MaxPayload+1)))
 				continue
 			}
 			dst := machine.Rank(rng.Intn(world))
 			key := o.recordSend(me, false, dst, phase)
-			rec.Send(me, key.key64(), dst)
 			send(dst, encodePayload(key, false, phase, c.TTL, dst, rng.Intn(c.MaxPayload+1)))
 		}
 		if err := barrier(); err != nil {
 			return err
 		}
-		rec.Barrier(me, uint64(phase))
-		o.checkBarrier(me, phase)
+		o.barrier(me, phase)
 	}
 	return nil
 }

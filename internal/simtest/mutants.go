@@ -24,7 +24,8 @@ const (
 	MutantWrongHop
 	// MutantDropDelivery silently discards exactly one delivery per
 	// run, leaving all transport counters balanced: only the
-	// exactly-once oracle can see it.
+	// exactly-once check over the event log (and the barrier check)
+	// can see it.
 	MutantDropDelivery
 	// MutantPrematureTerm forces rank 0's termination verdict to true
 	// on its first evaluation, releasing WaitEmpty barriers while

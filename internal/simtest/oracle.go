@@ -2,27 +2,26 @@ package simtest
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync/atomic"
 
 	"ygm/internal/codec"
 	"ygm/internal/machine"
 	"ygm/internal/synch"
-	"ygm/internal/transport"
 )
 
 // msgKey identifies one logical application message: the rank that
 // created it and that rank's private sequence number. Broadcast copies
-// of one Broadcast share a key.
+// of one Broadcast share a key. The key names the message in the run's
+// synch.Log, on which synch.Judge checks exactly-once delivery.
 //
 // Sequence numbers are structured so the whole command script is
 // deterministic across mailbox variants (the cross-validation replay
 // depends on it): top-level sends take even numbers (i<<1, allocated in
 // program order), and a handler-spawned child derives its number from
 // its parent as parent.seq<<8 | parent.origin<<1 | 1 — injective for
-// per-rank send counts below 128 and spawn depths (TTL) up to 2, which
-// Case.validate enforces.
+// per-rank send counts below 128, worlds of at most 128 ranks (so
+// origin<<1 fits in the low 8 bits) and spawn depths (TTL) up to 2,
+// which Case.validate and ContainerCase.validate enforce.
 type msgKey struct {
 	origin machine.Rank
 	seq    uint64
@@ -171,50 +170,32 @@ func decodePayload(b []byte) (msgMeta, error) {
 	return m, nil
 }
 
-// sendRec is one logical send, recorded by its origin.
-type sendRec struct {
-	key   msgKey
-	bcast bool
-	dst   machine.Rank // unicast only
-	phase int
-}
-
-// hopEdge is one record movement: the record left rank at for rank hop.
+// hopEdge is one record movement: message key's record left rank at
+// for rank hop.
 type hopEdge struct {
-	key      msgKey
-	at, hop  machine.Rank
-	bcast    bool
-	parseErr string
+	key     uint64
+	at, hop machine.Rank
 }
 
-// delivRec is one handler invocation.
-type delivRec struct {
-	key      msgKey
-	at       machine.Rank
-	bcast    bool
-	dst      machine.Rank
-	phase    int
-	fillOK   bool
-	parseErr string
-}
-
-// rankLog is the goroutine-confined event log of one rank. Each rank's
+// rankLog is the goroutine-confined state of one rank. Each rank's
 // goroutine appends to its own log only; logs are merged after every
 // goroutine has joined, so no locking is needed.
 type rankLog struct {
-	sends    []sendRec
-	hops     []hopEdge
-	delivs   []delivRec
-	barriers []string // violations observed at barrier return
-	seq      uint64   // next message sequence number for this origin
+	hops  []hopEdge
+	viols []string // payload and barrier violations, recorded where seen
+	seq   uint64   // next message sequence number for this origin
 }
 
-// oracle records every logical send, hop, and delivery of one run and
-// checks the delivery semantics afterwards. It implements ygm.Tap
-// (record-movement events) and transport.Tracer (packet conservation).
+// oracle records every logical send, delivery and barrier of one run
+// into a synch.Recorder, whose log judges exactly-once delivery (see
+// judge), and checks what that log cannot show: the route and channel
+// of every record movement (it implements ygm.Tap), payload integrity
+// at delivery, and that no barrier released a rank while other ranks'
+// traffic of its phase was still in flight.
 type oracle struct {
 	topo   machine.Topology
 	scheme machine.Scheme
+	rec    *synch.Recorder
 	ranks  []rankLog
 
 	// expected/delivered count final deliveries per phase: a unicast
@@ -224,11 +205,6 @@ type oracle struct {
 	expected  []atomic.Uint64
 	delivered []atomic.Uint64
 
-	// pktSent/pktRecv count transport packets (all tags); a clean run
-	// conserves them — anything sent is received before the run ends.
-	pktSent atomic.Uint64
-	pktRecv atomic.Uint64
-
 	// remote caches each rank's allowed remote partner set.
 	remote []map[machine.Rank]bool
 }
@@ -237,6 +213,7 @@ func newOracle(topo machine.Topology, scheme machine.Scheme, phases int) *oracle
 	o := &oracle{
 		topo:      topo,
 		scheme:    scheme,
+		rec:       synch.NewRecorder(topo.WorldSize()),
 		ranks:     make([]rankLog, topo.WorldSize()),
 		expected:  make([]atomic.Uint64, phases),
 		delivered: make([]atomic.Uint64, phases),
@@ -252,27 +229,19 @@ func newOracle(topo machine.Topology, scheme machine.Scheme, phases int) *oracle
 	return o
 }
 
+func (o *oracle) violation(at machine.Rank, format string, args ...any) {
+	o.ranks[at].viols = append(o.ranks[at].viols, fmt.Sprintf(format, args...))
+}
+
 // RecordQueued implements ygm.Tap: invoked on the queueing rank's
 // goroutine for every record entering a coalescing buffer.
 func (o *oracle) RecordQueued(at, hop, dst machine.Rank, bcast bool, payload []byte) {
-	e := hopEdge{at: at, hop: hop, bcast: bcast}
 	m, err := decodePayload(payload)
 	if err != nil {
-		e.parseErr = err.Error()
-	} else {
-		e.key = m.key
+		o.violation(at, "rank %d queued a corrupt record: %s", at, err)
+		return
 	}
-	o.ranks[at].hops = append(o.ranks[at].hops, e)
-}
-
-// PacketSent implements transport.Tracer.
-func (o *oracle) PacketSent(src, dst machine.Rank, tag transport.Tag, size int, sent, arrive float64) {
-	o.pktSent.Add(1)
-}
-
-// PacketReceived implements transport.Tracer.
-func (o *oracle) PacketReceived(src, dst machine.Rank, tag transport.Tag, size int, now float64) {
-	o.pktRecv.Add(1)
+	o.ranks[at].hops = append(o.ranks[at].hops, hopEdge{key: m.key.key64(), at: at, hop: hop})
 }
 
 // recordSend logs one top-level send on the origin's goroutine, before
@@ -282,204 +251,125 @@ func (o *oracle) recordSend(origin machine.Rank, bcast bool, dst machine.Rank, p
 	rk := &o.ranks[origin]
 	key := msgKey{origin: origin, seq: rk.seq << 1}
 	rk.seq++
-	o.recordSendKeyed(key, bcast, dst, phase)
+	if bcast {
+		o.rec.Broadcast(origin, key.key64())
+		o.expected[phase].Add(uint64(o.topo.WorldSize() - 1))
+	} else {
+		o.rec.Send(origin, key.key64(), dst)
+		o.expected[phase].Add(1)
+	}
 	return key
 }
 
-// recordSendKeyed logs one send under a caller-chosen key (handler
-// spawns derive theirs from the parent, so no counter is consumed).
-func (o *oracle) recordSendKeyed(key msgKey, bcast bool, dst machine.Rank, phase int) {
-	rk := &o.ranks[key.origin]
-	rk.sends = append(rk.sends, sendRec{key: key, bcast: bcast, dst: dst, phase: phase})
-	if bcast {
-		o.expected[phase].Add(uint64(o.topo.WorldSize() - 1))
-	} else {
-		o.expected[phase].Add(1)
-	}
+// recordSpawn logs one handler-spawned unicast at rank at, reacting to
+// parent (spawns derive their key from the parent, so no counter is
+// consumed).
+func (o *oracle) recordSpawn(at machine.Rank, key msgKey, dst machine.Rank, parent msgKey, phase int) {
+	o.rec.Spawn(at, key.key64(), dst, parent.key64())
+	o.expected[phase].Add(1)
 }
 
 // recordDelivery logs one handler invocation on the delivering rank's
-// goroutine and returns the decoded header for spawn decisions.
+// goroutine, checks the payload's integrity and returns the decoded
+// header for spawn decisions.
 func (o *oracle) recordDelivery(at machine.Rank, payload []byte) (msgMeta, bool) {
-	d := delivRec{at: at}
 	m, err := decodePayload(payload)
 	if err != nil {
-		d.parseErr = err.Error()
-		o.ranks[at].delivs = append(o.ranks[at].delivs, d)
+		o.violation(at, "rank %d delivered a corrupt payload: %s", at, err)
 		return m, false
 	}
-	d.key, d.bcast, d.dst, d.phase, d.fillOK = m.key, m.bcast, m.dst, m.phase, m.fillOK
-	o.ranks[at].delivs = append(o.ranks[at].delivs, d)
+	if !m.fillOK {
+		o.violation(at, "rank %d delivered message %s with mangled filler bytes", at, m.key)
+	}
+	o.rec.Recv(at, m.key.key64())
 	if m.phase < len(o.delivered) {
 		o.delivered[m.phase].Add(1)
 	}
 	return m, true
 }
 
-// checkBarrier runs on a rank's goroutine the moment its phase-p barrier
-// (WaitEmpty, TestEmpty-true, or ExchangeUntilQuiet) returns: every
-// phase at or before p must be fully delivered, or the barrier released
-// the rank while messages were in flight.
-func (o *oracle) checkBarrier(at machine.Rank, phase int) {
+// barrier runs on a rank's goroutine the moment its phase-p barrier
+// (WaitEmpty, TestEmpty-true, or ExchangeUntilQuiet) returns. It logs
+// the barrier and checks that every phase at or before p is fully
+// delivered, or the barrier released the rank while messages were in
+// flight.
+func (o *oracle) barrier(at machine.Rank, phase int) {
+	o.rec.Barrier(at, uint64(phase))
 	for q := 0; q <= phase && q < len(o.expected); q++ {
 		exp, got := o.expected[q].Load(), o.delivered[q].Load()
 		if exp != got {
-			o.ranks[at].barriers = append(o.ranks[at].barriers, fmt.Sprintf(
-				"rank %d returned from its phase-%d barrier with phase %d incomplete: %d of %d deliveries",
-				at, phase, q, got, exp))
+			o.violation(at, "rank %d returned from its phase-%d barrier with phase %d incomplete: %d of %d deliveries",
+				at, phase, q, got, exp)
 		}
 	}
 }
 
-// validate merges the per-rank logs and checks every delivery-semantics
-// property. It must be called only after transport.Run has returned (all
-// rank goroutines joined). A nil return means the run conformed.
-func (o *oracle) validate() error {
-	var errs []string
-	fail := func(format string, args ...any) {
-		if len(errs) < 12 {
-			errs = append(errs, fmt.Sprintf(format, args...))
-		}
-	}
-
-	// Merge logs.
-	sends := make(map[msgKey]sendRec)
+// validate merges the per-rank logs after transport.Run has returned
+// (all rank goroutines joined) and returns every violation the log
+// cannot show: payload, barrier, route and channel.
+func (o *oracle) validate(log *synch.Log) []string {
+	var viols []string
+	edges := make(map[uint64][]hopEdge)
 	for r := range o.ranks {
-		for _, s := range o.ranks[r].sends {
-			sends[s.key] = s
-		}
-		for _, v := range o.ranks[r].barriers {
-			fail("%s", v)
-		}
-	}
-	delivs := make(map[msgKey][]delivRec)
-	for r := range o.ranks {
-		for _, d := range o.ranks[r].delivs {
-			if d.parseErr != "" {
-				fail("rank %d delivered a corrupt payload: %s", r, d.parseErr)
-				continue
-			}
-			if !d.fillOK {
-				fail("rank %d delivered message %s with mangled filler bytes", r, d.key)
-			}
-			delivs[d.key] = append(delivs[d.key], d)
-		}
-	}
-	edges := make(map[msgKey][]hopEdge)
-	for r := range o.ranks {
+		viols = append(viols, o.ranks[r].viols...)
 		for _, e := range o.ranks[r].hops {
-			if e.parseErr != "" {
-				fail("rank %d queued a corrupt record: %s", r, e.parseErr)
-				continue
-			}
 			edges[e.key] = append(edges[e.key], e)
 		}
 	}
-
-	// Exactly-once delivery at the correct ranks.
-	for key, s := range sends {
-		got := delivs[key]
-		if s.bcast {
-			byRank := make(map[machine.Rank]int)
-			for _, d := range got {
-				byRank[d.at]++
-			}
-			for r := machine.Rank(0); int(r) < o.topo.WorldSize(); r++ {
-				switch n := byRank[r]; {
-				case r == s.key.origin && n != 0:
-					fail("broadcast %s delivered %d times at its own origin", key, n)
-				case r != s.key.origin && n == 0:
-					fail("broadcast %s from rank %d never delivered at rank %d", key, s.key.origin, r)
-				case r != s.key.origin && n > 1:
-					fail("broadcast %s delivered %d times at rank %d", key, n, r)
-				}
-			}
-			continue
-		}
-		switch {
-		case len(got) == 0:
-			fail("message %s from rank %d to rank %d was never delivered", key, s.key.origin, s.dst)
-		case len(got) > 1:
-			fail("message %s delivered %d times (exactly-once violated)", key, len(got))
-		case got[0].at != s.dst:
-			fail("message %s addressed to rank %d delivered at rank %d", key, s.dst, got[0].at)
-		}
-	}
-	// Spurious deliveries: nothing may arrive that was never sent.
-	for key, got := range delivs {
-		if _, ok := sends[key]; !ok {
-			fail("delivery of unknown message %s at rank %d", key, got[0].at)
-		}
-	}
-
-	// Hop-sequence conformance for unicast routes, and channel
-	// constraints for every record transmission.
-	o.validateRoutes(sends, edges, fail)
-
-	// Packet conservation: the transport trace must balance, or the run
-	// ended with traffic still in flight.
-	if s, r := o.pktSent.Load(), o.pktRecv.Load(); s != r {
-		fail("packet conservation violated: %d packets sent, %d received", s, r)
-	}
-	// Post-run phase totals (subsumes the per-barrier checks, but
-	// catches runs whose final barrier was itself premature).
-	for p := range o.expected {
-		if exp, got := o.expected[p].Load(), o.delivered[p].Load(); exp != got {
-			fail("phase %d ended with %d of %d deliveries", p, got, exp)
-		}
-	}
-
-	if len(errs) == 0 {
-		return nil
-	}
-	sort.Strings(errs)
-	return fmt.Errorf("oracle: %d violation(s):\n  %s", len(errs), strings.Join(errs, "\n  "))
+	return o.validateRoutes(log, edges, viols)
 }
 
-// validateRoutes checks each unicast message's reconstructed hop chain
-// against machine.Path and every remote record movement against the
-// scheme's channel set.
-func (o *oracle) validateRoutes(sends map[msgKey]sendRec, edges map[msgKey][]hopEdge, fail func(string, ...any)) {
-	for key, es := range edges {
+// validateRoutes appends to viols each unicast message's hop chain that
+// does not conform to machine.Path, and every remote record movement
+// outside the scheme's channel set.
+func (o *oracle) validateRoutes(log *synch.Log, edges map[uint64][]hopEdge, viols []string) []string {
+	fail := func(format string, args ...any) { viols = append(viols, fmt.Sprintf(format, args...)) }
+	for k, es := range edges {
 		for _, e := range es {
 			if e.at == e.hop {
-				fail("message %s self-hop at rank %d", key, e.at)
+				fail("message %v self-hop at rank %d", synch.MsgRef{Key: k, Copy: -1}, e.at)
 			}
 			if !o.topo.SameNode(e.at, e.hop) && !o.remote[e.at][e.hop] {
 				fail("remote channel violation: %v", o.topo.CheckRemoteEdge(o.scheme, e.at, e.hop))
 			}
 		}
 	}
-	for key, s := range sends {
-		if s.bcast || s.dst == s.key.origin {
-			// Broadcast fan-out trees and synchronous self-deliveries
-			// have no single canonical chain; their hop edges are still
-			// channel-checked above.
-			continue
-		}
-		next := make(map[machine.Rank]machine.Rank, len(edges[key]))
-		for _, e := range edges[key] {
-			if prev, dup := next[e.at]; dup {
-				fail("message %s forwarded twice from rank %d (to %d and %d)", key, e.at, prev, e.hop)
+	for r, evs := range log.Events {
+		origin := machine.Rank(r)
+		for _, ev := range evs {
+			dst := machine.Rank(ev.Dst)
+			if ev.Kind != synch.KindSend || dst == origin {
+				// Broadcast fan-out trees and synchronous self-deliveries
+				// have no single canonical chain; their hop edges are
+				// still channel-checked above.
+				continue
 			}
-			next[e.at] = e.hop
-		}
-		var hops []machine.Rank
-		cur := s.key.origin
-		for len(hops) <= len(next) {
-			h, ok := next[cur]
-			if !ok {
-				break
+			key := synch.MsgRef{Key: ev.Key, Copy: -1}
+			next := make(map[machine.Rank]machine.Rank, len(edges[ev.Key]))
+			for _, e := range edges[ev.Key] {
+				if prev, dup := next[e.at]; dup {
+					fail("message %v forwarded twice from rank %d (to %d and %d)", key, e.at, prev, e.hop)
+				}
+				next[e.at] = e.hop
 			}
-			hops = append(hops, h)
-			cur = h
-		}
-		if len(hops) != len(next) {
-			fail("message %s hop edges do not form a chain from rank %d: %v", key, s.key.origin, edges[key])
-			continue
-		}
-		if err := o.topo.CheckHops(o.scheme, s.key.origin, s.dst, hops); err != nil {
-			fail("path conformance: message %s: %v", key, err)
+			var hops []machine.Rank
+			cur := origin
+			for len(hops) <= len(next) {
+				h, ok := next[cur]
+				if !ok {
+					break
+				}
+				hops = append(hops, h)
+				cur = h
+			}
+			if len(hops) != len(next) {
+				fail("message %v hop edges do not form a chain from rank %d: %v", key, origin, edges[ev.Key])
+				continue
+			}
+			if err := o.topo.CheckHops(o.scheme, origin, dst, hops); err != nil {
+				fail("path conformance: message %v: %v", key, err)
+			}
 		}
 	}
+	return viols
 }

@@ -127,7 +127,7 @@ func TestMutationSmoke(t *testing.T) {
 					c.Mutant = m
 					tried++
 					if m.OrderingMutant() {
-						out := RunCaseOutcome(c, nil)
+						out := RunCaseOutcome(c)
 						if out.Runtime != nil {
 							t.Fatalf("ordering mutant %s broke case %s at the runtime level: %v", m, c, out.Runtime)
 						}
@@ -251,6 +251,8 @@ func TestParseCaseRejects(t *testing.T) {
 		"seed=x",
 		"seed=1,topo=3",
 		"seed=1,topo=0x2,scheme=NLNR,variant=lazy,phases=1,msgs=1,cap=2,payload=0,ttl=0,bcast=0,jitter=0,testempty=0",
+		// 200 ranks: origin 128 would collide with origin 0 in spawn keys.
+		"seed=1,topo=20x10,scheme=NLNR,variant=lazy,phases=1,msgs=1,cap=2,payload=0,ttl=2,bcast=0,jitter=0,testempty=0",
 		"seed=1,scheme=Quantum",
 		"seed=1,variant=telepathic",
 		"seed=1,mutant=helpful",

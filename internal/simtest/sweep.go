@@ -60,7 +60,7 @@ func SweepSynch(seedsPerCell int, base int64) SynchSummary {
 					c := FromSeed(base + int64(s))
 					c.Nodes, c.Cores = shape[0], shape[1]
 					c.Scheme, c.Variant = scheme, variant
-					out := RunCaseOutcome(c, nil)
+					out := RunCaseOutcome(c)
 					cell.Runs++
 					if out.Runtime != nil {
 						cell.RuntimeFailures++

@@ -52,12 +52,28 @@ type Verdict struct {
 	OK        bool
 	Cert      *Certificate
 	Violation *Violation
-	// Msgs counts resolved message instances (unicasts plus broadcast
-	// copies); Undelivered counts unicast sends never matched by a
-	// receive, and Orphans receives never matched by a send (or matched
-	// twice). Orphans are excluded from the graph — the delivery oracle
-	// owns that failure class — but reported so callers can cross-check.
-	Msgs, Undelivered, Orphans int
+	// Faults lists the log's breaches of the delivery contract, each
+	// naming its message: a unicast not received exactly once at its
+	// destination, a broadcast not received exactly once at every rank
+	// but its origin, a receive with no send. They do not decide OK: a
+	// receive that matches no instance is left out of the constraint
+	// graph, and an undelivered send keeps its node.
+	Faults []string
+}
+
+// Judge checks one run's log against the whole mailbox contract and
+// returns the two verdicts separately: faults is Check's Faults, the
+// delivery verdict; err is nil exactly when the run is synchronizable
+// and its certificate, returned as cert, passes ValidateCertificate.
+func Judge(l *Log) (faults []string, cert *Certificate, err error) {
+	v := Check(l)
+	if !v.OK {
+		return v.Faults, nil, fmt.Errorf("synchronizability: %v", v.Violation)
+	}
+	if err := ValidateCertificate(l, v.Cert); err != nil {
+		return v.Faults, nil, fmt.Errorf("synchronizability: certificate failed independent validation: %v", err)
+	}
+	return v.Faults, v.Cert, nil
 }
 
 // message is one resolved message instance: a node of the constraint
@@ -93,14 +109,20 @@ type resolved struct {
 	// bcastCopies maps a broadcast send event position (rank, index) to
 	// the copy nodes it fans out to.
 	bcastCopies map[[2]int][]int
-	undeliv     int
-	orphans     int
+	// faults are the delivery-contract breaches (see Verdict.Faults).
+	faults []string
+}
+
+func (r *resolved) fault(format string, args ...any) {
+	r.faults = append(r.faults, fmt.Sprintf(format, args...))
 }
 
 // resolve builds message instances from a log. Unicast sends create one
 // instance keyed by message key; broadcast sends create one instance
-// per receiving rank (discovered from the recv events). Duplicate or
-// orphan receives resolve to -1. After resolution it links every
+// per receiving rank other than the origin (discovered from the recv
+// events). Duplicate, orphan and origin receives resolve to -1 and,
+// with undelivered sends and missing broadcast copies, are recorded as
+// faults. After resolution it links every
 // spawned instance to its parent instance and assigns each instance the
 // barrier closing its phase window: the first barrier following its
 // root ancestor's application-level send on that root's rank.
@@ -116,6 +138,7 @@ func resolve(l *Log) *resolved {
 		node      int // unicast node, -1 for bcast
 	}
 	sends := make(map[uint64]sendPos)
+	var bcasts [][2]int // broadcast send positions, in log order
 	barIdx := make(map[uint64]int)
 
 	// Pass 1: sends and barriers.
@@ -142,6 +165,7 @@ func resolve(l *Log) *resolved {
 				r.node[rank][i] = n
 			case KindBcast:
 				sends[ev.Key] = sendPos{rank: rank, idx: i, bcast: true, node: -1}
+				bcasts = append(bcasts, [2]int{rank, i})
 			case KindBarrier:
 				bi, ok := barIdx[ev.Key]
 				if !ok {
@@ -161,15 +185,20 @@ func resolve(l *Log) *resolved {
 			if ev.Kind != KindRecv {
 				continue
 			}
+			key := MsgRef{Key: ev.Key, Copy: -1}
 			sp, ok := sends[ev.Key]
 			if !ok {
-				r.orphans++
+				r.fault("message %v received at rank %d was never sent", key, rank)
 				continue
 			}
 			if sp.bcast {
 				ref := MsgRef{Key: ev.Key, Copy: int32(rank)}
+				if rank == sp.rank {
+					r.fault("broadcast %v received at its origin rank %d", key, rank)
+					continue
+				}
 				if _, dup := inst[ref]; dup {
-					r.orphans++
+					r.fault("broadcast %v received twice at rank %d", key, rank)
 					continue
 				}
 				n := len(r.msgs)
@@ -187,14 +216,34 @@ func resolve(l *Log) *resolved {
 				k := [2]int{sp.rank, sp.idx}
 				r.bcastCopies[k] = append(r.bcastCopies[k], n)
 			} else {
-				ref := MsgRef{Key: ev.Key, Copy: -1}
-				if _, dup := inst[ref]; dup {
-					r.orphans++
+				if _, dup := inst[key]; dup {
+					r.fault("unicast %v received again at rank %d", key, rank)
 					continue
 				}
-				inst[ref] = sp.node
+				if dst := l.Events[sp.rank][sp.idx].Dst; dst != int32(rank) {
+					r.fault("unicast %v addressed to rank %d received at rank %d", key, dst, rank)
+				}
+				inst[key] = sp.node
 				r.msgs[sp.node].dst = int32(rank)
 				r.node[rank][i] = sp.node
+			}
+		}
+	}
+
+	// Every rank but a broadcast's origin must hold one of its copies.
+	for _, pos := range bcasts {
+		copies := r.bcastCopies[pos]
+		if len(copies) == l.World-1 {
+			continue // one copy at every other rank
+		}
+		got := make([]bool, l.World)
+		for _, n := range copies {
+			got[r.msgs[n].dst] = true
+		}
+		for rank := range got {
+			if rank != pos[0] && !got[rank] {
+				r.fault("broadcast %v never received at rank %d",
+					MsgRef{Key: l.Events[pos[0]][pos[1]].Key, Copy: -1}, rank)
 			}
 		}
 	}
@@ -277,7 +326,7 @@ func resolve(l *Log) *resolved {
 			continue
 		}
 		if m.dst < 0 {
-			r.undeliv++
+			r.fault("unicast %v to rank %d never received", m.ref, l.Events[m.origin][m.sendIdx].Dst)
 		}
 		k := [2]int32{m.origin, m.dst}
 		m.chanSeq = chanSeq[k]
@@ -329,7 +378,7 @@ type edge struct {
 //     topological order yields the round assignment.
 func Check(l *Log) *Verdict {
 	r := resolve(l)
-	v := &Verdict{Msgs: len(r.msgs), Undelivered: r.undeliv, Orphans: r.orphans}
+	v := &Verdict{Faults: r.faults}
 
 	if viol := checkFIFO(l, r); viol != nil {
 		v.Violation = viol

@@ -241,8 +241,67 @@ func TestCheckOrphanAndUndelivered(t *testing.T) {
 	if !v.OK {
 		t.Fatalf("orphans/undelivered must not fail synchronizability: %v", v.Violation)
 	}
-	if v.Undelivered != 1 || v.Orphans != 1 {
-		t.Fatalf("want 1 undelivered / 1 orphan, got %d / %d", v.Undelivered, v.Orphans)
+	if len(v.Faults) != 2 {
+		t.Fatalf("want 1 undelivered and 1 orphan fault, got %q", v.Faults)
+	}
+}
+
+// TestJudgeDeliveryFaults: each breach of the delivery contract, on a
+// hand-built log, is reported as a fault naming the message, while the
+// synchronizability verdict stays independent of it.
+func TestJudgeDeliveryFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(b *logBuilder)
+		want  string
+	}{
+		{"undelivered unicast", func(b *logBuilder) {
+			b.send(0, 1, 1)
+		}, "unicast 0#1 to rank 1 never received"},
+		{"duplicate receive", func(b *logBuilder) {
+			b.send(0, 1, 1)
+			b.recv(1, 1).recv(1, 1)
+		}, "unicast 0#1 received again at rank 1"},
+		{"unicast at the wrong rank", func(b *logBuilder) {
+			b.send(0, 1, 1)
+			b.recv(2, 1)
+		}, "unicast 0#1 addressed to rank 1 received at rank 2"},
+		{"broadcast at its origin", func(b *logBuilder) {
+			b.bcast(0, 5)
+			b.recv(0, 5).recv(1, 5).recv(2, 5)
+		}, "broadcast 0#5 received at its origin rank 0"},
+		{"missing broadcast copy", func(b *logBuilder) {
+			b.bcast(0, 5)
+			b.recv(1, 5)
+		}, "broadcast 0#5 never received at rank 2"},
+		{"duplicate broadcast copy", func(b *logBuilder) {
+			b.bcast(0, 5)
+			b.recv(1, 5).recv(1, 5).recv(2, 5)
+		}, "broadcast 0#5 received twice at rank 1"},
+		{"receive with no send", func(b *logBuilder) {
+			b.recv(1, Key64(2, 7))
+		}, "message 2#7 received at rank 1 was never sent"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newLog(3)
+			tc.build(b)
+			faults, _, _ := Judge(b.l)
+			found := false
+			for _, f := range faults {
+				found = found || f == tc.want
+			}
+			if !found {
+				t.Fatalf("faults %q lack %q", faults, tc.want)
+			}
+		})
+	}
+
+	b := newLog(3)
+	b.send(0, 1, 1).bcast(0, 5)
+	b.recv(1, 1).recv(1, 5)
+	b.recv(2, 5)
+	if faults, cert, err := Judge(b.l); len(faults) != 0 || err != nil || cert == nil {
+		t.Fatalf("clean log judged faults %q, err %v, certificate %v", faults, err, cert != nil)
 	}
 }
 
@@ -291,11 +350,9 @@ func TestRecorderRoundTrip(t *testing.T) {
 	r.Recv(0, Key64(1, 5))
 	r.Barrier(0, 1)
 	r.Barrier(1, 1)
-	r.PacketSent(0, 1, 0, 64, 0, 1e-6)
-	r.PacketReceived(0, 1, 0, 64, 1e-6)
 	l := r.Log()
-	if l.World != 2 || l.PktSent != 1 || l.PktRecv != 1 {
-		t.Fatalf("log header mismatch: %+v", l)
+	if l.World != 2 || len(l.Events[0]) != 3 || len(l.Events[1]) != 3 {
+		t.Fatalf("log shape mismatch: %+v", l)
 	}
 	cert := mustOK(t, l)
 	if req, resp := cert.Phase[MsgRef{Key: Key64(0, 0), Copy: -1}], cert.Phase[MsgRef{Key: Key64(1, 5), Copy: -1}]; !(req < resp) {

@@ -31,14 +31,16 @@
 // flushes and opportunistic polls), and a rank still draining its
 // barrier may legitimately deliver next-phase stragglers from peers
 // that passed the barrier first.
+//
+// The same log decides delivery: Judge returns, beside the
+// synchronizability verdict, every breach of exactly-once delivery the
+// log shows (Verdict.Faults), so one record judges a run.
 package synch
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ygm/internal/machine"
-	"ygm/internal/transport"
 )
 
 // Kind classifies one recorded event.
@@ -80,19 +82,11 @@ type Event struct {
 }
 
 // Recorder accumulates the per-rank event logs of one run. Each rank's
-// events are appended from that rank's goroutine only (the same
-// confinement discipline as the fuzz oracle's logs), so no locking is
+// events are appended from that rank's goroutine only, so no locking is
 // needed; Log must be called only after every rank goroutine has
 // joined.
-//
-// Recorder also implements transport.Tracer so it can ride the tracer
-// stack alongside the delivery oracle: the packet counters give the
-// checker a cheap consistency cross-check (a run that lost packets has
-// an untrustworthy event log).
 type Recorder struct {
-	logs    [][]Event
-	pktSent atomic.Uint64
-	pktRecv atomic.Uint64
+	logs [][]Event
 }
 
 // NewRecorder returns a Recorder for a world of the given size.
@@ -127,34 +121,17 @@ func (r *Recorder) Barrier(at machine.Rank, id uint64) {
 	r.logs[at] = append(r.logs[at], Event{Kind: KindBarrier, Key: id, Dst: -1})
 }
 
-// PacketSent implements transport.Tracer.
-func (r *Recorder) PacketSent(src, dst machine.Rank, tag transport.Tag, size int, sent, arrive float64) {
-	r.pktSent.Add(1)
-}
-
-// PacketReceived implements transport.Tracer.
-func (r *Recorder) PacketReceived(src, dst machine.Rank, tag transport.Tag, size int, now float64) {
-	r.pktRecv.Add(1)
-}
-
 // Log freezes the recorded run into a checkable Log. Call only after
 // the run has fully joined.
 func (r *Recorder) Log() *Log {
-	return &Log{
-		World:   len(r.logs),
-		Events:  r.logs,
-		PktSent: r.pktSent.Load(),
-		PktRecv: r.pktRecv.Load(),
-	}
+	return &Log{World: len(r.logs), Events: r.logs}
 }
 
-// Log is one run's frozen event record, the checker's input.
+// Log is one run's frozen event record: the only record Judge needs to
+// decide both delivery and synchronizability.
 type Log struct {
 	World  int
 	Events [][]Event
-	// PktSent/PktRecv are the transport-level packet counters observed
-	// while recording; an unbalanced pair means the log is partial.
-	PktSent, PktRecv uint64
 }
 
 // MsgRef names one delivered (or undelivered) message instance in

@@ -58,6 +58,33 @@ func TestRunReportsPacketLeak(t *testing.T) {
 	})
 }
 
+// unreceivedBody has rank 0 send one packet that rank 1 never receives;
+// no rank holds a received packet, so only conservation can see it.
+func unreceivedBody(p *transport.Proc) error {
+	if p.Rank() == 0 {
+		p.Send(1, transport.TagUser, []byte{1})
+	}
+	return nil
+}
+
+// TestRunReportsPacketLoss: a whole-world body that returns cleanly
+// while a sent packet was never received fails the run with a
+// PacketLossError counting one packet sent and none received.
+func TestRunReportsPacketLoss(t *testing.T) {
+	for _, wire := range []transport.Wire{transport.SimWire{}, transport.LocalWire{}} {
+		t.Run(wire.Name(), func(t *testing.T) {
+			_, err := transport.Run(transport.Config{Topo: machine.New(2, 1), Wire: wire}, unreceivedBody)
+			var loss *transport.PacketLossError
+			if !errors.As(err, &loss) {
+				t.Fatalf("Run returned %v, want a *PacketLossError", err)
+			}
+			if loss.Sent != 1 || loss.Received != 0 {
+				t.Fatalf("loss = %+v, want 1 sent and 0 received", *loss)
+			}
+		})
+	}
+}
+
 // TestTCPPlainPayloadSurvivesRecycle: a plain Send payload belongs to
 // the receiver, which may keep it after recycling the packet (the
 // collectives do). Over TCP the reader builds every packet from pooled

@@ -431,14 +431,33 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 		return report, fmt.Errorf("transport: wire %s: finish: %w", w.wire.Name(), ferr)
 	}
 	// The packet ledger: a run that finished cleanly owes the pool every
-	// packet it received. A failed run returned above, since it may have
-	// unwound holding packets.
+	// packet it received, and, when this process hosted the whole world,
+	// received every packet it sent. A failed run returned above, since
+	// it may have unwound holding packets or with packets in flight.
+	var sent, received uint64
 	for _, rr := range report.Ranks {
 		if rr.Stats.Recycles != rr.Stats.RecvMsgs {
 			return report, &PacketLeakError{Rank: rr.Rank, Recycled: rr.Stats.Recycles, Received: rr.Stats.RecvMsgs}
 		}
+		sent += rr.Stats.LocalMsgs + rr.Stats.RemoteMsgs
+		received += rr.Stats.RecvMsgs
+	}
+	if len(local) == size && sent != received {
+		return report, &PacketLossError{Sent: sent, Received: received}
 	}
 	return report, nil
+}
+
+// PacketLossError reports a whole-world run whose body returned cleanly
+// while the ranks had not received exactly the packets they sent: a
+// packet lost in flight, or one delivered twice.
+type PacketLossError struct {
+	Sent     uint64
+	Received uint64
+}
+
+func (e *PacketLossError) Error() string {
+	return fmt.Sprintf("transport: packet ledger: %d packets sent, %d received", e.Sent, e.Received)
 }
 
 // PacketLeakError reports a run whose body returned cleanly while a rank

@@ -18,7 +18,10 @@ type Stats struct {
 	DataLocalBytes  uint64
 	DataRemoteMsgs  uint64
 	DataRemoteBytes uint64
-	// RecvMsgs counts packets this rank received (any locality).
+	// RecvMsgs counts packets this rank received (any locality). A
+	// whole-world run whose body returns cleanly ends with the ranks'
+	// RecvMsgs summing to their LocalMsgs+RemoteMsgs; Run fails any
+	// other with a PacketLossError.
 	RecvMsgs uint64
 	// Recycles counts packets this rank returned for reuse (Recycle).
 	// Every received packet must be recycled exactly once, so a run

@@ -3,9 +3,9 @@ package transport
 import "ygm/internal/machine"
 
 // Tracer observes every packet-level event of a run. It is the
-// transport's test/diagnostic tap: the simulation-fuzz harness uses it
-// to prove packet conservation (everything sent is eventually received)
-// and to correlate schedules with oracle verdicts.
+// transport's diagnostic tap: ChromeTracer exports the events as a
+// timeline. Packet conservation needs no tracer; Run's ledger checks it
+// (PacketLossError).
 //
 // A Tracer is shared by all rank goroutines and must be safe for
 // concurrent use. The default (nil) path costs one predictable branch
@@ -26,8 +26,8 @@ type Tracer interface {
 // SpanObserver is the optional extension of Tracer for the observability
 // layer: a Tracer that also implements it receives virtual-time span
 // boundaries and instant marks from every rank. Run type-asserts the
-// Config.Trace value once; plain Tracers (the fuzz oracle) keep working
-// unchanged, and the nil-Trace fast path is untouched.
+// Config.Trace value once; plain Tracers keep working unchanged, and
+// the nil-Trace fast path is untouched.
 //
 // All methods fire on the goroutine of the rank named by their first
 // argument, so implementations shared across ranks must lock.
