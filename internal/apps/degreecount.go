@@ -87,7 +87,6 @@ func DegreeCount(p *transport.Proc, cfg DegreeCountConfig) (*DegreeCountResult, 
 		w.Uvarint(v)
 		mb.Send(machine.Rank(graph.Owner(v, world)), w.Bytes())
 	}
-	waits := 0
 	for i := 0; i < cfg.EdgesPerRank; i++ {
 		if jitterChunk > 0 && i%jitterChunk == 0 {
 			p.Compute(p.Rng().Float64() * cfg.JitterPerRound)
@@ -97,7 +96,6 @@ func DegreeCount(p *transport.Proc, cfg DegreeCountConfig) (*DegreeCountResult, 
 		send(e.V)
 		if (i+1)%batch == 0 {
 			mb.WaitEmpty()
-			waits++
 		}
 	}
 	// Terminal quiescence (Algorithm 1 line 13) unless the last batch
@@ -105,6 +103,5 @@ func DegreeCount(p *transport.Proc, cfg DegreeCountConfig) (*DegreeCountResult, 
 	if cfg.EdgesPerRank == 0 || cfg.EdgesPerRank%batch != 0 {
 		mb.WaitEmpty()
 	}
-	_ = waits
 	return &DegreeCountResult{Degrees: degrees, Mailbox: mb.Stats()}, nil
 }

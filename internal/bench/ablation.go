@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"ygm/internal/apps"
-	"ygm/internal/codec"
-	"ygm/internal/collective"
-	"ygm/internal/graph"
 	"ygm/internal/machine"
 	"ygm/internal/transport"
 	"ygm/internal/ygm"
@@ -37,7 +34,8 @@ func ablationMailboxPlan(p Preset) Plan {
 
 // ablationStragglerPlan is the paper's core motivation measured directly:
 // the same many-to-many counting workload run (a) through the
-// asynchronous mailbox and (b) through synchronous ALLTOALLV exchanges,
+// asynchronous mailbox and (b) through the synchronous ALLTOALLV mailbox
+// (one collective exchange plus one pending-count allreduce per batch),
 // with one rank's compute slowed 10x. The mailbox couples ranks only
 // through message routes; the collective couples everyone to the
 // straggler every batch.
@@ -45,7 +43,6 @@ func ablationStragglerPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "ablation-straggler", Title: "async mailbox vs synchronous ALLTOALLV with a 10x straggler"}}
 	nodes := p.WeakNodes[len(p.WeakNodes)-1]
 	world := nodes * p.Cores
-	numVertices := p.DegreeVerticesPerRank * uint64(world)
 	const batches = 4
 	edgesPerRank := p.DegreeEdgesPerRank
 
@@ -55,84 +52,37 @@ func ablationStragglerPlan(p Preset) Plan {
 		}
 		return 1
 	}
+	exchanges := []struct {
+		name string
+		opts ygm.Options
+	}{
+		// (a) the YGM mailbox (round-matched, the paper's protocol).
+		{"ygm-async", ygm.Options{Scheme: machine.NLNR}},
+		// (b) synchronous ALLTOALLV exchange per batch.
+		{"alltoallv-sync", ygm.Options{Scheme: machine.NoRoute, Exchange: ygm.SyncExchange}},
+	}
 
 	for _, mode := range []string{"none", "straggler"} {
 		scaleFn := straggler
 		if mode == "none" {
 			scaleFn = nil
 		}
-		// (a) the YGM mailbox (round-matched, the paper's protocol).
-		pl.add("ablation-straggler/ygm-async/load="+mode, func() Row {
-			cfg := apps.DegreeCountConfig{
-				Mailbox:      ygm.Options{Scheme: machine.NLNR, Capacity: p.MailboxCap},
-				NumVertices:  numVertices,
-				EdgesPerRank: edgesPerRank,
-				BatchSize:    edgesPerRank / batches,
-				NewGen: func(proc *transport.Proc) graph.Generator {
-					return graph.NewUniform(numVertices, p.Seed*31+int64(proc.Rank()))
-				},
-			}
-			rep, _ := runWorld(p, nodes, scaleFn, func(proc *transport.Proc, ex *extras) error {
-				_, err := apps.DegreeCount(proc, cfg)
-				return err
+		for _, ex := range exchanges {
+			pl.add("ablation-straggler/"+ex.name+"/load="+mode, func() Row {
+				rep := degreeCount(p, nodes, scaleFn, apps.DegreeCountConfig{
+					Mailbox:      ex.opts,
+					NumVertices:  p.DegreeVerticesPerRank * uint64(world),
+					EdgesPerRank: edgesPerRank,
+					BatchSize:    edgesPerRank / batches,
+				})
+				return Row{
+					Labels: []Label{{Key: "exchange", Val: ex.name}, {Key: "load", Val: mode}},
+					Values: perfValuesAll(rep, float64(edgesPerRank)*float64(world), "edges"),
+				}
 			})
-			return Row{
-				Labels: []Label{{Key: "exchange", Val: "ygm-async"}, {Key: "load", Val: mode}},
-				Values: perfValues(rep, float64(edgesPerRank)*float64(world), "edges"),
-			}
-		})
-
-		// (b) synchronous ALLTOALLV exchange per batch.
-		pl.add("ablation-straggler/alltoallv-sync/load="+mode, func() Row {
-			rep, _ := runWorld(p, nodes, scaleFn, func(proc *transport.Proc, ex *extras) error {
-				return syncDegreeCount(proc, numVertices, edgesPerRank, batches, p.Seed)
-			})
-			return Row{
-				Labels: []Label{{Key: "exchange", Val: "alltoallv-sync"}, {Key: "load", Val: mode}},
-				Values: perfValues(rep, float64(edgesPerRank)*float64(world), "edges"),
-			}
-		})
+		}
 	}
 	return pl
-}
-
-// syncDegreeCount is the bulk-synchronous strawman: per batch, each rank
-// buckets its messages by destination and the world exchanges them with
-// one ALLTOALLV — the conventional collective the paper contrasts with.
-func syncDegreeCount(proc *transport.Proc, numVertices uint64, edgesPerRank, batches int, seed int64) error {
-	world := proc.WorldSize()
-	comm := collective.World(proc)
-	gen := graph.NewUniform(numVertices, seed*31+int64(proc.Rank()))
-	degrees := make([]uint64, graph.LocalCount(numVertices, world, int(proc.Rank())))
-	perBatch := edgesPerRank / batches
-	cpm := proc.Model().ComputePerMessage
-	for b := 0; b < batches; b++ {
-		buckets := make([]*codec.Writer, world)
-		for i := range buckets {
-			buckets[i] = &codec.Writer{}
-		}
-		for k := 0; k < perBatch; k++ {
-			e := gen.Next()
-			buckets[graph.Owner(e.U, world)].Uvarint(e.U)
-			buckets[graph.Owner(e.V, world)].Uvarint(e.V)
-		}
-		payloads := make([][]byte, world)
-		for i, w := range buckets {
-			payloads[i] = w.Bytes()
-		}
-		for _, blob := range comm.Alltoallv(payloads) {
-			r := codec.NewReader(blob)
-			for r.Remaining() > 0 {
-				v, err := r.Uvarint()
-				if err != nil {
-					return err
-				}
-				proc.Compute(cpm)
-				degrees[graph.LocalID(v, world)]++
-			}
-		}
-	}
-	return nil
 }
 
 // ablationZeroCopyPlan evaluates the Section VII future-work direction: a
@@ -195,20 +145,31 @@ func ablationBroadcastPlan(p Preset) Plan {
 	return pl
 }
 
-// ablationExchangePlan compares the two exchange implementations of
-// Section III-A on identical degree-counting traffic: the asynchronous
-// send/recv mailbox (ranks enter and leave communication independently)
-// versus the ALLTOALLV-backed SyncMailbox (each phase is a collective,
-// as performed better on IBM BG/Q). Balanced load favors the collective;
-// adding a straggler flips the comparison.
+// ablationExchangePlan compares the exchange implementations of Section
+// III-A on identical degree-counting traffic: the asynchronous send/recv
+// mailbox, lazy (ranks enter and leave communication independently) and
+// round-matched, versus the ALLTOALLV-backed SyncMailbox (each phase is a
+// collective, as performed better on IBM BG/Q). Balanced load favors the
+// collective; adding a straggler flips the comparison.
 func ablationExchangePlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "ablation-exchange", Title: "async send/recv vs ALLTOALLV-backed exchanges (Section III-A)"}}
 	nodes := p.WeakNodes[len(p.WeakNodes)-1]
 	world := nodes * p.Cores
-	numVertices := p.DegreeVerticesPerRank * uint64(world)
 	edgesPerRank := p.DegreeEdgesPerRank
 
 	const batches = 8
+	styles := []struct {
+		name  string
+		style ygm.ExchangeStyle
+		// batch is the WaitEmpty cadence. The asynchronous styles wait
+		// once, at the end; the collective one exchanges until quiet
+		// after every jitter round.
+		batch int
+	}{
+		{"async", ygm.LazyExchange, 0},
+		{"round", ygm.RoundExchange, 0},
+		{"alltoallv", ygm.SyncExchange, edgesPerRank / batches},
+	}
 	for _, scheme := range []machine.Scheme{machine.NodeRemote, machine.NLNR} {
 		for _, mode := range []string{"balanced", "jitter"} {
 			jitter := 0.0
@@ -218,120 +179,27 @@ func ablationExchangePlan(p Preset) Plan {
 				// straggler.
 				jitter = 100e-6
 			}
-			labels := func(style string) []Label {
-				return []Label{
-					{Key: "scheme", Val: scheme.String()},
-					{Key: "exchange", Val: style},
-					{Key: "load", Val: mode},
-				}
+			for _, st := range styles {
+				pl.add(fmt.Sprintf("ablation-exchange/%s/scheme=%s/load=%s", st.name, scheme, mode), func() Row {
+					rep := degreeCount(p, nodes, nil, apps.DegreeCountConfig{
+						Mailbox:        ygm.Options{Scheme: scheme, Exchange: st.style},
+						NumVertices:    p.DegreeVerticesPerRank * uint64(world),
+						EdgesPerRank:   edgesPerRank,
+						BatchSize:      st.batch,
+						JitterRounds:   batches,
+						JitterPerRound: jitter,
+					})
+					return Row{
+						Labels: []Label{
+							{Key: "scheme", Val: scheme.String()},
+							{Key: "exchange", Val: st.name},
+							{Key: "load", Val: mode},
+						},
+						Values: perfValuesAll(rep, float64(edgesPerRank)*float64(world), "edges"),
+					}
+				})
 			}
-			name := func(style string) string {
-				return fmt.Sprintf("ablation-exchange/%s/scheme=%s/load=%s", style, scheme, mode)
-			}
-			// Lazy-forwarding mailbox: jitter rounds run back to back
-			// with one terminal WaitEmpty — this variant never blocks on
-			// exchange partners (Algorithm 1 waits once).
-			pl.add(name("async"), func() Row {
-				cfg := apps.DegreeCountConfig{
-					Mailbox:        ygm.Options{Scheme: scheme, Capacity: p.MailboxCap, Exchange: ygm.LazyExchange},
-					NumVertices:    numVertices,
-					EdgesPerRank:   edgesPerRank,
-					JitterRounds:   batches,
-					JitterPerRound: jitter,
-					NewGen: func(proc *transport.Proc) graph.Generator {
-						return graph.NewUniform(numVertices, p.Seed*31+int64(proc.Rank()))
-					},
-				}
-				rep, _ := runWorld(p, nodes, nil, func(proc *transport.Proc, ex *extras) error {
-					_, err := apps.DegreeCount(proc, cfg)
-					return err
-				})
-				return Row{Labels: labels("async"), Values: perfValues(rep, float64(edgesPerRank)*float64(world), "edges")}
-			})
-
-			// Round-matched exchanges (the paper's protocol rounds).
-			pl.add(name("round"), func() Row {
-				rep, _ := runWorld(p, nodes, nil, func(proc *transport.Proc, ex *extras) error {
-					return roundMailboxDegreeCount(proc, scheme, numVertices, edgesPerRank, batches, jitter, p.Seed, p.MailboxCap)
-				})
-				return Row{Labels: labels("round"), Values: perfValuesAll(rep, float64(edgesPerRank)*float64(world), "edges")}
-			})
-
-			// ALLTOALLV-backed SyncMailbox running the same counting.
-			pl.add(name("alltoallv"), func() Row {
-				rep, _ := runWorld(p, nodes, nil, func(proc *transport.Proc, ex *extras) error {
-					return syncMailboxDegreeCount(proc, scheme, numVertices, edgesPerRank, batches, jitter, p.Seed)
-				})
-				return Row{Labels: labels("alltoallv"), Values: perfValuesAll(rep, float64(edgesPerRank)*float64(world), "edges")}
-			})
 		}
 	}
 	return pl
-}
-
-// roundMailboxDegreeCount is Algorithm 1 on the RoundMailbox: sends
-// trigger capacity rounds; quiescence per jitter group comes from the
-// terminal WaitEmpty.
-func roundMailboxDegreeCount(proc *transport.Proc, scheme machine.Scheme, numVertices uint64, edgesPerRank, batches int, jitter float64, seed int64, capacity int) error {
-	world := proc.WorldSize()
-	degrees := make([]uint64, graph.LocalCount(numVertices, world, int(proc.Rank())))
-	mb := ygm.New(proc, func(s ygm.Sender, payload []byte) {
-		v, err := codec.NewReader(payload).Uvarint()
-		if err != nil {
-			panic(err)
-		}
-		degrees[graph.LocalID(v, world)]++
-	}, ygm.WithScheme(scheme), ygm.WithCapacity(capacity), ygm.WithExchange(ygm.RoundExchange))
-	gen := graph.NewUniform(numVertices, seed*31+int64(proc.Rank()))
-	jitterChunk := edgesPerRank / batches
-	for i := 0; i < edgesPerRank; i++ {
-		if jitter > 0 && jitterChunk > 0 && i%jitterChunk == 0 {
-			proc.Compute(proc.Rng().Float64() * jitter)
-		}
-		e := gen.Next()
-		for _, v := range []uint64{e.U, e.V} {
-			w := codec.NewWriter(10)
-			w.Uvarint(v)
-			mb.Send(machine.Rank(graph.Owner(v, world)), w.Bytes())
-		}
-	}
-	mb.WaitEmpty()
-	return nil
-}
-
-// syncMailboxDegreeCount is Algorithm 1 on the SyncMailbox: queue a
-// batch, run the collective exchange, repeat.
-func syncMailboxDegreeCount(proc *transport.Proc, scheme machine.Scheme, numVertices uint64, edgesPerRank, batches int, jitter float64, seed int64) error {
-	world := proc.WorldSize()
-	degrees := make([]uint64, graph.LocalCount(numVertices, world, int(proc.Rank())))
-	mb := ygm.New(proc, func(s ygm.Sender, payload []byte) {
-		v, err := codec.NewReader(payload).Uvarint()
-		if err != nil {
-			panic(err)
-		}
-		degrees[graph.LocalID(v, world)]++
-	}, ygm.WithScheme(scheme), ygm.WithExchange(ygm.SyncExchange)).(*ygm.SyncMailbox)
-	gen := graph.NewUniform(numVertices, seed*31+int64(proc.Rank()))
-	send := func(v uint64) {
-		w := codec.NewWriter(10)
-		w.Uvarint(v)
-		mb.Send(machine.Rank(graph.Owner(v, world)), w.Bytes())
-	}
-	perBatch := edgesPerRank / batches
-	for b := 0; b < batches; b++ {
-		if jitter > 0 {
-			proc.Compute(proc.Rng().Float64() * jitter)
-		}
-		n := perBatch
-		if b == batches-1 {
-			n = edgesPerRank - perBatch*(batches-1)
-		}
-		for k := 0; k < n; k++ {
-			e := gen.Next()
-			send(e.U)
-			send(e.V)
-		}
-		mb.ExchangeUntilQuiet()
-	}
-	return nil
 }

@@ -288,6 +288,9 @@ func TestAblationStragglerShape(t *testing.T) {
 			t.Fatalf("row without a simulated time: %+v", r)
 		}
 		simTime[r.LabelVal("exchange")+"/"+r.LabelVal("load")] = v
+		if msgs, _ := r.Get("remote_msgs"); msgs <= 0 {
+			t.Fatalf("row without remote traffic (every tag counts): %+v", r)
+		}
 	}
 	async, sync := simTime["ygm-async/straggler"], simTime["alltoallv-sync/straggler"]
 	if 2*async > sync {
@@ -337,13 +340,27 @@ func TestAblationBroadcastShape(t *testing.T) {
 // TestAblationExchangeShape: under rotating per-round imbalance the
 // asynchronous mailbox must beat the ALLTOALLV-backed exchange (its
 // makespan tracks the slowest rank's own total, not the sum of
-// per-round maxima).
+// per-round maxima). Every row counts every tag, so every row has remote
+// traffic; the round-matched and collective exchanges send a fixed
+// number of packets whatever the timing, pinned here.
 func TestAblationExchangeShape(t *testing.T) {
 	tbl := runPlan(ablationExchangePlan(quickTiny()))
+	wantMsgs := map[string]float64{
+		"NodeRemote/round": 17152, "NodeRemote/alltoallv": 36864,
+		"NLNR/round": 5248, "NLNR/alltoallv": 18432,
+	}
 	times := map[string]float64{}
 	for _, r := range tbl.Rows {
 		v, _ := r.Get("sim_time")
-		times[r.LabelVal("scheme")+"/"+r.LabelVal("exchange")+"/"+r.LabelVal("load")] = v
+		cell := r.LabelVal("scheme") + "/" + r.LabelVal("exchange")
+		times[cell+"/"+r.LabelVal("load")] = v
+		msgs, _ := r.Get("remote_msgs")
+		if msgs <= 0 {
+			t.Fatalf("%s/%s: no remote traffic (every tag counts)", cell, r.LabelVal("load"))
+		}
+		if want, ok := wantMsgs[cell]; ok && msgs != want {
+			t.Fatalf("%s/%s: remote_msgs = %g, want %g", cell, r.LabelVal("load"), msgs, want)
+		}
 	}
 	for _, scheme := range []string{"NodeRemote", "NLNR"} {
 		async := times[scheme+"/async/jitter"]

@@ -8,28 +8,34 @@ import (
 	"ygm/internal/ygm"
 )
 
-// degreeRun executes the degree-counting application across the world
-// and returns its row values.
-func degreeRun(p Preset, nodes int, scheme machine.Scheme, numVertices uint64, edgesPerRank int) Row {
-	world := nodes * p.Cores
-	batch := edgesPerRank / maxInt(1, p.DegreeBatches)
-	cfg := apps.DegreeCountConfig{
-		Mailbox:      ygm.Options{Scheme: scheme, Capacity: p.MailboxCap},
-		NumVertices:  numVertices,
-		EdgesPerRank: edgesPerRank,
-		BatchSize:    batch,
-		NewGen: func(proc *transport.Proc) graph.Generator {
-			return graph.NewUniform(numVertices, p.Seed*31+int64(proc.Rank()))
-		},
+// degreeCount runs Algorithm 1 (apps.DegreeCount) across a nodes-node
+// world, each rank streaming its own uniform edges, with the preset's
+// mailbox capacity and the exchange style, scheme and batching of cfg.
+// straggler scales per-rank compute (nil: none). Every degree-counting
+// figure and ablation row reaches Algorithm 1 through here.
+func degreeCount(p Preset, nodes int, straggler func(machine.Rank) float64, cfg apps.DegreeCountConfig) *transport.Report {
+	cfg.Mailbox.Capacity = p.MailboxCap
+	cfg.NewGen = func(proc *transport.Proc) graph.Generator {
+		return graph.NewUniform(cfg.NumVertices, p.Seed*31+int64(proc.Rank()))
 	}
-	rep, _ := runWorld(p, nodes, nil, func(proc *transport.Proc, ex *extras) error {
+	rep, _ := runWorld(p, nodes, straggler, func(proc *transport.Proc, _ *extras) error {
 		_, err := apps.DegreeCount(proc, cfg)
 		return err
 	})
-	totalEdges := float64(edgesPerRank) * float64(world)
+	return rep
+}
+
+// degreeRun is one scaling row of degree counting on the round mailbox.
+func degreeRun(p Preset, nodes int, scheme machine.Scheme, numVertices uint64, edgesPerRank int) Row {
+	rep := degreeCount(p, nodes, nil, apps.DegreeCountConfig{
+		Mailbox:      ygm.Options{Scheme: scheme},
+		NumVertices:  numVertices,
+		EdgesPerRank: edgesPerRank,
+		BatchSize:    edgesPerRank / maxInt(1, p.DegreeBatches),
+	})
 	return Row{
 		Labels: schemeLabel(nodes, scheme),
-		Values: perfValues(rep, totalEdges, "edges"),
+		Values: perfValues(rep, float64(edgesPerRank)*float64(nodes*p.Cores), "edges"),
 	}
 }
 

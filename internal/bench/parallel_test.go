@@ -251,3 +251,6 @@ type nopTracer struct{}
 func (nopTracer) PacketSent(src, dst machine.Rank, tag transport.Tag, size int, sent, arrive float64) {
 }
 func (nopTracer) PacketReceived(src, dst machine.Rank, tag transport.Tag, size int, now float64) {}
+func (nopTracer) SpanBegin(rank machine.Rank, name string, t float64)                            {}
+func (nopTracer) SpanEnd(rank machine.Rank, name string, t float64)                              {}
+func (nopTracer) Mark(rank machine.Rank, name string, value uint64, t float64)                   {}

@@ -66,8 +66,9 @@ func perfValues(rep *transport.Report, items float64, itemUnit string) []Value {
 }
 
 // perfValuesAll is perfValues over every packet, including collective
-// traffic — used for the bulk-synchronous baselines, whose communication
-// runs entirely through collectives.
+// and termination-detection traffic — used wherever rows compare
+// exchange styles, since the ALLTOALLV style moves its data on
+// collective tags and every row must count by the same rule.
 func perfValuesAll(rep *transport.Report, items float64, itemUnit string) []Value {
 	tot := rep.Totals()
 	return perfRow(rep.Makespan(), items, itemUnit,

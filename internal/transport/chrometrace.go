@@ -9,10 +9,10 @@ import (
 	"ygm/internal/machine"
 )
 
-// ChromeTracer is a Tracer + SpanObserver that accumulates a run's
-// events as Chrome trace_event JSON: one "process" per rank, span
-// begin/end slices from the observability layer, flow arrows for every
-// packet from sender to receiver, and instant marks. The output loads
+// ChromeTracer is a Tracer that accumulates a run's events as Chrome
+// trace_event JSON: one "process" per rank, span begin/end slices from
+// the observability layer, flow arrows for every packet from sender to
+// receiver, and instant marks. The output loads
 // directly in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 // Virtual seconds map to trace microseconds. It buffers everything in

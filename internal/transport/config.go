@@ -37,7 +37,7 @@ func WithSeed(seed int64) ConfigOption {
 	return func(c *Config) { c.Seed = seed }
 }
 
-// WithTrace attaches a Tracer to every packet send and receive event.
+// WithTrace attaches a Tracer to every packet event, span and mark.
 func WithTrace(t Tracer) ConfigOption {
 	return func(c *Config) { c.Trace = t }
 }

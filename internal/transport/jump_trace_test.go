@@ -41,3 +41,41 @@ func TestTraceJumpsRecordedInFlightRecorder(t *testing.T) {
 		t.Fatal("no jump event in flight recorder after a >50us arrival wait")
 	}
 }
+
+// TestPollRecordedInFlightRecorder: a packet taken by Poll — the lazy
+// mailbox's opportunistic receive — leaves a KRecv event in the flight
+// recorder, as one taken by Recv does.
+func TestPollRecordedInFlightRecorder(t *testing.T) {
+	recvs := 0
+	_, err := Run(Config{
+		Topo:  machine.New(2, 1),
+		Model: netsim.Quartz(),
+		Seed:  5,
+	}, func(p *Proc) error {
+		if p.Rank() == 0 {
+			p.Send(1, TagUser, []byte{1})
+			return nil
+		}
+		// Compute well past the packet's arrival, so Poll finds it
+		// already arrived once it is physically queued.
+		p.Compute(1e-3)
+		pkt := p.Poll(TagUser)
+		for pkt == nil {
+			p.Yield()
+			pkt = p.Poll(TagUser)
+		}
+		p.Recycle(pkt)
+		for _, ev := range p.FlightRecorder().Snapshot() {
+			if ev.Kind == obs.KRecv {
+				recvs++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recvs != 1 {
+		t.Fatalf("KRecv events = %d, want 1", recvs)
+	}
+}

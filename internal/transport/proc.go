@@ -233,7 +233,7 @@ func (p *Proc) send(dst machine.Rank, tag Tag, payload []byte, pooled bool) {
 			p.lastArrive[key] = arrive
 		}
 	}
-	p.stats.recordSend(dst, tag, len(payload), local, w.trackPartners)
+	p.stats.recordSend(tag, len(payload), local)
 	if local {
 		p.szLocal.Observe(uint64(len(payload)))
 	} else {
@@ -324,14 +324,7 @@ func (p *Proc) Poll(tag Tag) *Packet {
 		pkt = ib.TryPopArrived(tag, p.clock.Now())
 	}
 	if pkt != nil {
-		if p.rt == nil {
-			p.clock.Advance(p.world.model.RecvOverheadFor(p.world.topo.SameNode(p.rank, pkt.Src)))
-			p.checkClockMonotone()
-		}
-		p.stats.RecvMsgs++
-		if p.world.trace != nil {
-			p.world.trace.PacketReceived(pkt.Src, p.rank, pkt.Tag, len(pkt.Payload), p.now())
-		}
+		p.absorb(pkt) // already arrived: no wait, just the receive overhead
 	}
 	return pkt
 }
@@ -444,18 +437,18 @@ type Span struct {
 }
 
 // Span begins a named phase span at the rank's current virtual time,
-// forwarded to the Config.Trace value when that implements SpanObserver.
-// Without one it returns an inert Span whose End is a no-op: span
-// bracketing sits on polling-hot paths (e.g. the lazy drain loop), so
-// the untraced cost must be a single nil check. Spans deliberately do
+// forwarded to the Config.Trace value. Without one it returns an inert
+// Span whose End is a no-op: span bracketing sits on polling-hot paths
+// (e.g. the lazy drain loop), so the untraced cost must be a single nil
+// check. Spans deliberately do
 // NOT enter the flight recorder — per-poll span brackets would evict
 // the send/receive history that makes deadlock and panic dumps useful.
 func (p *Proc) Span(name string) Span {
-	so := p.world.spanObs
-	if so == nil {
+	tr := p.world.trace
+	if tr == nil {
 		return Span{}
 	}
-	so.SpanBegin(p.rank, name, p.now())
+	tr.SpanBegin(p.rank, name, p.now())
 	return Span{p: p, name: name}
 }
 
@@ -464,16 +457,16 @@ func (s Span) End() {
 	if s.p == nil {
 		return
 	}
-	s.p.world.spanObs.SpanEnd(s.p.rank, s.name, s.p.now())
+	s.p.world.trace.SpanEnd(s.p.rank, s.name, s.p.now())
 }
 
 // Mark records a labelled instant with an event-specific value (e.g. a
 // termination generation number) in the flight recorder and, when the
-// tracer observes spans, in the trace.
+// run is traced, in the trace.
 func (p *Proc) Mark(name string, value uint64) {
 	now := p.now()
 	p.rec.Record(obs.Event{Kind: obs.KMark, T: now, Peer: -1, Tag: value, Name: name})
-	if so := p.world.spanObs; so != nil {
-		so.Mark(p.rank, name, value, now)
+	if tr := p.world.trace; tr != nil {
+		tr.Mark(p.rank, name, value, now)
 	}
 }

@@ -24,9 +24,6 @@ type Config struct {
 	Model netsim.Model
 	// Seed feeds the deterministic per-rank random sources.
 	Seed int64
-	// TrackPartners enables per-destination send counters (costly on
-	// large runs; used by routing-invariant tests).
-	TrackPartners bool
 	// ComputeScale, when non-nil, returns a multiplier applied to every
 	// Compute call of the given rank. Values > 1 model stragglers — the
 	// imbalance scenario the paper's asynchronous design targets.
@@ -37,9 +34,9 @@ type Config struct {
 	// Zero selects the default (250ms); a negative value disables the
 	// watchdog entirely.
 	WatchdogInterval time.Duration
-	// Trace, when non-nil, receives every packet send and receive event.
-	// It must be safe for concurrent use; see Tracer. Nil disables
-	// tracing at the cost of one branch per event.
+	// Trace, when non-nil, receives every packet send and receive event
+	// and every span and mark. It must be safe for concurrent use; see
+	// Tracer. Nil disables tracing at the cost of one branch per event.
 	Trace Tracer
 	// Delay, when non-nil, adds extra virtual flight time to each packet
 	// (fault injection for schedule exploration); see DelayFn.
@@ -65,11 +62,10 @@ type Config struct {
 // World holds the shared state of a run: one inbox per rank plus the
 // immutable configuration.
 type World struct {
-	topo          machine.Topology
-	model         netsim.Model
-	inboxes       []*Inbox
-	trackPartners bool
-	trace         Tracer
+	topo    machine.Topology
+	model   netsim.Model
+	inboxes []*Inbox
+	trace   Tracer
 	// wire is the resolved transport backend (SimWire when Config.Wire
 	// is nil); realtime caches wire.RealTime() and epoch anchors the
 	// real-time rank clocks (host seconds since Start returned).
@@ -80,9 +76,6 @@ type World struct {
 	// WireFail (a peer connection reset, a failed remote write).
 	wireMu  sync.Mutex
 	wireErr error
-	// spanObs is Config.Trace's SpanObserver side, type-asserted once at
-	// Run so the per-span check is a nil compare, not an assertion.
-	spanObs SpanObserver
 	delay   DelayFn
 
 	// pool is the shared backend of every owner's poolCache; see pool.go
@@ -241,16 +234,12 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 		wire = SimWire{}
 	}
 	w := &World{
-		topo:          cfg.Topo,
-		model:         cfg.Model,
-		trackPartners: cfg.TrackPartners,
-		trace:         cfg.Trace,
-		delay:         cfg.Delay,
-		wire:          wire,
-		realtime:      wire.RealTime(),
-	}
-	if so, ok := cfg.Trace.(SpanObserver); ok {
-		w.spanObs = so
+		topo:     cfg.Topo,
+		model:    cfg.Model,
+		trace:    cfg.Trace,
+		delay:    cfg.Delay,
+		wire:     wire,
+		realtime: wire.RealTime(),
 	}
 	w.pool.init()
 	if n := resolveWorkers(cfg.Workers, size, w.realtime); n > 0 {

@@ -1,7 +1,5 @@
 package transport
 
-import "ygm/internal/machine"
-
 // Stats accumulates one rank's traffic counters. Only the owning rank
 // mutates its Stats; aggregation happens after Run returns.
 type Stats struct {
@@ -28,10 +26,6 @@ type Stats struct {
 	// whose body returns cleanly ends with Recycles == RecvMsgs on every
 	// rank; Run fails any other with a PacketLeakError.
 	Recycles uint64
-
-	// partners, when enabled, counts packets sent per destination rank —
-	// used to verify the channel constraints of each routing scheme.
-	partners map[machine.Rank]uint64
 }
 
 // isDataTag reports whether a packet carries mailbox payload traffic:
@@ -48,7 +42,7 @@ func isDataTag(tag Tag, bytes int) bool {
 const TagRound Tag = 1 << 63
 
 // recordSend updates counters for one outgoing packet.
-func (s *Stats) recordSend(dst machine.Rank, tag Tag, bytes int, local bool, trackPartners bool) {
+func (s *Stats) recordSend(tag Tag, bytes int, local bool) {
 	if local {
 		s.LocalMsgs++
 		s.LocalBytes += uint64(bytes)
@@ -64,17 +58,7 @@ func (s *Stats) recordSend(dst machine.Rank, tag Tag, bytes int, local bool, tra
 			s.DataRemoteBytes += uint64(bytes)
 		}
 	}
-	if trackPartners {
-		if s.partners == nil {
-			s.partners = make(map[machine.Rank]uint64)
-		}
-		s.partners[dst]++
-	}
 }
-
-// Partners returns the per-destination packet counts, or nil when partner
-// tracking was disabled in the Config.
-func (s *Stats) Partners() map[machine.Rank]uint64 { return s.partners }
 
 // Totals aggregates traffic counters across ranks.
 type Totals struct {

@@ -2,14 +2,17 @@ package transport
 
 import "ygm/internal/machine"
 
-// Tracer observes every packet-level event of a run. It is the
-// transport's diagnostic tap: ChromeTracer exports the events as a
-// timeline. Packet conservation needs no tracer; Run's ledger checks it
-// (PacketLossError).
+// Tracer observes every packet-level event of a run, plus the
+// virtual-time span boundaries and instant marks the layers above
+// emit. It is the transport's diagnostic tap: ChromeTracer exports the
+// events as a timeline. Packet conservation needs no tracer; Run's
+// ledger checks it (PacketLossError).
 //
 // A Tracer is shared by all rank goroutines and must be safe for
-// concurrent use. The default (nil) path costs one predictable branch
-// per event and allocates nothing; implementations must not retain the
+// concurrent use: the span and mark methods fire on the goroutine of
+// the rank they name, the packet methods as documented below. The
+// default (nil) path costs one predictable branch per event and
+// allocates nothing; implementations must not retain the
 // payload-backed state of a packet beyond the call.
 type Tracer interface {
 	// PacketSent fires on the sender's goroutine after the packet has
@@ -21,17 +24,6 @@ type Tracer interface {
 	// has been popped and absorbed (Recv, Drain, or Poll): now is the
 	// receiver's virtual clock after absorbing it.
 	PacketReceived(src, dst machine.Rank, tag Tag, size int, now float64)
-}
-
-// SpanObserver is the optional extension of Tracer for the observability
-// layer: a Tracer that also implements it receives virtual-time span
-// boundaries and instant marks from every rank. Run type-asserts the
-// Config.Trace value once; plain Tracers keep working unchanged, and
-// the nil-Trace fast path is untouched.
-//
-// All methods fire on the goroutine of the rank named by their first
-// argument, so implementations shared across ranks must lock.
-type SpanObserver interface {
 	// SpanBegin / SpanEnd bracket a named phase on one rank. Names are
 	// drawn from a small fixed taxonomy (see DESIGN.md §9) and spans on
 	// one rank nest properly: the most recently begun open span ends

@@ -316,6 +316,10 @@ func (s *sendFirstTracer) PacketReceived(src, dst machine.Rank, tag Tag, size in
 	s.mu.Unlock()
 }
 
+func (s *sendFirstTracer) SpanBegin(rank machine.Rank, name string, t float64)          {}
+func (s *sendFirstTracer) SpanEnd(rank machine.Rank, name string, t float64)            {}
+func (s *sendFirstTracer) Mark(rank machine.Rank, name string, value uint64, t float64) {}
+
 // TestTraceSendPrecedesReceive: every PacketReceived a Tracer sees has
 // its PacketSent behind it. ChromeTracer drops the flow arrow of a
 // receive it cannot match to a recorded send.
@@ -364,33 +368,6 @@ func TestStragglerComputeScale(t *testing.T) {
 	}
 	if r0, r1 := rep.Ranks[0].Time, rep.Ranks[1].Time; math.Abs(r1-10*r0) > 1e-12 {
 		t.Fatalf("straggler scaling: %g vs %g", r0, r1)
-	}
-}
-
-func TestPartnerTracking(t *testing.T) {
-	cfg := testConfig(2, 2)
-	cfg.TrackPartners = true
-	rep, err := Run(cfg, func(p *Proc) error {
-		if p.Rank() == 0 {
-			p.Send(1, TagUser, nil)
-			p.Send(1, TagUser, nil)
-			p.Send(3, TagUser, nil)
-		}
-		if p.Rank() == 1 {
-			p.Recycle(p.Recv(TagUser))
-			p.Recycle(p.Recv(TagUser))
-		}
-		if p.Rank() == 3 {
-			p.Recycle(p.Recv(TagUser))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	partners := rep.Ranks[0].Stats.Partners()
-	if partners[1] != 2 || partners[3] != 1 || len(partners) != 2 {
-		t.Fatalf("partners = %v", partners)
 	}
 }
 

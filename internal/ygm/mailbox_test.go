@@ -3,6 +3,7 @@ package ygm
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,10 +18,9 @@ func runMailbox(t *testing.T, nodes, cores int, opts Options, handler func(p *tr
 	body func(p *transport.Proc, mb *Mailbox) error) *transport.Report {
 	t.Helper()
 	rep, err := transport.Run(transport.Config{
-		Topo:          machine.New(nodes, cores),
-		Model:         netsim.Quartz(),
-		Seed:          11,
-		TrackPartners: true,
+		Topo:  machine.New(nodes, cores),
+		Model: netsim.Quartz(),
+		Seed:  11,
 	}, func(p *transport.Proc) error {
 		o := opts
 		o.Exchange = LazyExchange
@@ -185,15 +185,16 @@ func TestRoutingForwardingHops(t *testing.T) {
 	}
 }
 
-// TestChannelConstraints: every packet a rank sends must go to a
-// legitimate destination for the scheme — an on-node rank or a member of
+// TestChannelConstraints: every record a rank queues must be bound for a
+// legitimate next hop for the scheme — an on-node rank or a member of
 // its remote partner set. This is the structural guarantee that gives
 // each scheme its channel count.
 func TestChannelConstraints(t *testing.T) {
 	for _, scheme := range machine.Schemes {
 		scheme := scheme
 		t.Run(scheme.String(), func(t *testing.T) {
-			rep := runMailbox(t, 8, 4, Options{Scheme: scheme, Capacity: 4},
+			tap := &hopTap{hops: map[[2]machine.Rank]bool{}}
+			runMailbox(t, 8, 4, Options{Scheme: scheme, Capacity: 4, Tap: tap},
 				func(p *transport.Proc) Handler {
 					return func(s Sender, payload []byte) {}
 				},
@@ -207,31 +208,30 @@ func TestChannelConstraints(t *testing.T) {
 					mb.WaitEmpty()
 					return nil
 				})
+			if len(tap.hops) == 0 {
+				t.Fatal("tap saw no queued records")
+			}
 			topo := machine.New(8, 4)
-			for _, rr := range rep.Ranks {
-				allowed := map[machine.Rank]bool{}
-				for _, r := range topo.LocalRanks(rr.Rank) {
-					allowed[r] = true
-				}
-				for _, r := range topo.RemotePartners(scheme, rr.Rank) {
-					allowed[r] = true
-				}
-				// Termination detection runs a butterfly over world ranks;
-				// those packets are exempt (tag-separated in real traffic,
-				// but Partners() counts all): {me ^ mask}. The 32-rank
-				// world is a power of two, so no rank folds.
-				exempt := map[machine.Rank]bool{}
-				for mask := 1; mask < topo.WorldSize(); mask <<= 1 {
-					exempt[rr.Rank^machine.Rank(mask)] = true
-				}
-				for dst := range rr.Stats.Partners() {
-					if !allowed[dst] && !exempt[dst] {
-						t.Fatalf("%v: rank %d sent to %d outside its channels", scheme, rr.Rank, dst)
-					}
+			for hop := range tap.hops {
+				at, next := hop[0], hop[1]
+				if !topo.SameNode(at, next) && !slices.Contains(topo.RemotePartners(scheme, at), next) {
+					t.Fatalf("%v: rank %d queued a record for %d outside its channels", scheme, at, next)
 				}
 			}
 		})
 	}
+}
+
+// hopTap records every (queueing rank, next hop) edge a mailbox uses.
+type hopTap struct {
+	mu   sync.Mutex
+	hops map[[2]machine.Rank]bool
+}
+
+func (h *hopTap) RecordQueued(at, hop, dst machine.Rank, bcast bool, payload []byte) {
+	h.mu.Lock()
+	h.hops[[2]machine.Rank{at, hop}] = true
+	h.mu.Unlock()
 }
 
 // TestBroadcastDelivery: a broadcast reaches every rank except the
