@@ -33,7 +33,7 @@ func (c *Comm) allreduce(vals []uint64, op func(a, b uint64) uint64) []uint64 {
 	}
 	c.ar.Start(vals, op)
 	for !c.ar.Step() {
-		c.p.WaitAny(c.ar.tag, c.ar.tag)
+		c.p.WaitAny(c.ar.tag)
 	}
 	return c.ar.Result()
 }

@@ -1,5 +1,5 @@
 // Package obs is the virtual-time observability substrate of the YGM
-// reproduction: typed per-rank metrics (counters, gauges, histograms)
+// reproduction: typed per-rank metrics (counters and gauges)
 // with mid-run snapshots that merge across ranks, and a fixed-size
 // flight recorder — a ring buffer of the most recent transport and
 // mailbox events — that deadlock and panic reports dump so failures

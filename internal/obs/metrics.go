@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 )
@@ -36,46 +35,6 @@ func (g *Gauge) Value() float64 { return g.last }
 // Max returns the high-water mark.
 func (g *Gauge) Max() float64 { return g.max }
 
-// HistBuckets is the number of power-of-two histogram buckets: bucket i
-// counts observations v with bits.Len64(v) == i, i.e. bucket 0 holds
-// zeros and bucket i holds [2^(i-1), 2^i). 32 buckets cover every
-// payload size the transport can carry.
-const HistBuckets = 32
-
-// Histogram is a power-of-two-bucketed distribution of uint64
-// observations (message sizes, depths). Observation is a bit-length
-// computation and two increments — cheap enough for the send path.
-type Histogram struct {
-	counts [HistBuckets]uint64
-	sum    uint64
-	n      uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) {
-	b := bits.Len64(v)
-	if b >= HistBuckets {
-		b = HistBuckets - 1
-	}
-	h.counts[b]++
-	h.sum += v
-	h.n++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
-// Mean returns the average observation, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
 // Registry is one rank's named-metric table. Metric lookups happen at
 // construction time — layers hold the returned pointer and update it
 // directly on the hot path, so steady-state updates never touch the
@@ -83,7 +42,6 @@ func (h *Histogram) Mean() float64 {
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -91,7 +49,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -115,35 +72,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	h := &Histogram{}
-	r.hists[name] = h
-	return h
-}
-
 // GaugeSnapshot is one gauge's frozen state.
 type GaugeSnapshot struct {
 	Last float64
 	Max  float64
-}
-
-// HistSnapshot is one histogram's frozen state.
-type HistSnapshot struct {
-	Count   uint64
-	Sum     uint64
-	Buckets [HistBuckets]uint64
-}
-
-// Mean returns the average observation, or 0 when empty.
-func (h HistSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
 }
 
 // Snapshot is a point-in-time copy of a registry, safe to retain and
@@ -152,7 +84,6 @@ func (h HistSnapshot) Mean() float64 {
 type Snapshot struct {
 	Counters map[string]uint64
 	Gauges   map[string]GaugeSnapshot
-	Hists    map[string]HistSnapshot
 }
 
 // Snapshot freezes the registry's current values.
@@ -160,7 +91,6 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters: make(map[string]uint64, len(r.counters)),
 		Gauges:   make(map[string]GaugeSnapshot, len(r.gauges)),
-		Hists:    make(map[string]HistSnapshot, len(r.hists)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.v
@@ -168,24 +98,19 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges[name] = GaugeSnapshot{Last: g.last, Max: g.max}
 	}
-	for name, h := range r.hists {
-		s.Hists[name] = HistSnapshot{Count: h.n, Sum: h.sum, Buckets: h.counts}
-	}
 	return s
 }
 
 // Counter returns the named counter's value, or 0 when absent.
 func (s Snapshot) Counter(name string) uint64 { return s.Counters[name] }
 
-// Merge combines s with other into a new Snapshot: counters and
-// histograms add (counts, sums, buckets elementwise); gauges keep the
-// largest high-water mark and its last value. Either side may be the
+// Merge combines s with other into a new Snapshot: counters add; gauges
+// keep the largest high-water mark and its last value. Either side may be the
 // zero Snapshot.
 func (s Snapshot) Merge(other Snapshot) Snapshot {
 	out := Snapshot{
 		Counters: make(map[string]uint64, len(s.Counters)+len(other.Counters)),
 		Gauges:   make(map[string]GaugeSnapshot, len(s.Gauges)+len(other.Gauges)),
-		Hists:    make(map[string]HistSnapshot, len(s.Hists)+len(other.Hists)),
 	}
 	for name, v := range s.Counters {
 		out.Counters[name] = v
@@ -200,18 +125,6 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 		if have, ok := out.Gauges[name]; !ok || g.Max > have.Max {
 			out.Gauges[name] = g
 		}
-	}
-	for name, h := range s.Hists {
-		out.Hists[name] = h
-	}
-	for name, h := range other.Hists {
-		have := out.Hists[name]
-		have.Count += h.Count
-		have.Sum += h.Sum
-		for i := range have.Buckets {
-			have.Buckets[i] += h.Buckets[i]
-		}
-		out.Hists[name] = have
 	}
 	return out
 }
@@ -235,10 +148,6 @@ func (s Snapshot) String() string {
 	for _, name := range sortedKeys(s.Gauges) {
 		g := s.Gauges[name]
 		fmt.Fprintf(&b, "gauge   %-32s last=%g max=%g\n", name, g.Last, g.Max)
-	}
-	for _, name := range sortedKeys(s.Hists) {
-		h := s.Hists[name]
-		fmt.Fprintf(&b, "hist    %-32s n=%d sum=%d mean=%.1f\n", name, h.Count, h.Sum, h.Mean())
 	}
 	return b.String()
 }

@@ -30,65 +30,17 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
-	// Bucket i holds values with bits.Len64(v) == i: 0 → bucket 0,
-	// 1 → bucket 1, [2,3] → bucket 2, [4,7] → bucket 3, ...
-	h.Observe(0)
-	h.Observe(1)
-	h.Observe(2)
-	h.Observe(3)
-	h.Observe(7)
-	h.Observe(1 << 20)
-	if h.Count() != 6 {
-		t.Fatalf("count = %d, want 6", h.Count())
-	}
-	wantSum := uint64(0 + 1 + 2 + 3 + 7 + 1<<20)
-	if h.Sum() != wantSum {
-		t.Fatalf("sum = %d, want %d", h.Sum(), wantSum)
-	}
-	wantCounts := map[int]uint64{0: 1, 1: 1, 2: 2, 3: 1, 21: 1}
-	for i, c := range h.counts {
-		if c != wantCounts[i] {
-			t.Fatalf("bucket %d = %d, want %d", i, c, wantCounts[i])
-		}
-	}
-
-	// Values beyond 2^31 still land in the top bucket rather than
-	// indexing out of range.
-	var top Histogram
-	top.Observe(1<<63 + 5)
-	if top.counts[HistBuckets-1] != 1 {
-		t.Fatal("oversized observation did not clamp to the top bucket")
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	var h Histogram
-	if h.Mean() != 0 {
-		t.Fatalf("empty mean = %g, want 0", h.Mean())
-	}
-	h.Observe(10)
-	h.Observe(20)
-	if h.Mean() != 15 {
-		t.Fatalf("mean = %g, want 15", h.Mean())
-	}
-}
-
 func TestSnapshotMerge(t *testing.T) {
 	ra := NewRegistry()
 	ra.Counter("msgs").Add(10)
 	ra.Counter("only_a").Add(1)
 	ra.Gauge("depth").Set(5)
-	ra.Histogram("size").Observe(8)
-	ra.Histogram("size").Observe(16)
 
 	rb := NewRegistry()
 	rb.Counter("msgs").Add(32)
 	rb.Counter("only_b").Add(2)
 	rb.Gauge("depth").Set(9)
 	rb.Gauge("depth").Set(1) // last=1, max=9 — max wins the merge
-	rb.Histogram("size").Observe(8)
 
 	m := ra.Snapshot().Merge(rb.Snapshot())
 	if got := m.Counter("msgs"); got != 42 {
@@ -103,17 +55,6 @@ func TestSnapshotMerge(t *testing.T) {
 	g := m.Gauges["depth"]
 	if g.Max != 9 || g.Last != 1 {
 		t.Fatalf("merged gauge = %+v, want Max=9 (b's mark) with its Last=1", g)
-	}
-	h := m.Hists["size"]
-	if h.Count != 3 || h.Sum != 32 {
-		t.Fatalf("merged hist count=%d sum=%d, want 3/32", h.Count, h.Sum)
-	}
-	// 8 → bucket 4 (observed twice), 16 → bucket 5.
-	if h.Buckets[4] != 2 || h.Buckets[5] != 1 {
-		t.Fatalf("merged hist buckets[4]=%d buckets[5]=%d, want 2/1", h.Buckets[4], h.Buckets[5])
-	}
-	if h.Mean() != float64(32)/3 {
-		t.Fatalf("merged mean = %g", h.Mean())
 	}
 }
 
@@ -149,14 +90,13 @@ func TestSnapshotString(t *testing.T) {
 	r.Counter("b_count").Inc()
 	r.Counter("a_count").Inc()
 	r.Gauge("depth").Set(4)
-	r.Histogram("size").Observe(100)
 	out := r.Snapshot().String()
 	ai := strings.Index(out, "a_count")
 	bi := strings.Index(out, "b_count")
 	if ai < 0 || bi < 0 || ai > bi {
 		t.Fatalf("expected sorted counter names in output:\n%s", out)
 	}
-	for _, want := range []string{"counter", "gauge", "hist", "depth", "size"} {
+	for _, want := range []string{"counter", "gauge", "depth"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
@@ -277,11 +217,9 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("n")
 	g := r.Gauge("g")
-	h := r.Histogram("h")
 	allocs = testing.AllocsPerRun(100, func() {
 		c.Inc()
 		g.Set(1)
-		h.Observe(64)
 	})
 	if allocs != 0 {
 		t.Fatalf("metric writes allocate %.1f per op, want 0", allocs)

@@ -24,46 +24,21 @@ import (
 	"strings"
 
 	"ygm/internal/machine"
+	"ygm/internal/ygm"
 )
 
-// Variant selects which mailbox implementation a Case exercises.
-type Variant int
+// variants lists the exchange styles the harness covers, in sweep
+// order.
+var variants = []ygm.ExchangeStyle{ygm.LazyExchange, ygm.RoundExchange, ygm.SyncExchange}
 
-const (
-	// VariantLazy is the asynchronous lazy-forwarding Mailbox.
-	VariantLazy Variant = iota
-	// VariantRound is the round-matched RoundMailbox (the paper's
-	// production protocol).
-	VariantRound
-	// VariantSync is the ALLTOALLV-backed SyncMailbox driven by
-	// ExchangeUntilQuiet.
-	VariantSync
-)
-
-// Variants lists all mailbox variants the harness covers.
-var Variants = []Variant{VariantLazy, VariantRound, VariantSync}
-
-// String names the variant.
-func (v Variant) String() string {
-	switch v {
-	case VariantLazy:
-		return "lazy"
-	case VariantRound:
-		return "round"
-	case VariantSync:
-		return "sync"
-	}
-	return fmt.Sprintf("Variant(%d)", int(v))
-}
-
-// ParseVariant inverts String.
-func ParseVariant(s string) (Variant, error) {
-	for _, v := range Variants {
+// parseVariant inverts ExchangeStyle.String over variants.
+func parseVariant(s string) (ygm.ExchangeStyle, error) {
+	for _, v := range variants {
 		if v.String() == s {
 			return v, nil
 		}
 	}
-	return VariantLazy, fmt.Errorf("simtest: unknown variant %q", s)
+	return 0, fmt.Errorf("simtest: unknown variant %q", s)
 }
 
 // Case is one fully-specified fuzz workload. The zero value is invalid;
@@ -77,8 +52,8 @@ type Case struct {
 	Nodes, Cores int
 	// Scheme is the routing protocol under test.
 	Scheme machine.Scheme
-	// Variant is the mailbox implementation under test.
-	Variant Variant
+	// Variant is the exchange style of the mailbox under test.
+	Variant ygm.ExchangeStyle
 	// Phases is the number of send-then-barrier rounds each rank runs;
 	// every phase ends in a WaitEmpty (or ExchangeUntilQuiet) barrier.
 	Phases int
@@ -124,7 +99,7 @@ var topoShapes = [][2]int{
 
 // FromSeed derives the workload dimensions of a Case from a seed. The
 // caller chooses Scheme and Variant (the fuzz loop enumerates all
-// combinations for every seed).
+// combinations for every seed); Variant starts lazy.
 func FromSeed(seed int64) Case {
 	rng := rand.New(rand.NewSource(seed*2654435761 + 0x9e3779b9))
 	shape := topoShapes[rng.Intn(len(topoShapes))]
@@ -134,6 +109,7 @@ func FromSeed(seed int64) Case {
 		Seed:             seed,
 		Nodes:            shape[0],
 		Cores:            shape[1],
+		Variant:          ygm.LazyExchange,
 		Phases:           1 + rng.Intn(3),
 		Msgs:             4 + rng.Intn(21),
 		Capacity:         caps[rng.Intn(len(caps))],
@@ -196,7 +172,7 @@ func ParseCase(s string) (Case, error) {
 		case "scheme":
 			c.Scheme, err = machine.ParseScheme(v)
 		case "variant":
-			c.Variant, err = ParseVariant(v)
+			c.Variant, err = parseVariant(v)
 		case "phases":
 			c.Phases, err = strconv.Atoi(v)
 		case "msgs":

@@ -35,7 +35,7 @@ import (
 type ContainerCase struct {
 	Seed         int64
 	Nodes, Cores int
-	Variant      Variant
+	Variant      ygm.ExchangeStyle
 	// Phases is the number of script-then-Barrier rounds.
 	Phases int
 	// Ops is the number of container operations per rank per phase.
@@ -315,18 +315,7 @@ func runContainerRank(p *transport.Proc, c ContainerCase, model containerModel,
 		}
 	}
 
-	opts := []ygm.Option{ygm.WithCapacity(c.Capacity)}
-	switch c.Variant {
-	case VariantLazy:
-		opts = append(opts, ygm.WithExchange(ygm.LazyExchange))
-	case VariantRound:
-		opts = append(opts, ygm.WithExchange(ygm.RoundExchange))
-	case VariantSync:
-		opts = append(opts, ygm.WithExchange(ygm.SyncExchange))
-	default:
-		return fmt.Errorf("simtest: unknown variant %v", c.Variant)
-	}
-	eng := container.NewEngine(p, opts...)
+	eng := container.NewEngine(p, ygm.WithCapacity(c.Capacity), ygm.WithExchange(c.Variant))
 	m := container.NewMap(eng, nil)
 	cnt := container.NewCounter(eng, nil)
 

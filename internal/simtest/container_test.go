@@ -2,13 +2,15 @@ package simtest
 
 import (
 	"testing"
+
+	"ygm/internal/ygm"
 )
 
 // baseContainerCase is the sweep's workload shape: a multi-node topology
 // with a tight mailbox capacity (frequent exchanges), chained visits at
 // the maximum recordable depth, and enough ops per phase that every op
 // kind appears.
-func baseContainerCase(seed int64, v Variant, wire string) ContainerCase {
+func baseContainerCase(seed int64, v ygm.ExchangeStyle, wire string) ContainerCase {
 	return ContainerCase{
 		Seed:     seed,
 		Nodes:    3,
@@ -28,7 +30,7 @@ func baseContainerCase(seed int64, v Variant, wire string) ContainerCase {
 // all three mailbox variants on the simulated wire, checking every run
 // against the container delivery model and the synchronizability oracle.
 func TestContainerWorkloads(t *testing.T) {
-	for _, v := range Variants {
+	for _, v := range variants {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			t.Parallel()
@@ -51,7 +53,7 @@ func TestContainerWorkloads(t *testing.T) {
 // simulator's deterministic schedule, so delivery interleavings the
 // virtual clock never produces are exercised under the same oracles.
 func TestContainerWorkloadsLocalWire(t *testing.T) {
-	for _, v := range Variants {
+	for _, v := range variants {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			t.Parallel()
@@ -69,7 +71,7 @@ func TestContainerWorkloadsLocalWire(t *testing.T) {
 // corrupting the ground truth in each dimension (a map value, a counter
 // total, a phantom key) must surface as delivery violations.
 func TestContainerOracleTeeth(t *testing.T) {
-	c := baseContainerCase(1, VariantLazy, "sim")
+	c := baseContainerCase(1, ygm.LazyExchange, "sim")
 	world := c.Nodes * c.Cores
 	clean := RunContainerCase(c)
 	if err := clean.Err(); err != nil {
@@ -104,7 +106,7 @@ func TestContainerOracleTeeth(t *testing.T) {
 // TestContainerCaseValidation pins the guard rails of the deterministic
 // spawn-key encoding.
 func TestContainerCaseValidation(t *testing.T) {
-	ok := baseContainerCase(1, VariantLazy, "sim")
+	ok := baseContainerCase(1, ygm.LazyExchange, "sim")
 	if err := ok.validate(); err != nil {
 		t.Fatalf("base case invalid: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"ygm/internal/synch"
+	"ygm/internal/ygm"
 )
 
 // CrossValidateSync replays one case's command script under the
@@ -26,9 +27,9 @@ import (
 // sequence.
 func CrossValidateSync(c Case) error {
 	lazy := c
-	lazy.Variant = VariantLazy
+	lazy.Variant = ygm.LazyExchange
 	syn := c
-	syn.Variant = VariantSync
+	syn.Variant = ygm.SyncExchange
 	syn.TestEmptyBarrier = false
 
 	outL, logL := runCaseLogged(lazy, nil)

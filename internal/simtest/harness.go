@@ -174,16 +174,7 @@ func runRank(p *transport.Proc, c Case, o *oracle, hooks *ygm.TestHooks) error {
 		ygm.WithCapacity(c.Capacity),
 		ygm.WithTap(o),
 		ygm.WithHooks(hooks),
-	}
-	switch c.Variant {
-	case VariantLazy:
-		opts = append(opts, ygm.WithExchange(ygm.LazyExchange))
-	case VariantRound:
-		opts = append(opts, ygm.WithExchange(ygm.RoundExchange))
-	case VariantSync:
-		opts = append(opts, ygm.WithExchange(ygm.SyncExchange))
-	default:
-		return fmt.Errorf("simtest: unknown variant %v", c.Variant)
+		ygm.WithExchange(c.Variant),
 	}
 	mb := ygm.New(p, handler, opts...)
 	send, bcast := mb.Send, mb.Broadcast

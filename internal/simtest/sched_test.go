@@ -41,7 +41,7 @@ func TestScheduledFuzz(t *testing.T) {
 // model oracle plus synchronizability) under the forced scheduler on
 // every mailbox variant.
 func TestScheduledContainerWorkloads(t *testing.T) {
-	for _, v := range Variants {
+	for _, v := range variants {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			t.Parallel()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ygm/internal/machine"
+	"ygm/internal/ygm"
 )
 
 var (
@@ -33,9 +34,9 @@ func runAndReport(t *testing.T, c Case) {
 // combos enumerates every scheme x variant pair for one seed's workload.
 func combos(seed int64) []Case {
 	base := FromSeed(seed)
-	out := make([]Case, 0, len(machine.Schemes)*len(Variants))
+	out := make([]Case, 0, len(machine.Schemes)*len(variants))
 	for _, s := range machine.Schemes {
-		for _, v := range Variants {
+		for _, v := range variants {
 			c := base
 			c.Scheme = s
 			c.Variant = v
@@ -102,12 +103,12 @@ func TestMutationSmoke(t *testing.T) {
 			detected, tried := 0, 0
 			for seed := int64(0); seed < mutationBudget; seed++ {
 				for _, c := range combos(seed) {
-					if m == MutantPrematureTerm && c.Variant == VariantSync {
+					if m == MutantPrematureTerm && c.Variant == ygm.SyncExchange {
 						// The ALLTOALLV mailbox has no termination
 						// detector to sabotage.
 						continue
 					}
-					if m == MutantPhaseLeak && c.Variant == VariantSync {
+					if m == MutantPhaseLeak && c.Variant == ygm.SyncExchange {
 						// ExchangeUntilQuiet has no detection generation
 						// after its last exchange: a leak claimed there is
 						// released after the verdict, which the delivery
@@ -177,7 +178,7 @@ func TestCrossValidateSyncRejectsOrderingMutant(t *testing.T) {
 		for _, s := range machine.Schemes {
 			c := FromSeed(seed)
 			c.Scheme = s
-			c.Variant = VariantLazy
+			c.Variant = ygm.LazyExchange
 			c.TTL = 0
 			c.Jitter = false
 			c.Mutant = MutantReorderDelivery
@@ -204,7 +205,7 @@ func TestShrinkReorderRepro(t *testing.T) {
 		for _, s := range machine.Schemes {
 			cand := FromSeed(seed)
 			cand.Scheme = s
-			cand.Variant = VariantLazy
+			cand.Variant = ygm.LazyExchange
 			cand.TTL = 0
 			cand.Jitter = false
 			cand.Mutant = MutantReorderDelivery
@@ -271,7 +272,7 @@ func TestParseCaseRejects(t *testing.T) {
 func TestShrinkMinimizesMutantFailure(t *testing.T) {
 	c := FromSeed(1)
 	c.Scheme = machine.NoRoute
-	c.Variant = VariantLazy
+	c.Variant = ygm.LazyExchange
 	c.Mutant = MutantDropDelivery
 	if err := RunCase(c); err == nil {
 		t.Skip("drop mutant did not fail on this workload; smoke test covers detection")

@@ -50,7 +50,7 @@ func SweepSynch(seedsPerCell int, base int64) SynchSummary {
 	sum := SynchSummary{SeedsPerCell: seedsPerCell}
 	for _, shape := range topoShapes {
 		for _, scheme := range machine.Schemes {
-			for _, variant := range Variants {
+			for _, variant := range variants {
 				cell := SynchCell{
 					Topo:    fmt.Sprintf("%dx%d", shape[0], shape[1]),
 					Scheme:  scheme.String(),

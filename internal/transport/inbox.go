@@ -323,49 +323,37 @@ func (ib *Inbox) releaseEmpty(tag Tag, q *packetHeap) {
 	}
 }
 
-// WaitPop blocks until a packet with the given tag is present, then
-// removes and returns the one with the earliest virtual arrival. It
-// returns nil only after the inbox has been poisoned by the deadlock
-// watchdog; Proc.Recv turns that into a per-rank state dump.
-func (ib *Inbox) WaitPop(tag Tag) *Packet {
-	if !ib.WaitAny(tag, tag) {
-		return nil
+// has reports whether a packet is merged under any of tags.
+func (ib *Inbox) has(tags []Tag) bool {
+	for _, tag := range tags {
+		if q := ib.heapFor(tag); q != nil && len(*q) > 0 {
+			return true
+		}
 	}
-	return ib.popTag(tag)
+	return false
 }
 
-// has reports whether a packet is merged under a or under b.
-func (ib *Inbox) has(a, b Tag) bool {
-	if q := ib.heapFor(a); q != nil && len(*q) > 0 {
-		return true
-	}
-	if a == b {
-		return false
-	}
-	q := ib.heapFor(b)
-	return q != nil && len(*q) > 0
-}
-
-// WaitAny blocks until a packet is present under a or b and removes
-// nothing: a progress loop that serves two streams waits here and then
-// drains whichever moved. The wait is adaptive: re-absorb and yield up
-// to parkSpins times (cheap when the producer is about to publish),
-// then publish the parked state and sleep on the wake channel until a
-// producer posts its one token. It reports false only after the inbox
-// has been poisoned; the watchdog sees the rank blocked on a.
-func (ib *Inbox) WaitAny(a, b Tag) bool {
+// WaitAny blocks until a packet is present under any of tags and
+// removes nothing: a progress loop that serves several streams waits
+// here and then drains whichever moved. The wait is adaptive: re-absorb
+// and yield up to parkSpins times (cheap when the producer is about to
+// publish), then publish the parked state and sleep on the wake channel
+// until a producer posts its one token. It reports false only after the
+// inbox has been poisoned; the watchdog sees the rank blocked on
+// tags[0].
+func (ib *Inbox) WaitAny(tags ...Tag) bool {
 	ib.absorb()
-	if ib.has(a, b) {
+	if ib.has(tags) {
 		return true
 	}
 	if ib.poisoned.Load() {
 		return false
 	}
-	ib.waitTag.Store(uint64(a))
+	ib.waitTag.Store(uint64(tags[0]))
 	spins := 0
 	for {
 		ib.absorb()
-		if ib.has(a, b) {
+		if ib.has(tags) {
 			ib.spinHits++
 			return true
 		}
@@ -388,7 +376,7 @@ func (ib *Inbox) WaitAny(a, b Tag) bool {
 		// token. Sequentially consistent atomics rule out the window
 		// where both sides miss each other.
 		ib.absorb()
-		if ib.has(a, b) {
+		if ib.has(tags) {
 			ib.unpark()
 			ib.spinHits++
 			return true
@@ -497,10 +485,10 @@ func (ib *Inbox) spun() bool {
 	return moved
 }
 
-// poison makes every future wait fail (WaitAny false, WaitPop nil) and
-// wakes the receiver if one is parked. Called by the deadlock watchdog only. The
-// unpark CAS is the same protocol producers use, so poison and Push
-// can never both owe a token for one park. If the CAS finds the parked
+// poison makes every future WaitAny fail and wakes the receiver if one
+// is parked. Called by the deadlock watchdog only. The unpark CAS is the
+// same protocol producers use, so poison and Push can never both owe a
+// token for one park. If the CAS finds the parked
 // state already claimed but the rank still reports itself waiting, the
 // wake that claim owed was lost — the bug class the mutation smoke
 // seeds — and poison forces a wake anyway, so a poisoned run always
@@ -533,31 +521,6 @@ func (ib *Inbox) poison() {
 // including pushed-but-unabsorbed ones. Owning rank or post-run only
 // (its callers: deadlock dumps and post-run accounting).
 func (ib *Inbox) Len() int { return ib.depth + ib.unabsorbed() }
-
-// LenTag returns the number of packets queued under one tag. Owning
-// rank only (it absorbs).
-func (ib *Inbox) LenTag(tag Tag) int {
-	ib.absorb()
-	if q := ib.heapFor(tag); q != nil {
-		return len(*q)
-	}
-	return 0
-}
-
-// LenTags returns the total queued under several tags in one absorb
-// pass — the round-exchange idle loop polls all stage streams at once.
-// The slice parameter (not variadic) lets callers reuse a scratch
-// buffer without a per-call allocation.
-func (ib *Inbox) LenTags(tags []Tag) int {
-	ib.absorb()
-	n := 0
-	for _, tag := range tags {
-		if q := ib.heapFor(tag); q != nil {
-			n += len(*q)
-		}
-	}
-	return n
-}
 
 // MaxDepth returns the historical maximum of merged packets, measured
 // after each absorb pass. Owning rank or post-run only.

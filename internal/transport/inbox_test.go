@@ -47,18 +47,27 @@ func TestInboxTagIsolation(t *testing.T) {
 	ib := NewInbox(1)
 	ib.Push(&Packet{Tag: TagUser, Arrive: 1})
 	ib.Push(&Packet{Tag: TagData, Arrive: 2})
-	if ib.LenTag(TagUser) != 1 || ib.LenTag(TagData) != 1 || ib.Len() != 2 {
+	if queued(ib, TagUser) != 1 || queued(ib, TagData) != 1 || ib.Len() != 2 {
 		t.Fatal("tag bookkeeping wrong")
 	}
 	if p := ib.TryPop(TagData); p == nil || p.Arrive != 2 {
 		t.Fatalf("TryPop(TagData) = %v", p)
 	}
-	if ib.LenTag(TagUser) != 1 {
+	if queued(ib, TagUser) != 1 {
 		t.Fatal("popping one tag must not disturb another")
 	}
-	if ib.LenTag(Tag(999)) != 0 {
+	if queued(ib, Tag(999)) != 0 {
 		t.Fatal("unknown tag should be empty")
 	}
+}
+
+// queued counts the packets merged under tag.
+func queued(ib *Inbox, tag Tag) int {
+	ib.absorb()
+	if q := ib.heapFor(tag); q != nil {
+		return len(*q)
+	}
+	return 0
 }
 
 func TestInboxTryPopArrived(t *testing.T) {
@@ -75,10 +84,13 @@ func TestInboxTryPopArrived(t *testing.T) {
 func TestInboxWaitPopBlocks(t *testing.T) {
 	ib := NewInbox(1)
 	done := make(chan *Packet)
-	go func() { done <- ib.WaitPop(TagUser) }()
+	go func() {
+		ib.WaitAny(TagUser)
+		done <- ib.TryPop(TagUser)
+	}()
 	ib.Push(&Packet{Tag: TagUser, Arrive: 7})
 	if p := <-done; p.Arrive != 7 {
-		t.Fatalf("WaitPop = %v", p)
+		t.Fatalf("wait-then-pop = %v", p)
 	}
 }
 

@@ -27,14 +27,15 @@ func TestPushNoWaiterElidesSignal(t *testing.T) {
 	}
 }
 
-// blockingWaits are the two ways a rank parks on its inbox: WaitPop on
-// one tag, and WaitAny on two streams, woken here through the second.
+// blockingWaits are the two ways a rank parks on its inbox: WaitAny on
+// one tag followed by a pop (Proc.Recv's shape), and WaitAny on two
+// streams, woken here through the second.
 // Each reports whether the wait was satisfied (false = poisoned).
 var blockingWaits = []struct {
 	name string
 	wait func(ib *Inbox) bool
 }{
-	{"WaitPop", func(ib *Inbox) bool { return ib.WaitPop(TagUser) != nil }},
+	{"WaitPop", func(ib *Inbox) bool { return ib.WaitAny(TagUser) && ib.TryPop(TagUser) != nil }},
 	{"WaitAny", func(ib *Inbox) bool {
 		return ib.WaitAny(TagData, TagUser) && ib.TryPop(TagData) == nil && ib.TryPop(TagUser) != nil
 	}},

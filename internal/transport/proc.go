@@ -46,12 +46,8 @@ type Proc struct {
 	// the MPI non-overtaking guarantee the upper layers rely on.
 	lastArrive map[chanKey]float64
 
-	// metrics is this rank's named-metric registry; szLocal/szRemote are
-	// its message-size histograms, resolved once at construction so the
-	// send path never touches the name maps.
-	metrics  *obs.Registry
-	szLocal  *obs.Histogram
-	szRemote *obs.Histogram
+	// metrics is this rank's named-metric registry.
+	metrics *obs.Registry
 
 	// rec is this rank's flight recorder — a ring of recent events
 	// (sends, receives, arrival jumps, marks) dumped by deadlock and
@@ -234,11 +230,6 @@ func (p *Proc) send(dst machine.Rank, tag Tag, payload []byte, pooled bool) {
 		}
 	}
 	p.stats.recordSend(tag, len(payload), local)
-	if local {
-		p.szLocal.Observe(uint64(len(payload)))
-	} else {
-		p.szRemote.Observe(uint64(len(payload)))
-	}
 	pkt := p.cache.getPkt()
 	pkt.Src = p.rank
 	pkt.Tag = tag
@@ -262,50 +253,50 @@ func (p *Proc) send(dst machine.Rank, tag Tag, payload []byte, pooled bool) {
 // state and unwinds the rank instead of hanging forever.
 func (p *Proc) Recv(tag Tag) *Packet {
 	ib := p.world.inboxes[p.rank]
-	if p.rt != nil {
-		// Progress lets a polled backend move bytes before the park.
-		p.world.wire.Progress(p)
-	}
 	pkt := ib.TryPop(tag)
 	if pkt == nil {
-		p.await(ib, tag, tag)
+		p.await(ib, tag)
 		pkt = ib.popTag(tag)
 	}
 	p.absorb(pkt)
 	return pkt
 }
 
-// WaitAny blocks until a packet is physically present under a or b and
-// consumes nothing: the caller drains what it finds and absorbs each
+// WaitAny blocks until a packet is physically present under any of tags
+// and consumes nothing: the caller drains what it finds and absorbs each
 // packet as it uses it, so waiting here moves no virtual clock. It is
-// the blocking step of a progress loop that serves two streams (the
+// the blocking step of a progress loop that serves several streams (a
 // mailbox's termination and data traffic). A deadlocked run unwinds the
-// rank as Recv does, reported as blocked on a.
-func (p *Proc) WaitAny(a, b Tag) {
-	ib := p.world.inboxes[p.rank]
-	if p.rt != nil {
-		p.world.wire.Progress(p)
-	}
-	ib.absorb()
-	if !ib.has(a, b) {
-		p.await(ib, a, b)
+// rank as Recv does, reported as blocked on tags[0].
+func (p *Proc) WaitAny(tags ...Tag) {
+	if !p.Pending(tags...) {
+		p.await(p.world.inboxes[p.rank], tags...)
 	}
 }
 
-// await parks the rank until a or b has a packet, after a first look
-// found neither. Real-time wires account wait by timing exactly this —
+// Pending reports whether a packet is physically queued under any of
+// tags, whether or not it has virtually arrived. It never blocks and
+// consumes nothing.
+func (p *Proc) Pending(tags ...Tag) bool {
+	ib := p.world.inboxes[p.rank]
+	ib.absorb()
+	return ib.has(tags)
+}
+
+// await parks the rank until one of tags has a packet, after a first
+// look found none. Real-time wires account wait by timing exactly this —
 // a receive that finds its packet waiting reads no clock.
-func (p *Proc) await(ib *Inbox, a, b Tag) {
+func (p *Proc) await(ib *Inbox, tags ...Tag) {
 	var t0 float64
 	if p.rt != nil {
 		t0 = p.now()
 	}
-	ok := ib.WaitAny(a, b)
+	ok := ib.WaitAny(tags...)
 	if p.rt != nil {
 		p.rt.wait += p.now() - t0
 	}
 	if !ok {
-		p.deadlockExit(a)
+		p.deadlockExit(tags[0])
 	}
 }
 
@@ -348,10 +339,10 @@ func (p *Proc) Absorb(pkt *Packet) { p.absorb(pkt) }
 // Under the M:N scheduler it donates the calling rank's worker token to
 // a queued rank (re-queueing the caller behind it) whenever one is
 // waiting; otherwise — direct model, or nobody waiting — it yields the
-// OS thread. Nonblocking progress loops (mailbox WaitEmpty idling,
-// container TestEmpty polling) must call this instead of
-// runtime.Gosched on their idle path: a token-holding spinner would
-// otherwise starve the very ranks whose messages it polls for.
+// OS thread. A user loop that polls a lazy mailbox's TestEmpty must
+// call this instead of runtime.Gosched on its idle path: a
+// token-holding spinner would otherwise starve the very ranks whose
+// messages it polls for. The mailboxes' own waits park in WaitAny.
 //
 // Yield also marks the rank idle for the deadlock watchdog, which counts
 // a rank that keeps yielding while no inbox makes progress as blocked.
@@ -364,19 +355,6 @@ func (p *Proc) Yield() {
 		return
 	}
 	runtime.Gosched()
-}
-
-// Pending reports how many packets are physically queued under tag,
-// whether or not they have virtually arrived.
-func (p *Proc) Pending(tag Tag) int {
-	return p.world.inboxes[p.rank].LenTag(tag)
-}
-
-// PendingTags reports the total queued under all the given tags in a
-// single inbox pass. Callers polling several streams in an idle loop
-// (the round exchange's stage tags) should reuse one scratch slice.
-func (p *Proc) PendingTags(tags []Tag) int {
-	return p.world.inboxes[p.rank].LenTags(tags)
 }
 
 // absorb applies arrival wait and receive overhead accounting for pkt.
@@ -417,7 +395,7 @@ func (p *Proc) absorb(pkt *Packet) {
 func (p *Proc) Clock() *netsim.Clock { return &p.clock }
 
 // Metrics returns this rank's named-metric registry. Layers resolve
-// their counters/gauges/histograms once at construction and update the
+// their counters and gauges once at construction and update the
 // returned pointers directly; the registry is confined to the rank's
 // goroutine. Each rank's snapshot lands in RankReport.Metrics, and
 // Report.Metrics merges them.

@@ -190,8 +190,7 @@ func (r *Report) Utilization() float64 {
 }
 
 // Metrics merges every rank's named-metric snapshot into one run-wide
-// view: counters and histogram buckets add, gauges keep the largest
-// high-water mark.
+// view: counters add, gauges keep the largest high-water mark.
 func (r *Report) Metrics() obs.Snapshot {
 	snaps := make([]obs.Snapshot, 0, len(r.Ranks)+2)
 	for i := range r.Ranks {
@@ -314,8 +313,6 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 			if w.realtime {
 				p.rt = &rtClock{}
 			}
-			p.szLocal = p.metrics.Histogram("transport.msg_size.local")
-			p.szRemote = p.metrics.Histogram("transport.msg_size.remote")
 			if cfg.ComputeScale != nil {
 				if s := cfg.ComputeScale(r); s > 0 {
 					p.computeScale = s
@@ -359,7 +356,6 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 				spinHits, parks := w.inboxes[r].SpinParkStats()
 				p.metrics.Counter("inbox.spin_hits").Add(spinHits)
 				p.metrics.Counter("inbox.parks").Add(parks)
-				p.metrics.Gauge("inbox.max_depth").Set(float64(w.inboxes[r].MaxDepth()))
 				p.metrics.Counter("transport.pool.shared_ops").Add(p.cache.shared)
 				now, busy, wait := p.clocks()
 				report.Ranks[r] = RankReport{

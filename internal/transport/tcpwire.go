@@ -561,13 +561,6 @@ func (t *TCPWire) Inject(p *Proc, dst machine.Rank, pkt *Packet) {
 	p.cache.put(pkt)
 }
 
-// Progress is a no-op: the writer goroutines are the progress context.
-// A rank-driven drain (write what is queued when the rank next polls)
-// cannot batch — the mailbox polls far more often than it flushes, so
-// every poll finds at most one frame — and delivers nothing while the
-// rank computes. DESIGN.md §13.
-func (t *TCPWire) Progress(*Proc) {}
-
 // Flush blocks until every send queue of this process is empty and the
 // last batch taken from it has been handed to the kernel (or, after a
 // write failure, discarded).

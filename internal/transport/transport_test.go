@@ -430,10 +430,11 @@ func TestInboxDepthTracking(t *testing.T) {
 			return nil
 		}
 		p.Recycle(p.Recv(TagData))
-		if p.Pending(TagUser) != 10 {
-			return fmt.Errorf("pending = %d", p.Pending(TagUser))
+		pkts := p.DrainBatch(TagUser, nil)
+		if len(pkts) != 10 {
+			return fmt.Errorf("pending = %d", len(pkts))
 		}
-		for _, pkt := range p.DrainBatch(TagUser, nil) {
+		for _, pkt := range pkts {
 			p.Absorb(pkt)
 			p.Recycle(pkt)
 		}

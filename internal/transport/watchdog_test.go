@@ -103,7 +103,7 @@ func TestWatchdogDetectsIdleYieldLoop(t *testing.T) {
 			if p.Rank() == 1 {
 				p.Recv(TagUser)
 			}
-			for p.Pending(TagUser) == 0 {
+			for !p.Pending(TagUser) {
 				p.AbortIfPeerFailed()
 				p.Yield()
 			}
@@ -134,7 +134,7 @@ func TestWatchdogQuietOnBusyPeerOfIdleLoop(t *testing.T) {
 			p.Send(0, TagUser, nil)
 			return nil
 		}
-		for p.Pending(TagUser) == 0 {
+		for !p.Pending(TagUser) {
 			p.AbortIfPeerFailed()
 			p.Yield()
 		}

@@ -30,14 +30,11 @@ import (
 //     copies the frame into a per-peer send queue that a writer goroutine
 //     drains, and blocks only while that queue holds a full window
 //     (tcpSendWindow). Per-(src, dst) order is the order of Inject calls.
-//   - Progress lets a polled backend move bytes on the caller's
-//     goroutine. The runtime calls it once before a real-time rank parks
-//     in a blocking receive; push-based backends (all three in-tree wires,
-//     which deliver from the sender's goroutine or from dedicated reader
-//     and writer goroutines) implement it as a no-op. See DESIGN.md §13
-//     for why the hook exists anyway: MPI Progress For All measures
-//     exactly the failure mode — handler starvation under a progress-less
-//     backend — that this call is the escape hatch for.
+//   - Delivery needs no help from the receiving rank: a rank that
+//     parks in a blocking receive calls nothing on the wire first. The
+//     in-tree wires push from the sender's goroutine or from dedicated
+//     reader and writer goroutines (DESIGN.md §13), and a new backend
+//     must make progress the same way.
 //   - Flush blocks until every frame injected in this process has been
 //     handed to the underlying transport (the OS for TCP: every send
 //     queue empty and its last batch written). The runtime calls it as
@@ -70,7 +67,6 @@ type Wire interface {
 	LocalRanks(topo machine.Topology) []machine.Rank
 	Start(w *World) error
 	Inject(p *Proc, dst machine.Rank, pkt *Packet)
-	Progress(p *Proc)
 	Flush(p *Proc)
 	Finish() error
 }
@@ -93,9 +89,8 @@ func (SimWire) Inject(p *Proc, dst machine.Rank, pkt *Packet) {
 	p.world.inboxes[dst].Push(pkt)
 }
 
-func (SimWire) Progress(*Proc) {}
-func (SimWire) Flush(*Proc)    {}
-func (SimWire) Finish() error  { return nil }
+func (SimWire) Flush(*Proc)   {}
+func (SimWire) Finish() error { return nil }
 
 // LocalWire is the in-process real-time backend: the same goroutine-per
 // rank execution and direct inbox delivery as SimWire, but with no
@@ -117,9 +112,8 @@ func (LocalWire) Inject(p *Proc, dst machine.Rank, pkt *Packet) {
 	p.world.inboxes[dst].Push(pkt)
 }
 
-func (LocalWire) Progress(*Proc) {}
-func (LocalWire) Flush(*Proc)    {}
-func (LocalWire) Finish() error  { return nil }
+func (LocalWire) Flush(*Proc)   {}
+func (LocalWire) Finish() error { return nil }
 
 // hostNow reads the host clock to anchor an epoch or a handshake
 // deadline — once per run, never per packet. Like the deadlock watchdog,

@@ -1,7 +1,6 @@
 package ygm
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -183,39 +182,42 @@ func TestSyncSteadyStateZeroAlloc(t *testing.T) {
 // snapshot encoded straight into a pooled buffer, sent to the butterfly
 // partner, the partner's packet batched out of the inbox, filed in its
 // slot, absorbed and recycled — and none of it may allocate once the
-// transport pool has warmed up.
+// transport pool has warmed up. The round policy's WaitEmpty parks on
+// its stage tags and TagTerm between steps, and neither may that.
 func TestTermSteadyStateZeroAlloc(t *testing.T) {
 	skipIfYgmcheck(t)
-	var failure error
-	_, err := transport.Run(transport.Config{
-		Topo:  machine.New(1, 2),
-		Model: netsim.Quartz(),
-		Seed:  7,
-	}, func(p *transport.Proc) error {
-		mb := New(p, func(s Sender, payload []byte) {},
-			WithScheme(machine.NoRoute),
-			WithExchange(LazyExchange)).(*Mailbox)
-		termOnce := func() { mb.WaitEmpty() }
-		if p.Rank() == 0 {
-			for i := 0; i < allocWarmup; i++ {
-				termOnce()
+	for _, style := range []ExchangeStyle{LazyExchange, RoundExchange} {
+		var failure error
+		_, err := transport.Run(transport.Config{
+			Topo:  machine.New(1, 2),
+			Model: netsim.Quartz(),
+			Seed:  7,
+		}, func(p *transport.Proc) error {
+			mb := New(p, func(s Sender, payload []byte) {},
+				WithScheme(machine.NoRoute),
+				WithExchange(style))
+			termOnce := func() { mb.WaitEmpty() }
+			if p.Rank() == 0 {
+				for i := 0; i < allocWarmup; i++ {
+					termOnce()
+				}
+				if avg := testing.AllocsPerRun(allocRuns, termOnce); avg != 0 {
+					failure = fmt.Errorf("%v termination detection allocates %.1f allocs/op, want 0", style, avg)
+				}
+			} else {
+				for i := 0; i < allocWarmup+allocRuns+1; i++ {
+					termOnce()
+				}
 			}
-			if avg := testing.AllocsPerRun(allocRuns, termOnce); avg != 0 {
-				failure = fmt.Errorf("termination detection allocates %.1f allocs/op, want 0", avg)
-			}
-		} else {
-			for i := 0; i < allocWarmup+allocRuns+1; i++ {
-				termOnce()
-			}
+			mb.WaitEmpty()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		mb.WaitEmpty()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failure != nil {
-		t.Fatal(failure)
+		if failure != nil {
+			t.Fatal(failure)
+		}
 	}
 }
 
@@ -247,64 +249,5 @@ func TestSelfDeliverZeroAlloc(t *testing.T) {
 	}
 	if failure != nil {
 		t.Fatal(failure)
-	}
-}
-
-// TestCopyOnDeliverProtectsRetainedPayloads is the pooled-buffer
-// aliasing regression test: delivery payloads alias pooled packet
-// buffers that are recycled — and overwritten by later traffic — after
-// dispatch, so a handler that retains slices across deliveries would see
-// them stomped. WithCopyOnDeliver is the opt-out: the mailbox copies
-// each payload first, so retained slices stay intact through arbitrary
-// later traffic on every variant.
-func TestCopyOnDeliverProtectsRetainedPayloads(t *testing.T) {
-	const msgs = 200
-	for _, style := range []ExchangeStyle{LazyExchange, RoundExchange, SyncExchange} {
-		style := style
-		t.Run(style.String(), func(t *testing.T) {
-			var retained [][]byte // rank 1 only; confined to its goroutine until Run returns
-			_, err := transport.Run(transport.Config{
-				Topo:  machine.New(1, 2),
-				Model: netsim.Quartz(),
-				Seed:  7,
-			}, func(p *transport.Proc) error {
-				mb := New(p, func(s Sender, payload []byte) {
-					retained = append(retained, payload) // retaining: legal only with CopyOnDeliver
-				},
-					WithScheme(machine.NoRoute),
-					WithExchange(style),
-					WithCapacity(4),
-					WithCopyOnDeliver(true))
-				if p.Rank() == 0 {
-					for i := 0; i < msgs; i++ {
-						payload := bytes.Repeat([]byte{byte(i)}, 32)
-						mb.Send(1, payload)
-					}
-				}
-				mb.WaitEmpty()
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(retained) != msgs {
-				t.Fatalf("retained %d payloads, want %d", len(retained), msgs)
-			}
-			seen := map[byte]bool{}
-			for _, b := range retained {
-				if len(b) != 32 {
-					t.Fatalf("retained payload of %d bytes, want 32", len(b))
-				}
-				for _, c := range b {
-					if c != b[0] {
-						t.Fatalf("retained payload stomped by buffer recycling: %v", b)
-					}
-				}
-				if seen[b[0]] {
-					t.Fatalf("duplicate retained payload %d", b[0])
-				}
-				seen[b[0]] = true
-			}
-		})
 	}
 }

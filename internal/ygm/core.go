@@ -324,11 +324,6 @@ func (c *core) releaseLeak() {
 func (c *core) deliverNow(payload []byte) {
 	c.stats.Delivered++
 	c.p.Compute(c.cost.perMsg)
-	if c.opts.CopyOnDeliver {
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		payload = cp
-	}
 	c.depth++
 	c.handler(c.self, payload)
 	c.depth--

@@ -59,10 +59,10 @@
 // that are reused across flushes, packet payloads come from the
 // transport's buffer pool, and delivery hands the handler a slice that
 // aliases the pooled packet. The flip side is a retention contract: a
-// handler must not keep its payload slice after returning unless the
-// mailbox was built with WithCopyOnDeliver(true). The AllocsPerRun pins
-// (Test{Lazy,Round,Sync}SteadyStateZeroAlloc) are what hold the path to
-// zero: an allocation added anywhere on it fails them.
+// handler that keeps a payload after returning must copy it. The
+// AllocsPerRun pins (Test{Lazy,Round,Sync}SteadyStateZeroAlloc) are
+// what hold the path to zero: an allocation added anywhere on it fails
+// them.
 //
 // Termination detection follows the paper's Section IV-B: ranks declare
 // themselves done producing messages, flush (including empty buffers —

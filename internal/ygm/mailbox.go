@@ -24,7 +24,7 @@ type Sender interface {
 // TestEmpty, or Exchange (each panics if they do), and must not retain
 // the payload slice — delivery buffers are pooled and recycled once the
 // packet is fully dispatched. Handlers that must keep payloads copy
-// them, or construct the mailbox with WithCopyOnDeliver.
+// them.
 type Handler func(s Sender, payload []byte)
 
 // ExchangeStyle selects how a mailbox realizes the paper's exchanges.
@@ -71,9 +71,6 @@ type Options struct {
 	Capacity int
 	// Exchange selects the exchange semantics. Default RoundExchange.
 	Exchange ExchangeStyle
-	// CopyOnDeliver copies each payload before the handler sees it; see
-	// WithCopyOnDeliver.
-	CopyOnDeliver bool
 	// Tap, when non-nil, observes every record queued for an exchange
 	// (oracle instrumentation; see Tap). Nil in production.
 	Tap Tap
@@ -369,7 +366,7 @@ func (mb *Mailbox) WaitEmpty() {
 			// A generation just completed without quiescence: drain and
 			// snapshot again at once.
 		case mb.term.hold():
-			mb.p.WaitAny(TagTerm, TagTerm)
+			mb.p.WaitAny(TagTerm)
 		default:
 			mb.p.WaitAny(TagTerm, transport.TagData)
 		}

@@ -41,15 +41,6 @@ func WithCapacity(n int) Option {
 	return func(o *Options) { o.Capacity = n }
 }
 
-// WithCopyOnDeliver makes the mailbox copy each payload before invoking
-// the handler. Handlers are normally forbidden from retaining payload
-// slices — delivery buffers are pooled and recycled as soon as the
-// packet is dispatched — so a handler that must keep payloads beyond its
-// own return either copies them itself or sets this option.
-func WithCopyOnDeliver(on bool) Option {
-	return func(o *Options) { o.CopyOnDeliver = on }
-}
-
 // WithTap installs oracle instrumentation observing every queued record
 // (testing only; see Tap).
 func WithTap(t Tap) Option {

@@ -54,9 +54,8 @@ type RoundMailbox struct {
 	round uint64 // next round to execute
 	epoch uint64 // completed WaitEmpty cycles
 
-	// tagScratch reuses one slice for the per-stage tag list that the
-	// WaitEmpty idle loop polls, so the poll makes a single inbox pass
-	// per iteration without allocating.
+	// tagScratch reuses one slice for the tags WaitEmpty waits on: the
+	// next round's stage tags, then TagTerm.
 	tagScratch []transport.Tag
 
 	term termDetector
@@ -69,7 +68,7 @@ func newRound(p *transport.Proc, handler Handler, opts Options) (*RoundMailbox, 
 	if err := mb.init(p, mb, handler, opts, true); err != nil {
 		return nil, err
 	}
-	mb.tagScratch = make([]transport.Tag, 0, len(mb.stages))
+	mb.tagScratch = make([]transport.Tag, 0, len(mb.stages)+1)
 	mb.term.init(p, &mb.stats, mb.opts.Hooks)
 	return mb, nil
 }
@@ -144,29 +143,35 @@ func (mb *RoundMailbox) executeRound() {
 	}
 }
 
-// roundTrafficPending reports whether any partner has initiated the
-// upcoming round (its stage messages are waiting in our inbox). All
-// stage tags are checked in one inbox pass via PendingTags.
-func (mb *RoundMailbox) roundTrafficPending() bool {
+// idleTags returns the tags that can move an idle rank: the stage tags
+// of the next round, in which a partner may already have sent, followed
+// by TagTerm.
+func (mb *RoundMailbox) idleTags() []transport.Tag {
 	tags := mb.tagScratch[:0]
 	for s := range mb.stages {
 		tags = append(tags, roundTag(mb.epoch, s, mb.round))
 	}
-	mb.tagScratch = tags
-	return mb.p.PendingTags(tags) > 0
+	mb.tagScratch = append(tags, TagTerm)
+	return mb.tagScratch
 }
 
 // WaitEmpty drives rounds (with empty buffers when this rank has nothing
 // to say — the paper's Section IV-B behaviour) until the counting
 // consensus observes global quiescence. Collective: every rank must call
 // it, and all return together. The mailbox is reusable afterwards.
+//
+// It is one progress loop: run rounds while records are queued or a
+// partner has opened the next round, step the detector, and, while a
+// generation is in flight, park until a packet arrives on the next
+// round's stage tags or on TagTerm — nothing else can move this rank,
+// since nothing is queued.
 func (mb *RoundMailbox) WaitEmpty() {
 	mb.notInHandler("WaitEmpty")
 	sp := mb.p.Span("round.waitempty")
 	defer sp.End()
 	for {
 		mb.releaseLeak()
-		for mb.queued > 0 || mb.roundTrafficPending() {
+		for mb.queued > 0 || mb.p.Pending(mb.idleTags()[:len(mb.stages)]...) {
 			mb.executeRound()
 		}
 		if mb.term.step() {
@@ -178,13 +183,10 @@ func (mb *RoundMailbox) WaitEmpty() {
 			mb.epoch++
 			return
 		}
-		if mb.queued == 0 && !mb.roundTrafficPending() {
-			// Idle: let peers progress on the shared host CPU. Nothing
-			// blocks here, so the loop unwinds itself when a peer died or
-			// the watchdog, which counts a yielding rank as idle, found
-			// the world stuck.
-			mb.p.AbortIfPeerFailed()
-			mb.p.Yield()
+		// A generation that completed without a verdict leaves the
+		// detector idle: loop to snapshot again at once.
+		if mb.term.Busy() {
+			mb.p.WaitAny(mb.idleTags()...)
 		}
 	}
 }

@@ -3,7 +3,9 @@ package ygm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ygm/internal/machine"
 	"ygm/internal/netsim"
@@ -445,4 +447,68 @@ func TestRoundRandomTrafficProperty(t *testing.T) {
 				trial, hopsSent, hopsRecv)
 		}
 	}
+}
+
+// TestRoundIdleParks: a rank idle in the round WaitEmpty parks in its
+// inbox until a partner's next round or a termination packet arrives,
+// like every other wait, instead of spinning through Proc.Yield.
+func TestRoundIdleParks(t *testing.T) {
+	// On a real-time wire a parked rank's wait is measured: rank 1
+	// enters WaitEmpty at once and must spend rank 0's 100 ms away from
+	// the mailbox parked, not polling.
+	t.Run("local", func(t *testing.T) {
+		const away = 100 * time.Millisecond
+		var delivered atomic.Int64
+		rep, err := transport.Run(transport.Config{
+			Topo: machine.New(1, 2),
+			Wire: transport.LocalWire{},
+		}, func(p *transport.Proc) error {
+			mb := New(p, func(Sender, []byte) { delivered.Add(1) }, WithExchange(RoundExchange))
+			if p.Rank() == 0 {
+				time.Sleep(away)
+				mb.Send(1, encodeU64(1))
+			}
+			mb.WaitEmpty()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delivered.Load() != 1 {
+			t.Fatalf("delivered %d, want 1", delivered.Load())
+		}
+		if w := rep.Ranks[1].Wait; w < (away / 2).Seconds() {
+			t.Fatalf("rank 1 waited %.1f ms of rank 0's %v away, want at least half parked", w*1e3, away)
+		}
+	})
+	// Under the M:N scheduler an idle rank leaves the run queue: no
+	// round rank ever yields its worker token.
+	t.Run("sim", func(t *testing.T) {
+		rep, err := transport.Run(transport.Config{
+			Topo:    machine.New(2, 2),
+			Model:   netsim.Quartz(),
+			Workers: 1,
+		}, func(p *transport.Proc) error {
+			mb := New(p, func(Sender, []byte) {}, WithScheme(machine.NLNR), WithExchange(RoundExchange))
+			for phase := 0; phase < 3; phase++ {
+				if p.Rank() == machine.Rank(phase) {
+					for dst := 0; dst < p.WorldSize(); dst++ {
+						mb.Send(machine.Rank(dst), encodeU64(uint64(dst)))
+					}
+				}
+				mb.WaitEmpty()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := rep.Metrics()
+		if m.Counter("sched.dispatches") == 0 {
+			t.Fatal("the M:N scheduler did not run")
+		}
+		if y := m.Counter("sched.yields"); y != 0 {
+			t.Fatalf("sched.yields = %d, want 0", y)
+		}
+	})
 }

@@ -2,7 +2,6 @@ package ygm
 
 import (
 	"ygm/internal/collective"
-	"ygm/internal/obs"
 	"ygm/internal/transport"
 )
 
@@ -33,8 +32,7 @@ type termDetector struct {
 
 	p     *transport.Proc
 	stats *Stats
-	hooks *TestHooks   // mutation-test faults (nil in production): ForceVerdict
-	gens  *obs.Counter // mirrors Stats.Generations into the metric registry
+	hooks *TestHooks // mutation-test faults (nil in production): ForceVerdict
 
 	mine  [2]uint64 // this rank's (sent, received) snapshot
 	prev  [2]uint64 // totals of the generation before the one in flight
@@ -44,7 +42,6 @@ type termDetector struct {
 func (td *termDetector) init(p *transport.Proc, stats *Stats, hooks *TestHooks) {
 	td.p, td.stats, td.hooks = p, stats, hooks
 	td.Init(p, TagTerm, nil, int(p.Rank()))
-	td.gens = p.Metrics().Counter("term.generations")
 }
 
 // hold reports whether the generation in flight may be the final one:
@@ -69,7 +66,6 @@ func (td *termDetector) hold() bool {
 func (td *termDetector) step() bool {
 	if !td.Busy() {
 		td.stats.Generations++
-		td.gens.Inc()
 		td.p.Mark("term.gen", td.stats.Generations)
 		snap := [2]uint64{td.stats.HopsSent, td.stats.HopsRecv}
 		td.still = snap == td.mine
