@@ -80,8 +80,8 @@ type Case struct {
 	TestEmptyBarrier bool
 	// Workers forces the transport's M:N rank scheduler worker count
 	// (transport.Config.Workers): 0 keeps the transport's auto policy,
-	// >0 forces the scheduler on with that many workers, -1 forces the
-	// direct goroutine-per-rank model.
+	// which runs every world this harness builds goroutine-per-rank, and
+	// >0 forces the scheduler on with that many workers.
 	Workers int
 	// Mutant injects a deliberate fault (see mutants.go); MutantNone
 	// for clean runs.
@@ -211,7 +211,7 @@ func (c Case) validate() error {
 	if c.Nodes <= 0 || c.Cores <= 0 {
 		return fmt.Errorf("simtest: invalid topology %dx%d", c.Nodes, c.Cores)
 	}
-	if c.Phases <= 0 || c.Msgs < 0 || c.Capacity <= 0 || c.MaxPayload < 0 || c.TTL < 0 || c.BcastEvery < 0 {
+	if c.Phases <= 0 || c.Msgs < 0 || c.Capacity <= 0 || c.MaxPayload < 0 || c.TTL < 0 || c.BcastEvery < 0 || c.Workers < 0 {
 		return fmt.Errorf("simtest: invalid workload dimensions in %q", c.String())
 	}
 	// Deterministic spawn keys (see msgKey in oracle.go) pack the parent

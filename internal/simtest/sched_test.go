@@ -2,16 +2,18 @@ package simtest
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"ygm/internal/machine"
 )
 
-// schedWorkerCounts are the forced M:N scheduler configurations the
-// scheduled oracle sweep runs under: a single worker (maximal token
-// contention — every wake is a queue handoff), a small pool, and the
-// direct model as the control arm.
-var schedWorkerCounts = []int{1, 3, -1}
+// schedWorkerCounts are the M:N scheduler configurations the scheduled
+// oracle sweep runs under: a single worker (maximal token contention —
+// every wake is a queue handoff), a small pool, and the automatic
+// policy, which runs these small worlds on the direct model, as the
+// control arm.
+var schedWorkerCounts = []int{1, 3, 0}
 
 // TestScheduledFuzz re-runs the full oracle suite — delivery semantics
 // plus synchronizability certification — with the transport's M:N rank
@@ -64,12 +66,13 @@ func TestScheduledContainerWorkloads(t *testing.T) {
 
 // TestScheduledCaseRoundtrip pins the repro-string form of the Workers
 // knob: non-zero worker counts must round-trip through String/ParseCase
-// (a shrunk scheduled failure has to reproduce as a scheduled run), and
-// zero must stay invisible so existing repro commands are unchanged.
+// (a shrunk scheduled failure has to reproduce as a scheduled run),
+// zero must stay invisible so existing repro commands are unchanged,
+// and a negative count, which the transport rejects, must not parse.
 func TestScheduledCaseRoundtrip(t *testing.T) {
 	c := FromSeed(7)
 	c.Scheme = machine.Schemes[0]
-	if got := c.String(); len(got) > 0 && containsWorkers(got) {
+	if got := c.String(); strings.Contains(got, "workers=") {
 		t.Fatalf("zero Workers leaked into repro string %q", got)
 	}
 	c.Workers = 3
@@ -80,13 +83,8 @@ func TestScheduledCaseRoundtrip(t *testing.T) {
 	if parsed != c {
 		t.Fatalf("roundtrip mismatch:\n  want %+v\n  got  %+v", c, parsed)
 	}
-}
-
-func containsWorkers(s string) bool {
-	for i := 0; i+8 <= len(s); i++ {
-		if s[i:i+8] == "workers=" {
-			return true
-		}
+	bad := strings.Replace(c.String(), "workers=3", "workers=-1", 1)
+	if _, err := ParseCase(bad); err == nil {
+		t.Fatalf("ParseCase(%q) accepted a negative worker count", bad)
 	}
-	return false
 }

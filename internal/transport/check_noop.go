@@ -29,4 +29,4 @@ func (s *scheduler) checkSchedDequeue(machine.Rank) {}
 
 func (s *scheduler) checkSchedTokens() {}
 
-func (s *scheduler) checkSchedDoubleReady(machine.Rank) {}
+func (ib *Inbox) checkReadyFoundWaiting(bool) {}

@@ -136,52 +136,41 @@ func poisonPayload(b []byte) {
 	}
 }
 
-// checkSchedEnqueue asserts a rank is never placed on a run queue it is
-// already on (a double-enqueue would eventually double-grant its gate
-// and deadlock the dispatcher). Called under the scheduler mutex.
+// checkSchedEnqueue asserts a rank is never placed on the run queue
+// while it is already on it (a double-enqueue would eventually
+// double-grant its gate and deadlock the dispatcher), nor after it
+// exited. Called under the scheduler mutex.
 func (s *scheduler) checkSchedEnqueue(r machine.Rank) {
-	if s.inQueue == nil {
-		s.inQueue = make([]bool, len(s.state))
-	}
-	checkf(!s.inQueue[r], "scheduler: rank %d enqueued while already queued", r)
+	checkf(s.state[r] != rsQueued, "scheduler: rank %d enqueued while already queued", r)
 	checkf(s.state[r] != rsExited, "scheduler: exited rank %d enqueued", r)
-	s.inQueue[r] = true
 }
 
-// checkSchedDequeue asserts a dispatched rank actually had a queue
-// entry and was in the queued state — the pop side of the
-// double-enqueue audit.
+// checkSchedDequeue asserts a dispatched rank was in the queued state —
+// the pop side of the double-enqueue audit.
 func (s *scheduler) checkSchedDequeue(r machine.Rank) {
-	checkf(s.inQueue != nil && s.inQueue[r],
-		"scheduler: rank %d dispatched without a live queue entry", r)
 	checkf(s.state[r] == rsQueued,
 		"scheduler: dispatched rank %d in state %d, want queued", r, s.state[r])
-	s.inQueue[r] = false
 }
 
 // checkSchedTokens asserts worker-token conservation after a scheduler
-// transition: tokens are never minted or lost, and the queue length
-// accounting matches its counter. Called under the scheduler mutex.
+// transition: tokens are never minted or lost, and no rank waits on the
+// run queue while a token sits free. Called under the scheduler mutex.
 func (s *scheduler) checkSchedTokens() {
 	checkf(s.avail >= 0 && s.busy >= 0,
 		"scheduler: negative token count (avail %d, busy %d)", s.avail, s.busy)
 	checkf(s.avail+s.busy == s.workers,
 		"scheduler: token conservation violated: %d avail + %d busy != %d workers",
 		s.avail, s.busy, s.workers)
-	n := 0
-	for i := range s.shards {
-		n += len(s.shards[i].buf) - s.shards[i].head
-	}
-	checkf(n == s.queued,
-		"scheduler: run-queue accounting out of balance: cached %d, actual %d", s.queued, n)
-	checkf(!(s.queued > 0 && s.avail > 0),
+	checkf(!(s.queue.len() > 0 && s.avail > 0),
 		"scheduler: %d rank(s) stranded on the run queue with %d free worker token(s)",
-		s.queued, s.avail)
+		s.queue.len(), s.avail)
 }
 
-// checkSchedDoubleReady flags a ready() for a rank that is already
-// queued — two wakes for one park episode, which the pstate CAS
-// protocol is supposed to make impossible.
-func (s *scheduler) checkSchedDoubleReady(r machine.Rank) {
-	checkf(false, "scheduler: double ready for queued rank %d", r)
+// checkReadyFoundWaiting asserts that the scheduler's ready() found the
+// rank it woke waiting. A rank gives up its token before it publishes a
+// park, so only the forced wake of a poisoned world may find it
+// running, queued or exited.
+func (ib *Inbox) checkReadyFoundWaiting(waiting bool) {
+	checkf(waiting || ib.poisoned.Load(),
+		"scheduler: ready for rank %d, which is not waiting, outside a poisoned world", ib.self)
 }

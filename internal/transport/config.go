@@ -61,9 +61,9 @@ func WithComputeScale(f func(machine.Rank) float64) ConfigOption {
 }
 
 // WithWorkers selects the execution model: a positive n forces the M:N
-// rank scheduler with n worker tokens, -1 forces the direct
-// goroutine-per-rank model, and 0 (the default) picks automatically by
-// world size (see Config.Workers and DESIGN.md §15).
+// rank scheduler with n worker tokens, and 0 (the default) picks the
+// scheduler or the direct goroutine-per-rank model by world size and
+// wire (see Config.Workers and DESIGN.md §15).
 func WithWorkers(n int) ConfigOption {
 	return func(c *Config) { c.Workers = n }
 }

@@ -88,7 +88,10 @@ func (h *packetHeap) popMin() *Packet {
 // consumer-private per-tag min-heaps on virtual arrival and pops from
 // those. Blocking receives spin briefly (re-absorbing between
 // yields) and then park on a one-token wake channel that producers post
-// to only when they observe the parked state.
+// to only when they observe the parked state. Under the M:N scheduler
+// that channel is the rank's scheduler gate: a scheduled rank gives up
+// its worker token before it parks, and the wake it receives is the
+// grant of a new one.
 type Inbox struct {
 	// head is the stack of pushed-but-unabsorbed packets, newest first,
 	// linked through Packet.next. Producers only ever CAS a new packet
@@ -96,19 +99,21 @@ type Inbox struct {
 	// out, so no node is unlinked while a producer may hold it (no ABA).
 	head atomic.Pointer[Packet]
 
-	// sched/self route the park protocol to the world's M:N rank
-	// scheduler when one is active: producers that win the unpark CAS
-	// call sched.ready(self) instead of posting a channel token, and the
-	// consumer parks by donating its worker token back to the scheduler.
-	// sched is nil under the direct goroutine-per-rank model.
+	// sched/self route the park protocol through the world's M:N rank
+	// scheduler when one is active: the consumer releases its worker
+	// token before it parks, and a producer that wins the unpark CAS
+	// calls sched.ready(self), which grants a token through wake. sched
+	// is nil under the direct goroutine-per-rank model.
 	sched *scheduler
 	self  machine.Rank
 
 	// pstate/wake implement the park protocol. The consumer publishes
 	// pParked, re-checks for data, then receives on wake; a producer
-	// that CASes pParked→pIdle owns the transition and sends exactly
-	// one token. wake is created by the consumer before its first park
-	// and is published to producers by the pstate store.
+	// that CASes pParked→pIdle owns the transition and owes exactly one
+	// wake (see wakeOwner). Under the direct model wake is created by
+	// the consumer before its first park and is published to producers
+	// by the pstate store; under the scheduler it is the rank's gate,
+	// set when the world is built.
 	pstate atomic.Int32
 	wake   chan struct{}
 
@@ -196,20 +201,30 @@ func (ib *Inbox) Push(p *Packet) {
 var testLoseWakeup func(machine.Rank) bool
 
 // signal wakes the owning rank after a push if it is parked: the
-// producer that wins the pParked→pIdle CAS owes exactly one wake — a
-// channel token under the direct model, a scheduler ready() under the
-// M:N model.
+// producer that wins the pParked→pIdle CAS owes exactly one wake.
 func (ib *Inbox) signal() {
 	if ib.pstate.Load() == pParked && ib.pstate.CompareAndSwap(pParked, pIdle) {
 		if testLoseWakeup != nil && testLoseWakeup(ib.self) {
 			return
 		}
 		ib.wakeups.Add(1)
-		if ib.sched != nil {
-			ib.sched.ready(ib.self)
-		} else {
-			ib.wake <- struct{}{}
-		}
+		ib.wakeOwner()
+	}
+}
+
+// wakeOwner delivers the wake owed to the parked owner: a scheduler
+// ready(), which grants the rank a worker token through wake or queues
+// it for one, or under the direct model a token on wake. Outside a
+// poisoned world the CAS protocol leaves wake empty whenever a wake is
+// owed; see poison for the one wake that may come on top.
+func (ib *Inbox) wakeOwner() {
+	if ib.sched != nil {
+		ib.checkReadyFoundWaiting(ib.sched.ready(ib.self))
+		return
+	}
+	select {
+	case ib.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -338,7 +353,9 @@ func (ib *Inbox) has(tags []Tag) bool {
 // here and then drains whichever moved. The wait is adaptive: re-absorb
 // and yield up to parkSpins times (cheap when the producer is about to
 // publish), then publish the parked state and sleep on the wake channel
-// until a producer posts its one token. It reports false only after the
+// until a producer posts its one token. A scheduled rank releases its
+// worker token before it publishes the parked state, and the wake it
+// receives is a new token's grant. It reports false only after the
 // inbox has been poisoned; the watchdog sees the rank blocked on
 // tags[0].
 func (ib *Inbox) WaitAny(tags ...Tag) bool {
@@ -365,9 +382,13 @@ func (ib *Inbox) WaitAny(tags ...Tag) bool {
 			runtime.Gosched()
 			continue
 		}
-		if ib.sched == nil && ib.wake == nil {
+		if ib.wake == nil {
 			ib.wake = make(chan struct{}, 1)
 		}
+		// Release before publishing: once pParked is visible a
+		// producer may ready the rank, and ready must find it holding
+		// no token.
+		ib.sched.release(ib.self)
 		ib.pstate.Store(pParked)
 		ib.waiting.Store(true)
 		// Re-check after publishing pParked: a producer that pushed
@@ -376,38 +397,32 @@ func (ib *Inbox) WaitAny(tags ...Tag) bool {
 		// token. Sequentially consistent atomics rule out the window
 		// where both sides miss each other.
 		ib.absorb()
-		if ib.has(tags) {
+		if found := ib.has(tags); found || ib.poisoned.Load() {
 			ib.unpark()
-			ib.spinHits++
-			return true
-		}
-		if ib.poisoned.Load() {
-			ib.unpark()
-			return false
+			if found {
+				ib.spinHits++
+			}
+			return found
 		}
 		ib.parks++
-		if ib.sched != nil {
-			ib.sched.park(ib.self)
-		} else {
-			<-ib.wake
-		}
+		<-ib.wake
 		ib.waiting.Store(false)
 		spins = 0
 	}
 }
 
-// unpark retracts a published park after the pre-sleep recheck found
-// data (or poison). If a producer already won the pParked→pIdle CAS it
-// owes exactly one wake: consume the channel token (so a future park
-// cannot wake spuriously), or cancel the in-flight scheduler ready.
+// unpark takes back a published park after the pre-sleep recheck found
+// data (or poison). If the rank wins the pParked→pIdle CAS back, no
+// wake is owed and a scheduled rank re-acquires the token it released.
+// Otherwise a producer won it first and owes exactly one wake: receive
+// it (so a future park cannot wake spuriously) — under the scheduler,
+// that wake is the token grant.
 func (ib *Inbox) unpark() {
 	ib.waiting.Store(false)
-	if !ib.pstate.CompareAndSwap(pParked, pIdle) {
-		if ib.sched != nil {
-			ib.sched.discard(ib.self)
-		} else {
-			<-ib.wake
-		}
+	if ib.pstate.CompareAndSwap(pParked, pIdle) {
+		ib.sched.acquire(ib.self)
+	} else {
+		<-ib.wake
 	}
 }
 
@@ -488,32 +503,18 @@ func (ib *Inbox) spun() bool {
 // poison makes every future WaitAny fail and wakes the receiver if one
 // is parked. Called by the deadlock watchdog only. The unpark CAS is the
 // same protocol producers use, so poison and Push can never both owe a
-// token for one park. If the CAS finds the parked
-// state already claimed but the rank still reports itself waiting, the
-// wake that claim owed was lost — the bug class the mutation smoke
-// seeds — and poison forces a wake anyway, so a poisoned run always
-// unwinds into a DeadlockError instead of hanging on a stranded park.
-// A force into a healthy run is a spurious wake the re-check loop
-// absorbs harmlessly.
+// wake for one park. If the CAS finds the parked state already claimed
+// but the rank still reports itself waiting, the wake that claim owed
+// may have been lost — the bug class the mutation smoke seeds — and
+// poison forces one anyway, so a poisoned run always unwinds into a
+// DeadlockError instead of hanging on a stranded park. When the owed
+// wake was not lost, the second one adds nothing: the scheduler finds
+// the rank no longer waiting, and the direct model finds the channel
+// full or the rank re-checking in a loop that now sees the poison.
 func (ib *Inbox) poison() {
 	ib.poisoned.Store(true)
-	if ib.pstate.CompareAndSwap(pParked, pIdle) {
-		if ib.sched != nil {
-			ib.sched.ready(ib.self)
-		} else {
-			ib.wake <- struct{}{}
-		}
-		return
-	}
-	if ib.waiting.Load() {
-		if ib.sched != nil {
-			ib.sched.forceWake(ib.self)
-		} else if w := ib.wake; w != nil {
-			select {
-			case w <- struct{}{}:
-			default:
-			}
-		}
+	if ib.pstate.CompareAndSwap(pParked, pIdle) || ib.waiting.Load() {
+		ib.wakeOwner()
 	}
 }
 

@@ -337,9 +337,9 @@ func (p *Proc) Absorb(pkt *Packet) { p.absorb(pkt) }
 
 // Yield cedes the rank's execution slot to another runnable rank.
 // Under the M:N scheduler it donates the calling rank's worker token to
-// a queued rank (re-queueing the caller behind it) whenever one is
-// waiting; otherwise — direct model, or nobody waiting — it yields the
-// OS thread. A user loop that polls a lazy mailbox's TestEmpty must
+// the rank at the head of the run queue, re-queueing the caller at its
+// tail, whenever one is waiting; otherwise — direct model, or nobody
+// waiting — it yields the OS thread. A user loop that polls a lazy mailbox's TestEmpty must
 // call this instead of runtime.Gosched on its idle path: a
 // token-holding spinner would otherwise starve the very ranks whose
 // messages it polls for. The mailboxes' own waits park in WaitAny.

@@ -46,8 +46,8 @@ type Config struct {
 	// wire run under the M:N rank scheduler with one worker token per
 	// host core (GOMAXPROCS); smaller worlds and real-time wires keep
 	// the direct goroutine-per-rank model. A positive value forces the
-	// scheduler with that many worker tokens (any world size, any wire);
-	// -1 forces the direct model. See DESIGN.md §15.
+	// scheduler with that many worker tokens (any world size, any
+	// wire). Run rejects a negative value. See DESIGN.md §15.
 	Workers int
 	// Wire selects the transport backend below the inboxes: nil (the
 	// default) is the virtual-time SimWire; LocalWire runs the same
@@ -130,8 +130,9 @@ type Report struct {
 	// seconds since the run epoch (real-time wires — LocalWire, TCPWire).
 	Wall bool
 	// Sched is the M:N rank scheduler's own metric snapshot (worker
-	// utilization, handoff/steal counts, ready-queue depth) when the run
-	// used one; the zero Snapshot otherwise. Metrics() folds it in.
+	// utilization, grant/handoff/yield counts, ready-queue depth) when
+	// the run used one; the zero Snapshot otherwise. Metrics() folds it
+	// in.
 	Sched obs.Snapshot
 	// Wire is the wire backend's own metric snapshot, taken after Finish
 	// (TCPWire: frames, bytes and writes through its send queues, window
@@ -241,14 +242,21 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 		realtime: wire.RealTime(),
 	}
 	w.pool.init()
-	if n := resolveWorkers(cfg.Workers, size, w.realtime); n > 0 {
+	n, err := resolveWorkers(cfg.Workers, size, w.realtime)
+	if err != nil {
+		return nil, err
+	}
+	if n > 0 {
 		w.sched = newScheduler(size, n)
 	}
 	w.inboxes = make([]*Inbox, size)
 	for i := range w.inboxes {
 		ib := NewInbox(size)
 		ib.self = machine.Rank(i)
-		ib.sched = w.sched
+		if w.sched != nil {
+			ib.sched = w.sched
+			ib.wake = w.sched.gates[i]
+		}
 		w.inboxes[i] = ib
 	}
 	w.dead = make([]*RankDeadState, size)
@@ -472,15 +480,15 @@ const schedAutoWorlds = 1024
 
 // resolveWorkers maps Config.Workers to a worker-token count: 0 means
 // none (direct model). See Config.Workers for the policy.
-func resolveWorkers(cfgWorkers, size int, realtime bool) int {
+func resolveWorkers(cfgWorkers, size int, realtime bool) (int, error) {
 	switch {
-	case cfgWorkers > 0:
-		return cfgWorkers
 	case cfgWorkers < 0:
-		return 0
+		return 0, fmt.Errorf("transport: Config.Workers = %d, want 0 (automatic) or a positive token count", cfgWorkers)
+	case cfgWorkers > 0:
+		return cfgWorkers, nil
 	case size > schedAutoWorlds && !realtime:
-		return runtime.GOMAXPROCS(0)
+		return runtime.GOMAXPROCS(0), nil
 	default:
-		return 0
+		return 0, nil
 	}
 }

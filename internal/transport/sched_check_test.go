@@ -11,9 +11,10 @@ import (
 // Fixtures for the ygmcheck scheduler audits (`go test -tags
 // ygmcheck`). The scheduler's correctness rests on three structural
 // invariants — no rank queued twice, worker tokens conserved, no ready
-// rank stranded while tokens sit free — and on the one-ready-per-park
-// protocol. These fixtures seed a violation of each and require the
-// audit layer to panic, proving the assertions can actually fire.
+// rank stranded while tokens sit free — and on the park protocol's
+// promise that a ready() finds its rank waiting. These fixtures seed a
+// violation of each and require the audit layer to panic, proving the
+// assertions can actually fire.
 
 // TestCheckSchedCleanRunPasses drives a real scheduled world under the
 // full audit layer: the positive control showing the invariants hold on
@@ -33,7 +34,7 @@ func TestCheckSchedCleanRunPasses(t *testing.T) {
 	}
 }
 
-// TestCheckSchedDoubleEnqueuePanics seeds the bug the inQueue audit
+// TestCheckSchedDoubleEnqueuePanics seeds the bug the enqueue audit
 // exists for: placing a rank on the run queue while it is already
 // queued (which would eventually double-grant its gate).
 func TestCheckSchedDoubleEnqueuePanics(t *testing.T) {
@@ -99,29 +100,17 @@ func TestCheckSchedStrandedRankPanics(t *testing.T) {
 	})
 }
 
-// TestCheckSchedQueueAccountingPanics desyncs the cached run-queue
-// length from the shards' actual contents.
-func TestCheckSchedQueueAccountingPanics(t *testing.T) {
-	s := newScheduler(8, 1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.avail = 0
-	s.busy = 1
-	s.enqueueLocked(3)
-	s.queued++ // cached counter now claims an entry the shards don't hold
-	mustCheckPanic(t, "run-queue accounting out of balance", func() {
-		s.checkSchedTokens()
-	})
-}
-
-// TestCheckSchedDoubleReadyPanics seeds two wakes for one park episode:
-// ready() on a rank already in the queued state. The pstate CAS
-// protocol makes this unreachable; the audit turns a protocol breach
-// into a panic instead of a silently buffered extra wake.
-func TestCheckSchedDoubleReadyPanics(t *testing.T) {
+// TestCheckSchedReadyNotWaitingPanics seeds a wake for a rank that still
+// holds its token. A rank releases its token before it publishes a
+// park, so outside a poisoned world this is a protocol breach; the
+// forced wake of a poisoned world may find the rank running, and the
+// audit lets that one through.
+func TestCheckSchedReadyNotWaitingPanics(t *testing.T) {
 	s := newScheduler(8, 2)
-	s.state[5] = rsQueued
-	mustCheckPanic(t, "double ready for queued rank 5", func() {
-		s.ready(5)
-	})
+	s.acquire(5) // rank 5 now runs on a token
+	ib := NewInbox(8)
+	ib.sched, ib.self, ib.wake = s, 5, s.gates[5]
+	mustCheckPanic(t, "ready for rank 5, which is not waiting", ib.wakeOwner)
+	ib.poisoned.Store(true)
+	ib.wakeOwner()
 }

@@ -120,7 +120,8 @@ func TestSchedulerCompletesCollectives(t *testing.T) {
 // one matching packet (unique tag per edge per round), which makes the
 // simulated makespan a pure function of the message DAG — identical
 // under any host interleaving, hence byte-identical between the
-// scheduled and direct models.
+// scheduled and direct models. The 64-rank world runs direct under the
+// automatic policy.
 func TestSchedulerMakespanMatchesDirect(t *testing.T) {
 	body := func(p *Proc) error {
 		n := p.WorldSize()
@@ -133,7 +134,7 @@ func TestSchedulerMakespanMatchesDirect(t *testing.T) {
 		return nil
 	}
 	topo := machine.New(8, 8)
-	direct := runWithTimeout(t, time.Minute, NewConfig(topo, WithSeed(7), WithWorkers(-1)), body)
+	direct := runWithTimeout(t, time.Minute, NewConfig(topo, WithSeed(7)), body)
 	sched := runWithTimeout(t, time.Minute, NewConfig(topo, WithSeed(7), WithWorkers(3)), body)
 	if direct.Makespan() != sched.Makespan() {
 		t.Fatalf("makespan diverged: direct %.12g, scheduled %.12g",
@@ -249,8 +250,9 @@ func TestFanInExactlyOnce(t *testing.T) {
 // producer wins the park CAS but its wake never arrives — through the
 // testLoseWakeup hook and requires the run to unwind into a
 // DeadlockError via the watchdog's force-wake path rather than hang
-// forever, under both execution models. The clean control arm proves
-// the workload itself is sound.
+// forever, under both execution models (the 4-rank world runs direct
+// under the automatic policy). The clean control arm proves the
+// workload itself is sound.
 func TestLostWakeupUnwindsNotHangs(t *testing.T) {
 	const victim = machine.Rank(3)
 	body := func(p *Proc) error {
@@ -273,7 +275,7 @@ func TestLostWakeupUnwindsNotHangs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-	}{{"direct", -1}, {"scheduled", 2}} {
+	}{{"direct", 0}, {"scheduled", 2}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := NewConfig(machine.New(1, 4),
 				WithSeed(1), WithWorkers(tc.workers), WithWatchdogInterval(20*time.Millisecond))
@@ -308,36 +310,91 @@ func TestLostWakeupUnwindsNotHangs(t *testing.T) {
 
 // TestSchedulerWorkersResolution pins the auto-enable policy: small and
 // real-time worlds stay on the direct model, large simulated worlds get
-// GOMAXPROCS workers, and explicit settings win in both directions.
+// GOMAXPROCS workers, an explicit token count wins on any world, and a
+// negative count is an error that Run returns before starting a rank.
 func TestSchedulerWorkersResolution(t *testing.T) {
 	for _, tc := range []struct {
 		cfg      int
 		size     int
 		realtime bool
 		want     int
+		wantErr  bool
 	}{
-		{0, 64, false, 0},
-		{0, schedAutoWorlds, false, 0},
-		{0, schedAutoWorlds + 1, false, runtime.GOMAXPROCS(0)},
-		{0, schedAutoWorlds + 1, true, 0},
-		{3, 64, false, 3},
-		{3, 64, true, 3},
-		{-1, schedAutoWorlds + 1, false, 0},
+		{0, 64, false, 0, false},
+		{0, schedAutoWorlds, false, 0, false},
+		{0, schedAutoWorlds + 1, false, runtime.GOMAXPROCS(0), false},
+		{0, schedAutoWorlds + 1, true, 0, false},
+		{3, 64, false, 3, false},
+		{3, 64, true, 3, false},
+		{-1, 64, false, 0, true},
 	} {
-		got := resolveWorkers(tc.cfg, tc.size, tc.realtime)
-		if got != tc.want {
-			t.Errorf("resolveWorkers(%d, %d, %v) = %d, want %d",
-				tc.cfg, tc.size, tc.realtime, got, tc.want)
+		got, err := resolveWorkers(tc.cfg, tc.size, tc.realtime)
+		if got != tc.want || (err != nil) != tc.wantErr {
+			t.Errorf("resolveWorkers(%d, %d, %v) = %d, %v; want %d, error %v",
+				tc.cfg, tc.size, tc.realtime, got, err, tc.want, tc.wantErr)
 		}
+	}
+	ran := false
+	if _, err := Run(NewConfig(machine.New(1, 4), WithWorkers(-1)), func(*Proc) error {
+		ran = true
+		return nil
+	}); err == nil || ran {
+		t.Fatalf("Run with Workers -1: err %v, body ran %v; want an error and no body", err, ran)
 	}
 }
 
-// TestSchedulerYieldFairness is the regression test for the run-queue
-// starvation bug: many yielding pollers whose home shards collide must
-// not be able to monopolize dispatch while ready ranks sit queued in
-// other shards. Ranks 1 and 9 share home shard 1 (9 & 7 == 1) and
-// ping-pong yields; the parked ranks they are polling for live in other
-// shards and must still be granted.
+// TestSchedulerGrantsInReadyOrder pins the run queue's order: with the
+// only token held, ranks readied as 9, 1, 2 are granted that token in
+// that order as each holder releases it. A rank is granted within
+// `queue length` releases whichever rank releases.
+func TestSchedulerGrantsInReadyOrder(t *testing.T) {
+	s := newScheduler(16, 1)
+	s.acquire(0) // takes the only token without blocking
+	order := []machine.Rank{9, 1, 2}
+	for _, r := range order {
+		s.ready(r)
+	}
+	holder := machine.Rank(0)
+	for i, want := range order {
+		s.exit(holder)
+		granted := machine.Rank(-1)
+		for r := range s.gates {
+			select {
+			case <-s.gates[r]:
+				granted = machine.Rank(r)
+			default:
+			}
+		}
+		if granted != want {
+			t.Fatalf("release %d granted rank %d, want %d (ready order %v)", i+1, granted, want, order)
+		}
+		holder = granted
+	}
+}
+
+// TestSchedulerAcquireTakesForcedGrant covers a poisoned world's forced
+// wake landing on a park the rank then takes back: the rank released
+// its token, the forced ready() granted it a new one, and the rank's
+// own acquire must take that grant instead of a second token.
+func TestSchedulerAcquireTakesForcedGrant(t *testing.T) {
+	s := newScheduler(8, 2)
+	s.acquire(3)
+	s.release(3)
+	if !s.ready(3) {
+		t.Fatal("ready did not find the released rank waiting")
+	}
+	s.acquire(3) // must not block: the grant is already on the gate
+	if s.avail != 1 || s.busy != 1 {
+		t.Fatalf("after the forced grant and acquire: avail %d, busy %d; want 1 and 1", s.avail, s.busy)
+	}
+}
+
+// TestSchedulerYieldFairness is the regression test for run-queue
+// starvation: two pollers that ping-pong the only token through
+// Proc.Yield must not be able to monopolize dispatch while the ranks
+// they poll for sit queued. Ranks 1 and 9 yield to each other; the
+// FIFO queue puts each yielder behind every rank readied before it, so
+// the parked repliers are still granted.
 func TestSchedulerYieldFairness(t *testing.T) {
 	poller := func(p *Proc, tag Tag, want int) {
 		for got := 0; got < want; {
@@ -359,8 +416,8 @@ func TestSchedulerYieldFairness(t *testing.T) {
 			switch r := int(p.Rank()); r {
 			case 1:
 				// Kick every worker rank (most are already parked in
-				// their Recv, so these pushes ready them into their
-				// scattered home shards), then poll for the replies.
+				// their Recv, so these pushes queue them for the
+				// token), then poll for the replies.
 				for d := 0; d < n; d++ {
 					if d != 1 && d != 9 {
 						p.Send(machine.Rank(d), TagUser, []byte{1})
