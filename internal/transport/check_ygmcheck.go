@@ -5,6 +5,7 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"ygm/internal/machine"
 )
@@ -174,3 +175,12 @@ func (ib *Inbox) checkReadyFoundWaiting(waiting bool) {
 	checkf(waiting || ib.poisoned.Load(),
 		"scheduler: ready for rank %d, which is not waiting, outside a poisoned world", ib.self)
 }
+
+// hostReads counts host-clock readings (hostSince calls) across the
+// process, so tests can pin the real-time wires' clock budget.
+var hostReads atomic.Uint64
+
+func countHostRead() { hostReads.Add(1) }
+
+// hostClockReads returns the readings counted so far.
+func hostClockReads() uint64 { return hostReads.Load() }

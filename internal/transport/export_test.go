@@ -1,8 +1,10 @@
 package transport
 
-// Hooks for the external tests of the TCP send queue. Both ranks of
-// those tests live in one process, so a test body can reach into its own
-// rank's world.
+import "ygm/internal/machine"
+
+// Hooks for the external tests of the TCP wire and the clock budget.
+// Both ranks of the TCP tests live in one process, so a test body can
+// reach into its own rank's world.
 
 // RaceEnabled reports whether the race detector is compiled in.
 const RaceEnabled = raceEnabled
@@ -38,3 +40,23 @@ func TCPSendIdle(p *Proc) bool {
 	}
 	return true
 }
+
+// QueueRaw appends b verbatim to this process's send queue toward dst,
+// as if it were whole frames, so a test can feed dst's reader a crafted
+// stream.
+func QueueRaw(p *Proc, dst machine.Rank, b []byte) {
+	peer := p.world.wire.(*TCPWire).peers[dst]
+	peer.mu.Lock()
+	peer.pending = append(peer.pending, b...)
+	peer.mu.Unlock()
+	peer.work.Signal()
+}
+
+// HostClockReads returns the host-clock readings counted in this
+// process so far; a ygmcheck build counts them, a default build reports
+// 0.
+func HostClockReads() uint64 { return hostClockReads() }
+
+// TimeParks gives a standalone inbox a real-time clock, as Run does for
+// a real-time wire's ranks, so its parks are timed.
+func TimeParks(ib *Inbox) { ib.rt = &rtClock{epoch: hostNow()} }

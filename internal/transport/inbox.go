@@ -117,6 +117,10 @@ type Inbox struct {
 	pstate atomic.Int32
 	wake   chan struct{}
 
+	// rt is the owning rank's real-time clock, nil on a simulated wire:
+	// a park is the one wait the rank's clock accounts (see sleep).
+	rt *rtClock
+
 	// waiting/waitTag expose whether the owning rank is parked inside
 	// WaitAny, and on which tag — the deadlock watchdog's blocked
 	// signal. poisoned makes WaitAny return false so blocked ranks can
@@ -353,7 +357,8 @@ func (ib *Inbox) has(tags []Tag) bool {
 // here and then drains whichever moved. The wait is adaptive: re-absorb
 // and yield up to parkSpins times (cheap when the producer is about to
 // publish), then publish the parked state and sleep on the wake channel
-// until a producer posts its one token. A scheduled rank releases its
+// until a producer posts its one token; only that sleep counts as the
+// rank's wait on a real-time wire (see sleep). A scheduled rank releases its
 // worker token before it publishes the parked state, and the wake it
 // receives is a new token's grant. It reports false only after the
 // inbox has been poisoned; the watchdog sees the rank blocked on
@@ -405,10 +410,23 @@ func (ib *Inbox) WaitAny(tags ...Tag) bool {
 			return found
 		}
 		ib.parks++
-		<-ib.wake
+		ib.sleep()
 		ib.waiting.Store(false)
 		spins = 0
 	}
+}
+
+// sleep blocks on the wake channel. Under a real-time wire it reads the
+// host clock on either side and adds the interval to the rank's wait:
+// two readings per park, none for a wait the spin phase satisfied.
+func (ib *Inbox) sleep() {
+	if ib.rt == nil {
+		<-ib.wake
+		return
+	}
+	t0 := ib.rt.now()
+	<-ib.wake
+	ib.rt.wait += ib.rt.now() - t0
 }
 
 // unpark takes back a published park after the pre-sleep recheck found

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"time"
 
 	"ygm/internal/machine"
 	"ygm/internal/netsim"
@@ -25,8 +26,9 @@ type Proc struct {
 	// TCPWire): the rank's clock is then host seconds since the world
 	// epoch, every netsim model charge is skipped (the costs are real
 	// instructions and real wire latency), and wait time is measured
-	// around blocking receives. Nil on the simulated path, so the hot
-	// paths pay one predictable nil check.
+	// around the rank's parks, which its inbox times (Inbox.sleep). Nil
+	// on the simulated path, so the hot paths pay one predictable nil
+	// check.
 	rt *rtClock
 
 	computeScale float64
@@ -65,19 +67,24 @@ type chanKey struct {
 	tag Tag
 }
 
-// rtClock is a rank's real-time clock state: the world epoch lives on
-// the World; wait accumulates measured host seconds spent parked in
-// blocking receives, so Busy = Now - wait mirrors the netsim clock's
-// busy/wait split in measured form.
+// rtClock is a rank's real-time clock state, shared by the rank and its
+// inbox: epoch is the world's, and wait accumulates the host seconds the
+// rank spent parked on its inbox's wake channel — the inbox reads the
+// clock on either side of each park and nowhere else — so Busy = Now -
+// wait mirrors the netsim clock's busy/wait split in measured form. A
+// wait satisfied while spinning reads no clock and counts as busy.
 type rtClock struct {
-	wait float64
+	epoch time.Time
+	wait  float64
 }
+
+func (c *rtClock) now() float64 { return hostSince(c.epoch) }
 
 // now returns this rank's clock in seconds: virtual netsim time on the
 // simulated path, host seconds since the world epoch in real time.
 func (p *Proc) now() float64 {
 	if p.rt != nil {
-		return hostSince(p.world.epoch)
+		return p.rt.now()
 	}
 	return p.clock.Now()
 }
@@ -88,7 +95,7 @@ func (p *Proc) now() float64 {
 // instead of drifting by the interval between two clock reads.
 func (p *Proc) clocks() (now, busy, wait float64) {
 	if p.rt != nil {
-		now = hostSince(p.world.epoch)
+		now = p.rt.now()
 		return now, now - p.rt.wait, p.rt.wait
 	}
 	return p.clock.Now(), p.clock.Busy(), p.clock.Wait()
@@ -283,19 +290,12 @@ func (p *Proc) Pending(tags ...Tag) bool {
 	return ib.has(tags)
 }
 
-// await parks the rank until one of tags has a packet, after a first
-// look found none. Real-time wires account wait by timing exactly this —
-// a receive that finds its packet waiting reads no clock.
+// await blocks the rank until one of tags has a packet, after a first
+// look found none. It reads no clock: under a real-time wire the inbox
+// times only the sleep of an actual park, so a wait that the spin phase
+// satisfies costs no reading and counts as busy.
 func (p *Proc) await(ib *Inbox, tags ...Tag) {
-	var t0 float64
-	if p.rt != nil {
-		t0 = p.now()
-	}
-	ok := ib.WaitAny(tags...)
-	if p.rt != nil {
-		p.rt.wait += p.now() - t0
-	}
-	if !ok {
+	if !ib.WaitAny(tags...) {
 		p.deadlockExit(tags[0])
 	}
 }
@@ -360,12 +360,13 @@ func (p *Proc) Yield() {
 // absorb applies arrival wait and receive overhead accounting for pkt.
 // Real-time wires skip the virtual accounting entirely: the stamp was
 // taken at or before the push on this host's monotonic clock, so the
-// packet has always "arrived", wait was measured around the blocking
-// pop, and the receive overhead is real work.
+// packet has always "arrived", wait was measured around the park, and
+// the receive overhead is real work. The flight recorder's receive
+// event carries that stamp, so an untraced receive reads no clock.
 func (p *Proc) absorb(pkt *Packet) {
 	if p.rt != nil {
 		p.stats.RecvMsgs++
-		p.rec.Record(obs.Event{Kind: obs.KRecv, T: p.now(), Peer: int32(pkt.Src), Tag: uint64(pkt.Tag), Size: int64(len(pkt.Payload))})
+		p.rec.Record(obs.Event{Kind: obs.KRecv, T: pkt.Arrive, Peer: int32(pkt.Src), Tag: uint64(pkt.Tag), Size: int64(len(pkt.Payload))})
 		if p.world.trace != nil {
 			p.world.trace.PacketReceived(pkt.Src, p.rank, pkt.Tag, len(pkt.Payload), p.now())
 		}

@@ -105,7 +105,8 @@ type World struct {
 
 // RankReport is one rank's outcome. Time/Busy/Wait are virtual netsim
 // seconds under a simulated wire and host seconds since the run epoch
-// under a real-time wire (see Report.Wall).
+// under a real-time wire (see Report.Wall), where Wait is the seconds
+// parked on the inbox's wake channel and Busy the rest.
 type RankReport struct {
 	Rank  machine.Rank
 	Time  float64 // final clock: virtual seconds, or wall seconds when Report.Wall
@@ -175,9 +176,10 @@ func (r *Report) Totals() Totals {
 // reported-rank count times makespan. This is the "core utilization"
 // quantity the paper's abstract claims the asynchronous collectives
 // improve. The ratio is well-defined in both time bases: under a
-// real-time wire Busy is measured wall time outside blocking receives,
-// so the quotient is the fraction of host time the ranks spent off the
-// park path rather than a netsim model quantity.
+// real-time wire Busy is measured wall time outside parks on the inbox
+// wake channel (a wait satisfied while spinning counts as busy), so the
+// quotient is the fraction of host time the ranks spent not parked
+// rather than a netsim model quantity.
 func (r *Report) Utilization() float64 {
 	ms := r.Makespan()
 	if ms == 0 {
@@ -319,7 +321,8 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 			}
 			p.cache.pool = &w.pool
 			if w.realtime {
-				p.rt = &rtClock{}
+				p.rt = &rtClock{epoch: w.epoch}
+				w.inboxes[r].rt = p.rt
 			}
 			if cfg.ComputeScale != nil {
 				if s := cfg.ComputeScale(r); s > 0 {

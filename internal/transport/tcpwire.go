@@ -148,9 +148,6 @@ type TCPWire struct {
 // the window plus the largest frame sent and are kept for reuse.
 type tcpPeer struct {
 	conn net.Conn
-	// sawGoodbye marks a clean end-of-stream, flipped by the reader; an
-	// EOF after it is a normal peer exit.
-	sawGoodbye atomic.Bool
 
 	mu sync.Mutex
 	// work wakes the writer when pending turns non-empty or done is set;
@@ -621,65 +618,85 @@ func (t *TCPWire) writeLoop(dst machine.Rank, peer *tcpPeer) {
 // the reader's own cache and stamped with the receiving host's clock;
 // the rank that recycles them returns them to its cache, with the
 // payload only for a kindPooled frame, and the shared pool carries them
-// back in batches.
+// back in batches. The clock is read once per buffer fill, after the
+// fill and before the first header it holds, and every frame parsed
+// from that fill carries the one stamp: stamps stay monotone on the
+// channel and were all taken before their packets were pushed.
 func (t *TCPWire) readLoop(src machine.Rank, peer *tcpPeer) {
 	defer t.readers.Done()
 	cache := poolCache{pool: &t.w.pool}
 	defer func() { t.readerPoolOps.Add(cache.shared) }()
 	br := bufio.NewReaderSize(peer.conn, 64<<10)
 	var hdr [9]byte
+	var arrive float64
 	for {
+		if br.Buffered() == 0 {
+			if _, err := br.Peek(1); err != nil {
+				t.readEnd(src, err)
+				return
+			}
+			arrive = hostSince(t.w.epoch)
+		}
 		if _, err := io.ReadFull(br, hdr[:4]); err != nil {
-			t.readEnd(src, peer, err)
+			t.readEnd(src, err)
 			return
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		if n < 1 || n > tcpMaxFrame {
-			t.readEnd(src, peer, fmt.Errorf("frame length %d out of range", n))
+			t.readEnd(src, fmt.Errorf("frame length %d out of range", n))
 			return
 		}
 		kind, err := br.ReadByte()
 		if err != nil {
-			t.readEnd(src, peer, err)
+			t.readEnd(src, err)
 			return
 		}
 		switch kind {
 		case kindMsg, kindPooled:
 			if n < 9 {
-				t.readEnd(src, peer, fmt.Errorf("short data frame (%d bytes)", n))
+				t.readEnd(src, fmt.Errorf("short data frame (%d bytes)", n))
 				return
 			}
 			if _, err := io.ReadFull(br, hdr[1:9]); err != nil {
-				t.readEnd(src, peer, err)
+				t.readEnd(src, err)
 				return
 			}
 			tag := Tag(binary.LittleEndian.Uint64(hdr[1:9]))
 			payload := cache.getBuf(int(n - 9))
 			if _, err := io.ReadFull(br, payload); err != nil {
-				t.readEnd(src, peer, err)
+				t.readEnd(src, err)
 				return
 			}
 			pkt := cache.getPkt()
 			pkt.Src = src
 			pkt.Tag = tag
-			pkt.Arrive = hostSince(t.w.epoch)
+			pkt.Arrive = arrive
 			pkt.Payload = payload
 			pkt.pooled = kind == kindPooled
 			t.w.inboxes[t.self].Push(pkt)
 		case kindGoodbye:
-			peer.sawGoodbye.Store(true)
+			// The goodbye is the stream's last frame: its sender
+			// half-closes right after it. So the stream's end — EOF, or
+			// this process tearing the socket down — is clean, and a
+			// malformed goodbye or a byte past it is corruption.
+			if n != 1 {
+				t.readEnd(src, fmt.Errorf("goodbye frame of %d bytes, want 1", n))
+			} else if _, err := br.ReadByte(); err == nil {
+				t.readEnd(src, errors.New("data after goodbye"))
+			}
+			return
 		default:
-			t.readEnd(src, peer, fmt.Errorf("unknown frame kind %d", kind))
+			t.readEnd(src, fmt.Errorf("unknown frame kind %d", kind))
 			return
 		}
 	}
 }
 
-// readEnd classifies a reader's exit: EOF after a goodbye is a clean
-// peer shutdown; anything else while the run is live is a wire fault
-// that poisons the local ranks.
-func (t *TCPWire) readEnd(src machine.Rank, peer *tcpPeer, err error) {
-	if peer.sawGoodbye.Load() || t.closing.Load() {
+// readEnd reports a reader's exit before a clean goodbye: while the run
+// is live it is a wire fault that poisons the local ranks; once this
+// process tears its sockets down it is expected.
+func (t *TCPWire) readEnd(src machine.Rank, err error) {
+	if t.closing.Load() {
 		return
 	}
 	t.w.WireFail(fmt.Errorf("tcp: stream from rank %d: %w", src, err))

@@ -358,3 +358,45 @@ func TestTCPSendQueueWriteFailureUnblocksSender(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestTCPGoodbyeEndsStream pins the goodbye as the last frame of a
+// stream. Rank 0 queues crafted bytes ahead of its real goodbye: a
+// goodbye frame whose length is not 1, or a well-formed goodbye followed
+// by a data frame. Either must reach rank 1 as a wire fault naming the
+// goodbye, not be taken for a clean end with the rest parsed as frames
+// or delivered. Rank 1 polls for at most 5 s, so a missed fault fails
+// the test instead of hanging it.
+func TestTCPGoodbyeEndsStream(t *testing.T) {
+	dataFrame := binary.LittleEndian.AppendUint32(nil, 9+1)
+	dataFrame = append(dataFrame, 6) // kindMsg
+	dataFrame = binary.LittleEndian.AppendUint64(dataFrame, uint64(tagQ))
+	dataFrame = append(dataFrame, 0xab)
+	for _, tc := range []struct {
+		name, want string
+		stream     []byte
+	}{
+		{"long goodbye", "goodbye frame of 2 bytes", []byte{2, 0, 0, 0, 7, 0}},
+		{"frame after goodbye", "data after goodbye", append([]byte{1, 0, 0, 0, 7}, dataFrame...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, errs := runTCPWorld(t, 2, func(p *transport.Proc) error {
+				if p.Rank() == 0 {
+					transport.QueueRaw(p, 1, tc.stream)
+					return nil
+				}
+				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+					p.AbortIfPeerFailed()
+					if pkt := p.Poll(tagQ); pkt != nil {
+						p.Recycle(pkt)
+						return fmt.Errorf("a frame after the goodbye was delivered")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				return fmt.Errorf("no wire fault within 5 s")
+			})
+			if errs[1] == nil || !strings.Contains(errs[1].Error(), tc.want) {
+				t.Fatalf("rank 1: got %v, want a wire fault containing %q", errs[1], tc.want)
+			}
+		})
+	}
+}

@@ -125,11 +125,14 @@ func hostNow() time.Time {
 }
 
 // hostSince returns the host seconds elapsed since epoch (a hostNow
-// value). Every per-packet timestamp of the real-time wires is taken
+// value). Every per-event timestamp of the real-time wires is taken
 // here: against an epoch that carries a monotonic reading, time.Since
 // reads the monotonic clock alone — about 0.6 of the cost of time.Now,
-// which reads the wall clock as well — and cannot step backwards.
+// which reads the wall clock as well — and cannot step backwards. The
+// budget is one reading per send, two per park and one per TCP buffer
+// fill; a ygmcheck build counts the readings (hostClockReads).
 func hostSince(epoch time.Time) float64 {
+	countHostRead()
 	return time.Since(epoch).Seconds() //ygmvet:ignore wallclock — as hostNow
 }
 
