@@ -22,13 +22,14 @@ func checkf(cond bool, format string, args ...any) {
 	}
 }
 
-// verify asserts the inbox's consumer-side structural invariants for one
-// tag: the per-tag heap is a valid min-heap on (Arrive, Src, seq) — so
-// pops always yield the earliest virtual arrival among absorbed packets
-// — and the cached depth equals the sum of all heap lengths. Only the
-// owning rank calls it (the heaps are consumer-private).
+// verify asserts the inbox's consumer-side structural invariants after
+// an operation on tag: tag's heap is a valid min-heap on (Arrive, Src,
+// seq) — so pops always yield the earliest virtual arrival among
+// absorbed packets — no two slots of the tag table hold one tag, and
+// the cached depth equals the sum of all heap lengths. Only the owning
+// rank calls it (the table is consumer-private).
 func (ib *Inbox) verify(tag Tag) {
-	if q, ok := ib.queues[tag]; ok {
+	if q := ib.heapFor(tag); q != nil {
 		h := *q
 		for i := 1; i < len(h); i++ {
 			parent := (i - 1) / 2
@@ -38,8 +39,12 @@ func (ib *Inbox) verify(tag Tag) {
 		}
 	}
 	total := 0
-	for _, q := range ib.queues {
-		total += len(*q)
+	for i := range ib.slots {
+		for j := i + 1; j < len(ib.slots); j++ {
+			checkf(ib.slots[i].tag != ib.slots[j].tag,
+				"inbox tag table holds tag %d in slots %d and %d", ib.slots[i].tag, i, j)
+		}
+		total += len(ib.slots[i].q)
 	}
 	checkf(total == ib.depth,
 		"inbox depth accounting out of balance: cached %d, actual %d", ib.depth, total)

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"math"
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 
 	"ygm/internal/machine"
 )
@@ -81,18 +83,42 @@ func (h *packetHeap) popMin() *Packet {
 	return p
 }
 
+// tagSlot is one resident entry of an inbox's tag table: the tag that
+// last claimed it and its merge heap, which may be empty.
+type tagSlot struct {
+	tag Tag
+	q   packetHeap
+}
+
 // Inbox is a rank's receive queue — the paper's mailbox: one queue that
 // every sender appends to. Producers — the sending ranks' goroutines, or
 // a wire's reader goroutines — push lock-free onto one intrusive stack;
-// the owning rank, the only consumer, absorbs the stack into
-// consumer-private per-tag min-heaps on virtual arrival and pops from
-// those. Blocking receives spin briefly (re-absorbing between
-// yields) and then park on a one-token wake channel that producers post
-// to only when they observe the parked state. Under the M:N scheduler
+// the owning rank, the only consumer, absorbs the stack into a
+// consumer-private table of per-tag min-heaps on virtual arrival and
+// pops from those. A rank's live tags are few (mailbox data,
+// termination, a collective, the current round's stages), so the table
+// is a slice scanned linearly whose slots stay resident. Blocking
+// receives spin briefly (re-absorbing between yields) and then park on
+// a one-token wake channel that producers post to only when they
+// observe the parked state. Under the M:N scheduler
 // that channel is the rank's scheduler gate: a scheduled rank gives up
 // its worker token before it parks, and the wake it receives is the
 // grant of a new one.
+//
+// The fields live in inboxFields; Inbox pads them to whole cache lines.
+// Producers CAS head on every push, so an inbox that shared a line with
+// its neighbour's would make every push to one rank contend with the
+// other rank's own consumer writes. The allocator starts objects of a
+// size that is a multiple of the line on a line boundary, so the pad
+// keeps each inbox on 64-byte lines of its own whatever the fields add
+// up to. The pad is never empty: Go lengthens a struct that ends in a
+// zero-size field.
 type Inbox struct {
+	inboxFields
+	_ [64 - unsafe.Sizeof(inboxFields{})%64]byte
+}
+
+type inboxFields struct {
 	// head is the stack of pushed-but-unabsorbed packets, newest first,
 	// linked through Packet.next. Producers only ever CAS a new packet
 	// in front of it and the consumer only ever swaps the whole stack
@@ -138,15 +164,12 @@ type Inbox struct {
 	pops     atomic.Uint64
 	wakeups  atomic.Uint64
 
-	// Consumer-private merge state: per-tag heaps keyed by tag, with
-	// emptied heaps retired to freeHeaps for reuse (round-matched
-	// exchanges mint a fresh tag every round). lastTag/lastQ memoize
-	// the last heap touched so steady single-tag traffic skips the map.
-	queues    map[Tag]*packetHeap
-	freeHeaps []*packetHeap
-	lastTag   Tag
-	lastQ     *packetHeap
-	depth     int
+	// Consumer-private merge state: the tag table. A slot keeps its
+	// tag and capacity when its heap empties, and a tag with no slot claims the first empty one (see
+	// enqueue), so the table never holds one tag twice and never grows
+	// past the peak number of tags queued at once.
+	slots []tagSlot
+	depth int
 	// maxDepth tracks the high-water mark of merged packets, a proxy
 	// for the receive-side memory pressure the mailbox capacity bounds.
 	maxDepth int
@@ -171,14 +194,7 @@ type Inbox struct {
 // idle, it costs the same few hundred bytes at 4 ranks and at 65,536 —
 // so the world-size parameter sizes nothing; it stays because callers
 // outside this module pass it.
-func NewInbox(int) *Inbox {
-	return &Inbox{
-		// Tag heaps churn (round exchanges mint a tag per round), so the
-		// free list fills early; sizing it up front beats growing it.
-		queues:    make(map[Tag]*packetHeap),
-		freeHeaps: make([]*packetHeap, 0, 8),
-	}
-}
+func NewInbox(int) *Inbox { return &Inbox{} }
 
 // Push enqueues p: link it in front of the stack head with one CAS and
 // wake the receiver only if it is parked. Lock-free, allocation-free
@@ -266,80 +282,53 @@ func (ib *Inbox) absorb() {
 	}
 }
 
-// enqueue inserts one absorbed packet into its tag's heap.
+// enqueue inserts one absorbed packet into its tag's heap. A tag with
+// no slot claims the first empty slot, or appends one when every slot
+// holds packets.
 func (ib *Inbox) enqueue(p *Packet) {
 	q := ib.heapFor(p.Tag)
 	if q == nil {
-		if n := len(ib.freeHeaps); n > 0 {
-			q = ib.freeHeaps[n-1]
-			ib.freeHeaps[n-1] = nil
-			ib.freeHeaps = ib.freeHeaps[:n-1]
-		} else {
-			// Mint with room for a typical burst up front: heaps are
-			// recycled with their capacity, so growing one element at a
-			// time from nil would cost several reallocations per fresh
-			// tag before the free list warms up.
-			h := make(packetHeap, 0, 64)
-			q = &h
+		i := 0
+		for i < len(ib.slots) && len(ib.slots[i].q) > 0 {
+			i++
 		}
-		ib.queues[p.Tag] = q
-		ib.lastTag = p.Tag
-		ib.lastQ = q
+		if i == len(ib.slots) {
+			ib.slots = append(ib.slots, tagSlot{})
+		}
+		ib.slots[i].tag = p.Tag
+		q = &ib.slots[i].q
 	}
 	q.push(p)
 	ib.depth++
 	ib.verify(p.Tag)
 }
 
-// heapFor resolves tag's heap, memoizing the last hit so single-tag
-// streaks (mailbox data) skip the map lookup. Returns nil when the tag
-// has no queued packets.
+// heapFor returns tag's resident heap, possibly empty, or nil when no
+// slot holds tag.
 func (ib *Inbox) heapFor(tag Tag) *packetHeap {
-	if tag == ib.lastTag && ib.lastQ != nil {
-		return ib.lastQ
+	for i := range ib.slots {
+		if ib.slots[i].tag == tag {
+			return &ib.slots[i].q
+		}
 	}
-	q, ok := ib.queues[tag]
-	if !ok {
-		return nil
-	}
-	ib.lastTag = tag
-	ib.lastQ = q
-	return q
+	return nil
 }
 
-// popTag removes the merge minimum under tag, or returns nil.
-func (ib *Inbox) popTag(tag Tag) *Packet {
+// pop absorbs, then removes and returns the merge minimum under tag if
+// its virtual arrival is at or before now, or nil. TryPop (so Recv) and
+// a real-time Poll pass +Inf, taking whatever is physically present; a
+// simulated Poll passes its clock, so polling never makes a rank wait.
+func (ib *Inbox) pop(tag Tag, now float64) *Packet {
+	ib.absorb()
 	q := ib.heapFor(tag)
-	if q == nil || len(*q) == 0 {
+	if q == nil || len(*q) == 0 || (*q)[0].Arrive > now {
 		return nil
 	}
-	return ib.pop(tag, q)
-}
-
-// pop removes the heap minimum under tag, maintaining depth/pop
-// accounting and retiring the queue to the free list when it empties.
-// q is tag's non-empty heap.
-func (ib *Inbox) pop(tag Tag, q *packetHeap) *Packet {
 	ib.depth--
 	ib.pops.Add(1)
 	p := q.popMin()
 	ib.verify(tag)
-	if len(*q) == 0 {
-		ib.releaseEmpty(tag, q)
-	}
 	return p
-}
-
-// releaseEmpty unmaps tag's emptied heap and keeps a few around for
-// reuse.
-func (ib *Inbox) releaseEmpty(tag Tag, q *packetHeap) {
-	delete(ib.queues, tag)
-	if ib.lastQ == q {
-		ib.lastQ = nil
-	}
-	if len(ib.freeHeaps) < 8 {
-		ib.freeHeaps = append(ib.freeHeaps, q)
-	}
 }
 
 // has reports whether a packet is merged under any of tags.
@@ -448,23 +437,7 @@ func (ib *Inbox) unpark() {
 // tag, or nil if none is physically present. It ignores virtual time:
 // callers that are already waiting (mailbox drains) use it and then
 // fast-forward their clock to the packet's arrival.
-func (ib *Inbox) TryPop(tag Tag) *Packet {
-	ib.absorb()
-	return ib.popTag(tag)
-}
-
-// TryPopArrived removes and returns the earliest packet with the given
-// tag whose virtual arrival is at or before now. It returns nil if the
-// queue is empty or the earliest packet is still in virtual flight —
-// polling never makes a rank wait.
-func (ib *Inbox) TryPopArrived(tag Tag, now float64) *Packet {
-	ib.absorb()
-	q := ib.heapFor(tag)
-	if q == nil || len(*q) == 0 || (*q)[0].Arrive > now {
-		return nil
-	}
-	return ib.pop(tag, q)
-}
+func (ib *Inbox) TryPop(tag Tag) *Packet { return ib.pop(tag, math.Inf(1)) }
 
 // DrainInto removes every physically present packet under tag, appending
 // them to dst in virtual-arrival order, after a single absorb pass. It
@@ -483,7 +456,6 @@ func (ib *Inbox) DrainInto(tag Tag, dst []*Packet) []*Packet {
 	ib.depth -= n
 	ib.pops.Add(uint64(n))
 	ib.verify(tag)
-	ib.releaseEmpty(tag, q)
 	return dst
 }
 

@@ -12,8 +12,8 @@ import (
 // assertion layer itself — that a legitimate bursty workload passes the
 // per-channel sequence audit with the opt-in monotone-clock check
 // armed, and that the audit actually fires on a seeded sequence gap, a
-// seeded clock regression and a seeded double push. An assertion that
-// cannot fail verifies nothing.
+// seeded clock regression, a seeded double push and a seeded duplicate
+// tag slot. An assertion that cannot fail verifies nothing.
 
 // mustCheckPanic runs fn and requires it to panic with a ygmcheck
 // message containing substr.
@@ -109,4 +109,20 @@ func TestCheckDetectsLinkedPush(t *testing.T) {
 	ib.Push(first)
 	ib.Push(second) // second.next == first
 	mustCheckPanic(t, "still linked", func() { ib.Push(second) })
+}
+
+// TestCheckDetectsDuplicateTagSlot seeds a tag table that holds one
+// tag in two slots — a lookup would find only the first and strand the
+// packets of the second — and requires verify to refuse it at the next
+// push.
+func TestCheckDetectsDuplicateTagSlot(t *testing.T) {
+	ib := NewInbox(1)
+	ib.Push(&Packet{Tag: TagUser, Arrive: 1})
+	ib.Push(&Packet{Tag: TagData, Arrive: 1})
+	ib.TryPop(TagData)
+	ib.slots[1].tag = TagUser
+	mustCheckPanic(t, "holds tag 16 in slots 0 and 1", func() {
+		ib.Push(&Packet{Tag: TagUser, Arrive: 2})
+		ib.TryPop(TagUser)
+	})
 }

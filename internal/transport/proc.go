@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"time"
@@ -263,7 +264,7 @@ func (p *Proc) Recv(tag Tag) *Packet {
 	pkt := ib.TryPop(tag)
 	if pkt == nil {
 		p.await(ib, tag)
-		pkt = ib.popTag(tag)
+		pkt = ib.TryPop(tag)
 	}
 	p.absorb(pkt)
 	return pkt
@@ -307,13 +308,11 @@ func (p *Proc) await(ib *Inbox, tags ...Tag) {
 // (stamps are taken before the push, on the receiving host's clock), so
 // Poll degenerates to a nonblocking pop and reads no clock.
 func (p *Proc) Poll(tag Tag) *Packet {
-	ib := p.world.inboxes[p.rank]
-	var pkt *Packet
-	if p.rt != nil {
-		pkt = ib.TryPop(tag)
-	} else {
-		pkt = ib.TryPopArrived(tag, p.clock.Now())
+	now := math.Inf(1)
+	if p.rt == nil {
+		now = p.clock.Now()
 	}
+	pkt := p.world.inboxes[p.rank].pop(tag, now)
 	if pkt != nil {
 		p.absorb(pkt) // already arrived: no wait, just the receive overhead
 	}
@@ -321,11 +320,11 @@ func (p *Proc) Poll(tag Tag) *Packet {
 }
 
 // DrainBatch removes every physically present packet under tag,
-// regardless of virtual arrival, in one inbox lock acquisition,
-// appending them to scratch in virtual-arrival order, and returns the
-// extended slice. It does NOT absorb: the caller must Absorb each packet
-// as it processes it, which keeps the per-packet clock accounting of a
-// pop-at-a-time drain without the per-poll locking.
+// regardless of virtual arrival, after one pass over the inbox's pushed
+// packets, appending them to scratch in virtual-arrival order, and
+// returns the extended slice. It does NOT absorb: the caller must Absorb
+// each packet as it processes it, which keeps the per-packet clock
+// accounting of a pop-at-a-time drain with one tag lookup per batch.
 func (p *Proc) DrainBatch(tag Tag, scratch []*Packet) []*Packet {
 	return p.world.inboxes[p.rank].DrainInto(tag, scratch)
 }

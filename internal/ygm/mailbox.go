@@ -304,8 +304,8 @@ func (mb *Mailbox) drainAvailable() {
 }
 
 // drainWaves processes arrived packets in waves — each wave is the set
-// physically present right now, batched out of the inbox under one lock
-// — flushing the forwards each wave generates, so multi-hop routes
+// physically present right now, batched out of the inbox in one pass —
+// flushing the forwards each wave generates, so multi-hop routes
 // pipeline wave by wave instead of buffering a whole drain. It never
 // nests: only generation reaches it, and generation refuses to run
 // inside a handler.
