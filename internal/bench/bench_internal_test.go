@@ -346,8 +346,8 @@ func TestAblationBroadcastShape(t *testing.T) {
 func TestAblationExchangeShape(t *testing.T) {
 	tbl := runPlan(ablationExchangePlan(quickTiny()))
 	wantMsgs := map[string]float64{
-		"NodeRemote/round": 17152, "NodeRemote/alltoallv": 36864,
-		"NLNR/round": 5248, "NLNR/alltoallv": 18432,
+		"NodeRemote/round": 16032, "NodeRemote/alltoallv": 33024,
+		"NLNR/round": 4128, "NLNR/alltoallv": 14592,
 	}
 	times := map[string]float64{}
 	for _, r := range tbl.Rows {

@@ -55,12 +55,19 @@ func checkQuiescent(p *transport.Proc, pendingSends int, site string) {
 		"rank %d left %s with %d unflushed records", p.Rank(), site, pendingSends)
 }
 
-// checkVerdictBalanced asserts the counting-consensus invariant at the
-// moment a rank declares global quiescence (every rank evaluates the
-// verdict, so every rank checks): every record hop sent has been
-// received.
-func (td *termDetector) checkVerdictBalanced(done bool, sum [2]uint64) {
-	if done {
+// checkVerdict asserts the detector's invariant at the moment a rank
+// declares global quiescence (every rank evaluates the verdict, so every
+// rank checks). Lazy: every record hop sent has been received. Rounds:
+// this rank holds no records and has run no round past the agreed count.
+func (td *termDetector) checkVerdict(done bool) {
+	switch {
+	case !done:
+	case td.round != nil:
+		checkf(td.c.queued == 0 && td.Result()[0] == *td.round,
+			"rank %d round verdict on %d rounds with %d queued records after %d rounds",
+			td.c.me, td.Result()[0], td.c.queued, *td.round)
+	default:
+		sum := td.Result()
 		checkf(sum[0] == sum[1],
 			"termination verdict with unbalanced counters: sent %d, received %d", sum[0], sum[1])
 	}

@@ -67,13 +67,18 @@
 // Termination detection follows the paper's Section IV-B: ranks declare
 // themselves done producing messages, flush (including empty buffers —
 // here, counter reports), and the layer detects global quiescence by a
-// counting consensus: record-hop send and receive totals must balance and
-// equal the totals of the previous global reduction. Each reduction (a
-// generation) is one run of collective.Allreduce, the recursive-doubling
-// allreduce under Comm.Barrier too, which leaves the totals, and so the
-// verdict, on every rank after log2(P) exchanges; the totals
-// of the last quiescent instant are kept, so a WaitEmpty with nothing
-// sent since costs one generation. The detector never blocks: the lazy
+// global reduction. Each reduction (a generation) is one run of
+// collective.Allreduce, the node-aware allreduce under Comm.Barrier too
+// (a binomial tree per node, a butterfly among node leaders), which
+// leaves the result, and so the verdict, on every rank. The lazy policy
+// runs a counting consensus: record-hop send and receive totals must
+// balance and equal the totals of the previous generation, and the
+// totals of the last quiescent instant are kept, so a WaitEmpty with
+// nothing sent since costs one generation. The round-matched policy
+// needs one generation: every rank must report the same number of
+// completed rounds, snapshotted with nothing queued, since a completed
+// round leaves nothing of itself in flight and only a round can queue
+// the records another round needs. The detector never blocks: the lazy
 // Mailbox's WaitEmpty is one progress loop over the termination and data
 // streams — data keeps moving while a generation is in flight, except
 // while that generation may be the final one, when what sits in the

@@ -37,8 +37,9 @@ type TestHooks struct {
 	DropDelivery func(at machine.Rank, payload []byte) bool
 	// ForceVerdict, when non-nil, replaces the termination verdict of a
 	// generation. balanced and unchanged are the two halves of the honest
-	// four-counter condition; returning true while either is false
-	// manufactures a premature termination. Every rank evaluates the
+	// four-counter condition (on the round policy both are whether every
+	// rank reported the same completed-round count); returning true while
+	// either is false manufactures a premature termination. Every rank evaluates the
 	// verdict on the same totals, concurrently, so the hook must be a
 	// pure function of its two arguments: a result that differed between
 	// ranks would split the world over whether the phase ended, and any

@@ -186,7 +186,7 @@ func newLazy(p *transport.Proc, handler Handler, opts Options) (*Mailbox, error)
 	mb.cFlushForward = m.Counter("ygm.flush.forward")
 	mb.cFlushDrain = m.Counter("ygm.flush.drain")
 	mb.cFlushExplicit = m.Counter("ygm.flush.explicit")
-	mb.term.init(p, &mb.stats, mb.opts.Hooks)
+	mb.term.init(&mb.core, nil)
 	return mb, nil
 }
 

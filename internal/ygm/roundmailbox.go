@@ -69,7 +69,7 @@ func newRound(p *transport.Proc, handler Handler, opts Options) (*RoundMailbox, 
 		return nil, err
 	}
 	mb.tagScratch = make([]transport.Tag, 0, len(mb.stages)+1)
-	mb.term.init(p, &mb.stats, mb.opts.Hooks)
+	mb.term.init(&mb.core, &mb.round)
 	return mb, nil
 }
 
@@ -156,9 +156,10 @@ func (mb *RoundMailbox) idleTags() []transport.Tag {
 }
 
 // WaitEmpty drives rounds (with empty buffers when this rank has nothing
-// to say — the paper's Section IV-B behaviour) until the counting
-// consensus observes global quiescence. Collective: every rank must call
-// it, and all return together. The mailbox is reusable afterwards.
+// to say — the paper's Section IV-B behaviour) until a detector
+// generation finds every rank reporting the same completed-round count.
+// Collective: every rank must call it, and all return together. The
+// mailbox is reusable afterwards.
 //
 // It is one progress loop: run rounds while records are queued or a
 // partner has opened the next round, step the detector, and, while a

@@ -70,9 +70,11 @@ func TestTermEveryWorldSize(t *testing.T) {
 
 // TestTermIdleIsOneGeneration pins the exact costs: a WaitEmpty with
 // nothing sent since the last quiet instant — the start of the program
-// included — is one generation, which in a 4-rank world is log2(4) = 2
-// packets from each rank; one that follows a send cannot conclude before
-// a second generation confirms the first.
+// included — is one generation, which on 2 nodes of 2 cores is one packet
+// from each leaf (up to its leader) and two from each leader (the one
+// butterfly step across nodes and the one down to its leaf); one that
+// follows a send cannot conclude before a second generation confirms the
+// first.
 func TestTermIdleIsOneGeneration(t *testing.T) {
 	for _, tw := range termWires {
 		t.Run(tw.name, func(t *testing.T) {
@@ -102,8 +104,8 @@ func TestTermIdleIsOneGeneration(t *testing.T) {
 						return fmt.Errorf("rank %d: WaitEmpty (send=%v) took %d generations, want %d..%d",
 							p.Rank(), step.send, g, step.min, step.max)
 					}
-					if n := sent() - s0; !step.send && n != 2 {
-						return fmt.Errorf("rank %d: idle WaitEmpty sent %d packets, want 2 (8 in the world)", p.Rank(), n)
+					if n, want := sent()-s0, 2-uint64(p.Rank()%2); !step.send && n != want {
+						return fmt.Errorf("rank %d: idle WaitEmpty sent %d packets, want %d (6 in the world)", p.Rank(), n, want)
 					}
 				}
 				return nil
@@ -221,43 +223,118 @@ func phaseCycles(p *transport.Proc, scheme machine.Scheme, poll bool, cycles uin
 // collective.Allreduce stream, so a forged packet there meets each of the
 // machine's reject rules (TestAllreduceRejectsImpossiblePackets covers
 // them on sub-communicators too) instead of being filed over live state.
-// In a 2-rank world after one idle WaitEmpty, rank 0 has consumed slot 1
-// of generation 1 and receives only slot 1.
+// After one idle WaitEmpty rank 0 has consumed generation 1 and receives
+// slot 1 and no slot 2: in a 2-rank world slot 1 is its one butterfly
+// step and slot 2 the hand-back to a folded rank; on 2 nodes of 2 cores
+// it leads node 0, so slot 1 is the leaders' one step.
 func TestTermRejectsImpossiblePackets(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		packets [][2]uint64 // (slot, generation)
-		want    string
-	}{
-		{"stale generation", [][2]uint64{{1, 0}}, "stale"},
-		{"two generations ahead", [][2]uint64{{1, 3}}, "too early"},
-		{"duplicate slot", [][2]uint64{{1, 2}, {1, 2}}, "duplicate"},
-		{"slot already consumed", [][2]uint64{{1, 1}}, "already consumed"},
-		{"no such slot", [][2]uint64{{2, 2}}, "no such slot"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := transport.Run(transport.Config{
-				Topo:  machine.New(2, 1),
-				Model: netsim.Quartz(),
-				Seed:  1,
-			}, func(p *transport.Proc) error {
-				mb := New(p, func(Sender, []byte) {}, WithExchange(LazyExchange)).(*Mailbox)
-				mb.WaitEmpty()
-				if p.Rank() != 0 {
-					return nil
-				}
-				for _, pk := range tc.packets {
-					w := codec.NewWriter(8)
-					w.Byte(byte(pk[0]))
-					w.Uvarint(pk[1])
-					p.Send(0, TagTerm, w.Bytes())
-				}
-				mb.term.Step()
-				return nil
-			})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("want a panic mentioning %q, got %v", tc.want, err)
+	for _, cores := range []int{1, 2} {
+		for _, tc := range []struct {
+			name    string
+			packets [][2]uint64 // (slot, generation)
+			want    string
+		}{
+			{"stale generation", [][2]uint64{{1, 0}}, "stale"},
+			{"two generations ahead", [][2]uint64{{1, 3}}, "too early"},
+			{"duplicate slot", [][2]uint64{{1, 2}, {1, 2}}, "duplicate"},
+			{"slot already consumed", [][2]uint64{{1, 1}}, "already consumed"},
+			{"no such slot", [][2]uint64{{2, 2}}, "no such slot"},
+		} {
+			name := tc.name
+			if cores > 1 {
+				name = "2x2 " + name
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				_, err := transport.Run(transport.Config{
+					Topo:  machine.New(2, cores),
+					Model: netsim.Quartz(),
+					Seed:  1,
+				}, func(p *transport.Proc) error {
+					mb := New(p, func(Sender, []byte) {}, WithExchange(LazyExchange)).(*Mailbox)
+					mb.WaitEmpty()
+					if p.Rank() != 0 {
+						return nil
+					}
+					for _, pk := range tc.packets {
+						w := codec.NewWriter(8)
+						w.Byte(byte(pk[0]))
+						w.Uvarint(pk[1])
+						p.Send(0, TagTerm, w.Bytes())
+					}
+					mb.term.Step()
+					return nil
+				})
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("want a panic mentioning %q, got %v", tc.want, err)
+				}
+			})
+		}
+	}
+}
+
+// TestTermRoundVerdict pins the round policy's one-generation verdict on
+// 4 nodes of 4 cores under NLNR. A WaitEmpty after one data round — every
+// rank queued records, so every rank runs that round before its snapshot
+// and none can run another — takes exactly one generation on every rank.
+// In a second WaitEmpty one late rank still sends enough to open capacity
+// rounds after its peers have reported: they must disagree with it, run
+// its rounds, and all return in the same generation with every record
+// delivered.
+func TestTermRoundVerdict(t *testing.T) {
+	const late, burst = 5, 200
+	topo := machine.New(4, 4)
+	world := topo.WorldSize()
+	gens := make([][2]uint64, world)
+	_, err := transport.Run(transport.Config{
+		Topo:  topo,
+		Model: netsim.Quartz(),
+		Seed:  3,
+		ComputeScale: func(r machine.Rank) float64 {
+			if r == late {
+				return 50
+			}
+			return 1
+		},
+	}, func(p *transport.Proc) error {
+		me := int(p.Rank())
+		got := 0 // this rank's deliveries
+		mb := New(p, func(Sender, []byte) { got++ },
+			WithScheme(machine.NLNR), WithExchange(RoundExchange), WithCapacity(16))
+		for d := 1; d <= 3; d++ {
+			mb.Send(machine.Rank((me+5*d)%world), []byte("x"))
+		}
+		g0 := mb.Stats().Generations
+		mb.WaitEmpty()
+		gens[me][0] = mb.Stats().Generations - g0
+		if got != 3 {
+			return fmt.Errorf("rank %d left the first WaitEmpty with %d of its 3 records delivered", me, got)
+		}
+		if me == late {
+			p.Compute(1e-3)
+			for i := range burst {
+				mb.Send(machine.Rank(i%world), []byte("y"))
+			}
+		}
+		g0 = mb.Stats().Generations
+		mb.WaitEmpty()
+		gens[me][1] = mb.Stats().Generations - g0
+		if want := 3 + (burst-me+world-1)/world; got != want {
+			return fmt.Errorf("rank %d left the late WaitEmpty with %d of its %d records delivered", me, got, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, g := range gens {
+		if g[0] != 1 {
+			t.Fatalf("rank %d took %d generations after one data round, want 1: %v", r, g[0], gens)
+		}
+		if g[1] != gens[0][1] {
+			t.Fatalf("rank %d took %d generations in the late WaitEmpty, rank 0 took %d: %v", r, g[1], gens[0][1], gens)
+		}
+	}
+	if gens[0][1] < 2 {
+		t.Fatalf("the late WaitEmpty took %d generation: the late rank's rounds never overlapped a generation", gens[0][1])
 	}
 }
