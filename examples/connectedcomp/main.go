@@ -4,32 +4,41 @@
 // number of delegates the skewed degree distribution produced, and how
 // many broadcasts the delegate synchronization consumed per pass.
 //
-// Run with: go run ./examples/connectedcomp [-scale S] [-edges E]
+//	go run ./examples/connectedcomp                # 2^10 vertices on 4x4 simulated ranks
+//	go run ./examples/connectedcomp -scale 8 -nodes 2 -cores 2
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"sort"
-	"sync"
+	"os"
+	"slices"
 
 	"ygm/internal/apps"
 	"ygm/internal/graph"
 	"ygm/internal/machine"
-	"ygm/internal/netsim"
 	"ygm/internal/transport"
 	"ygm/internal/ygm"
 )
 
 func main() {
-	scale := flag.Int("scale", 10, "graph has 2^scale vertices")
-	edges := flag.Int("edges", 1024, "edges generated per rank")
-	nodes := flag.Int("nodes", 4, "simulated compute nodes")
-	cores := flag.Int("cores", 4, "cores per node")
-	frac := flag.Float64("delegate-frac", 0.05, "delegate threshold as a fraction of the expected max degree")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("connectedcomp", flag.ContinueOnError)
+	scale := fs.Int("scale", 10, "graph has 2^scale vertices")
+	edges := fs.Int("edges", 1024, "edges generated per rank")
+	nodes := fs.Int("nodes", 4, "simulated compute nodes")
+	cores := fs.Int("cores", 4, "cores per node")
+	frac := fs.Float64("delegate-frac", 0.05, "delegate threshold as a fraction of the expected max degree")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	world := *nodes * *cores
 	cfg := apps.ConnectedComponentsConfig{
 		Mailbox:      ygm.Options{Scheme: machine.NodeRemote, Capacity: 512},
@@ -39,56 +48,37 @@ func main() {
 		DelegateFrac: *frac,
 		Seed:         13,
 	}
-
-	var mu sync.Mutex
 	results := make([]*apps.ConnectedComponentsResult, world)
-	report, err := transport.Run(transport.NewConfig(machine.New(*nodes, *cores),
-		transport.WithModel(netsim.Quartz()),
-		transport.WithSeed(13),
-	), func(p *transport.Proc) error {
-		res, err := apps.ConnectedComponents(p, cfg)
-		if err != nil {
+	report, err := transport.Run(transport.NewConfig(machine.New(*nodes, *cores), transport.WithSeed(13)),
+		func(p *transport.Proc) (err error) {
+			results[p.Rank()], err = apps.ConnectedComponents(p, cfg)
 			return err
-		}
-		mu.Lock()
-		results[p.Rank()] = res
-		mu.Unlock()
-		return nil
-	})
+		})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Assemble the global labeling and histogram component sizes.
-	n := uint64(1) << uint(*scale)
-	sizes := map[uint64]uint64{}
-	for v := uint64(0); v < n; v++ {
-		owner := graph.Owner(v, world)
-		sizes[results[owner].Labels[graph.LocalID(v, world)]]++
+	sizes := map[uint64]int{}
+	for v := uint64(0); v < 1<<*scale; v++ {
+		sizes[results[graph.Owner(v, world)].Labels[graph.LocalID(v, world)]]++
 	}
-	var comps []uint64
+	var comps []int
 	for _, s := range sizes {
 		comps = append(comps, s)
 	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i] > comps[j] })
-
+	slices.Sort(comps)
+	slices.Reverse(comps)
 	var broadcasts uint64
 	for _, r := range results {
 		broadcasts += r.Broadcasts
 	}
-
-	fmt.Printf("graph: 2^%d vertices, %d edges across %d ranks (Graph500 RMAT)\n", *scale, *edges*world, world)
-	fmt.Printf("components: %d (largest %d vertices)\n", len(comps), comps[0])
-	fmt.Printf("top 5 component sizes: %v\n", comps[:minInt(5, len(comps))])
-	fmt.Printf("delegates: %d, passes: %d, delegate-sync broadcasts: %d\n",
+	fmt.Fprintf(stdout, "graph: 2^%d vertices, %d edges across %d ranks (Graph500 RMAT)\n", *scale, *edges*world, world)
+	fmt.Fprintf(stdout, "components: %d (largest %d vertices)\n", len(comps), comps[0])
+	fmt.Fprintf(stdout, "top 5 component sizes: %v\n", comps[:min(5, len(comps))])
+	fmt.Fprintf(stdout, "delegates: %d, passes: %d, delegate-sync broadcasts: %d\n",
 		results[0].Delegates, results[0].Passes, broadcasts)
-	fmt.Printf("simulated time: %.1f us, utilization %.0f%%\n",
+	fmt.Fprintf(stdout, "simulated time: %.1f us, utilization %.0f%%\n",
 		report.Makespan()*1e6, 100*report.Utilization())
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return nil
 }

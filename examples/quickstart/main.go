@@ -15,10 +15,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"sort"
-	"sync"
+	"slices"
 
 	"ygm/internal/machine"
 	"ygm/internal/transport"
@@ -27,41 +27,40 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	fs := flag.NewFlagSet("quickstart", flag.ExitOnError)
-	var wires wirecli.Flags
-	wires.Register(fs)
-	fs.Parse(os.Args[1:])
-
-	topo := machine.New(2, 2) // 2 nodes x 2 cores = 4 ranks
-	if err := wires.Validate(topo.WorldSize()); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	if done, err := wires.Launch(topo.WorldSize(), os.Args[1:]); done {
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("quickstart", flag.ContinueOnError)
+	var wires wirecli.Flags
+	wires.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	topo := machine.New(2, 2) // 2 nodes x 2 cores = 4 ranks
+	if err := wires.Validate(topo.WorldSize()); err != nil {
+		return err
+	}
+	if done, err := wires.Launch(topo.WorldSize(), args); done {
+		return err
 	}
 	wire, err := wires.NewWire()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	var mu sync.Mutex
-	var events []string
-	logf := func(format string, args ...interface{}) {
-		mu.Lock()
-		events = append(events, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
-
+	// Handlers run on the receiving rank's goroutine, so each rank
+	// appends to its own slot and no lock is needed.
+	events := make([][]string, topo.WorldSize())
 	report, err := transport.Run(transport.NewConfig(topo,
 		transport.WithSeed(42),
 		transport.WithWire(wire),
 	), func(p *transport.Proc) error {
 		mb := ygm.New(p, func(s ygm.Sender, payload []byte) {
-			logf("rank %d received %q at t=%.1fus", p.Rank(), payload, p.Now()*1e6)
+			events[p.Rank()] = append(events[p.Rank()],
+				fmt.Sprintf("rank %d received %q at t=%.1fus", p.Rank(), payload, p.Now()*1e6))
 			// Receive callbacks may send more messages: rank 0 answers
 			// each greeting with a broadcast.
 			if p.Rank() == 0 && string(payload) != "ack" {
@@ -73,32 +72,29 @@ func main() {
 			ygm.WithCapacity(16))
 
 		if p.Rank() != 0 {
-			msg := fmt.Sprintf("hello from (%d,%d)", p.Node(), p.Core())
-			mb.Send(0, []byte(msg))
+			mb.Send(0, []byte(fmt.Sprintf("hello from (%d,%d)", p.Node(), p.Core())))
 		}
 		mb.WaitEmpty() // collective: returns when all mail is delivered
 		return nil
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// Under -wire=tcp each OS process only observes its own ranks'
 	// deliveries and report; rank 0 prints its local view.
-	if !wires.IsRoot() {
-		return
+	if err != nil || !wires.IsRoot() {
+		return err
 	}
-	sort.Strings(events)
-	for _, e := range events {
-		fmt.Println(e)
+	all := slices.Concat(events...)
+	slices.Sort(all)
+	for _, e := range all {
+		fmt.Fprintln(stdout, e)
 	}
 	timeBase := "simulated"
 	if report.Wall {
 		timeBase = "wall"
 	}
 	tot := report.Totals()
-	fmt.Printf("\n%s makespan: %.1f us, utilization %.0f%%\n",
+	fmt.Fprintf(stdout, "\n%s makespan: %.1f us, utilization %.0f%%\n",
 		timeBase, report.Makespan()*1e6, 100*report.Utilization())
-	fmt.Printf("mailbox traffic: %d local packets, %d remote packets\n",
+	fmt.Fprintf(stdout, "mailbox traffic: %d local packets, %d remote packets\n",
 		tot.DataLocalMsgs, tot.DataRemoteMsgs)
+	return nil
 }

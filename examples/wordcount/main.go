@@ -9,19 +9,19 @@
 // and therefore the digest and top-K list — are identical no matter how
 // the work is distributed or which wire carries it:
 //
-//	go run ./examples/wordcount                              # simulated cluster
-//	go run ./examples/wordcount -wire=local                  # in-process, real time
-//	go run ./examples/wordcount -nodes 2 -cores 2 -wire=tcp -spawn   # 4 OS processes
-//	go run ./examples/wordcount -nodes 2 -cores 2 -wire=tcp -rank-id 3 -rendezvous 127.0.0.1:9411
+//	go run ./examples/wordcount -words 200000                  # simulated cluster
+//	go run ./examples/wordcount -words 200000 -wire=local      # in-process, real time
+//	go run ./examples/wordcount -words 200000 -wire=tcp -spawn # 4 OS processes
 package main
 
 import (
 	"flag"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"log"
 	"os"
 	"strconv"
-	"sync"
 
 	"ygm/internal/collective"
 	"ygm/internal/container"
@@ -32,7 +32,13 @@ import (
 )
 
 func main() {
-	fs := flag.NewFlagSet("wordcount", flag.ExitOnError)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("wordcount", flag.ContinueOnError)
 	nodes := fs.Int("nodes", 2, "compute nodes")
 	cores := fs.Int("cores", 2, "cores per node")
 	words := fs.Int("words", 1<<20, "total words streamed across all ranks")
@@ -42,29 +48,23 @@ func main() {
 	seed := fs.Int64("seed", 42, "word stream seed")
 	var wires wirecli.Flags
 	wires.Register(fs)
-	fs.Parse(os.Args[1:])
-
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	world := *nodes * *cores
 	if err := wires.Validate(world); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if done, err := wires.Launch(world, os.Args[1:]); done {
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
+	if done, err := wires.Launch(world, args); done {
+		return err
 	}
 	wire, err := wires.NewWire()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	var mu sync.Mutex
-	var res struct {
-		distinct uint64
-		digest   uint64
-		top      []container.KeyCount
-	}
+	var distinct, digest uint64
+	var top []container.KeyCount
 	report, err := transport.Run(transport.NewConfig(machine.New(*nodes, *cores),
 		transport.WithSeed(*seed),
 		transport.WithWire(wire),
@@ -74,59 +74,49 @@ func main() {
 			ygm.WithCapacity(*mailbox),
 		)
 		cnt := container.NewCounter(eng, nil)
-		comm := collective.World(p)
 
 		// This rank's contiguous slice of the global word index space.
 		// Each index maps to a word independently of the slicing, so any
 		// world size and any wire produce the same global counts.
-		rank, ws := int(p.Rank()), p.WorldSize()
-		lo := uint64(*words) * uint64(rank) / uint64(ws)
-		hi := uint64(*words) * uint64(rank+1) / uint64(ws)
+		rank, ws := uint64(p.Rank()), uint64(p.WorldSize())
 		key := make([]byte, 0, 16)
-		for g := lo; g < hi; g++ {
-			key = appendWord(key[:0], wordID(*seed, g, uint64(*vocab)))
+		for g := uint64(*words) * rank / ws; g < uint64(*words)*(rank+1)/ws; g++ {
+			key = strconv.AppendUint(append(key[:0], 'w'), wordID(*seed, g, uint64(*vocab)), 10)
 			cnt.AsyncIncr(key)
 		}
-
-		distinct := cnt.Size() // includes the quiescence barrier
-		top := cnt.TopK(*topk)
+		n := cnt.Size() // includes the quiescence barrier
+		k := cnt.TopK(*topk)
 
 		// Order-independent digest of the whole table: each shard mixes
 		// its entries, the mixes sum globally. Equal digests across wires
 		// mean equal key→count tables, not just equal headline numbers.
 		var local uint64
 		cnt.ForAll(func(word string, count uint64) {
-			local += mix64(fnv64(word) ^ (count * 0x9e3779b97f4a7c15))
+			h := fnv.New64a()
+			h.Write([]byte(word))
+			local += mix64(h.Sum64() ^ (count * 0x9e3779b97f4a7c15))
 		})
-		digest := comm.AllreduceU64([]uint64{local}, collective.SumU64)[0]
-
+		d := collective.World(p).AllreduceU64([]uint64{local}, collective.SumU64)[0]
 		if p.Rank() == 0 {
-			mu.Lock()
-			res.distinct, res.digest, res.top = distinct, digest, top
-			mu.Unlock()
+			distinct, digest, top = n, d, k
 		}
 		return nil
 	})
-	if err != nil {
-		log.Fatal(err)
+	if err != nil || !wires.IsRoot() {
+		return err
 	}
-
-	if !wires.IsRoot() {
-		return
-	}
-	fmt.Printf("wordcount: %d words over %d ranks (%s wire), vocab %d\n",
+	fmt.Fprintf(stdout, "wordcount: %d words over %d ranks (%s wire), vocab %d\n",
 		*words, world, wires.Wire, *vocab)
-	fmt.Printf("distinct %d\n", res.distinct)
-	fmt.Printf("digest %016x\n", res.digest)
-	fmt.Printf("top %d words:\n", len(res.top))
-	for _, kc := range res.top {
-		fmt.Printf("  %-12s x%d\n", kc.Key, kc.Count)
+	fmt.Fprintf(stdout, "distinct %d\ndigest %016x\ntop %d words:\n", distinct, digest, len(top))
+	for _, kc := range top {
+		fmt.Fprintf(stdout, "  %-12s x%d\n", kc.Key, kc.Count)
 	}
-	if wires.Wire == "sim" || wires.Wire == "" {
+	if !report.Wall {
 		tot := report.Totals()
-		fmt.Printf("\nsimulated time %.1f us; %d remote packets averaging %.0f B\n",
+		fmt.Fprintf(stdout, "\nsimulated time %.1f us; %d remote packets averaging %.0f B\n",
 			report.Makespan()*1e6, tot.DataRemoteMsgs, tot.AvgDataRemoteMsgBytes())
 	}
+	return nil
 }
 
 // wordID maps a global word index to a vocabulary id with a triangular
@@ -134,16 +124,7 @@ func main() {
 // stable heavy hitters for TopK to find.
 func wordID(seed int64, g, vocab uint64) uint64 {
 	h := mix64(uint64(seed) + g*0x9e3779b97f4a7c15)
-	a, b := (h&0xffffffff)%vocab, (h>>32)%vocab
-	if b < a {
-		a = b
-	}
-	return a
-}
-
-func appendWord(dst []byte, id uint64) []byte {
-	dst = append(dst, 'w')
-	return strconv.AppendUint(dst, id, 10)
+	return min((h&0xffffffff)%vocab, (h>>32)%vocab)
 }
 
 // mix64 is the splitmix64 finalizer.
@@ -152,16 +133,5 @@ func mix64(x uint64) uint64 {
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// fnv64 is FNV-1a over the word bytes.
-func fnv64(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+	return x ^ x>>31
 }

@@ -54,13 +54,9 @@ func WeakScale(rankCounts []int, seed int64) ([]WeakScalePoint, error) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		// Force the scheduler on at every point (auto mode would run the
-		// smallest worlds goroutine-per-rank) so the sweep compares like
-		// with like across four orders of magnitude.
 		rep, err := transport.Run(transport.NewConfig(topo,
 			transport.WithModel(netsim.Quartz()),
 			transport.WithSeed(seed),
-			transport.WithWorkers(runtime.GOMAXPROCS(0)),
 		), func(p *transport.Proc) error {
 			treeBcast(p, transport.TagUser)
 			treeBarrier(p, transport.TagUser+1)

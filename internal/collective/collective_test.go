@@ -258,16 +258,16 @@ var worldSink *Comm
 // TestWorldFootprint pins World at O(1) per rank: at 2,048 ranks one call
 // allocates under 16 KiB (352 bytes measured), where a member list, its
 // copy and a 2,048-entry dedup map took 53 KiB. The other ranks park
-// first and one worker token keeps them parked, so the measured window
-// holds rank 0's calls alone.
+// first and a single worker token (GOMAXPROCS 1) keeps them parked, so
+// the measured window holds rank 0's calls alone.
 func TestWorldFootprint(t *testing.T) {
 	const calls = 64
 	var perCall uint64
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	_, err := transport.Run(transport.Config{
-		Topo:    machine.New(64, 32),
-		Model:   netsim.Quartz(),
-		Seed:    1,
-		Workers: 1,
+		Topo:  machine.New(64, 32),
+		Model: netsim.Quartz(),
+		Seed:  1,
 	}, func(p *transport.Proc) error {
 		if p.Rank() != 0 {
 			p.Send(0, transport.TagUser, nil)

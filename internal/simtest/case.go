@@ -78,11 +78,6 @@ type Case struct {
 	// nonblocking TestEmpty polling instead of WaitEmpty (ignored by
 	// the other variants).
 	TestEmptyBarrier bool
-	// Workers forces the transport's M:N rank scheduler worker count
-	// (transport.Config.Workers): 0 keeps the transport's auto policy,
-	// which runs every world this harness builds goroutine-per-rank, and
-	// >0 forces the scheduler on with that many workers.
-	Workers int
 	// Mutant injects a deliberate fault (see mutants.go); MutantNone
 	// for clean runs.
 	Mutant Mutant
@@ -132,9 +127,6 @@ func (c Case) String() string {
 	fmt.Fprintf(&b, "seed=%d,topo=%dx%d,scheme=%s,variant=%s,phases=%d,msgs=%d,cap=%d,payload=%d,ttl=%d,bcast=%d,jitter=%d,testempty=%d",
 		c.Seed, c.Nodes, c.Cores, c.Scheme, c.Variant, c.Phases, c.Msgs,
 		c.Capacity, c.MaxPayload, c.TTL, c.BcastEvery, b2i(c.Jitter), b2i(c.TestEmptyBarrier))
-	if c.Workers != 0 {
-		fmt.Fprintf(&b, ",workers=%d", c.Workers)
-	}
 	if c.Mutant != MutantNone {
 		fmt.Fprintf(&b, ",mutant=%s", c.Mutant)
 	}
@@ -189,8 +181,6 @@ func ParseCase(s string) (Case, error) {
 			c.Jitter = v == "1"
 		case "testempty":
 			c.TestEmptyBarrier = v == "1"
-		case "workers":
-			c.Workers, err = strconv.Atoi(v)
 		case "mutant":
 			c.Mutant, err = ParseMutant(v)
 		default:
@@ -211,7 +201,7 @@ func (c Case) validate() error {
 	if c.Nodes <= 0 || c.Cores <= 0 {
 		return fmt.Errorf("simtest: invalid topology %dx%d", c.Nodes, c.Cores)
 	}
-	if c.Phases <= 0 || c.Msgs < 0 || c.Capacity <= 0 || c.MaxPayload < 0 || c.TTL < 0 || c.BcastEvery < 0 || c.Workers < 0 {
+	if c.Phases <= 0 || c.Msgs < 0 || c.Capacity <= 0 || c.MaxPayload < 0 || c.TTL < 0 || c.BcastEvery < 0 {
 		return fmt.Errorf("simtest: invalid workload dimensions in %q", c.String())
 	}
 	// Deterministic spawn keys (see msgKey in oracle.go) pack the parent

@@ -50,9 +50,6 @@ type ContainerCase struct {
 	Capacity int
 	// Wire selects the transport backend: "" or "sim", or "local".
 	Wire string
-	// Workers forces the transport's M:N rank scheduler worker count
-	// (transport.Config.Workers); 0 keeps the auto policy.
-	Workers int
 }
 
 func (c ContainerCase) String() string {
@@ -60,12 +57,8 @@ func (c ContainerCase) String() string {
 	if wire == "" {
 		wire = "sim"
 	}
-	s := fmt.Sprintf("seed=%d,topo=%dx%d,variant=%s,phases=%d,ops=%d,slots=%d,ckeys=%d,ttl=%d,cap=%d,wire=%s",
+	return fmt.Sprintf("seed=%d,topo=%dx%d,variant=%s,phases=%d,ops=%d,slots=%d,ckeys=%d,ttl=%d,cap=%d,wire=%s",
 		c.Seed, c.Nodes, c.Cores, c.Variant, c.Phases, c.Ops, c.Slots, c.CKeys, c.TTL, c.Capacity, wire)
-	if c.Workers != 0 {
-		s += fmt.Sprintf(",workers=%d", c.Workers)
-	}
-	return s
 }
 
 func (c ContainerCase) validate() error {
@@ -256,10 +249,7 @@ func runContainerChecked(c ContainerCase, model containerModel) Outcome {
 	rec := synch.NewRecorder(world)
 	vlogs := make([][]string, world) // goroutine-confined, merged post-run
 
-	cfgOpts := []transport.ConfigOption{
-		transport.WithSeed(c.Seed),
-		transport.WithWorkers(c.Workers),
-	}
+	cfgOpts := []transport.ConfigOption{transport.WithSeed(c.Seed)}
 	if c.Wire == "local" {
 		cfgOpts = append(cfgOpts, transport.WithWire(transport.LocalWire{}))
 	} else {

@@ -113,7 +113,6 @@ func runCaseLogged(c Case, tr transport.Tracer) (Outcome, *synch.Log) {
 		transport.WithSeed(c.Seed),
 		transport.WithTrace(tr),
 		transport.WithWatchdogInterval(watchdogInterval),
-		transport.WithWorkers(c.Workers),
 	)
 	if c.Jitter {
 		cfg.Delay = jitterDelay(c.Seed, topo.WorldSize())

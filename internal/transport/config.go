@@ -59,11 +59,3 @@ func WithWatchdogInterval(d time.Duration) ConfigOption {
 func WithComputeScale(f func(machine.Rank) float64) ConfigOption {
 	return func(c *Config) { c.ComputeScale = f }
 }
-
-// WithWorkers selects the execution model: a positive n forces the M:N
-// rank scheduler with n worker tokens, and 0 (the default) picks the
-// scheduler or the direct goroutine-per-rank model by world size and
-// wire (see Config.Workers and DESIGN.md §15).
-func WithWorkers(n int) ConfigOption {
-	return func(c *Config) { c.Workers = n }
-}

@@ -12,8 +12,8 @@ import (
 // 16k-rank world that has not exchanged a single message. An inbox
 // holds no per-sender state — a sender exists for it only while one of
 // its packets is on the stack — so the cost is per-rank bookkeeping
-// (the struct, the tag map, the heap free list): 4.6 MiB measured,
-// budgeted with room for a few more words per inbox.
+// (the padded struct and its wake channel): 4.9 MiB measured, budgeted
+// with room for a few more words per inbox.
 const idleWorldBudget = 6 << 20
 
 // TestIdleWorldFootprint measures the allocation cost of a 16k idle
@@ -52,8 +52,7 @@ func TestWorldSetupFootprint(t *testing.T) {
 	for _, ranks := range []int{1024, 4096} {
 		cfg := NewConfig(machine.New(ranks/32, 32),
 			WithModel(netsim.Quartz()),
-			WithSeed(12345),
-			WithWorkers(runtime.GOMAXPROCS(0)))
+			WithSeed(12345))
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)

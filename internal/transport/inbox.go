@@ -100,10 +100,10 @@ type tagSlot struct {
 // is a slice scanned linearly whose slots stay resident. Blocking
 // receives spin briefly (re-absorbing between yields) and then park on
 // a one-token wake channel that producers post to only when they
-// observe the parked state. Under the M:N scheduler
-// that channel is the rank's scheduler gate: a scheduled rank gives up
-// its worker token before it parks, and the wake it receives is the
-// grant of a new one.
+// observe the parked state. On a simulated wire, whose worlds run under
+// the M:N scheduler, that channel is the rank's scheduler gate: the
+// rank gives up its worker token before it parks, and the wake it
+// receives is the grant of a new one.
 //
 // The fields live in inboxFields; Inbox pads them to whole cache lines.
 // Producers CAS head on every push, so an inbox that shared a line with
@@ -126,20 +126,19 @@ type inboxFields struct {
 	head atomic.Pointer[Packet]
 
 	// sched/self route the park protocol through the world's M:N rank
-	// scheduler when one is active: the consumer releases its worker
+	// scheduler on a simulated wire: the consumer releases its worker
 	// token before it parks, and a producer that wins the unpark CAS
 	// calls sched.ready(self), which grants a token through wake. sched
-	// is nil under the direct goroutine-per-rank model.
+	// is nil on a real-time wire, whose ranks run direct.
 	sched *scheduler
 	self  machine.Rank
 
 	// pstate/wake implement the park protocol. The consumer publishes
 	// pParked, re-checks for data, then receives on wake; a producer
 	// that CASes pParked→pIdle owns the transition and owes exactly one
-	// wake (see wakeOwner). Under the direct model wake is created by
-	// the consumer before its first park and is published to producers
-	// by the pstate store; under the scheduler it is the rank's gate,
-	// set when the world is built.
+	// wake (see wakeOwner). wake is set when the inbox is built: the
+	// rank's scheduler gate under the scheduler, a channel of its own
+	// otherwise.
 	pstate atomic.Int32
 	wake   chan struct{}
 
@@ -190,11 +189,16 @@ type inboxFields struct {
 	lastYields uint64
 }
 
-// NewInbox returns an empty inbox. An inbox holds no per-sender state —
-// idle, it costs the same few hundred bytes at 4 ranks and at 65,536 —
-// so the world-size parameter sizes nothing; it stays because callers
-// outside this module pass it.
-func NewInbox(int) *Inbox { return &Inbox{} }
+// NewInbox returns an empty, unscheduled inbox with its own wake
+// channel. An inbox holds no per-sender state — idle, it costs the same
+// few hundred bytes at 4 ranks and at 65,536 — so the world-size
+// parameter sizes nothing; it stays because callers outside this module
+// pass it.
+func NewInbox(int) *Inbox {
+	ib := &Inbox{}
+	ib.wake = make(chan struct{}, 1)
+	return ib
+}
 
 // Push enqueues p: link it in front of the stack head with one CAS and
 // wake the receiver only if it is parked. Lock-free, allocation-free
@@ -234,7 +238,7 @@ func (ib *Inbox) signal() {
 
 // wakeOwner delivers the wake owed to the parked owner: a scheduler
 // ready(), which grants the rank a worker token through wake or queues
-// it for one, or under the direct model a token on wake. Outside a
+// it for one, or on a real-time wire a token on wake. Outside a
 // poisoned world the CAS protocol leaves wake empty whenever a wake is
 // owed; see poison for the one wake that may come on top.
 func (ib *Inbox) wakeOwner() {
@@ -347,11 +351,12 @@ func (ib *Inbox) has(tags []Tag) bool {
 // and yield up to parkSpins times (cheap when the producer is about to
 // publish), then publish the parked state and sleep on the wake channel
 // until a producer posts its one token; only that sleep counts as the
-// rank's wait on a real-time wire (see sleep). A scheduled rank releases its
-// worker token before it publishes the parked state, and the wake it
-// receives is a new token's grant. It reports false only after the
-// inbox has been poisoned; the watchdog sees the rank blocked on
-// tags[0].
+// rank's wait on a real-time wire (see sleep). The channel is the one
+// set when the inbox was built. On a simulated wire it is the rank's
+// scheduler gate: the rank releases its worker token before it
+// publishes the parked state, and the wake it receives is a new token's
+// grant. It reports false only after the inbox has been poisoned; the
+// watchdog sees the rank blocked on tags[0].
 func (ib *Inbox) WaitAny(tags ...Tag) bool {
 	ib.absorb()
 	if ib.has(tags) {
@@ -375,9 +380,6 @@ func (ib *Inbox) WaitAny(tags ...Tag) bool {
 			spins++
 			runtime.Gosched()
 			continue
-		}
-		if ib.wake == nil {
-			ib.wake = make(chan struct{}, 1)
 		}
 		// Release before publishing: once pParked is visible a
 		// producer may ready the rank, and ready must find it holding
@@ -499,8 +501,8 @@ func (ib *Inbox) spun() bool {
 // poison forces one anyway, so a poisoned run always unwinds into a
 // DeadlockError instead of hanging on a stranded park. When the owed
 // wake was not lost, the second one adds nothing: the scheduler finds
-// the rank no longer waiting, and the direct model finds the channel
-// full or the rank re-checking in a loop that now sees the poison.
+// the rank no longer waiting, and an unscheduled rank's channel is full
+// or the rank is re-checking in a loop that now sees the poison.
 func (ib *Inbox) poison() {
 	ib.poisoned.Store(true)
 	if ib.pstate.CompareAndSwap(pParked, pIdle) || ib.waiting.Load() {

@@ -1,9 +1,12 @@
 // Regression coverage for Report's wall-clock time base (Report.Wall,
-// Makespan, Utilization) on the real-time LocalWire backend.
+// Makespan, Utilization) on the real-time LocalWire backend, and for the
+// execution model each wire picks.
 package transport_test
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,4 +87,57 @@ func TestSimWireReportNotWall(t *testing.T) {
 	if ms := rep.Makespan(); ms < 0.5 {
 		t.Errorf("Makespan %.4f virtual seconds, expected >= 0.5 (the charged compute)", ms)
 	}
+}
+
+// TestWirePicksExecutionModel pins that the wire, not a setting, picks
+// the execution model: every simulated world runs under the M:N
+// scheduler with GOMAXPROCS worker tokens (at most one per rank), every
+// rank's first token grant counted as a dispatch, and the real-time
+// wires run their ranks direct and report no scheduler metric at all.
+func TestWirePicksExecutionModel(t *testing.T) {
+	ring := func(p *transport.Proc) error {
+		n := machine.Rank(p.WorldSize())
+		p.Send((p.Rank()+1)%n, transport.TagUser, []byte{1})
+		p.Recycle(p.Recv(transport.TagUser))
+		return nil
+	}
+	for _, world := range []int{1, 4, 64} {
+		rep, err := transport.Run(transport.NewConfig(machine.New(world, 1)), ring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := rep.Metrics()
+		if d := m.Counter("sched.dispatches"); d < uint64(world) {
+			t.Errorf("sim, %d ranks: sched.dispatches = %d, want at least one per rank", world, d)
+		}
+		if w, want := m.Gauges["sched.workers"].Last, min(runtime.GOMAXPROCS(0), world); int(w) != want {
+			t.Errorf("sim, %d ranks: sched.workers = %v, want %d", world, w, want)
+		}
+	}
+	noSched := func(wire string, rep *transport.Report) {
+		m := rep.Metrics()
+		for name := range m.Counters {
+			if strings.HasPrefix(name, "sched.") {
+				t.Errorf("%s: reports scheduler counter %s", wire, name)
+			}
+		}
+		for name := range m.Gauges {
+			if strings.HasPrefix(name, "sched.") {
+				t.Errorf("%s: reports scheduler gauge %s", wire, name)
+			}
+		}
+	}
+	rep, err := transport.Run(transport.NewConfig(machine.New(4, 1),
+		transport.WithWire(transport.LocalWire{})), ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noSched("local", rep)
+	t.Run("tcp", func(t *testing.T) {
+		reps, errs := runTCPWorld(t, 2, ring)
+		failOnRankErrors(t, errs)
+		for _, rep := range reps {
+			noSched("tcp", rep)
+		}
+	})
 }

@@ -334,14 +334,16 @@ func (p *Proc) DrainBatch(tag Tag, scratch []*Packet) []*Packet {
 // forward to the packet's arrival.
 func (p *Proc) Absorb(pkt *Packet) { p.absorb(pkt) }
 
-// Yield cedes the rank's execution slot to another runnable rank.
-// Under the M:N scheduler it donates the calling rank's worker token to
-// the rank at the head of the run queue, re-queueing the caller at its
-// tail, whenever one is waiting; otherwise — direct model, or nobody
-// waiting — it yields the OS thread. A user loop that polls a lazy mailbox's TestEmpty must
-// call this instead of runtime.Gosched on its idle path: a
-// token-holding spinner would otherwise starve the very ranks whose
-// messages it polls for. The mailboxes' own waits park in WaitAny.
+// Yield cedes the rank's execution slot to another runnable rank. On a
+// simulated wire, where every world runs under the M:N scheduler, it
+// donates the calling rank's worker token to the rank at the head of
+// the run queue, re-queueing the caller at its tail, whenever one is
+// waiting; otherwise — a real-time wire, or nobody waiting — it yields
+// the OS thread. Every loop that polls without blocking (a lazy
+// mailbox's TestEmpty, DrainBatch) must call this on its idle path, not
+// runtime.Gosched: a token-holding spinner starves the very ranks whose
+// messages it polls for, and with as many spinners as tokens the world
+// stops. The mailboxes' own waits park in WaitAny.
 //
 // Yield also marks the rank idle for the deadlock watchdog, which counts
 // a rank that keeps yielding while no inbox makes progress as blocked.

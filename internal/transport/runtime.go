@@ -41,21 +41,15 @@ type Config struct {
 	// Delay, when non-nil, adds extra virtual flight time to each packet
 	// (fault injection for schedule exploration); see DelayFn.
 	Delay DelayFn
-	// Workers selects the execution model. Zero (the default) is
-	// automatic: worlds larger than schedAutoWorlds ranks on a simulated
-	// wire run under the M:N rank scheduler with one worker token per
-	// host core (GOMAXPROCS); smaller worlds and real-time wires keep
-	// the direct goroutine-per-rank model. A positive value forces the
-	// scheduler with that many worker tokens (any world size, any
-	// wire). Run rejects a negative value. See DESIGN.md §15.
-	Workers int
 	// Wire selects the transport backend below the inboxes: nil (the
 	// default) is the virtual-time SimWire; LocalWire runs the same
 	// in-process world in real time; TCPWire runs one rank per OS
 	// process over localhost TCP. Real-time wires ignore Model, Delay,
 	// and ComputeScale — their costs are real instructions and real wire
-	// latency, not model charges. See the Wire interface and DESIGN.md
-	// §13.
+	// latency, not model charges. The wire also fixes the execution
+	// model: a simulated world runs under the M:N rank scheduler, a
+	// real-time one on direct goroutines (see Run). See the Wire
+	// interface and DESIGN.md §13 and §15.
 	Wire Wire
 }
 
@@ -97,9 +91,8 @@ type World struct {
 	// owning rank only, read after all goroutines join).
 	dead []*RankDeadState
 
-	// sched is the M:N rank scheduler, non-nil when Config.Workers
-	// resolved to a worker pool; nil under the direct
-	// goroutine-per-rank model.
+	// sched is the M:N rank scheduler of a simulated world; nil on a
+	// real-time wire, whose ranks run as direct goroutines.
 	sched *scheduler
 }
 
@@ -131,9 +124,9 @@ type Report struct {
 	// seconds since the run epoch (real-time wires — LocalWire, TCPWire).
 	Wall bool
 	// Sched is the M:N rank scheduler's own metric snapshot (worker
-	// utilization, grant/handoff/yield counts, ready-queue depth) when
-	// the run used one; the zero Snapshot otherwise. Metrics() folds it
-	// in.
+	// utilization, grant/handoff/yield counts, ready-queue depth) on a
+	// simulated wire; the zero Snapshot on a real-time wire, whose ranks
+	// run unscheduled. Metrics() folds it in.
 	Sched obs.Snapshot
 	// Wire is the wire backend's own metric snapshot, taken after Finish
 	// (TCPWire: frames, bytes and writes through its send queues, window
@@ -220,7 +213,20 @@ func (r *Report) MaxInboxDepth() int {
 // joined: SPMD bodies are expected to be deadlock-free on error paths
 // only via their own collective discipline, so Run must only be handed
 // bodies that return errors at globally consistent points).
+//
+// The wire picks the execution model. A simulated world multiplexes its
+// ranks over runtime.GOMAXPROCS(0) worker tokens of the M:N scheduler,
+// so a world of any size keeps only as many ranks runnable as the host
+// has cores. A real-time wire runs every rank directly on its own
+// goroutine: its clock is the host's, and token handoffs would be
+// measured as cost (DESIGN.md §15).
 func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
+	return run(cfg, body, runtime.GOMAXPROCS(0))
+}
+
+// run is Run with the scheduler's token count as a parameter, which a
+// real-time wire ignores.
+func run(cfg Config, body func(p *Proc) error, tokens int) (*Report, error) {
 	if cfg.Topo.WorldSize() == 0 {
 		return nil, fmt.Errorf("transport: empty topology")
 	}
@@ -244,20 +250,18 @@ func Run(cfg Config, body func(p *Proc) error) (*Report, error) {
 		realtime: wire.RealTime(),
 	}
 	w.pool.init()
-	n, err := resolveWorkers(cfg.Workers, size, w.realtime)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		w.sched = newScheduler(size, n)
+	if !w.realtime {
+		w.sched = newScheduler(size, tokens)
 	}
 	w.inboxes = make([]*Inbox, size)
 	for i := range w.inboxes {
-		ib := NewInbox(size)
+		ib := &Inbox{}
 		ib.self = machine.Rank(i)
 		if w.sched != nil {
 			ib.sched = w.sched
 			ib.wake = w.sched.gates[i]
+		} else {
+			ib.wake = make(chan struct{}, 1)
 		}
 		w.inboxes[i] = ib
 	}
@@ -473,25 +477,3 @@ func (e *PacketLeakError) Error() string {
 // errRankDeadlocked marks a rank unwound by the deadlock watchdog; Run
 // replaces it with the aggregated DeadlockError.
 var errRankDeadlocked = fmt.Errorf("transport: rank unwound by deadlock watchdog")
-
-// schedAutoWorlds is the world size above which Config.Workers == 0
-// auto-selects the M:N rank scheduler on simulated wires. Below it the
-// direct goroutine-per-rank model wins: the host scheduler handles a
-// few hundred goroutines fine, and the token handoffs would be pure
-// overhead on the micro-bench worlds.
-const schedAutoWorlds = 1024
-
-// resolveWorkers maps Config.Workers to a worker-token count: 0 means
-// none (direct model). See Config.Workers for the policy.
-func resolveWorkers(cfgWorkers, size int, realtime bool) (int, error) {
-	switch {
-	case cfgWorkers < 0:
-		return 0, fmt.Errorf("transport: Config.Workers = %d, want 0 (automatic) or a positive token count", cfgWorkers)
-	case cfgWorkers > 0:
-		return cfgWorkers, nil
-	case size > schedAutoWorlds && !realtime:
-		return runtime.GOMAXPROCS(0), nil
-	default:
-		return 0, nil
-	}
-}

@@ -8,14 +8,14 @@ import (
 	"ygm/internal/obs"
 )
 
-// The M:N rank scheduler multiplexes P virtual ranks over a small pool
-// of worker tokens (one per host core by default). Every rank still has
-// its own goroutine — Go cannot capture an arbitrary blocked SPMD body
-// as a heap continuation — but at most `workers` of them hold a token
-// and are runnable at any instant; the rest are parked a few hundred
-// bytes deep in the scheduler, which is what keeps a 65k-rank world
-// from thrashing the host scheduler with 65k simultaneously runnable
-// goroutines. The parked goroutine IS the rank's continuation: granting
+// The M:N rank scheduler multiplexes the P ranks of every simulated
+// world over a small pool of worker tokens, one per host core. Every
+// rank still has its own goroutine — Go cannot capture an arbitrary
+// blocked SPMD body as a heap continuation — but at most `workers` of
+// them hold a token and are runnable at any instant; the rest are
+// parked a few hundred bytes deep in the scheduler, which is what keeps
+// a 65k-rank world from thrashing the host scheduler with 65k
+// simultaneously runnable goroutines. The parked goroutine IS the rank's continuation: granting
 // the token resumes it exactly where it blocked.
 //
 // The tokens are a semaphore driven by the inbox park protocol. A rank
@@ -89,7 +89,7 @@ type scheduler struct {
 
 	// Metrics, updated under mu. busyInt integrates busy-worker-seconds
 	// (host seconds since epoch) for the worker-utilization gauge.
-	dispatches   uint64 // total token grants
+	dispatches   uint64 // total token grants, each rank's first included
 	directGrants uint64 // grants straight from ready() (no queue wait)
 	handoffs     uint64 // tokens passed rank→rank on park/exit/yield
 	yields       uint64 // voluntary token donations (Proc.Yield)
@@ -169,7 +169,7 @@ func (s *scheduler) releaseLocked() {
 }
 
 // acquire blocks until rank r holds a worker token. A nil scheduler
-// (the direct model) has none to hand out. Called before a rank's SPMD
+// (a real-time wire's) has none to hand out. Called before a rank's SPMD
 // body runs and when the rank takes back a park nobody woke. The
 // forced wake of a poisoned world may already have granted or queued r
 // by then; acquire takes that as its grant.
@@ -184,6 +184,7 @@ func (s *scheduler) acquire(r machine.Rank) {
 		s.avail--
 		s.tickBusyLocked(+1)
 		s.state[r] = rsRunning
+		s.dispatches++
 		s.checkSchedTokens()
 		s.mu.Unlock()
 		return
@@ -197,7 +198,8 @@ func (s *scheduler) acquire(r machine.Rank) {
 
 // release gives up rank r's token ahead of a park. The rank then holds
 // none until a ready() grants one through its gate, or until it takes
-// the park back and calls acquire. A nil scheduler does nothing.
+// the park back and calls acquire. A nil scheduler (a real-time wire's)
+// does nothing.
 func (s *scheduler) release(r machine.Rank) {
 	if s == nil {
 		return

@@ -21,11 +21,10 @@ import (
 // legitimate traffic, so the negative fixtures below are measuring the
 // checks and not workload noise.
 func TestCheckSchedCleanRunPasses(t *testing.T) {
-	cfg := NewConfig(machine.New(4, 2), WithWorkers(2))
-	rep, err := Run(cfg, func(p *Proc) error {
+	rep, err := run(NewConfig(machine.New(4, 2)), func(p *Proc) error {
 		treeBarrier(p, TagUser)
 		return nil
-	})
+	}, 2)
 	if err != nil {
 		t.Fatalf("audited scheduled run failed: %v", err)
 	}

@@ -59,10 +59,11 @@ func treeBarrier(p *Proc, tag Tag) {
 	treeBcast(p, tag+1)
 }
 
-// runWithTimeout guards scheduler tests against livelock regressions:
-// a wedged run fails the test with a descriptive message instead of
-// tripping the package-level test timeout with no context.
-func runWithTimeout(t *testing.T, d time.Duration, cfg Config, body func(p *Proc) error) *Report {
+// runWithTimeout runs a simulated world over the given number of
+// worker tokens and guards scheduler tests against livelock
+// regressions: a wedged run fails the test with a descriptive message
+// instead of tripping the package-level test timeout with no context.
+func runWithTimeout(t *testing.T, d time.Duration, cfg Config, tokens int, body func(p *Proc) error) *Report {
 	t.Helper()
 	type result struct {
 		rep *Report
@@ -70,7 +71,7 @@ func runWithTimeout(t *testing.T, d time.Duration, cfg Config, body func(p *Proc
 	}
 	ch := make(chan result, 1)
 	go func() {
-		rep, err := Run(cfg, body)
+		rep, err := run(cfg, body, tokens)
 		ch <- result{rep, err}
 	}()
 	select {
@@ -91,8 +92,8 @@ func runWithTimeout(t *testing.T, d time.Duration, cfg Config, body func(p *Proc
 // gates) and its accounting is self-consistent.
 func TestSchedulerCompletesCollectives(t *testing.T) {
 	const rounds = 3
-	cfg := NewConfig(machine.New(4, 8), WithSeed(5), WithWorkers(2))
-	rep := runWithTimeout(t, time.Minute, cfg, func(p *Proc) error {
+	cfg := NewConfig(machine.New(4, 8), WithSeed(5))
+	rep := runWithTimeout(t, time.Minute, cfg, 2, func(p *Proc) error {
 		n := p.WorldSize()
 		for k := 0; k < rounds; k++ {
 			tag := TagUser + Tag(4*k)
@@ -119,9 +120,9 @@ func TestSchedulerCompletesCollectives(t *testing.T) {
 // simulation's outcome. The workload is built so every Recv has exactly
 // one matching packet (unique tag per edge per round), which makes the
 // simulated makespan a pure function of the message DAG — identical
-// under any host interleaving, hence byte-identical between the
-// scheduled and direct models. The 64-rank world runs direct under the
-// automatic policy.
+// under any host interleaving, hence byte-identical whether one token
+// serializes the 64 ranks, three share them, or every rank holds a
+// token of its own, which is direct execution.
 func TestSchedulerMakespanMatchesDirect(t *testing.T) {
 	body := func(p *Proc) error {
 		n := p.WorldSize()
@@ -133,15 +134,17 @@ func TestSchedulerMakespanMatchesDirect(t *testing.T) {
 		}
 		return nil
 	}
-	topo := machine.New(8, 8)
-	direct := runWithTimeout(t, time.Minute, NewConfig(topo, WithSeed(7)), body)
-	sched := runWithTimeout(t, time.Minute, NewConfig(topo, WithSeed(7), WithWorkers(3)), body)
-	if direct.Makespan() != sched.Makespan() {
-		t.Fatalf("makespan diverged: direct %.12g, scheduled %.12g",
-			direct.Makespan(), sched.Makespan())
-	}
-	if dt, st := direct.Totals(), sched.Totals(); dt != st {
-		t.Fatalf("traffic totals diverged:\n  direct    %+v\n  scheduled %+v", dt, st)
+	cfg := NewConfig(machine.New(8, 8), WithSeed(7))
+	one := runWithTimeout(t, time.Minute, cfg, 1, body)
+	for _, tokens := range []int{3, 64} {
+		rep := runWithTimeout(t, time.Minute, cfg, tokens, body)
+		if one.Makespan() != rep.Makespan() {
+			t.Fatalf("makespan diverged: 1 token %.12g, %d tokens %.12g",
+				one.Makespan(), tokens, rep.Makespan())
+		}
+		if ot, rt := one.Totals(), rep.Totals(); ot != rt {
+			t.Fatalf("traffic totals diverged:\n  1 token   %+v\n  %d tokens %+v", ot, tokens, rt)
+		}
 	}
 }
 
@@ -152,8 +155,8 @@ func TestSchedulerMakespanMatchesDirect(t *testing.T) {
 // orderings of which rank wins the token first.
 func TestYieldSingleWorkerNoLivelock(t *testing.T) {
 	for i := 0; i < 10; i++ {
-		cfg := NewConfig(machine.New(1, 8), WithSeed(int64(i)), WithWorkers(1))
-		rep := runWithTimeout(t, time.Minute, cfg, func(p *Proc) error {
+		cfg := NewConfig(machine.New(1, 8), WithSeed(int64(i)))
+		rep := runWithTimeout(t, time.Minute, cfg, 1, func(p *Proc) error {
 			if p.Rank() != 0 {
 				p.Send(0, TagUser, []byte{byte(p.Rank())})
 				return nil
@@ -179,8 +182,7 @@ func TestYieldSingleWorkerNoLivelock(t *testing.T) {
 
 // largeWorldRanks returns the large-world smoke size: 16k ranks in a
 // default build, scaled down under the race detector (which multiplies
-// per-goroutine cost by an order of magnitude) while staying above the
-// scheduler's auto-enable threshold.
+// per-goroutine cost by an order of magnitude).
 func largeWorldRanks() int {
 	if raceEnabled {
 		return 2048
@@ -199,7 +201,7 @@ func TestLargeWorldSchedulerSmoke(t *testing.T) {
 	}
 	n := largeWorldRanks()
 	cfg := NewConfig(machine.New(n/32, 32), WithSeed(3))
-	rep := runWithTimeout(t, 4*time.Minute, cfg, func(p *Proc) error {
+	rep := runWithTimeout(t, 4*time.Minute, cfg, runtime.GOMAXPROCS(0), func(p *Proc) error {
 		treeBcast(p, TagUser)
 		treeBarrier(p, TagUser+1)
 		return nil
@@ -209,7 +211,7 @@ func TestLargeWorldSchedulerSmoke(t *testing.T) {
 	}
 	m := rep.Metrics()
 	if m.Counter("sched.dispatches") == 0 {
-		t.Fatalf("auto scheduler did not engage for a %d-rank world", n)
+		t.Fatalf("the scheduler did not run a %d-rank world", n)
 	}
 	if w := m.Gauges["sched.workers"].Last; int(w) != runtime.GOMAXPROCS(0) {
 		t.Fatalf("sched.workers = %v, want GOMAXPROCS = %d", w, runtime.GOMAXPROCS(0))
@@ -217,14 +219,14 @@ func TestLargeWorldSchedulerSmoke(t *testing.T) {
 }
 
 // TestFanInExactlyOnce fans 299 ranks' traffic into one inbox, which
-// must observe every packet exactly once with its source intact — under
-// the scheduler, since large worlds run scheduled in production.
+// must observe every packet exactly once with its source intact, with
+// four worker tokens for 300 ranks.
 func TestFanInExactlyOnce(t *testing.T) {
 	const msgs = 4
 	topo := machine.New(30, 10)
 	counts := make([]int, topo.WorldSize())
-	cfg := NewConfig(topo, WithSeed(9), WithWorkers(4))
-	runWithTimeout(t, 2*time.Minute, cfg, func(p *Proc) error {
+	cfg := NewConfig(topo, WithSeed(9))
+	runWithTimeout(t, 2*time.Minute, cfg, 4, func(p *Proc) error {
 		if p.Rank() != 0 {
 			for i := 0; i < msgs; i++ {
 				p.Send(0, TagUser, []byte{byte(i)})
@@ -250,9 +252,9 @@ func TestFanInExactlyOnce(t *testing.T) {
 // producer wins the park CAS but its wake never arrives — through the
 // testLoseWakeup hook and requires the run to unwind into a
 // DeadlockError via the watchdog's force-wake path rather than hang
-// forever, under both execution models (the 4-rank world runs direct
-// under the automatic policy). The clean control arm proves the
-// workload itself is sound.
+// forever, under both execution models: direct goroutines on the
+// real-time LocalWire, and two worker tokens on the simulated wire. The
+// clean control arm proves the workload itself is sound.
 func TestLostWakeupUnwindsNotHangs(t *testing.T) {
 	const victim = machine.Rank(3)
 	body := func(p *Proc) error {
@@ -273,17 +275,17 @@ func TestLostWakeupUnwindsNotHangs(t *testing.T) {
 		return nil
 	}
 	for _, tc := range []struct {
-		name    string
-		workers int
-	}{{"direct", 0}, {"scheduled", 2}} {
+		name string
+		wire Wire
+	}{{"direct", LocalWire{}}, {"scheduled", SimWire{}}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := NewConfig(machine.New(1, 4),
-				WithSeed(1), WithWorkers(tc.workers), WithWatchdogInterval(20*time.Millisecond))
+				WithSeed(1), WithWire(tc.wire), WithWatchdogInterval(20*time.Millisecond))
 
 			testLoseWakeup = func(r machine.Rank) bool { return r == victim }
 			done := make(chan error, 1)
 			go func() {
-				_, err := Run(cfg, body)
+				_, err := run(cfg, body, 2)
 				done <- err
 			}()
 			var err error
@@ -301,45 +303,10 @@ func TestLostWakeupUnwindsNotHangs(t *testing.T) {
 
 			// Control: the identical workload without the seeded bug
 			// completes cleanly.
-			if _, err := Run(cfg, body); err != nil {
+			if _, err := run(cfg, body, 2); err != nil {
 				t.Fatalf("clean control run failed: %v", err)
 			}
 		})
-	}
-}
-
-// TestSchedulerWorkersResolution pins the auto-enable policy: small and
-// real-time worlds stay on the direct model, large simulated worlds get
-// GOMAXPROCS workers, an explicit token count wins on any world, and a
-// negative count is an error that Run returns before starting a rank.
-func TestSchedulerWorkersResolution(t *testing.T) {
-	for _, tc := range []struct {
-		cfg      int
-		size     int
-		realtime bool
-		want     int
-		wantErr  bool
-	}{
-		{0, 64, false, 0, false},
-		{0, schedAutoWorlds, false, 0, false},
-		{0, schedAutoWorlds + 1, false, runtime.GOMAXPROCS(0), false},
-		{0, schedAutoWorlds + 1, true, 0, false},
-		{3, 64, false, 3, false},
-		{3, 64, true, 3, false},
-		{-1, 64, false, 0, true},
-	} {
-		got, err := resolveWorkers(tc.cfg, tc.size, tc.realtime)
-		if got != tc.want || (err != nil) != tc.wantErr {
-			t.Errorf("resolveWorkers(%d, %d, %v) = %d, %v; want %d, error %v",
-				tc.cfg, tc.size, tc.realtime, got, err, tc.want, tc.wantErr)
-		}
-	}
-	ran := false
-	if _, err := Run(NewConfig(machine.New(1, 4), WithWorkers(-1)), func(*Proc) error {
-		ran = true
-		return nil
-	}); err == nil || ran {
-		t.Fatalf("Run with Workers -1: err %v, body ran %v; want an error and no body", err, ran)
 	}
 }
 
@@ -410,8 +377,8 @@ func TestSchedulerYieldFairness(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		cfg := NewConfig(machine.New(1, 12), WithSeed(int64(i)), WithWorkers(1))
-		runWithTimeout(t, time.Minute, cfg, func(p *Proc) error {
+		cfg := NewConfig(machine.New(1, 12), WithSeed(int64(i)))
+		runWithTimeout(t, time.Minute, cfg, 1, func(p *Proc) error {
 			n := p.WorldSize()
 			switch r := int(p.Rank()); r {
 			case 1:

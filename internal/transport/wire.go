@@ -73,9 +73,10 @@ type Wire interface {
 
 // SimWire is the virtual-time simulator backend — the runtime's original
 // bottom edge, extracted behind the Wire seam with zero behavior change.
-// Every rank runs as a goroutine in this process, arrival stamps come
-// from the netsim cost model, and Inject is a direct Push into the
-// destination's inbox. A nil Config.Wire selects SimWire.
+// Every rank runs as a goroutine in this process, multiplexed over the
+// M:N scheduler's GOMAXPROCS worker tokens; arrival stamps come from the
+// netsim cost model, and Inject is a direct Push into the destination's
+// inbox. A nil Config.Wire selects SimWire.
 type SimWire struct{}
 
 func (SimWire) Name() string       { return "sim" }
@@ -92,9 +93,10 @@ func (SimWire) Inject(p *Proc, dst machine.Rank, pkt *Packet) {
 func (SimWire) Flush(*Proc)   {}
 func (SimWire) Finish() error { return nil }
 
-// LocalWire is the in-process real-time backend: the same goroutine-per
-// rank execution and direct inbox delivery as SimWire, but with no
-// netsim clock — arrival stamps are host time, model charges are
+// LocalWire is the in-process real-time backend: the same
+// goroutine-per-rank world and direct inbox delivery as SimWire, but
+// with every rank runnable at once (no scheduler tokens) and no netsim
+// clock — arrival stamps are host time, model charges are
 // skipped, and the Report measures actual wall seconds on real
 // hardware. It exists so the benches can measure the runtime itself
 // (injection rate, handler dispatch, inbox handoff) rather than the cost

@@ -2,7 +2,6 @@ package ygm
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"ygm/internal/machine"
@@ -59,7 +58,7 @@ func TestLazySteadyStateZeroAlloc(t *testing.T) {
 		waitDelivery := func(target int) {
 			for got < target {
 				mb.drainAvailable()
-				runtime.Gosched()
+				p.Yield()
 			}
 		}
 		if p.Rank() == 0 {

@@ -382,6 +382,14 @@ func (mb *Mailbox) WaitEmpty() {
 // coincides with a true result. The mailbox can be reused afterwards.
 // Only the lazy policy offers it: round-matched and collective exchanges
 // cannot progress unilaterally.
+//
+// TestEmpty never blocks, so a loop that polls it must give way when it
+// has nothing else to do: call p.AbortIfPeerFailed() and p.Yield() on
+// every pass that returned false. On a simulated wire every world runs
+// under the M:N scheduler, and a poller that spins without Yield holds
+// its worker token; once the pollers hold every token, the ranks they
+// wait for never run and the world hangs. A spinning poller is not
+// blocked, so the deadlock watchdog cannot end such a hang either.
 func (mb *Mailbox) TestEmpty() bool { return mb.generation("TestEmpty") }
 
 // Flush forces the communication context to run even if the mailbox is

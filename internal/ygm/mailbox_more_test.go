@@ -116,6 +116,8 @@ func TestMixedWaitAndTestEmpty(t *testing.T) {
 				if mb.TestEmpty() {
 					return nil
 				}
+				p.AbortIfPeerFailed()
+				p.Yield()
 			}
 		})
 }
@@ -172,6 +174,8 @@ func TestSingleRankWorld(t *testing.T) {
 				if mb.TestEmpty() {
 					return nil
 				}
+				p.AbortIfPeerFailed()
+				p.Yield()
 			}
 		})
 	if len(got) != 1 || got[0] != 1 {

@@ -2,7 +2,6 @@ package ygm
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -420,8 +419,9 @@ func TestTestEmptyPolling(t *testing.T) {
 				}
 				spins++
 				// A real poller does external work between calls; yield
-				// so peer ranks can make progress on one OS thread.
-				runtime.Gosched()
+				// so peer ranks can make progress on one worker token.
+				p.AbortIfPeerFailed()
+				p.Yield()
 				if spins > 1<<20 {
 					return fmt.Errorf("TestEmpty never converged")
 				}

@@ -2,6 +2,7 @@ package ygm
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -482,12 +483,12 @@ func TestRoundIdleParks(t *testing.T) {
 		}
 	})
 	// Under the M:N scheduler an idle rank leaves the run queue: no
-	// round rank ever yields its worker token.
+	// round rank ever yields its worker token, not even the only one.
 	t.Run("sim", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		rep, err := transport.Run(transport.Config{
-			Topo:    machine.New(2, 2),
-			Model:   netsim.Quartz(),
-			Workers: 1,
+			Topo:  machine.New(2, 2),
+			Model: netsim.Quartz(),
 		}, func(p *transport.Proc) error {
 			mb := New(p, func(Sender, []byte) {}, WithScheme(machine.NLNR), WithExchange(RoundExchange))
 			for phase := 0; phase < 3; phase++ {
