@@ -3,7 +3,9 @@ package apps
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ygm/internal/graph"
@@ -355,6 +357,46 @@ func bfsOracle(cfg BFSConfig, world int) []uint64 {
 		}
 	}
 	return dist
+}
+
+// bfsMallocsPerSend bounds the heap allocations of a whole BFS run per
+// mailbox Send. With every message encoded into the rank's scratch
+// buffer the run below measures about 0.12; one allocation per message,
+// as a fresh encoder per Send costs, puts it past 1.1.
+const bfsMallocsPerSend = 0.5
+
+// TestBFSAllocsPerSend pins BFS's message encoding to the rank's scratch
+// buffer: a scale-10 BFS on 2 nodes of 2 cores, world setup, graph
+// build and every level included, must stay under bfsMallocsPerSend
+// heap allocations per Send.
+func TestBFSAllocsPerSend(t *testing.T) {
+	if ygm.YgmcheckEnabled() {
+		t.Skip("ygmcheck invariant layer allocates on every Send")
+	}
+	cfg := BFSConfig{
+		Mailbox:      ygm.Options{Scheme: machine.NLNR, Capacity: 1024},
+		Scale:        10,
+		EdgesPerRank: 2048,
+		Params:       graph.Graph500,
+		Seed:         1,
+	}
+	var sends atomic.Uint64
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	runApps(t, 2, 2, func(p *transport.Proc) error {
+		res, err := BFS(p, cfg)
+		if err == nil {
+			sends.Add(res.Mailbox.Sends)
+		}
+		return err
+	})
+	runtime.ReadMemStats(&after)
+	perSend := float64(after.Mallocs-before.Mallocs) / float64(sends.Load())
+	t.Logf("%d mallocs over %d sends: %.3f per send", after.Mallocs-before.Mallocs, sends.Load(), perSend)
+	if perSend > bfsMallocsPerSend {
+		t.Fatalf("BFS allocates %.3f times per Send, want at most %.1f", perSend, bfsMallocsPerSend)
+	}
 }
 
 func TestBFSMatchesOracle(t *testing.T) {

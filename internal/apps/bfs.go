@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ygm/internal/codec"
@@ -50,6 +51,16 @@ type bfsState struct {
 	adj   map[uint64][]uint64 // owned vertex -> neighbors
 	dist  []uint64
 	next  []uint64 // owned vertices discovered this level
+	buf   []byte   // msg's scratch
+}
+
+// msg encodes one BFS message into the rank's scratch buffer. Send copies
+// the payload before it returns and no BFS handler sends, so one buffer
+// serves every message; a handler that sent would need its own, or a
+// self-send delivered inside it would alias the payload it is reading.
+func (st *bfsState) msg(typ byte, a, b uint64) []byte {
+	st.buf = binary.AppendUvarint(binary.AppendUvarint(append(st.buf[:0], typ), a), b)
+	return st.buf
 }
 
 func (st *bfsState) handle(s ygm.Sender, payload []byte) {
@@ -105,8 +116,8 @@ func BFS(p *transport.Proc, cfg BFSConfig) (*BFSResult, error) {
 	gen := graph.NewRMAT(cfg.Params, cfg.Scale, cfg.Seed*15485863+int64(p.Rank()))
 	for i := 0; i < cfg.EdgesPerRank; i++ {
 		e := gen.Next()
-		mb.Send(machine.Rank(graph.Owner(e.U, world)), ccEncode(bfsMsgEdge, e.U, e.V))
-		mb.Send(machine.Rank(graph.Owner(e.V, world)), ccEncode(bfsMsgEdge, e.V, e.U))
+		mb.Send(machine.Rank(graph.Owner(e.U, world)), st.msg(bfsMsgEdge, e.U, e.V))
+		mb.Send(machine.Rank(graph.Owner(e.V, world)), st.msg(bfsMsgEdge, e.V, e.U))
 	}
 	mb.WaitEmpty()
 
@@ -124,7 +135,7 @@ func BFS(p *transport.Proc, cfg BFSConfig) (*BFSResult, error) {
 		for _, u := range frontier {
 			for _, v := range st.adj[u] {
 				p.Compute(cpm)
-				mb.Send(machine.Rank(graph.Owner(v, world)), ccEncode(bfsMsgVisit, v, level+1))
+				mb.Send(machine.Rank(graph.Owner(v, world)), st.msg(bfsMsgVisit, v, level+1))
 			}
 		}
 		mb.WaitEmpty()

@@ -58,7 +58,7 @@ func runWorld(p Preset, nodes int, straggler func(machine.Rank) float64,
 
 // perfValues assembles the standard measurement columns of a scaling row:
 // simulated time, throughput, remote traffic, and utilization. Traffic
-// columns cover mailbox (TagData) packets only.
+// columns cover mailbox data packets only.
 func perfValues(rep *transport.Report, items float64, itemUnit string) []Value {
 	tot := rep.Totals()
 	return perfRow(rep.Makespan(), items, itemUnit,

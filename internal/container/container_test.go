@@ -236,13 +236,13 @@ func TestChainedVisitDetectsForcedVerdict(t *testing.T) {
 		depth   = 8
 		perRank = 24
 	)
-	var forced atomic.Int64 // every rank evaluates the verdict
+	var forced atomic.Int64 // joins the hook forced while packets were unacknowledged
 	hooks := &ygm.TestHooks{
-		ForceVerdict: func(balanced, unchanged bool) bool {
-			if !balanced || !unchanged {
+		ForceVerdict: func(honest bool) bool {
+			if !honest {
 				forced.Add(1)
 			}
-			return true // declare quiescence no matter what the counters say
+			return true // join the barrier with packets unacknowledged
 		},
 	}
 	caught := false
@@ -283,13 +283,13 @@ func TestChainedVisitDetectsForcedVerdict(t *testing.T) {
 	})
 	if err != nil {
 		// Under -tags ygmcheck the invariant layer itself convicts the
-		// forced verdict (unbalanced counters at the verdict, or records
+		// forced verdict (a deficit left at the verdict, or records
 		// left unflushed) — equally proof the mutant cannot slip through.
 		t.Logf("forced verdict caught by the runtime invariant layer: %v", err)
 		return
 	}
 	if forced.Load() == 0 {
-		t.Skip("forced-verdict window never opened (all chains drained before the vote); nothing to assert")
+		t.Skip("forced-verdict window never opened (every join was honest); nothing to assert")
 	}
 	if !caught {
 		t.Fatal("ForceVerdict mutant ran to completion with all chain hops counted; the quiescence regression is vacuous")

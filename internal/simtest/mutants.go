@@ -27,8 +27,10 @@ const (
 	// exactly-once check over the event log (and the barrier check)
 	// can see it.
 	MutantDropDelivery
-	// MutantPrematureTerm forces rank 0's termination verdict to true
-	// on its first evaluation, releasing WaitEmpty barriers while
+	// MutantPrematureTerm forces every phase-ending decision to true: a
+	// lazy rank joins the epoch's barrier at its first wait point, with
+	// its packets possibly unacknowledged, and a round generation
+	// concludes whatever counts it reduced — releasing WaitEmpty while
 	// messages may still be in flight.
 	MutantPrematureTerm
 	// MutantReorderDelivery holds the first record of every received
@@ -39,9 +41,9 @@ const (
 	// oracle can see it.
 	MutantReorderDelivery
 	// MutantPhaseLeak stashes one unicast delivery and releases it at
-	// the next termination-detection drain — one generation late, but
-	// inside the same quiescence window, so the delivery oracle sees a
-	// normal exactly-once run while per-channel delivery order breaks.
+	// the next pass of the quiescence loop — late, but inside the same
+	// quiescence window, so the delivery oracle sees a normal
+	// exactly-once run while per-channel delivery order breaks.
 	MutantPhaseLeak
 )
 
@@ -107,7 +109,7 @@ func (m Mutant) hooks() *ygm.TestHooks {
 		}
 	case MutantPrematureTerm:
 		return &ygm.TestHooks{
-			ForceVerdict: func(balanced, unchanged bool) bool { return true },
+			ForceVerdict: func(bool) bool { return true },
 		}
 	case MutantReorderDelivery:
 		return &ygm.TestHooks{

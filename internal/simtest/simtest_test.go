@@ -95,11 +95,18 @@ const mutationBudget = 24
 // stay clean at the runtime and delivery-semantics level (the
 // exactly-once oracle is blind to pure reorderings by design), and
 // detection must come from the Synch verdict alone.
+//
+// The premature-verdict and phase-leak mutants sabotage the termination
+// detector and the quiescence loop around it, which the lazy policy runs
+// on its own protocol, so for them only a detection on a lazy case
+// counts; the other variants still run and still face the assertions
+// above.
 func TestMutationSmoke(t *testing.T) {
 	for _, m := range Mutants {
 		m := m
 		t.Run(m.String(), func(t *testing.T) {
 			t.Parallel()
+			lazyOnly := m == MutantPrematureTerm || m == MutantPhaseLeak
 			detected, tried := 0, 0
 			for seed := int64(0); seed < mutationBudget; seed++ {
 				for _, c := range combos(seed) {
@@ -127,6 +134,7 @@ func TestMutationSmoke(t *testing.T) {
 					}
 					c.Mutant = m
 					tried++
+					caught := false
 					if m.OrderingMutant() {
 						out := RunCaseOutcome(c)
 						if out.Runtime != nil {
@@ -135,16 +143,20 @@ func TestMutationSmoke(t *testing.T) {
 						if out.Delivery != nil {
 							t.Fatalf("ordering mutant %s is visible to the delivery oracle on %s — it is not a pure reordering: %v", m, c, out.Delivery)
 						}
-						if out.Synch != nil {
-							detected++
-						}
-					} else if RunCase(c) != nil {
+						caught = out.Synch != nil
+					} else {
+						caught = RunCase(c) != nil
+					}
+					if caught && (!lazyOnly || c.Variant == ygm.LazyExchange) {
 						detected++
 					}
 				}
 				if detected > 0 {
 					return
 				}
+			}
+			if lazyOnly {
+				t.Fatalf("mutant %s survived all %d workloads on the lazy policy — the oracle is blind to it there", m, tried)
 			}
 			t.Fatalf("mutant %s survived all %d workloads — the oracle is blind to it", m, tried)
 		})

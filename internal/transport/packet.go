@@ -21,8 +21,11 @@ import "ygm/internal/machine"
 type Tag uint64
 
 const (
-	// TagData is the stream used by YGM mailbox traffic.
-	TagData Tag = 1
+	// TagData and TagDataOdd carry YGM lazy-mailbox traffic: the mailbox
+	// sends on TagData in even quiescence epochs and on TagDataOdd in odd
+	// ones, so data of the next phase waits under the other tag.
+	TagData    Tag = 1
+	TagDataOdd Tag = 3
 	// TagUser is the first tag value free for application use. Tags at
 	// or above TagCollective are reserved for internal/collective.
 	TagUser Tag = 16

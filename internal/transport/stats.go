@@ -9,7 +9,7 @@ type Stats struct {
 	// RemoteMsgs / RemoteBytes count packets that cross the wire.
 	RemoteMsgs  uint64
 	RemoteBytes uint64
-	// Data* counters cover only TagData packets — the mailbox payload
+	// Data* counters cover only mailbox data packets — the payload
 	// traffic the paper's bandwidth analysis is about — excluding
 	// collective and termination-detection control messages.
 	DataLocalMsgs   uint64
@@ -29,12 +29,12 @@ type Stats struct {
 }
 
 // isDataTag reports whether a packet carries mailbox payload traffic:
-// the lazy mailbox's TagData stream, or a non-empty round-matched
+// the lazy mailbox's two data tags, or a non-empty round-matched
 // exchange message (empty round messages are protocol control — the
 // "empty buffers" of Section IV-B — and excluded from payload-traffic
 // statistics, though their overheads still cost simulated time).
 func isDataTag(tag Tag, bytes int) bool {
-	return tag == TagData || (tag >= TagRound && bytes > 0)
+	return tag == TagData || tag == TagDataOdd || (tag >= TagRound && bytes > 0)
 }
 
 // TagRound mirrors ygm's round-exchange tag base (declared here to keep

@@ -38,8 +38,9 @@ func skipIfYgmcheck(t *testing.T) {
 
 // TestLazySteadyStateZeroAlloc pins the lazy mailbox's full round trip:
 // Send queues and coalesces, Flush packs into a pooled packet and sends,
-// the peer drains, delivers, and answers, and the origin drains the
-// answer. One node, two cores: the shortest honest ping-pong.
+// the peer drains, delivers, acknowledges and answers, and the origin
+// drains the answer and takes in the acknowledgement. One node, two
+// cores: the shortest honest ping-pong.
 func TestLazySteadyStateZeroAlloc(t *testing.T) {
 	skipIfYgmcheck(t)
 	var failure error
@@ -58,6 +59,7 @@ func TestLazySteadyStateZeroAlloc(t *testing.T) {
 		waitDelivery := func(target int) {
 			for got < target {
 				mb.drainAvailable()
+				mb.acknowledge()
 				p.Yield()
 			}
 		}

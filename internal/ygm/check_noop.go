@@ -15,3 +15,7 @@ func (c *core) checkCapacityBound() {}
 func checkQuiescent(*transport.Proc, int, string) {}
 
 func (td *termDetector) checkVerdict(bool) {}
+
+func (mb *Mailbox) checkAck(uint64) {}
+
+func (mb *Mailbox) checkVerdict(string) {}

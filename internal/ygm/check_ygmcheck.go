@@ -45,7 +45,7 @@ func (c *core) checkCapacityBound() {
 
 // checkQuiescent asserts the postcondition of a positive termination
 // verdict: the rank holds no unflushed records. A violation means the
-// flush-before-drain discipline broke — the counting consensus declared
+// flush-before-drain discipline broke — the round consensus declared
 // quiescence while this rank still had buffered sends. (The inbox may
 // legitimately hold *next-phase* packets from ranks that observed the
 // verdict earlier and already resumed sending, so inbox emptiness is
@@ -55,20 +55,29 @@ func checkQuiescent(p *transport.Proc, pendingSends int, site string) {
 		"rank %d left %s with %d unflushed records", p.Rank(), site, pendingSends)
 }
 
-// checkVerdict asserts the detector's invariant at the moment a rank
-// declares global quiescence (every rank evaluates the verdict, so every
-// rank checks). Lazy: every record hop sent has been received. Rounds:
-// this rank holds no records and has run no round past the agreed count.
+// checkVerdict asserts the round detector's invariant at the moment a
+// rank declares global quiescence (every rank evaluates the verdict, so
+// every rank checks): this rank holds no records and has run no round
+// past the agreed count.
 func (td *termDetector) checkVerdict(done bool) {
-	switch {
-	case !done:
-	case td.round != nil:
-		checkf(td.c.queued == 0 && td.Result()[0] == *td.round,
-			"rank %d round verdict on %d rounds with %d queued records after %d rounds",
-			td.c.me, td.Result()[0], td.c.queued, *td.round)
-	default:
-		sum := td.Result()
-		checkf(sum[0] == sum[1],
-			"termination verdict with unbalanced counters: sent %d, received %d", sum[0], sum[1])
-	}
+	checkf(!done || td.c.queued == 0 && td.Result()[0] == *td.round,
+		"rank %d round verdict on %d rounds with %d queued records after %d rounds",
+		td.c.me, td.Result()[0], td.c.queued, *td.round)
+}
+
+// checkAck asserts that an acknowledgement of n packets covers packets
+// this rank sent and that are not yet acknowledged.
+func (mb *Mailbox) checkAck(n uint64) {
+	checkf(n <= mb.deficit, "rank %d acknowledged for %d packets with a deficit of %d", mb.me, n, mb.deficit)
+}
+
+// checkVerdict asserts the lazy verdict's postcondition: every rank has
+// joined, so no work of the epoch is left anywhere — this rank has a
+// deficit of 0, no parent, no owed acknowledgement and no queued record.
+// (The inbox may hold next-epoch packets from ranks that left the
+// barrier earlier, so inbox emptiness is deliberately not asserted.)
+func (mb *Mailbox) checkVerdict(site string) {
+	checkf(mb.deficit == 0 && mb.parent == nil && len(mb.owing) == 0 && mb.queued == 0,
+		"rank %d left %s with a deficit of %d, parent %v, %d hops owed acknowledgements and %d queued records",
+		mb.me, site, mb.deficit, mb.parent != nil, len(mb.owing), mb.queued)
 }

@@ -48,7 +48,7 @@ type core struct {
 	active []*hopBuf
 
 	// leakStash holds the one delivery claimed by the LeakDelivery
-	// mutation hook until the policy's next detection generation
+	// mutation hook until the policy's next pass of its quiescence loop
 	// releases it. Always empty outside mutation smoke tests.
 	leakStash []byte
 	leakHeld  bool
@@ -308,11 +308,11 @@ func (c *core) deliver(payload []byte) {
 }
 
 // releaseLeak delivers the stashed leak, if any. Policies call it at the
-// start of each termination-detection generation, so a leaked delivery
-// re-enters one generation late and what its handler spawns still rides
-// that wave, and once more after the verdict: a stash claimed in the
-// final generation must not outlive the barrier, or the mutant would
-// turn into a lost delivery.
+// start of each pass of their quiescence loop and do not let a phase end
+// while a leak is held, so a leaked delivery re-enters late and what its
+// handler spawns still rides the same phase; and once more after the
+// verdict, so that a stash can never outlive the barrier and turn the
+// mutant into a lost delivery.
 func (c *core) releaseLeak() {
 	if c.leakHeld {
 		c.leakHeld = false

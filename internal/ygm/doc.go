@@ -65,26 +65,30 @@
 // them.
 //
 // Termination detection follows the paper's Section IV-B: ranks declare
-// themselves done producing messages, flush (including empty buffers —
-// here, counter reports), and the layer detects global quiescence by a
-// global reduction. Each reduction (a generation) is one run of
-// collective.Allreduce, the node-aware allreduce under Comm.Barrier too
-// (a binomial tree per node, a butterfly among node leaders), which
-// leaves the result, and so the verdict, on every rank. The lazy policy
-// runs a counting consensus: record-hop send and receive totals must
-// balance and equal the totals of the previous generation, and the
-// totals of the last quiescent instant are kept, so a WaitEmpty with
-// nothing sent since costs one generation. The round-matched policy
-// needs one generation: every rank must report the same number of
-// completed rounds, snapshotted with nothing queued, since a completed
-// round leaves nothing of itself in flight and only a round can queue
-// the records another round needs. The detector never blocks: the lazy
-// Mailbox's WaitEmpty is one progress loop over the termination and data
-// streams — data keeps moving while a generation is in flight, except
-// while that generation may be the final one, when what sits in the
-// inbox may already belong to the next phase — TestEmpty steps the same
-// machine between units of external work, and the round-matched policy
-// steps it between rounds. Collective exchanges detect quiescence on
-// their own; round-matched and collective exchanges cannot progress
-// unilaterally, so their types do not have TestEmpty.
+// themselves done producing messages, flush, and the layer detects
+// global quiescence by a global reduction. Each reduction (a generation)
+// is one run of collective.Allreduce, the node-aware allreduce under
+// Comm.Barrier too (a binomial tree per node, a butterfly among node
+// leaders), which leaves the result, and so the verdict, on every rank.
+// Either policy pays one generation per WaitEmpty. The lazy policy
+// counts its work instead of sampling it: every processed data packet is
+// acknowledged to its source, and a rank joins a zero-width generation —
+// a nonblocking barrier — once everything it sent is acknowledged and it
+// has queued and processed nothing since its previous wait point; a rank
+// that joined and is engaged again by an arriving packet holds that
+// packet's acknowledgement until it is quiet in that sense again, so the
+// barrier's completion is the verdict (Dijkstra–Scholten detection
+// closed by a barrier, as in NBX). The round-matched policy reduces
+// every rank's completed-round count, snapshotted with nothing queued,
+// and concludes when all agree, since a completed round leaves nothing
+// of itself in flight and only a round can queue the records another
+// round needs. The detector never blocks: the lazy Mailbox's WaitEmpty
+// is one progress loop over the termination, acknowledgement and data
+// streams — data keeps moving while the barrier is in flight, on a data
+// tag of the phase's own so that what a faster rank sends for the next
+// phase waits — TestEmpty runs the same pass between units of external
+// work, and the round-matched policy steps its detector between rounds.
+// Collective exchanges detect quiescence on their own; round-matched and
+// collective exchanges cannot progress unilaterally, so their types do
+// not have TestEmpty.
 package ygm

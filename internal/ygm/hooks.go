@@ -35,16 +35,21 @@ type TestHooks struct {
 	// a message instead of invoking the handler — a lost delivery that
 	// leaves every transport-level counter balanced.
 	DropDelivery func(at machine.Rank, payload []byte) bool
-	// ForceVerdict, when non-nil, replaces the termination verdict of a
-	// generation. balanced and unchanged are the two halves of the honest
-	// four-counter condition (on the round policy both are whether every
-	// rank reported the same completed-round count); returning true while
-	// either is false manufactures a premature termination. Every rank evaluates the
-	// verdict on the same totals, concurrently, so the hook must be a
-	// pure function of its two arguments: a result that differed between
-	// ranks would split the world over whether the phase ended, and any
-	// state it keeps is shared between rank goroutines.
-	ForceVerdict func(balanced, unchanged bool) bool
+	// ForceVerdict, when non-nil, replaces the decision that ends a
+	// quiescence phase, given the honest one. On the lazy policy it is
+	// asked, at each wait point of a rank that has not joined the epoch's
+	// barrier, whether to join now; honest is that the rank is quiet —
+	// every data packet it sent has been acknowledged, and it queued and
+	// processed nothing since its previous wait point — so returning true
+	// while honest is false can join the barrier with packets still
+	// unacknowledged: a premature verdict once every rank has joined. On the round policy it
+	// replaces a generation's verdict; honest is that every rank reported
+	// the same completed-round count, and every rank evaluates it on the
+	// same result, concurrently. Either way the hook runs on rank
+	// goroutines concurrently, so any state it keeps must be safe to
+	// share, and on the round policy a result that differed between ranks
+	// would split the world over whether the phase ended.
+	ForceVerdict func(honest bool) bool
 	// ReorderPacket, when non-nil and returning true for a packet,
 	// makes the decode loop hold that packet's first record and dispatch
 	// it after all its other records — inverting per-channel FIFO
@@ -53,10 +58,11 @@ type TestHooks struct {
 	ReorderPacket func(at, src machine.Rank) bool
 	// LeakDelivery, when non-nil and returning true, stashes one
 	// delivery instead of invoking the handler and releases it at the
-	// start of the next termination-detection drain (or, failing that,
-	// right after the quiescence verdict) — one WaitEmpty generation
-	// late, but still inside the same quiescence window, so the
-	// exactly-once oracle sees nothing while delivery order breaks.
+	// start of the next pass of the policy's quiescence loop, before any
+	// join or snapshot that could end the phase (and, failing that, right
+	// after the verdict) — late, but still inside the same quiescence
+	// window, so the exactly-once oracle sees nothing while delivery
+	// order breaks.
 	LeakDelivery func(at machine.Rank, payload []byte) bool
 }
 
@@ -77,6 +83,15 @@ func (o *Options) dropDelivery(at machine.Rank, payload []byte) bool {
 // packet.
 func (o *Options) reorderPacket(at, src machine.Rank) bool {
 	return o.Hooks != nil && o.Hooks.ReorderPacket != nil && o.Hooks.ReorderPacket(at, src)
+}
+
+// forceVerdict returns the ForceVerdict hook's replacement for the honest
+// phase-ending decision, or honest itself when no hook is installed.
+func (o *Options) forceVerdict(honest bool) bool {
+	if o.Hooks != nil && o.Hooks.ForceVerdict != nil {
+		return o.Hooks.ForceVerdict(honest)
+	}
+	return honest
 }
 
 // leakDelivery reports whether the leak-injection hook claims this

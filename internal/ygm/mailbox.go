@@ -1,8 +1,10 @@
 package ygm
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"ygm/internal/codec"
 	"ygm/internal/machine"
 	"ygm/internal/obs"
 	"ygm/internal/transport"
@@ -37,9 +39,9 @@ const (
 	// production-faithful default.
 	RoundExchange ExchangeStyle = iota
 	// LazyExchange never round-matches: flushes send whatever is
-	// buffered, receives are opportunistic, and termination is purely
-	// the counting consensus. Strictly more asynchronous; supports
-	// TestEmpty polling.
+	// buffered, receives are opportunistic, and termination is one
+	// barrier joined once every packet sent is acknowledged. Strictly
+	// more asynchronous; supports TestEmpty polling.
 	LazyExchange
 	// SyncExchange realizes every exchange phase as a synchronous
 	// ALLTOALLV collective (Section III-A's bulk-synchronous variant).
@@ -123,10 +125,11 @@ type Stats struct {
 	// one packet.
 	Flushes uint64
 	// HopsSent / HopsRecv count record transmissions and receptions,
-	// including intermediary forwarding (the termination counters).
+	// including intermediary forwarding.
 	HopsSent uint64
 	HopsRecv uint64
-	// Generations counts termination-detection rounds (diagnostic).
+	// Generations counts termination-detection generations: one per
+	// quiescence cycle on the lazy policy (diagnostic).
 	Generations uint64
 	// EmptyRoundMsgs counts the empty exchange messages the
 	// round-matched protocol sends when a rank has nothing for a partner
@@ -139,12 +142,39 @@ type Stats struct {
 // opportunistic polls of the inbox.
 const pollEvery = 8
 
+// TagAck is the transport tag of the lazy mailbox's acknowledgements:
+// a 4-byte little-endian count of processed data packets, to their
+// source.
+const TagAck transport.Tag = 4
+
 // Mailbox is the lazy exchange policy over the shared core: a full queue
 // opens a communication context that flushes every non-empty buffer and
-// works off whatever has arrived, receives are opportunistic, nothing is
-// round-matched, and WaitEmpty waits for the counting consensus alone.
-// Being free of collective exchanges, it is the one variant that can
-// also poll for quiescence without blocking (TestEmpty).
+// works off whatever has arrived, receives are opportunistic, and
+// nothing is round-matched. Being free of collective exchanges, it is
+// the one variant that can also poll for quiescence without blocking
+// (TestEmpty).
+//
+// Termination is Dijkstra–Scholten detection closed by one nonblocking
+// barrier per quiescence epoch, as in the NBX exchange (Hoefler et al.,
+// PPoPP 2010). Every processed data packet owes its source one
+// acknowledgement, and a rank's deficit is the number of packets it sent
+// that are not yet acknowledged. A rank is quiet at a wait point where
+// its deficit is 0 and it has queued and processed nothing since the
+// previous one. A quiet rank joins the epoch's barrier — one zero-width
+// generation of the termination detector — and keeps draining while the
+// barrier is in flight. A packet processed by a rank that has joined and
+// is idle engages it: the packet's source becomes its parent, whose
+// acknowledgement waits until the rank is quiet again, so what its
+// handlers or its application send meanwhile is still this epoch's work.
+// Every other packet is acknowledged at the rank's next wait point, one
+// TagAck packet per source and drain wave, so nothing is sent per packet
+// while the application sends. Unacknowledged work is thus always owned
+// by a rank that has not joined, directly or through a chain of parents,
+// and the barrier's completion — every rank joined — is the verdict. An
+// epoch's data travels on its own tag (the two alternate), so what a
+// rank already past the verdict sends waits under the next epoch's tag,
+// and what the application sends while its rank has joined and is not
+// engaged belongs to the next epoch and is held back until the verdict.
 //
 // It is confined to its rank's goroutine. All ranks of the world must
 // construct their mailbox with identical Options; WaitEmpty is a
@@ -160,6 +190,24 @@ type Mailbox struct {
 	// flag: a handler that calls Flush processes packets inside the one
 	// being handled).
 	processing int
+
+	// data is this epoch's data tag; joined says this rank has joined
+	// the epoch's barrier.
+	data   transport.Tag
+	joined bool
+	// act is Sends+Broadcasts+HopsRecv at the previous pass: a rank that
+	// queued or processed messages since then is not quiet.
+	act uint64
+	// deficit counts data packets sent and not yet acknowledged.
+	deficit uint64
+	// parent is the hop whose packet engaged this rank, nil when idle.
+	parent *hopBuf
+	// owing lists the hops with owed acknowledgements, each once.
+	owing []*hopBuf
+	// held queues, encoded as records, the nheld sends the application
+	// made while joined and not engaged, for the next epoch.
+	held  codec.Writer
+	nheld int
 
 	// Flush-cause counters, resolved once from the rank's metric
 	// registry: what drove each communication context — capacity
@@ -177,7 +225,7 @@ type Mailbox struct {
 // whatever is queued, so one stage with one buffer generation carries
 // every hop.
 func newLazy(p *transport.Proc, handler Handler, opts Options) (*Mailbox, error) {
-	mb := &Mailbox{}
+	mb := &Mailbox{data: transport.TagData}
 	if err := mb.init(p, mb, handler, opts, false); err != nil {
 		return nil, err
 	}
@@ -186,6 +234,7 @@ func newLazy(p *transport.Proc, handler Handler, opts Options) (*Mailbox, error)
 	mb.cFlushForward = m.Counter("ygm.flush.forward")
 	mb.cFlushDrain = m.Counter("ygm.flush.drain")
 	mb.cFlushExplicit = m.Counter("ygm.flush.explicit")
+	mb.owing = make([]*hopBuf, 0, len(mb.stages[0].cur))
 	mb.term.init(&mb.core, nil)
 	return mb, nil
 }
@@ -195,6 +244,9 @@ func newLazy(p *transport.Proc, handler Handler, opts Options) (*Mailbox, error)
 // communication context (flush plus opportunistic receive) when the
 // mailbox reaches capacity.
 func (mb *Mailbox) Send(dst machine.Rank, payload []byte) {
+	if (mb.joined || mb.nheld > 0) && mb.hold(kindUnicast, dst, payload) {
+		return
+	}
 	if mb.send(dst, payload) {
 		mb.afterQueue()
 	}
@@ -203,9 +255,51 @@ func (mb *Mailbox) Send(dst machine.Rank, payload []byte) {
 // Broadcast queues a broadcast of payload to every other rank along the
 // scheme's fan-out; the origin does not deliver to itself.
 func (mb *Mailbox) Broadcast(payload []byte) {
-	mb.broadcast(payload)
-	mb.afterQueue()
+	if !mb.hold(kindBcastDeliver, machine.Nil, payload) {
+		mb.broadcast(payload)
+		mb.afterQueue()
+	}
 }
+
+// hold keeps a send the application makes while this rank has joined
+// the barrier and is not engaged for the next epoch, and reports whether
+// it did; past the verdict it first queues what it held. An engaged
+// rank's withheld parent acknowledgement keeps the epoch open for its
+// sends, and handlers only run engaged.
+func (mb *Mailbox) hold(kind recordKind, dst machine.Rank, payload []byte) bool {
+	if mb.joined && mb.parent == nil && mb.depth == 0 {
+		appendRecord(&mb.held, kind, dst, payload)
+		mb.nheld++
+		return true
+	}
+	mb.release()
+	return false
+}
+
+// release queues, in order, the sends held through the last verdict.
+// Every entry point of the mailbox calls it before anything else, so the
+// held sends are the first of the new epoch and none of their deliveries
+// happens inside the call that reached the verdict.
+func (mb *Mailbox) release() {
+	if mb.joined || mb.nheld == 0 {
+		return
+	}
+	held := mb.held.Bytes()
+	mb.held.Reset() // nothing appends while the rank has not joined
+	mb.nheld = 0
+	for r := codec.NewReader(held); r.Remaining() > 0; {
+		rec, _ := parseRecord(r) // hold encoded it in this process
+		if rec.kind == kindUnicast {
+			mb.Send(rec.dst, rec.payload)
+		} else {
+			mb.Broadcast(rec.payload)
+		}
+	}
+}
+
+// PendingSends reports the records queued but not yet sent, including
+// the sends held for the next epoch.
+func (mb *Mailbox) PendingSends() int { return mb.queued + mb.nheld }
 
 // afterQueue runs the capacity check and opportunistic poll that follow
 // any application-level queueing operation.
@@ -247,7 +341,7 @@ func (mb *Mailbox) enterCommContext() {
 // pollOnce processes at most one arrived data packet without waiting.
 // It reports whether a packet was processed.
 func (mb *Mailbox) pollOnce() bool {
-	pkt := mb.p.Poll(transport.TagData)
+	pkt := mb.p.Poll(mb.data)
 	if pkt == nil {
 		return false
 	}
@@ -263,8 +357,9 @@ func (mb *Mailbox) flushAll() {
 		return
 	}
 	for _, b := range mb.active {
-		mb.p.SendPooled(b.hop, transport.TagData, mb.take(b))
+		mb.p.SendPooled(b.hop, mb.data, mb.take(b))
 	}
+	mb.deficit += uint64(len(mb.active))
 	mb.active = mb.active[:0]
 	mb.stats.Flushes++
 	if mb.queued != 0 {
@@ -274,8 +369,14 @@ func (mb *Mailbox) flushAll() {
 
 // processPacket dispatches every record in pkt, recycles the packet,
 // then flushes the forwards the records generated if they fill the
-// mailbox.
+// mailbox. The packet engages a rank that joined the barrier and is
+// idle; any other owes its acknowledgement at the next wait point.
 func (mb *Mailbox) processPacket(pkt *transport.Packet) {
+	if b := &mb.stages[0].cur[mb.rt.slotOf(pkt.Src)]; mb.joined && mb.parent == nil {
+		mb.parent = b
+	} else {
+		mb.owe(b)
+	}
 	mb.processing++
 	mb.decode(pkt.Src, pkt.Payload)
 	mb.processing--
@@ -305,13 +406,14 @@ func (mb *Mailbox) drainAvailable() {
 
 // drainWaves processes arrived packets in waves — each wave is the set
 // physically present right now, batched out of the inbox in one pass —
-// flushing the forwards each wave generates, so multi-hop routes
-// pipeline wave by wave instead of buffering a whole drain. It never
-// nests: only generation reaches it, and generation refuses to run
-// inside a handler.
+// flushing the forwards and acknowledging the packets of each wave, so
+// multi-hop routes pipeline wave by wave instead of buffering a whole
+// drain, and an acknowledgement carries the clock of its own wave, not
+// of the last one. It never nests: only generation reaches it, and
+// generation refuses to run inside a handler.
 func (mb *Mailbox) drainWaves() {
 	for {
-		batch := mb.p.DrainBatch(transport.TagData, mb.drainScratch[:0])
+		batch := mb.p.DrainBatch(mb.data, mb.drainScratch[:0])
 		mb.drainScratch = batch
 		if len(batch) == 0 {
 			return
@@ -322,53 +424,89 @@ func (mb *Mailbox) drainWaves() {
 			batch[i] = nil
 		}
 		mb.flushAll()
+		mb.sendAcks()
 	}
 }
 
-// generation drains, then advances termination detection as far as the
-// arrived packets allow, and reports whether a generation established
-// global quiescence. While the generation in flight may be the final one
-// (term.hold) a peer may already be past the verdict, so what sits in
-// the data stream may belong to the next phase and stays there; sends a
-// poller queued since its snapshot are still flushed.
+// owe records one acknowledgement owed to the hop b.
+func (mb *Mailbox) owe(b *hopBuf) {
+	if b.owed == 0 {
+		mb.owing = append(mb.owing, b)
+	}
+	b.owed++
+}
+
+// acknowledge takes in the acknowledgements that have arrived.
+func (mb *Mailbox) acknowledge() {
+	batch := mb.p.DrainBatch(TagAck, mb.drainScratch[:0])
+	mb.drainScratch = batch
+	for _, pkt := range batch {
+		mb.p.Absorb(pkt)
+		n := uint64(binary.LittleEndian.Uint32(pkt.Payload))
+		mb.checkAck(n)
+		mb.deficit -= n
+		mb.p.Recycle(pkt)
+	}
+}
+
+// sendAcks sends every owed acknowledgement, one packet per hop.
+func (mb *Mailbox) sendAcks() {
+	for _, b := range mb.owing {
+		mb.p.SendPooled(b.hop, TagAck, binary.LittleEndian.AppendUint32(mb.p.AcquireBuf(4)[:0], b.owed))
+		b.owed = 0
+	}
+	mb.owing = mb.owing[:0]
+}
+
+// generation is one pass of the lazy progress loop: drain data, take in
+// acknowledgements, release the parent or join the epoch's barrier if
+// this rank is quiet, send what is owed, and step the barrier. It reports whether the barrier completed: the verdict,
+// after which the rank is in the next epoch.
 func (mb *Mailbox) generation(site string) bool {
 	mb.notInHandler(site)
-	if mb.term.hold() {
-		mb.flushAll()
-	} else {
-		mb.drainAvailable()
+	mb.release()
+	mb.drainAvailable()
+	mb.acknowledge()
+	act := mb.stats.Sends + mb.stats.Broadcasts + mb.stats.HopsRecv
+	quiet := act == mb.act && mb.deficit == 0 && !mb.leakHeld
+	mb.act = act
+	if quiet && mb.parent != nil {
+		mb.owe(mb.parent)
+		mb.parent = nil
 	}
-	if !mb.term.step() {
+	mb.sendAcks()
+	if !mb.joined && mb.opts.forceVerdict(quiet) {
+		mb.joined = true
+		mb.term.start(nil, nil)
+	}
+	if !mb.term.Step() {
 		return false
 	}
+	mb.checkVerdict(site)
+	mb.joined = false
+	mb.data ^= transport.TagData ^ transport.TagDataOdd
 	mb.releaseLeak()
-	checkQuiescent(mb.p, mb.queued, site)
 	return true
 }
 
 // WaitEmpty flushes pending buffers and blocks until every rank's
-// mailbox is globally quiet: all buffers flushed, all record hops
-// received, and no new activity between two consecutive global counts
-// (Section IV-B). It is a collective operation: every rank must call it,
-// and all ranks return during the same detection generation. The mailbox
-// remains usable afterwards.
+// mailbox is globally quiet: every packet sent has been processed and
+// acknowledged and every rank has joined the epoch's barrier (Section
+// IV-B). It is a collective operation: every rank must call it, and all
+// ranks return on the same barrier. The mailbox remains usable
+// afterwards.
 //
-// It is one progress loop: drain data, step the detector, then block
-// until a packet arrives on either stream, so multi-hop forwards keep
-// moving while a generation is in flight — except under term.hold, when
-// only the verdict can move this rank.
+// It is one progress loop: drain data, settle acknowledgements, step
+// the barrier, then block until a packet arrives on this epoch's data
+// tag, TagAck or TagTerm, so multi-hop forwards keep moving while the
+// barrier is in flight.
 func (mb *Mailbox) WaitEmpty() {
 	sp := mb.p.Span("lazy.waitempty")
 	defer sp.End()
 	for !mb.generation("WaitEmpty") {
-		switch {
-		case !mb.term.Busy():
-			// A generation just completed without quiescence: drain and
-			// snapshot again at once.
-		case mb.term.hold():
-			mb.p.WaitAny(TagTerm)
-		default:
-			mb.p.WaitAny(TagTerm, transport.TagData)
+		// A rank that may be quiet on the next pass takes it at once.
+		if (mb.deficit > 0 || mb.joined && mb.parent == nil) && !mb.leakHeld {
+			mb.p.WaitAny(TagTerm, mb.data, TagAck)
 		}
 	}
 }
@@ -376,10 +514,18 @@ func (mb *Mailbox) WaitEmpty() {
 // TestEmpty makes nonblocking progress on termination detection and
 // reports whether global quiescence has been established. Callers that
 // maintain external work queues (the HavoqGT pattern) call it in a loop,
-// interleaving their own work; every rank observes true for the same
-// generation, and a call that returns true has delivered nothing after
-// the snapshot that generation counted, so work a handler queues never
-// coincides with a true result. The mailbox can be reused afterwards.
+// interleaving their own work; every rank observes true on the same
+// barrier. A rank joins the barrier at a quiet call: everything it sent
+// has been acknowledged, and since the previous call it processed no
+// message and the application queued nothing. A message that reaches a
+// rank that has joined draws it back into the phase until the next
+// quiet call. So a call that returns true has delivered nothing, and
+// work a handler queues stays in the current phase as long as the
+// application sends it before its next call. A Send or Broadcast the
+// application makes after a quiet call, before a message reaches the
+// rank again, belongs to the next phase: it is held back (PendingSends
+// counts it) until the application's next call into the mailbox after
+// the verdict. The mailbox can be reused afterwards.
 // Only the lazy policy offers it: round-matched and collective exchanges
 // cannot progress unilaterally.
 //
@@ -395,6 +541,7 @@ func (mb *Mailbox) TestEmpty() bool { return mb.generation("TestEmpty") }
 // Flush forces the communication context to run even if the mailbox is
 // below capacity (exposed for tests and latency-sensitive callers).
 func (mb *Mailbox) Flush() {
+	mb.release()
 	mb.cFlushExplicit.Inc()
 	mb.enterCommContext()
 }

@@ -10,9 +10,12 @@ import (
 
 // hopBuf is one partner's coalescing buffer. The writer's backing
 // storage is retained across exchanges, so a buffer never allocates in
-// steady state.
+// steady state. owed, which sits in what would be padding after hop, is
+// the lazy policy's count of the partner's packets this rank has
+// processed and not yet acknowledged.
 type hopBuf struct {
 	hop   machine.Rank
+	owed  uint32
 	w     codec.Writer
 	count int
 }

@@ -1,10 +1,12 @@
 package ygm
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ygm/internal/codec"
 	"ygm/internal/machine"
@@ -68,13 +70,13 @@ func TestTermEveryWorldSize(t *testing.T) {
 	}
 }
 
-// TestTermIdleIsOneGeneration pins the exact costs: a WaitEmpty with
-// nothing sent since the last quiet instant — the start of the program
-// included — is one generation, which on 2 nodes of 2 cores is one packet
-// from each leaf (up to its leader) and two from each leader (the one
-// butterfly step across nodes and the one down to its leaf); one that
-// follows a send cannot conclude before a second generation confirms the
-// first.
+// TestTermIdleIsOneGeneration pins the exact costs: every lazy WaitEmpty
+// is one generation, the barrier every rank joins, which on 2 nodes of 2
+// cores is one packet from each leaf (up to its leader) and two from each
+// leader (the one butterfly step across nodes and the one down to its
+// leaf). A WaitEmpty that follows a send from rank 0 to rank 3 costs
+// the same generation plus that data packet and rank 3's one
+// acknowledgement.
 func TestTermIdleIsOneGeneration(t *testing.T) {
 	for _, tw := range termWires {
 		t.Run(tw.name, func(t *testing.T) {
@@ -86,32 +88,281 @@ func TestTermIdleIsOneGeneration(t *testing.T) {
 			}, func(p *transport.Proc) error {
 				mb := New(p, func(Sender, []byte) {}, WithExchange(LazyExchange))
 				sent := func() uint64 { return p.Stats().LocalMsgs + p.Stats().RemoteMsgs }
-				for _, step := range []struct {
-					send     bool
-					min, max uint64 // generations this WaitEmpty may take
-				}{
-					{false, 1, 1}, // nothing ever sent
-					{true, 2, 1 << 20},
-					{false, 1, 1}, // nothing sent since the last verdict
-					{false, 1, 1},
-				} {
-					if step.send && p.Rank() == 0 {
+				for _, send := range []bool{false, true, false, false} {
+					if send && p.Rank() == 0 {
 						mb.Send(3, []byte("x"))
 					}
 					g0, s0 := mb.Stats().Generations, sent()
 					mb.WaitEmpty()
-					if g := mb.Stats().Generations - g0; g < step.min || g > step.max {
-						return fmt.Errorf("rank %d: WaitEmpty (send=%v) took %d generations, want %d..%d",
-							p.Rank(), step.send, g, step.min, step.max)
+					if g := mb.Stats().Generations - g0; g != 1 {
+						return fmt.Errorf("rank %d: WaitEmpty (send=%v) took %d generations, want 1", p.Rank(), send, g)
 					}
-					if n, want := sent()-s0, 2-uint64(p.Rank()%2); !step.send && n != want {
-						return fmt.Errorf("rank %d: idle WaitEmpty sent %d packets, want %d (6 in the world)", p.Rank(), n, want)
+					want := 2 - uint64(p.Rank()%2)
+					if send && (p.Rank() == 0 || p.Rank() == 3) {
+						want++
+					}
+					if n := sent() - s0; n != want {
+						return fmt.Errorf("rank %d: WaitEmpty (send=%v) sent %d packets, want %d", p.Rank(), send, n, want)
 					}
 				}
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestTermBurstIsOneGeneration pins the lazy policy's one generation per
+// WaitEmpty where Mattern's counting needed three or more: on 2 nodes of
+// 2 cores under NLNR every rank sends bursts to the rank across both the
+// node and the core — a 3-hop route from ranks 0 and 3, through both
+// ranks of the other core, and a direct one from ranks 1 and 2 — at a
+// capacity that flushes mid-burst, so forwards are in flight at
+// intermediaries when ranks enter WaitEmpty.
+// Every WaitEmpty must still take exactly one generation on every rank,
+// with every message of the cycle delivered.
+func TestTermBurstIsOneGeneration(t *testing.T) {
+	const cycles, burst = 40, 50
+	for _, tw := range termWires {
+		t.Run(tw.name, func(t *testing.T) {
+			topo := machine.New(2, 2)
+			var hops, want atomic.Uint64
+			_, err := transport.Run(transport.Config{
+				Topo:  topo,
+				Model: netsim.Quartz(),
+				Seed:  11,
+				Wire:  tw.wire,
+			}, func(p *transport.Proc) error {
+				got := 0
+				mb := New(p, func(Sender, []byte) { got++ },
+					WithScheme(machine.NLNR), WithExchange(LazyExchange), WithCapacity(16))
+				across := 3 - p.Rank()
+				want.Add(uint64(len(topo.Path(machine.NLNR, p.Rank(), across))) * cycles * burst)
+				for c := 1; c <= cycles; c++ {
+					for range burst {
+						mb.Send(across, []byte("burst"))
+					}
+					g0 := mb.Stats().Generations
+					mb.WaitEmpty()
+					if g := mb.Stats().Generations - g0; g != 1 {
+						return fmt.Errorf("rank %d: WaitEmpty %d took %d generations, want 1", p.Rank(), c, g)
+					}
+					if got != c*burst {
+						return fmt.Errorf("rank %d left WaitEmpty %d with %d of %d messages delivered", p.Rank(), c, got, c*burst)
+					}
+				}
+				hops.Add(mb.Stats().HopsSent)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hops.Load() != want.Load() || want.Load() != 8*cycles*burst {
+				t.Fatalf("the world sent %d record hops, want %d (routes of 3, 1, 1 and 3 hops)", hops.Load(), want.Load())
+			}
+		})
+	}
+}
+
+// TestTestEmptyHoldsSendsAfterJoin: a poller that has joined the epoch's
+// barrier and is not engaged by a message since cannot take part in the
+// epoch's work any more, so what its application sends from then on — to
+// a peer and to itself — belongs to the next phase. Each rank sends both
+// messages at the first such point, stamped with the next phase, and
+// every delivery must carry the phase it lands in; PendingSends must
+// count the held records, and a final WaitEmpty delivers the last
+// phase's.
+func TestTestEmptyHoldsSendsAfterJoin(t *testing.T) {
+	const phases = 30
+	for _, tw := range termWires {
+		t.Run(tw.name, func(t *testing.T) {
+			_, err := transport.Run(transport.Config{
+				Topo:  machine.New(2, 2),
+				Model: netsim.Quartz(),
+				Seed:  4,
+				Wire:  tw.wire,
+			}, func(p *transport.Proc) error {
+				me, world := int(p.Rank()), p.WorldSize()
+				phase, got, late := uint64(0), uint64(0), uint64(0)
+				var bad error
+				mb := New(p, func(_ Sender, payload []byte) {
+					got++
+					if ph := decodeU64(payload); ph != phase && bad == nil {
+						bad = fmt.Errorf("rank %d: a phase-%d message delivered in phase %d", me, ph, phase)
+					}
+				}, WithScheme(machine.NLNR), WithExchange(LazyExchange)).(*Mailbox)
+				for ; phase < phases; phase++ {
+					sent := false
+					for !mb.TestEmpty() {
+						if !sent && mb.joined && mb.parent == nil {
+							mb.Send(machine.Rank((me+1)%world), encodeU64(phase+1))
+							mb.Send(p.Rank(), encodeU64(phase+1))
+							sent, late = true, late+1
+							if n := mb.PendingSends(); n != 2 {
+								return fmt.Errorf("rank %d holds 2 sends for the next phase, PendingSends = %d", me, n)
+							}
+						}
+						p.AbortIfPeerFailed()
+						p.Yield()
+					}
+					if bad != nil {
+						return bad
+					}
+				}
+				mb.WaitEmpty()
+				if bad != nil {
+					return bad
+				}
+				if late == 0 {
+					return fmt.Errorf("rank %d never sent after joining: nothing was held", me)
+				}
+				if got == 0 {
+					return fmt.Errorf("rank %d received none of the held messages", me)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestTestEmptyKeepsHandlerQueuedWork is the HavoqGT pattern: handlers
+// send nothing, they push a visitor onto the application's own queue,
+// and the poll loop sends the queue out between TestEmpty calls. A
+// visitor carries its phase and a hop count; each delivery with hops
+// left queues the next hop, to a peer or to the rank itself. Whatever a
+// handler queues is work of its phase, so every delivery must carry the
+// phase it lands in, TestEmpty must never return true while a visitor is
+// queued, and the world must deliver every hop of every chain.
+func TestTestEmptyKeepsHandlerQueuedWork(t *testing.T) {
+	const phases, hops = 30, 6
+	for _, tw := range termWires {
+		t.Run(tw.name, func(t *testing.T) {
+			var delivered atomic.Uint64
+			_, err := transport.Run(transport.Config{
+				Topo:  machine.New(2, 2),
+				Model: netsim.Quartz(),
+				Seed:  9,
+				Wire:  tw.wire,
+			}, func(p *transport.Proc) error {
+				me, world := uint64(p.Rank()), uint64(p.WorldSize())
+				var queue []uint64 // hops left of each queued visitor
+				phase := uint64(0)
+				var bad error
+				mb := New(p, func(_ Sender, payload []byte) {
+					delivered.Add(1)
+					r := codec.NewReader(payload)
+					ph, _ := r.Uvarint()
+					left, _ := r.Uvarint()
+					if ph != phase && bad == nil {
+						bad = fmt.Errorf("rank %d: a phase-%d visitor delivered in phase %d", me, ph, phase)
+					}
+					if left > 0 {
+						queue = append(queue, left-1)
+					}
+				}, WithScheme(machine.NLNR), WithExchange(LazyExchange)).(*Mailbox)
+				w := codec.NewWriter(20)
+				for ; phase < phases; phase++ {
+					queue = append(queue, hops)
+					for {
+						for len(queue) > 0 {
+							left := queue[len(queue)-1]
+							queue = queue[:len(queue)-1]
+							w.Reset()
+							w.Uvarint(phase)
+							w.Uvarint(left)
+							mb.Send(machine.Rank((me+left+phase)%world), w.Bytes())
+						}
+						if mb.TestEmpty() {
+							break
+						}
+						p.AbortIfPeerFailed()
+						p.Yield()
+					}
+					if bad != nil {
+						return bad
+					}
+					if len(queue) > 0 {
+						return fmt.Errorf("rank %d: TestEmpty returned true in phase %d with %d visitors queued", me, phase, len(queue))
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := delivered.Load(), uint64(phases*4*(hops+1)); got != want {
+				t.Fatalf("the world delivered %d visitors, want %d", got, want)
+			}
+		})
+	}
+}
+
+// dropFirstData is a wire that loses the first lazy data packet of the
+// run and delivers everything else.
+type dropFirstData struct {
+	transport.Wire
+	dropped atomic.Bool
+}
+
+func (w *dropFirstData) Inject(p *transport.Proc, dst machine.Rank, pkt *transport.Packet) {
+	if pkt.Tag == transport.TagData && w.dropped.CompareAndSwap(false, true) {
+		return
+	}
+	w.Wire.Inject(p, dst, pkt)
+}
+
+// lostPacketBound is how long a run that lost a packet may take to end
+// in an error: the watchdog polls every 20 ms here and fires after a few
+// quiet polls, so the bound leaves a wide margin for a loaded host.
+const lostPacketBound = 10 * time.Second
+
+// TestLostPacketEndsInTypedError: a data packet the wire loses is never
+// acknowledged, so its sender never joins the barrier, every rank ends
+// up parked, and the deadlock watchdog turns the hang into a typed
+// error within lostPacketBound, on the simulator and the local wire.
+// Under a counting detector the same loss ran generations forever: the
+// totals never balanced, and detector packets kept the watchdog from
+// firing.
+func TestLostPacketEndsInTypedError(t *testing.T) {
+	for _, tw := range []struct {
+		name string
+		wire transport.Wire
+	}{{"sim", transport.SimWire{}}, {"local", transport.LocalWire{}}} {
+		t.Run(tw.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			start := time.Now()
+			go func() {
+				_, err := transport.Run(transport.Config{
+					Topo:             machine.New(2, 2),
+					Model:            netsim.Quartz(),
+					Seed:             6,
+					Wire:             &dropFirstData{Wire: tw.wire},
+					WatchdogInterval: 20 * time.Millisecond,
+				}, func(p *transport.Proc) error {
+					mb := New(p, func(Sender, []byte) {}, WithExchange(LazyExchange))
+					for d := 1; d < p.WorldSize(); d++ {
+						mb.Send(machine.Rank((int(p.Rank())+d)%p.WorldSize()), []byte("x"))
+					}
+					mb.WaitEmpty()
+					return nil
+				})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				var dl *transport.DeadlockError
+				var pl *transport.PacketLossError
+				if !errors.As(err, &dl) && !errors.As(err, &pl) {
+					t.Fatalf("a lost packet ended in %v, want a DeadlockError or a PacketLossError", err)
+				}
+				t.Logf("%s: typed error after %v", tw.name, time.Since(start).Round(time.Millisecond))
+			case <-time.After(lostPacketBound):
+				t.Fatalf("a run that lost a packet did not end within %v", lostPacketBound)
 			}
 		})
 	}
@@ -135,13 +386,9 @@ func TestTermIdleIsOneGeneration(t *testing.T) {
 // outside the mailbox and a rank that left the verdict can be sending
 // while a peer is still polling.
 //
-// The guard is termDetector.hold. With it disabled —
-//
-//	func (td *termDetector) hold() bool { return false }
-//
-// — this test fails in its first cycles on every scheme and both drivers
-// ("phase 1 payload delivered to rank 0 in phase 0"), as does
-// TestMailboxReuse ("rank 1 after batch 0 has 2 deliveries").
+// The guard is the epoch's data tag. With one tag for every epoch —
+// generation keeping mb.data unchanged at the verdict — this test fails
+// in its first cycles ("phase 1 payload delivered to rank 0 in phase 0").
 func TestPhaseIsolation(t *testing.T) {
 	const cycles = 300
 	for _, scheme := range machine.Schemes {
