@@ -63,11 +63,7 @@ func DegreeCount(p *transport.Proc, cfg DegreeCountConfig) (*DegreeCountResult, 
 	degrees := make([]uint64, graph.LocalCount(cfg.NumVertices, world, int(p.Rank())))
 
 	mb := ygm.New(p, func(s ygm.Sender, payload []byte) {
-		v, err := codec.NewReader(payload).Uvarint()
-		if err != nil {
-			panic(fmt.Sprintf("apps: corrupt degree message: %v", err))
-		}
-		degrees[graph.LocalID(v, world)]++
+		degrees[graph.LocalID(degreeVertex(payload), world)]++
 	}, ygm.WithOptions(cfg.Mailbox))
 
 	gen := cfg.NewGen(p)
@@ -104,4 +100,13 @@ func DegreeCount(p *transport.Proc, cfg DegreeCountConfig) (*DegreeCountResult, 
 		mb.WaitEmpty()
 	}
 	return &DegreeCountResult{Degrees: degrees, Mailbox: mb.Stats()}, nil
+}
+
+// degreeVertex decodes a degree message: the vertex whose count it adds.
+func degreeVertex(payload []byte) uint64 {
+	v, err := codec.NewReader(payload).Uvarint()
+	if err != nil {
+		panic(fmt.Sprintf("apps: corrupt degree message: %v", err))
+	}
+	return v
 }

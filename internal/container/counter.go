@@ -381,6 +381,9 @@ func encodeKeyCounts(kc []KeyCount) []byte {
 func decodeKeyCounts(buf []byte) []KeyCount {
 	r := codec.NewReader(buf)
 	n, err := r.Uvarint()
+	if err == nil && n > uint64(r.Remaining()) {
+		err = fmt.Errorf("%d entries in %d bytes", n, r.Remaining())
+	}
 	if err != nil {
 		panic(fmt.Sprintf("container: corrupt top-k payload: %v", err))
 	}

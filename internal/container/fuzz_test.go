@@ -2,7 +2,10 @@ package container
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"ygm/internal/codec"
@@ -220,4 +223,32 @@ func walkRecord(buf []byte) (frames int, err error) {
 			return frames, nil
 		}
 	}
+}
+
+// FuzzKeyCounts: a top-k payload, as the reduction encodes it, decodes
+// back to the same entries; every strict prefix of it, and arbitrary
+// bytes that do not decode, end in the named corrupt-payload panic.
+func FuzzKeyCounts(f *testing.F) {
+	f.Add("w01", uint64(7), "", uint64(0), binary.AppendUvarint(nil, 1<<62))
+	f.Add(string(bytes.Repeat([]byte("k"), 200)), uint64(1<<62), "x", uint64(3), []byte{2, 1, 'a'})
+	f.Fuzz(func(t *testing.T, k1 string, c1 uint64, k2 string, c2 uint64, raw []byte) {
+		kc := []KeyCount{{k1, c1}, {k2, c2}}
+		enc := encodeKeyCounts(kc)
+		if got := decodeKeyCounts(enc); !slices.Equal(got, kc) {
+			t.Fatalf("decoded %v, want %v", got, kc)
+		}
+		decode := func(b []byte) (msg string) { // what decodeKeyCounts panicked with, "<nil>" if nothing
+			defer func() { msg = fmt.Sprint(recover()) }()
+			decodeKeyCounts(b)
+			return
+		}
+		for i := range enc {
+			if msg := decode(enc[:i]); !strings.HasPrefix(msg, "container: corrupt top-k payload") {
+				t.Fatalf("payload % x cut to %d bytes: %s", enc, i, msg)
+			}
+		}
+		if msg := decode(raw); msg != "<nil>" && !strings.HasPrefix(msg, "container: corrupt top-k payload") {
+			t.Fatalf("payload % x: %s", raw, msg)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -233,5 +234,15 @@ func TestWebgraphHeavierTail(t *testing.T) {
 	}
 	if top(Webgraph) < top(Graph500) {
 		t.Fatalf("webgraph top degree %d below Graph500's %d", top(Webgraph), top(Graph500))
+	}
+}
+
+func TestUniformDeterminism(t *testing.T) {
+	a := Collect(NewUniform(1<<20, 7), 100)
+	if b := Collect(NewUniform(1<<20, 7), 100); !slices.Equal(a, b) {
+		t.Fatal("one seed produced two uniform streams")
+	}
+	if c := Collect(NewUniform(1<<20, 8), 100); slices.Equal(a, c) {
+		t.Fatal("different seeds produced identical uniform streams")
 	}
 }

@@ -138,7 +138,7 @@ func TestInboxWakeMetricsShowElision(t *testing.T) {
 			return nil
 		}
 		// Give the sender real time to finish its burst before parking.
-		time.Sleep(50 * time.Millisecond) //ygmvet:ignore wallclock -- host-side test sequencing, not simulated-rank logic
+		time.Sleep(50 * time.Millisecond)
 		for i := 0; i < msgs; i++ {
 			pkt := p.Recv(TagUser)
 			p.Recycle(pkt)

@@ -283,7 +283,7 @@ func (t *TCPWire) rendezvousRoot(selfAddr string, deadline time.Time) ([]string,
 		if hostNow().After(deadline) {
 			return nil, fmt.Errorf("tcp: rendezvous listen %s: %w", t.opt.Rendezvous, err)
 		}
-		time.Sleep(10 * time.Millisecond) //ygmvet:ignore wallclock — host-time handshake retry, not simulated-rank code
+		time.Sleep(10 * time.Millisecond)
 	}
 	t.rdvLn = ln
 	if d, ok := ln.(*net.TCPListener); ok {
@@ -337,6 +337,12 @@ func (t *TCPWire) readHello(conn net.Conn) (int, string, error) {
 	if err != nil {
 		return 0, "", fmt.Errorf("tcp: rendezvous hello: %w", err)
 	}
+	return t.parseHello(body)
+}
+
+// parseHello decodes a hello body: the client's rank, the topology it
+// built, which must be ours, and its mesh address.
+func (t *TCPWire) parseHello(body []byte) (int, string, error) {
 	r := codec.NewReader(body)
 	kind, err := r.Byte()
 	if err != nil || kind != kindHello {
@@ -377,7 +383,7 @@ func (t *TCPWire) rendezvousClient(selfAddr string, deadline time.Time) ([]strin
 		if hostNow().After(deadline) {
 			return nil, fmt.Errorf("tcp: rank %d could not reach rendezvous %s: %w", t.self, t.opt.Rendezvous, err)
 		}
-		time.Sleep(10 * time.Millisecond) //ygmvet:ignore wallclock — host-time handshake retry, not simulated-rank code
+		time.Sleep(10 * time.Millisecond)
 	}
 	conn.SetDeadline(deadline)
 	t.rdvConns = []net.Conn{conn}
@@ -397,14 +403,20 @@ func (t *TCPWire) rendezvousClient(selfAddr string, deadline time.Time) ([]strin
 	if err != nil {
 		return nil, fmt.Errorf("tcp: roster: %w", err)
 	}
-	r := codec.NewReader(rbody)
+	return parseRoster(rbody, topo.WorldSize())
+}
+
+// parseRoster decodes a roster body: one mesh address for each of the
+// size ranks of the world.
+func parseRoster(body []byte, size int) ([]string, error) {
+	r := codec.NewReader(body)
 	kind, err := r.Byte()
 	if err != nil || kind != kindRoster {
 		return nil, fmt.Errorf("tcp: expected roster, got kind %d (%v)", kind, err)
 	}
 	world, err := r.Uvarint()
-	if err != nil || int(world) != topo.WorldSize() {
-		return nil, fmt.Errorf("tcp: roster world %d does not match topology %d (%v)", world, topo.WorldSize(), err)
+	if err != nil || world != uint64(size) {
+		return nil, fmt.Errorf("tcp: roster world %d does not match topology %d (%v)", world, size, err)
 	}
 	roster := make([]string, world)
 	for i := range roster {
@@ -456,16 +468,13 @@ func (t *TCPWire) connectMesh(meshLn net.Listener, roster []string, deadline tim
 			conn.Close()
 			return fmt.Errorf("tcp: peer hello: %w", err)
 		}
-		r := codec.NewReader(body)
-		kind, err := r.Byte()
-		if err != nil || kind != kindPeerHello {
-			conn.Close()
-			return fmt.Errorf("tcp: expected peer hello, got kind %d (%v)", kind, err)
+		rank, err := parsePeerHello(body, t.self, len(roster))
+		if err == nil && t.peers[rank] != nil {
+			err = fmt.Errorf("tcp: duplicate peer hello from rank %d", rank)
 		}
-		rank, err := r.Uvarint()
-		if err != nil || rank <= uint64(t.self) || rank >= uint64(len(roster)) || t.peers[rank] != nil {
+		if err != nil {
 			conn.Close()
-			return fmt.Errorf("tcp: bad peer hello rank %d (%v)", rank, err)
+			return err
 		}
 		conn.SetDeadline(time.Time{})
 		t.peers[rank] = newTCPPeer(conn)
@@ -475,6 +484,21 @@ func (t *TCPWire) connectMesh(meshLn net.Listener, roster []string, deadline tim
 		t.peers[j].conn.SetDeadline(time.Time{})
 	}
 	return nil
+}
+
+// parsePeerHello decodes a peer-hello body: the dialer's rank, which
+// must be above self, the listener, and inside a world of size ranks.
+func parsePeerHello(body []byte, self machine.Rank, size int) (uint64, error) {
+	r := codec.NewReader(body)
+	kind, err := r.Byte()
+	if err != nil || kind != kindPeerHello {
+		return 0, fmt.Errorf("tcp: expected peer hello, got kind %d (%v)", kind, err)
+	}
+	rank, err := r.Uvarint()
+	if err != nil || rank <= uint64(self) || rank >= uint64(size) {
+		return 0, fmt.Errorf("tcp: bad peer hello rank %d (%v)", rank, err)
+	}
+	return rank, nil
 }
 
 // startBarrier holds every process at the end of the handshake until

@@ -184,7 +184,7 @@ func (p *Proc) deadlockExit(tag Tag) {
 // The watchdog runs on host time by design — it supervises the
 // simulation from outside, so the virtual-clock rule does not apply.
 func (w *World) watchdog(interval time.Duration, stop <-chan struct{}) {
-	ticker := time.NewTicker(interval) //ygmvet:ignore wallclock — host-time supervisor, not simulated-rank code
+	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	var lastProgress uint64
 	strikes := 0

@@ -123,7 +123,7 @@ func (LocalWire) Finish() error { return nil }
 // exists to keep *simulated* experiments independent of host scheduling,
 // and a real-time wire's entire point is to measure that scheduling.
 func hostNow() time.Time {
-	return time.Now() //ygmvet:ignore wallclock — real-time wire backends measure host time by design
+	return time.Now()
 }
 
 // hostSince returns the host seconds elapsed since epoch (a hostNow
@@ -135,7 +135,7 @@ func hostNow() time.Time {
 // fill; a ygmcheck build counts the readings (hostClockReads).
 func hostSince(epoch time.Time) float64 {
 	countHostRead()
-	return time.Since(epoch).Seconds() //ygmvet:ignore wallclock — as hostNow
+	return time.Since(epoch).Seconds()
 }
 
 // WireFail records a wire-level fault (a peer connection reset, a failed

@@ -16,6 +16,4 @@ func checkQuiescent(*transport.Proc, int, string) {}
 
 func (td *termDetector) checkVerdict(bool) {}
 
-func (mb *Mailbox) checkAck(uint64) {}
-
 func (mb *Mailbox) checkVerdict(string) {}

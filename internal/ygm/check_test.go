@@ -50,18 +50,6 @@ func checkPanics(want string, fn func(p *transport.Proc, mb *Mailbox)) error {
 	return err
 }
 
-// TestCheckDetectsNegativeDeficit forges an acknowledgement for a packet
-// rank 0 never sent: taking it in would drive the deficit below 0.
-func TestCheckDetectsNegativeDeficit(t *testing.T) {
-	err := checkPanics("with a deficit of 0", func(p *transport.Proc, mb *Mailbox) {
-		p.Send(0, TagAck, []byte{1, 0, 0, 0})
-		mb.acknowledge()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCheckDetectsVerdictLeftovers plants, one at a time, each kind of
 // epoch work a verdict must never leave behind and asserts the verdict
 // check names it.

@@ -65,12 +65,6 @@ func (td *termDetector) checkVerdict(done bool) {
 		td.c.me, td.Result()[0], td.c.queued, *td.round)
 }
 
-// checkAck asserts that an acknowledgement of n packets covers packets
-// this rank sent and that are not yet acknowledged.
-func (mb *Mailbox) checkAck(n uint64) {
-	checkf(n <= mb.deficit, "rank %d acknowledged for %d packets with a deficit of %d", mb.me, n, mb.deficit)
-}
-
 // checkVerdict asserts the lazy verdict's postcondition: every rank has
 // joined, so no work of the epoch is left anywhere — this rank has a
 // deficit of 0, no parent, no owed acknowledgement and no queued record.

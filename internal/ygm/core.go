@@ -240,9 +240,10 @@ func (c *core) decode(src machine.Rank, body []byte) {
 	reorder := c.opts.reorderPacket(c.me, src)
 	var held record
 	var haveHeld bool
+	world := c.p.WorldSize()
 	r := codec.NewReader(body)
 	for r.Remaining() > 0 {
-		rec, err := parseRecord(r)
+		rec, err := parseRecord(r, world)
 		if err != nil {
 			panic(fmt.Sprintf("ygm: rank %d corrupt packet from %d: %v", c.me, src, err))
 		}

@@ -288,7 +288,7 @@ func (mb *Mailbox) release() {
 	mb.held.Reset() // nothing appends while the rank has not joined
 	mb.nheld = 0
 	for r := codec.NewReader(held); r.Remaining() > 0; {
-		rec, _ := parseRecord(r) // hold encoded it in this process
+		rec, _ := parseRecord(r, mb.p.WorldSize()) // hold encoded it in this process
 		if rec.kind == kindUnicast {
 			mb.Send(rec.dst, rec.payload)
 		} else {
@@ -442,11 +442,26 @@ func (mb *Mailbox) acknowledge() {
 	mb.drainScratch = batch
 	for _, pkt := range batch {
 		mb.p.Absorb(pkt)
-		n := uint64(binary.LittleEndian.Uint32(pkt.Payload))
-		mb.checkAck(n)
+		n, err := ackCount(pkt.Payload, mb.deficit)
+		if err != nil {
+			panic(fmt.Sprintf("ygm: rank %d corrupt acknowledgement from %d: %v", mb.me, pkt.Src, err))
+		}
 		mb.deficit -= n
 		mb.p.Recycle(pkt)
 	}
+}
+
+// ackCount decodes one TagAck payload: a 4-byte count of packets, which
+// settles only packets the rank sent and that are not yet acknowledged.
+func ackCount(b []byte, deficit uint64) (uint64, error) {
+	if len(b) != 4 {
+		return 0, fmt.Errorf("acknowledgement of %d bytes, want 4", len(b))
+	}
+	n := uint64(binary.LittleEndian.Uint32(b))
+	if n > deficit {
+		return 0, fmt.Errorf("acknowledgement of %d packets with a deficit of %d", n, deficit)
+	}
+	return n, nil
 }
 
 // sendAcks sends every owed acknowledgement, one packet per hop.

@@ -79,7 +79,7 @@ func BenchmarkRecordDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := codec.NewReader(blob)
 		for r.Remaining() > 0 {
-			if _, err := parseRecord(r); err != nil {
+			if _, err := parseRecord(r, 64); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -52,8 +52,9 @@ type record struct {
 	payload []byte       // aliases the packet buffer
 }
 
-// parseRecord decodes the next record from r.
-func parseRecord(r *codec.Reader) (record, error) {
+// parseRecord decodes the next record from r, in a world of world ranks:
+// a unicast destination outside it is corruption, not a rank to route to.
+func parseRecord(r *codec.Reader, world int) (record, error) {
 	var rec record
 	k, err := r.Byte()
 	if err != nil {
@@ -67,6 +68,9 @@ func parseRecord(r *codec.Reader) (record, error) {
 		d, err := r.Uvarint()
 		if err != nil {
 			return rec, err
+		}
+		if d >= uint64(world) {
+			return rec, fmt.Errorf("ygm: record destination %d outside a world of %d", d, world)
 		}
 		rec.dst = machine.Rank(d)
 	}
