@@ -48,6 +48,7 @@ const Unreached = ^uint64(0)
 
 type bfsState struct {
 	world int
+	rank  int
 	adj   map[uint64][]uint64 // owned vertex -> neighbors
 	dist  []uint64
 	next  []uint64 // owned vertices discovered this level
@@ -75,7 +76,7 @@ func (st *bfsState) handle(s ygm.Sender, payload []byte) {
 		st.adj[u] = append(st.adj[u], v)
 	case bfsMsgVisit:
 		v, d := mustUvarint(r), mustUvarint(r)
-		l := graph.LocalID(v, st.world)
+		l := localID(v, st.world, st.rank, len(st.dist))
 		if st.dist[l] == Unreached {
 			st.dist[l] = d
 			st.next = append(st.next, v)
@@ -103,6 +104,7 @@ func BFS(p *transport.Proc, cfg BFSConfig) (*BFSResult, error) {
 	}
 	st := &bfsState{
 		world: world,
+		rank:  int(p.Rank()),
 		adj:   make(map[uint64][]uint64),
 		dist:  make([]uint64, graph.LocalCount(numVertices, world, int(p.Rank()))),
 	}

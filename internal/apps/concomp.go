@@ -11,14 +11,13 @@ import (
 	"ygm/internal/ygm"
 )
 
-// Message type bytes for the connected-components mailbox protocol.
+// Message type bytes for the connected-components mailbox protocol,
+// after the delegate-detection phase's msgDegree and msgDelegate.
 const (
-	ccMsgDegree   = 0 // [v]         degree increment for delegate detection
-	ccMsgDelegate = 1 // [v]         broadcast: v is a delegate
-	ccMsgEdge     = 2 // [a, b]      store edge (a owned non-delegate) at owner(a)
-	ccMsgLabel    = 3 // [v, label]  min label into owned vertex v
-	ccMsgImprove  = 4 // [d, label]  report delegate-copy improvement to owner(d)
-	ccMsgSync     = 5 // [d, label]  broadcast: delegate d's label improved
+	ccMsgEdge    = msgFirstApp + iota // [a, b]      store edge (a owned non-delegate) at owner(a)
+	ccMsgLabel                        // [v, label]  min label into owned vertex v
+	ccMsgImprove                      // [d, label]  report delegate-copy improvement to owner(d)
+	ccMsgSync                         // [d, label]  broadcast: delegate d's label improved
 )
 
 // ConnectedComponentsConfig parameterizes the Section V-B experiment.
@@ -63,11 +62,7 @@ type ConnectedComponentsResult struct {
 // ccState carries the per-rank distributed state across handler
 // invocations.
 type ccState struct {
-	p     *transport.Proc
-	world int
-
-	degrees   []uint64          // owned-vertex degrees (delegate detection)
-	delegates map[uint64]bool   // global delegate set (replicated)
+	delegation
 	delLabels map[uint64]uint64 // replicated delegate label copies
 
 	labels []uint64 // owned non-delegate labels (indexed by local id)
@@ -79,7 +74,7 @@ type ccState struct {
 }
 
 func (st *ccState) ownedLabel(v uint64) *uint64 {
-	return &st.labels[graph.LocalID(v, st.world)]
+	return &st.labels[localID(v, st.world, st.rank, len(st.labels))]
 }
 
 // minInto lowers *slot to lbl, recording the change.
@@ -109,13 +104,8 @@ func (st *ccState) handle(s ygm.Sender, payload []byte) {
 		panic(fmt.Sprintf("apps: corrupt cc message: %v", err))
 	}
 	switch typ {
-	case ccMsgDegree:
-		v := mustUvarint(r)
-		st.degrees[graph.LocalID(v, st.world)]++
-	case ccMsgDelegate:
-		v := mustUvarint(r)
-		st.delegates[v] = true
-		st.delLabels[v] = v
+	case msgDegree, msgDelegate:
+		st.delegation.handle(typ, r)
 	case ccMsgEdge:
 		a, b := mustUvarint(r), mustUvarint(r)
 		st.edges = append(st.edges, graph.Edge{U: a, V: b})
@@ -162,11 +152,8 @@ func ConnectedComponents(p *transport.Proc, cfg ConnectedComponentsConfig) (*Con
 	world := p.WorldSize()
 	numVertices := uint64(1) << uint(cfg.Scale)
 	st := &ccState{
-		p:         p,
-		world:     world,
-		degrees:   make([]uint64, graph.LocalCount(numVertices, world, int(p.Rank()))),
-		delegates: make(map[uint64]bool),
-		delLabels: make(map[uint64]uint64),
+		delegation: newDelegation(world, int(p.Rank()), numVertices),
+		delLabels:  make(map[uint64]uint64),
 	}
 	mb := ygm.New(p, st.handle, ygm.WithOptions(cfg.Mailbox))
 	comm := collective.World(p)
@@ -175,24 +162,11 @@ func ConnectedComponents(p *transport.Proc, cfg ConnectedComponentsConfig) (*Con
 	gen := graph.NewRMAT(cfg.Params, cfg.Scale, cfg.Seed*7919+int64(p.Rank()))
 	myEdges := graph.Collect(gen, cfg.EdgesPerRank)
 
-	// Phase 1: delegate detection via mailbox degree counting.
-	if cfg.DelegateFrac > 0 {
-		for _, e := range myEdges {
-			mb.Send(machine.Rank(graph.Owner(e.U, world)), ccEncode(ccMsgDegree, e.U))
-			mb.Send(machine.Rank(graph.Owner(e.V, world)), ccEncode(ccMsgDegree, e.V))
-		}
-		mb.WaitEmpty()
-		totalEdges := uint64(cfg.EdgesPerRank) * uint64(world)
-		threshold := graph.DelegateThreshold(cfg.Params, cfg.Scale, totalEdges, cfg.DelegateFrac)
-		for l, d := range st.degrees {
-			if d >= threshold {
-				v := graph.GlobalID(uint64(l), world, int(p.Rank()))
-				st.delegates[v] = true
-				st.delLabels[v] = v
-				mb.Broadcast(ccEncode(ccMsgDelegate, v))
-			}
-		}
-		mb.WaitEmpty()
+	// Phase 1: delegate detection via mailbox degree counting. Every
+	// delegate's label copy starts as its own id.
+	st.detect(mb, myEdges, cfg.Params, cfg.Scale, cfg.EdgesPerRank, cfg.DelegateFrac)
+	for v := range st.delegates {
+		st.delLabels[v] = v
 	}
 
 	// Phase 2: edge distribution. Non-delegate endpoints receive a copy

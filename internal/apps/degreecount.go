@@ -59,11 +59,11 @@ func DegreeCount(p *transport.Proc, cfg DegreeCountConfig) (*DegreeCountResult, 
 	if cfg.NumVertices == 0 || cfg.EdgesPerRank < 0 || cfg.NewGen == nil {
 		return nil, fmt.Errorf("apps: invalid degree-count config %+v", cfg)
 	}
-	world := p.WorldSize()
-	degrees := make([]uint64, graph.LocalCount(cfg.NumVertices, world, int(p.Rank())))
+	world, rank := p.WorldSize(), int(p.Rank())
+	degrees := make([]uint64, graph.LocalCount(cfg.NumVertices, world, rank))
 
 	mb := ygm.New(p, func(s ygm.Sender, payload []byte) {
-		degrees[graph.LocalID(degreeVertex(payload), world)]++
+		degrees[localID(degreeVertex(payload), world, rank, len(degrees))]++
 	}, ygm.WithOptions(cfg.Mailbox))
 
 	gen := cfg.NewGen(p)

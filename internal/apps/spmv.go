@@ -13,13 +13,13 @@ import (
 	"ygm/internal/ygm"
 )
 
-// Message type bytes for the SpMV mailbox protocol.
+// Message type bytes for the SpMV mailbox protocol, after the
+// delegate-detection phase's msgDegree and msgDelegate (degree over
+// rows and columns).
 const (
-	spmvMsgDegree   = 0 // [v]              degree increment (delegate detection)
-	spmvMsgDelegate = 1 // [v]              broadcast: v is delegated
-	spmvMsgEntry    = 2 // [i, j, bits]     store nonzero a_ij at the receiver
-	spmvMsgX        = 3 // [j, bits]        broadcast: delegated x_j value
-	spmvMsgY        = 4 // [i, bits]        accumulate into y_i at owner(i)
+	spmvMsgEntry = msgFirstApp + iota // [i, j, bits]     store nonzero a_ij at the receiver
+	spmvMsgX                          // [j, bits]        broadcast: delegated x_j value
+	spmvMsgY                          // [i, bits]        accumulate into y_i at owner(i)
 )
 
 // SpMVConfig parameterizes the Section V-C experiment.
@@ -60,11 +60,7 @@ type spmvEntry struct {
 }
 
 type spmvState struct {
-	p     *transport.Proc
-	world int
-
-	degrees   []uint64
-	delegates map[uint64]bool
+	delegation
 
 	entries []spmvEntry
 
@@ -80,11 +76,8 @@ func (st *spmvState) handle(s ygm.Sender, payload []byte) {
 		panic(fmt.Sprintf("apps: corrupt spmv message: %v", err))
 	}
 	switch typ {
-	case spmvMsgDegree:
-		v := mustUvarint(r)
-		st.degrees[graph.LocalID(v, st.world)]++
-	case spmvMsgDelegate:
-		st.delegates[mustUvarint(r)] = true
+	case msgDegree, msgDelegate:
+		st.delegation.handle(typ, r)
 	case spmvMsgEntry:
 		i, j := mustUvarint(r), mustUvarint(r)
 		bits := mustUvarint(r)
@@ -94,7 +87,7 @@ func (st *spmvState) handle(s ygm.Sender, payload []byte) {
 		st.xDel[j] = math.Float64frombits(mustUvarint(r))
 	case spmvMsgY:
 		i := mustUvarint(r)
-		st.y[graph.LocalID(i, st.world)] += math.Float64frombits(mustUvarint(r))
+		st.y[localID(i, st.world, st.rank, len(st.y))] += math.Float64frombits(mustUvarint(r))
 	default:
 		panic(fmt.Sprintf("apps: unknown spmv message type %d", typ))
 	}
@@ -127,12 +120,9 @@ func SpMV(p *transport.Proc, cfg SpMVConfig) (*SpMVResult, error) {
 	numVertices := uint64(1) << uint(cfg.Scale)
 	localN := graph.LocalCount(numVertices, world, int(p.Rank()))
 	st := &spmvState{
-		p:         p,
-		world:     world,
-		degrees:   make([]uint64, localN),
-		delegates: make(map[uint64]bool),
-		xDel:      make(map[uint64]float64),
-		yDel:      make(map[uint64]float64),
+		delegation: newDelegation(world, int(p.Rank()), numVertices),
+		xDel:       make(map[uint64]float64),
+		yDel:       make(map[uint64]float64),
 	}
 	mb := ygm.New(p, st.handle, ygm.WithOptions(cfg.Mailbox))
 	comm := collective.World(p)
@@ -143,24 +133,8 @@ func SpMV(p *transport.Proc, cfg SpMVConfig) (*SpMVResult, error) {
 	gen := graph.NewRMAT(cfg.Params, cfg.Scale, cfg.Seed*104729+int64(p.Rank()))
 	myEdges := graph.Collect(gen, cfg.EdgesPerRank)
 
-	// Phase 1: delegate detection (vertex degree over rows+columns).
-	if cfg.DelegateFrac > 0 {
-		for _, e := range myEdges {
-			mb.Send(machine.Rank(graph.Owner(e.U, world)), ccEncode(spmvMsgDegree, e.U))
-			mb.Send(machine.Rank(graph.Owner(e.V, world)), ccEncode(spmvMsgDegree, e.V))
-		}
-		mb.WaitEmpty()
-		totalEdges := uint64(cfg.EdgesPerRank) * uint64(world)
-		threshold := graph.DelegateThreshold(cfg.Params, cfg.Scale, totalEdges, cfg.DelegateFrac)
-		for l, d := range st.degrees {
-			if d >= threshold {
-				v := graph.GlobalID(uint64(l), world, int(p.Rank()))
-				st.delegates[v] = true
-				mb.Broadcast(ccEncode(spmvMsgDelegate, v))
-			}
-		}
-		mb.WaitEmpty()
-	}
+	// Phase 1: delegate detection.
+	st.detect(mb, myEdges, cfg.Params, cfg.Scale, cfg.EdgesPerRank, cfg.DelegateFrac)
 
 	// Phase 2: entry distribution per the delegate placement rules.
 	for _, e := range myEdges {

@@ -55,6 +55,7 @@ func ArcWeight(u, v, maxWeight uint64) uint64 {
 
 type ssspState struct {
 	world int
+	rank  int
 	adj   map[uint64][]graph.Edge // owned u -> arcs (V = neighbor, weight cached separately)
 	wts   map[uint64][]uint64
 	dist  []uint64
@@ -74,7 +75,7 @@ func (st *ssspState) handle(s ygm.Sender, payload []byte) {
 		st.wts[u] = append(st.wts[u], w)
 	case ssspMsgRelax:
 		v, d := mustUvarint(r), mustUvarint(r)
-		l := graph.LocalID(v, st.world)
+		l := localID(v, st.world, st.rank, len(st.dist))
 		if d < st.dist[l] {
 			st.dist[l] = d
 			st.relax++
@@ -108,6 +109,7 @@ func SSSP(p *transport.Proc, cfg SSSPConfig) (*SSSPResult, error) {
 	}
 	st := &ssspState{
 		world: world,
+		rank:  int(p.Rank()),
 		adj:   make(map[uint64][]graph.Edge),
 		wts:   make(map[uint64][]uint64),
 		dist:  make([]uint64, graph.LocalCount(numVertices, world, int(p.Rank()))),

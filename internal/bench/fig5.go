@@ -101,13 +101,13 @@ func pingPongWorld(p Preset, size int) *transport.Report {
 		switch proc.Rank() {
 		case 0:
 			for i := 0; i < pingPongMsgs; i++ {
-				proc.Send(peer, transport.TagUser, make([]byte, size))
+				proc.SendPooled(peer, transport.TagUser, proc.AcquireBuf(size))
 				proc.Recycle(proc.Recv(transport.TagUser))
 			}
 		case peer:
 			for i := 0; i < pingPongMsgs; i++ {
 				proc.Recycle(proc.Recv(transport.TagUser))
-				proc.Send(0, transport.TagUser, make([]byte, size))
+				proc.SendPooled(0, transport.TagUser, proc.AcquireBuf(size))
 			}
 		}
 		return nil

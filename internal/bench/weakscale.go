@@ -102,7 +102,7 @@ func treeReduce(p *transport.Proc, tag transport.Tag) {
 	}
 	for m := 1; m < top; m <<= 1 {
 		if r&m != 0 {
-			p.Send(machine.Rank(r-m), tag, []byte{byte(r)})
+			sendByte(p, machine.Rank(r-m), tag, byte(r))
 			return
 		}
 		if c := r | m; c < n {
@@ -127,9 +127,16 @@ func treeBcast(p *transport.Proc, tag transport.Tag) {
 	}
 	for m := high >> 1; m >= 1; m >>= 1 {
 		if c := r | m; c < n && c > r {
-			p.Send(machine.Rank(c), tag, []byte{byte(r)})
+			sendByte(p, machine.Rank(c), tag, byte(r))
 		}
 	}
+}
+
+// sendByte sends the one-byte payload b to dst in a pooled buffer.
+func sendByte(p *transport.Proc, dst machine.Rank, tag transport.Tag, b byte) {
+	buf := p.AcquireBuf(1)
+	buf[0] = b
+	p.SendPooled(dst, tag, buf)
 }
 
 // treeBarrier is a full synchronization: reduce to the root, then

@@ -2,8 +2,8 @@
 // variable-length messages — the role the cereal C++ library plays in the
 // original implementation. It provides a compact, allocation-conscious
 // binary encoding for the primitive types message payloads are built
-// from (unsigned/signed varints, fixed-width integers, floats, byte
-// strings) plus a Marshaler/Unmarshaler pair for user-defined records.
+// from: unsigned varints, single bytes, float64s, and length-prefixed
+// byte strings, strings and float64 slices.
 //
 // The encoding is symmetric and self-delimiting per field, but carries no
 // type tags: reader and writer must agree on the schema, exactly as with
@@ -22,16 +22,6 @@ var ErrShortBuffer = errors.New("codec: buffer too short")
 
 // ErrOverflow is returned when a varint is longer than its type allows.
 var ErrOverflow = errors.New("codec: varint overflows")
-
-// Marshaler is implemented by records that can append their own encoding.
-type Marshaler interface {
-	MarshalYGM(w *Writer)
-}
-
-// Unmarshaler is implemented by records that can decode themselves.
-type Unmarshaler interface {
-	UnmarshalYGM(r *Reader) error
-}
 
 // Writer appends encoded fields to a byte buffer. The zero value is ready
 // to use; Bytes returns the accumulated encoding.
@@ -71,27 +61,12 @@ func (w *Writer) Uvarint(v uint64) {
 	w.buf = binary.AppendUvarint(w.buf, v)
 }
 
-// Varint appends v in zig-zag signed varint form.
-func (w *Writer) Varint(v int64) {
-	w.buf = binary.AppendVarint(w.buf, v)
-}
-
-// Uint32 appends v as 4 little-endian bytes.
-func (w *Writer) Uint32(v uint32) {
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
-}
-
-// Uint64 appends v as 8 little-endian bytes.
-func (w *Writer) Uint64(v uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-
 // Byte appends a single byte.
 func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }
 
 // Float64 appends v as its IEEE-754 bits, little endian.
 func (w *Writer) Float64(v float64) {
-	w.Uint64(math.Float64bits(v))
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
 
 // Bytes0 appends a length-prefixed byte string.
@@ -106,14 +81,6 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Uvarints appends a length-prefixed slice of unsigned varints.
-func (w *Writer) Uvarints(vs []uint64) {
-	w.Uvarint(uint64(len(vs)))
-	for _, v := range vs {
-		w.Uvarint(v)
-	}
-}
-
 // Float64s appends a length-prefixed slice of float64s.
 func (w *Writer) Float64s(vs []float64) {
 	w.Uvarint(uint64(len(vs)))
@@ -121,9 +88,6 @@ func (w *Writer) Float64s(vs []float64) {
 		w.Float64(v)
 	}
 }
-
-// Marshal appends a user record's encoding.
-func (w *Writer) Marshal(m Marshaler) { m.MarshalYGM(w) }
 
 // Reader consumes encoded fields from a byte buffer.
 type Reader struct {
@@ -145,9 +109,6 @@ func (r *Reader) Reset(buf []byte) {
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
-// Offset returns the number of bytes consumed so far.
-func (r *Reader) Offset() int { return r.off }
-
 // Uvarint decodes an unsigned varint. Single-byte values — the bulk of
 // record headers and small lengths — take the branch-free fast path.
 func (r *Reader) Uvarint() (uint64, error) {
@@ -168,39 +129,6 @@ func (r *Reader) Uvarint() (uint64, error) {
 	return 0, ErrOverflow
 }
 
-// Varint decodes a zig-zag signed varint.
-func (r *Reader) Varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.off:])
-	if n > 0 {
-		r.off += n
-		return v, nil
-	}
-	if n == 0 {
-		return 0, ErrShortBuffer
-	}
-	return 0, ErrOverflow
-}
-
-// Uint32 decodes 4 little-endian bytes.
-func (r *Reader) Uint32() (uint32, error) {
-	if r.Remaining() < 4 {
-		return 0, ErrShortBuffer
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-// Uint64 decodes 8 little-endian bytes.
-func (r *Reader) Uint64() (uint64, error) {
-	if r.Remaining() < 8 {
-		return 0, ErrShortBuffer
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v, nil
-}
-
 // Byte decodes a single byte.
 func (r *Reader) Byte() (byte, error) {
 	if r.Remaining() < 1 {
@@ -213,10 +141,11 @@ func (r *Reader) Byte() (byte, error) {
 
 // Float64 decodes an IEEE-754 double.
 func (r *Reader) Float64() (float64, error) {
-	bits, err := r.Uint64()
-	if err != nil {
-		return 0, err
+	if r.Remaining() < 8 {
+		return 0, ErrShortBuffer
 	}
+	bits := binary.LittleEndian.Uint64(r.buf[r.off:])
+	r.off += 8
 	return math.Float64frombits(bits), nil
 }
 
@@ -241,24 +170,6 @@ func (r *Reader) String() (string, error) {
 	return string(b), err
 }
 
-// Uvarints decodes a length-prefixed slice of unsigned varints.
-func (r *Reader) Uvarints() ([]uint64, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Remaining()) { // each element is at least one byte
-		return nil, fmt.Errorf("codec: %d varints exceed %d remaining bytes: %w", n, r.Remaining(), ErrShortBuffer)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		if out[i], err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Float64s decodes a length-prefixed slice of float64s.
 func (r *Reader) Float64s() ([]float64, error) {
 	n, err := r.Uvarint()
@@ -278,9 +189,6 @@ func (r *Reader) Float64s() ([]float64, error) {
 	}
 	return out, nil
 }
-
-// Unmarshal decodes a user record in place.
-func (r *Reader) Unmarshal(m Unmarshaler) error { return m.UnmarshalYGM(r) }
 
 // UvarintLen returns the encoded size of v as an unsigned varint without
 // encoding it — useful for pre-sizing coalescing buffers.

@@ -26,35 +26,15 @@ func TestUvarintRoundTrip(t *testing.T) {
 	}
 }
 
-func TestVarintRoundTrip(t *testing.T) {
-	w := NewWriter(16)
-	vals := []int64{0, -1, 1, math.MinInt64, math.MaxInt64, -12345}
-	for _, v := range vals {
-		w.Varint(v)
-	}
-	r := NewReader(w.Bytes())
-	for _, want := range vals {
-		got, err := r.Varint()
-		if err != nil || got != want {
-			t.Fatalf("Varint = %d, %v; want %d", got, err, want)
-		}
-	}
-}
-
 func TestFixedWidthRoundTrip(t *testing.T) {
 	w := &Writer{}
-	w.Uint32(0xdeadbeef)
-	w.Uint64(0x0123456789abcdef)
 	w.Byte(0x42)
 	w.Float64(math.Pi)
 	w.Float64(math.Inf(-1))
+	if w.Len() != 17 {
+		t.Fatalf("a byte and two floats encode to %d bytes, want 17", w.Len())
+	}
 	r := NewReader(w.Bytes())
-	if v, _ := r.Uint32(); v != 0xdeadbeef {
-		t.Fatalf("Uint32 = %x", v)
-	}
-	if v, _ := r.Uint64(); v != 0x0123456789abcdef {
-		t.Fatalf("Uint64 = %x", v)
-	}
 	if v, _ := r.Byte(); v != 0x42 {
 		t.Fatalf("Byte = %x", v)
 	}
@@ -89,20 +69,9 @@ func TestStringsAndBytes(t *testing.T) {
 
 func TestSlices(t *testing.T) {
 	w := &Writer{}
-	us := []uint64{9, 8, 7, 1 << 40}
 	fs := []float64{1.5, -2.25, 0}
-	w.Uvarints(us)
 	w.Float64s(fs)
 	r := NewReader(w.Bytes())
-	gotU, err := r.Uvarints()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range us {
-		if gotU[i] != us[i] {
-			t.Fatalf("Uvarints = %v", gotU)
-		}
-	}
 	gotF, err := r.Float64s()
 	if err != nil {
 		t.Fatal(err)
@@ -114,53 +83,13 @@ func TestSlices(t *testing.T) {
 	}
 }
 
-type record struct {
-	ID    uint64
-	Name  string
-	Score float64
-}
-
-func (rec *record) MarshalYGM(w *Writer) {
-	w.Uvarint(rec.ID)
-	w.String(rec.Name)
-	w.Float64(rec.Score)
-}
-
-func (rec *record) UnmarshalYGM(r *Reader) error {
-	var err error
-	if rec.ID, err = r.Uvarint(); err != nil {
-		return err
-	}
-	if rec.Name, err = r.String(); err != nil {
-		return err
-	}
-	rec.Score, err = r.Float64()
-	return err
-}
-
-func TestMarshalerRoundTrip(t *testing.T) {
-	w := &Writer{}
-	in := record{ID: 77, Name: "delegate", Score: 0.57}
-	w.Marshal(&in)
-	var out record
-	if err := NewReader(w.Bytes()).Unmarshal(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("round trip = %+v, want %+v", out, in)
-	}
-}
-
 func TestShortBufferErrors(t *testing.T) {
 	r := NewReader(nil)
 	if _, err := r.Uvarint(); !errors.Is(err, ErrShortBuffer) {
 		t.Errorf("Uvarint on empty = %v", err)
 	}
-	if _, err := r.Uint32(); !errors.Is(err, ErrShortBuffer) {
-		t.Errorf("Uint32 on empty = %v", err)
-	}
-	if _, err := r.Uint64(); !errors.Is(err, ErrShortBuffer) {
-		t.Errorf("Uint64 on empty = %v", err)
+	if _, err := r.Float64(); !errors.Is(err, ErrShortBuffer) {
+		t.Errorf("Float64 on empty = %v", err)
 	}
 	if _, err := r.Byte(); !errors.Is(err, ErrShortBuffer) {
 		t.Errorf("Byte on empty = %v", err)
@@ -174,10 +103,6 @@ func TestShortBufferErrors(t *testing.T) {
 	r = NewReader(w.Bytes())
 	if _, err := r.Bytes0(); !errors.Is(err, ErrShortBuffer) {
 		t.Errorf("oversized Bytes0 = %v", err)
-	}
-	r = NewReader(w.Bytes())
-	if _, err := r.Uvarints(); !errors.Is(err, ErrShortBuffer) {
-		t.Errorf("oversized Uvarints = %v", err)
 	}
 	r = NewReader(w.Bytes())
 	if _, err := r.Float64s(); !errors.Is(err, ErrShortBuffer) {
@@ -221,29 +146,24 @@ func TestUvarintLenMatchesEncoding(t *testing.T) {
 }
 
 // TestMixedRoundTripProperty fuzzes sequences of mixed-type fields and
-// checks offset bookkeeping is consistent.
+// checks the reader consumes exactly what the writer wrote.
 func TestMixedRoundTripProperty(t *testing.T) {
-	f := func(u uint64, i int64, s string, fl float64, b []byte) bool {
+	f := func(u uint64, s string, fl float64, b []byte) bool {
 		w := &Writer{}
 		w.Uvarint(u)
-		w.Varint(i)
 		w.String(s)
 		w.Float64(fl)
 		w.Bytes0(b)
 		r := NewReader(w.Bytes())
 		gu, err1 := r.Uvarint()
-		gi, err2 := r.Varint()
-		gs, err3 := r.String()
-		gf, err4 := r.Float64()
-		gb, err5 := r.Bytes0()
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
-			return false
-		}
-		if r.Offset() != w.Len() || r.Remaining() != 0 {
+		gs, err2 := r.String()
+		gf, err3 := r.Float64()
+		gb, err4 := r.Bytes0()
+		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || r.Remaining() != 0 {
 			return false
 		}
 		floatOK := gf == fl || (math.IsNaN(gf) && math.IsNaN(fl))
-		return gu == u && gi == i && gs == s && floatOK && bytes.Equal(gb, b)
+		return gu == u && gs == s && floatOK && bytes.Equal(gb, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -76,7 +76,7 @@ func TestAllreduceRejectsImpossiblePackets(t *testing.T) {
 					w := codec.NewWriter(8)
 					w.Byte(byte(pk[0]))
 					w.Uvarint(pk[1])
-					p.Send(p.Rank(), c.ar.tag, w.Bytes())
+					p.SendPooled(p.Rank(), c.ar.tag, w.Bytes())
 				}
 				c.ar.Step()
 				return nil

@@ -132,13 +132,20 @@ func TestAllreduceF64(t *testing.T) {
 	})
 }
 
+// collectSink keeps a copy of each blob AlltoallvPooled visits, indexed
+// by source member.
+type collectSink [][]byte
+
+func (s collectSink) VisitBlob(src int, blob []byte) { s[src] = bytes.Clone(blob) }
+
 func TestAlltoallv(t *testing.T) {
 	runWorld(t, 2, 3, func(p *transport.Proc, c *Comm) error {
 		out := make([][]byte, c.Size())
 		for j := range out {
 			out[j] = []byte(fmt.Sprintf("%d->%d", c.Index(), j))
 		}
-		in := c.Alltoallv(out)
+		in := make(collectSink, c.Size())
+		c.AlltoallvPooled(out, make([]*transport.Packet, c.Size()), in)
 		for i, b := range in {
 			if want := fmt.Sprintf("%d->%d", i, c.Index()); string(b) != want {
 				return fmt.Errorf("alltoallv[%d] = %q, want %q", i, b, want)
@@ -217,9 +224,9 @@ func TestSyncCollectiveIdleTime(t *testing.T) {
 			p.Compute(1e-3)
 			payloads := make([][]byte, c.Size())
 			for j := range payloads {
-				payloads[j] = make([]byte, 256)
+				payloads[j] = p.AcquireBuf(256)
 			}
-			c.Alltoallv(payloads)
+			c.AlltoallvPooled(payloads, make([]*transport.Packet, c.Size()), make(collectSink, c.Size()))
 		}
 		return nil
 	})
@@ -270,7 +277,7 @@ func TestWorldFootprint(t *testing.T) {
 		Seed:  1,
 	}, func(p *transport.Proc) error {
 		if p.Rank() != 0 {
-			p.Send(0, transport.TagUser, nil)
+			p.SendPooled(0, transport.TagUser, nil)
 			p.Recycle(p.Recv(transport.TagUser))
 			return nil
 		}
@@ -286,7 +293,7 @@ func TestWorldFootprint(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		perCall = (after.TotalAlloc - before.TotalAlloc) / calls
 		for r := 1; r < p.WorldSize(); r++ {
-			p.Send(machine.Rank(r), transport.TagUser, nil)
+			p.SendPooled(machine.Rank(r), transport.TagUser, nil)
 		}
 		return nil
 	})

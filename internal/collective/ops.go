@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -64,17 +65,19 @@ func (c *Comm) AllreduceF64(vals []float64, op func(a, b float64) float64) []flo
 }
 
 // Bcast distributes root's payload to every member along a binomial tree
-// and returns it (the root gets its own payload back). Non-root callers
-// pass nil.
+// and returns it: the root its own payload, every other member a copy
+// of its own. Non-root callers pass nil.
 func (c *Comm) Bcast(root int, payload []byte) []byte {
-	op := c.nextOp()
+	t := c.tag(c.nextOp(), 0)
 	size := c.size
 	c.checkRoot(root)
 	rel := (c.me - root + size) % size
 	mask := 1
 	for mask < size {
 		if rel&mask != 0 {
-			_, payload = c.recv(c.tag(op, 0))
+			pkt := c.p.Recv(t)
+			payload = bytes.Clone(pkt.Payload)
+			c.p.Recycle(pkt)
 			break
 		}
 		mask <<= 1
@@ -83,11 +86,19 @@ func (c *Comm) Bcast(root int, payload []byte) []byte {
 	for mask > 0 {
 		if rel+mask < size {
 			dst := (rel + mask + root) % size
-			c.p.Send(c.Rank(dst), c.tag(op, 0), payload)
+			c.send(dst, t, payload)
 		}
 		mask >>= 1
 	}
 	return payload
+}
+
+// send ships a pooled copy of payload to member idx, so the caller keeps
+// payload.
+func (c *Comm) send(idx int, t transport.Tag, payload []byte) {
+	buf := c.p.AcquireBuf(len(payload))
+	copy(buf, payload)
+	c.p.SendPooled(c.Rank(idx), t, buf)
 }
 
 // ReduceF64 combines each member's vals elementwise with op along
@@ -118,9 +129,10 @@ func (c *Comm) ReduceF64(root int, vals []float64, op func(a, b float64) float64
 // root with a caller-supplied merge. The root returns the reduction;
 // other members return nil. merge receives the accumulator and one
 // child's contribution and returns the new accumulator; the contribution
-// aliases a received payload, so merge must copy anything it keeps.
-// Payload ownership passes to the collective (it may be sent onward).
-// The container layer's top-K heavy-hitters query rides on this.
+// aliases a received payload that is recycled when merge returns, so
+// merge must copy anything it keeps. The caller keeps payload: what goes
+// up the tree is a pooled copy of the accumulator. The container layer's
+// top-K heavy-hitters query rides on this.
 func (c *Comm) ReduceBytes(root int, payload []byte, merge func(acc, in []byte) []byte) []byte {
 	opSeq := c.nextOp()
 	size := c.size
@@ -131,44 +143,17 @@ func (c *Comm) ReduceBytes(root int, payload []byte, merge func(acc, in []byte) 
 	for mask := 1; mask < size; mask <<= 1 {
 		if rel&mask == 0 {
 			if rel|mask < size {
-				_, in := c.recv(c.tag(opSeq, round))
-				acc = merge(acc, in)
+				pkt := c.p.Recv(c.tag(opSeq, round))
+				acc = merge(acc, pkt.Payload)
+				c.p.Recycle(pkt)
 			}
 		} else {
-			parent := (rel&^mask + root) % size
-			c.p.Send(c.Rank(parent), c.tag(opSeq, round), acc)
+			c.send((rel&^mask+root)%size, c.tag(opSeq, round), acc)
 			return nil
 		}
 		round++
 	}
 	return acc
-}
-
-// Alltoallv performs the synchronous all-to-all exchange MPI_ALLTOALLV
-// provides: member i's payloads[j] is delivered to member j. Every member
-// must participate; the return slice is indexed by source member. A rank
-// cannot leave until it has received from every peer, which couples its
-// exit time to the slowest sender — the behaviour Section III contrasts
-// with the asynchronous mailbox.
-func (c *Comm) Alltoallv(payloads [][]byte) [][]byte {
-	sp := c.p.Span("coll.alltoallv")
-	defer sp.End()
-	opSeq := c.nextOp()
-	size := c.size
-	if len(payloads) != size {
-		panic(fmt.Sprintf("collective: alltoallv of %d payloads over %d members", len(payloads), size))
-	}
-	t := c.tag(opSeq, 0)
-	out := make([][]byte, size)
-	out[c.me] = payloads[c.me]
-	for shift := 1; shift < size; shift++ {
-		c.p.Send(c.Rank((c.me+shift)%size), t, payloads[(c.me+shift)%size])
-	}
-	for i := 1; i < size; i++ {
-		src, payload := c.recv(t)
-		out[c.indexOf(src)] = payload
-	}
-	return out
 }
 
 // BlobSink consumes one member's contribution to AlltoallvPooled.
@@ -178,12 +163,17 @@ type BlobSink interface {
 	VisitBlob(srcIndex int, blob []byte)
 }
 
-// AlltoallvPooled is Alltoallv for pooled payload buffers: member i's
-// payloads[j] — acquired from Proc.AcquireBuf — is delivered to member
-// j's sink, and each received packet (payload included) is recycled
-// (Proc.Recycle) once its sink call returns, so a steady-state exchange
-// allocates nothing. Blobs are visited in member order, matching the
-// iteration order of Alltoallv's return slice; empty contributions are
+// AlltoallvPooled performs the synchronous all-to-all exchange
+// MPI_ALLTOALLV provides: member i's payloads[j] is delivered to member
+// j's sink. Every member must participate. A rank cannot leave until it
+// has received from every peer, which couples its exit time to the
+// slowest sender — the behaviour Section III contrasts with the
+// asynchronous mailbox.
+//
+// Each payload sent joins the transport's pool (Proc.SendPooled), and
+// each received packet is recycled (Proc.Recycle) once its sink call
+// returns, so a steady-state exchange of AcquireBuf buffers allocates
+// nothing. Blobs are visited in member order; empty contributions are
 // skipped. The caller's own payloads[me] is visited directly without a
 // transport round trip and is NOT recycled — the caller still owns it.
 // scratch must hold at least Size() entries and is used as the packet

@@ -122,32 +122,14 @@ func SpMV(p *transport.Proc, cfg Config) (*Result, error) {
 	for k, w := range outbound {
 		payloads[k] = w.Bytes()
 	}
-	received := worldComm.Alltoallv(payloads)
-
 	rowLo, rowHi := grid.BlockRange(myRow, n)
 	colLo, colHi := grid.BlockRange(myCol, n)
-	var triplets []spmat.Triplet
-	for _, blob := range received {
-		r := codec.NewReader(blob)
-		for r.Remaining() > 0 {
-			i, err1 := r.Uvarint()
-			j, err2 := r.Uvarint()
-			bits, err3 := r.Uvarint()
-			if err1 != nil || err2 != nil || err3 != nil {
-				return nil, fmt.Errorf("combblas: corrupt entry stream")
-			}
-			if i < rowLo || i >= rowHi || j < colLo || j >= colHi {
-				return nil, fmt.Errorf("combblas: entry (%d,%d) outside block [%d,%d)x[%d,%d)",
-					i, j, rowLo, rowHi, colLo, colHi)
-			}
-			triplets = append(triplets, spmat.Triplet{
-				Row: i - rowLo,
-				Col: j - colLo,
-				Val: math.Float64frombits(bits),
-			})
-		}
+	entries := &blockSink{rowLo: rowLo, rowHi: rowHi, colLo: colLo, colHi: colHi}
+	worldComm.AlltoallvPooled(payloads, make([]*transport.Packet, world), entries)
+	if entries.err != nil {
+		return nil, entries.err
 	}
-	block, err := spmat.NewCSC(int(colHi-colLo), triplets)
+	block, err := spmat.NewCSC(int(colHi-colLo), entries.triplets)
 	if err != nil {
 		return nil, err
 	}
@@ -193,4 +175,34 @@ func SpMV(p *transport.Proc, cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// blockSink decodes the entry streams of the initial all-to-all into
+// this rank's block, as triplets relative to the block's corner.
+type blockSink struct {
+	rowLo, rowHi, colLo, colHi uint64
+	triplets                   []spmat.Triplet
+	err                        error
+}
+
+func (s *blockSink) VisitBlob(_ int, blob []byte) {
+	r := codec.NewReader(blob)
+	for s.err == nil && r.Remaining() > 0 {
+		i, err1 := r.Uvarint()
+		j, err2 := r.Uvarint()
+		bits, err3 := r.Uvarint()
+		switch {
+		case err1 != nil || err2 != nil || err3 != nil:
+			s.err = fmt.Errorf("combblas: corrupt entry stream")
+		case i < s.rowLo || i >= s.rowHi || j < s.colLo || j >= s.colHi:
+			s.err = fmt.Errorf("combblas: entry (%d,%d) outside block [%d,%d)x[%d,%d)",
+				i, j, s.rowLo, s.rowHi, s.colLo, s.colHi)
+		default:
+			s.triplets = append(s.triplets, spmat.Triplet{
+				Row: i - s.rowLo,
+				Col: j - s.colLo,
+				Val: math.Float64frombits(bits),
+			})
+		}
+	}
 }

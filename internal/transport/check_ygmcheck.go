@@ -129,11 +129,11 @@ func (p *Proc) checkClockMonotone() {
 	p.checkLastNow = now
 }
 
-// poisonByte fills pooled payloads as Recycle takes them back. Its high
+// poisonByte fills payloads as Recycle takes them back. Its high
 // bit is set, so a uvarint read from poisoned bytes overflows.
 const poisonByte = 0xdb
 
-// poisonPayload overwrites a pooled payload as it returns to the pool,
+// poisonPayload overwrites a payload as it returns to the pool,
 // so a read after Recycle sees garbage, which codec errors and the
 // oracles catch, instead of stale bytes that still decode.
 func poisonPayload(b []byte) {

@@ -25,7 +25,7 @@ func TestChromeTracerRoundTrip(t *testing.T) {
 		sp := p.Span("work")
 		if p.Rank() == 0 {
 			for i := 0; i < 3; i++ {
-				p.Send(1, TagUser, []byte("hello"))
+				p.SendPooled(1, TagUser, []byte("hello"))
 			}
 			p.Mark("sent", 3)
 		} else {

@@ -27,12 +27,12 @@ func TestHostClockReads(t *testing.T) {
 					want uint64
 					op   func()
 				}{
-					{"send", 1, func() { p.Send(0, tag, []byte{1}) }},
+					{"send", 1, func() { p.SendPooled(0, tag, []byte{1}) }},
 					{"WaitAny on a present packet", 0, func() { p.WaitAny(tag) }},
 					{"Recv of a present packet", 0, func() { p.Recycle(p.Recv(tag)) }},
 					{"three sends", 3, func() {
 						for i := 0; i < 3; i++ {
-							p.Send(0, tag, []byte{byte(i)})
+							p.SendPooled(0, tag, []byte{byte(i)})
 						}
 					}},
 					{"Poll", 0, func() { p.Recycle(p.Poll(tag)) }},
@@ -118,7 +118,7 @@ func TestHostClockReads(t *testing.T) {
 			if p.Rank() == 0 {
 				<-stalled
 				for i := 0; i < frames; i++ {
-					p.Send(1, tag, make([]byte, 32))
+					p.SendPooled(1, tag, make([]byte, 32))
 				}
 				close(sent)
 				<-done

@@ -6,6 +6,9 @@ import "ygm/internal/machine"
 // Both ranks of the TCP tests live in one process, so a test body can
 // reach into its own rank's world.
 
+// TCPVersion is the wire version a TCP preamble carries.
+const TCPVersion = tcpVersion
+
 // RaceEnabled reports whether the race detector is compiled in.
 const RaceEnabled = raceEnabled
 

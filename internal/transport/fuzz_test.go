@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"net"
 	"slices"
+	"strings"
 	"testing"
 
 	"ygm/internal/codec"
@@ -89,25 +90,28 @@ func readStream(stream []byte) (*Inbox, error) {
 // FuzzTCPStream: a data frame queued by Inject, then the goodbye, reads
 // back as the packet sent with no fault; every strict prefix ends in a
 // fault, delivering nothing but the whole frame; and an arbitrary stream
-// ends cleanly only on a goodbye. Declared lengths stay under 64 KiB, so
+// ends cleanly only on a goodbye, and one whose first frame is neither
+// data nor goodbye faults on its kind. Declared lengths stay under 64 KiB, so
 // the 256 MiB frame cap is not exercised here.
 func FuzzTCPStream(f *testing.F) {
 	goodbye := []byte{1, 0, 0, 0, kindGoodbye}
-	f.Add(uint64(TagUser), []byte("payload"), true, []byte{2, 0, 0, 0, kindGoodbye, 0})
-	f.Add(uint64(1<<40), []byte{}, false, append(slices.Clone(goodbye), 10, 0, 0, 0, kindMsg, 0x10, 0, 0, 0, 0, 0, 0, 0, 0xab))
-	f.Add(uint64(0), []byte{0xab}, false, []byte{5, 0, 0, 0, kindPooled, 1, 2, 3, 4})
-	f.Fuzz(func(t *testing.T, tag uint64, payload []byte, pooled bool, raw []byte) {
+	f.Add(uint64(TagUser), []byte("payload"), []byte{2, 0, 0, 0, kindGoodbye, 0})
+	f.Add(uint64(1<<40), []byte{}, append(slices.Clone(goodbye), 10, 0, 0, 0, kindData, 0x10, 0, 0, 0, 0, 0, 0, 0, 0xab))
+	f.Add(uint64(0), []byte{0xab}, []byte{5, 0, 0, 0, kindData, 1, 2, 3, 4})
+	// Kind 8 marked a pooled payload in wire version 1; it is retired.
+	f.Add(uint64(0), []byte{}, append([]byte{9, 0, 0, 0, 8, 0x10, 0, 0, 0, 0, 0, 0, 0}, goodbye...))
+	f.Fuzz(func(t *testing.T, tag uint64, payload []byte, raw []byte) {
 		payload = payload[:min(len(payload), 256)]
 		w := &World{topo: machine.New(2, 1)}
 		tw := &TCPWire{w: w, peers: []*tcpPeer{nil, newTCPPeer(nil)}}
 		p := &Proc{world: w}
 		p.cache.pool = &w.pool
-		tw.Inject(p, 1, &Packet{Tag: Tag(tag), Payload: bytes.Clone(payload), pooled: pooled})
+		tw.Inject(p, 1, &Packet{Tag: Tag(tag), Payload: bytes.Clone(payload)})
 		frame := len(tw.peers[1].pending)
 		stream := append(tw.peers[1].pending, goodbye...)
 		ib, err := readStream(stream)
 		pkt := ib.TryPop(Tag(tag))
-		if err != nil || pkt == nil || pkt.Src != 1 || !bytes.Equal(pkt.Payload, payload) || pkt.pooled != pooled || ib.Len() != 0 {
+		if err != nil || pkt == nil || pkt.Src != 1 || !bytes.Equal(pkt.Payload, payload) || ib.Len() != 0 {
 			t.Fatalf("stream % x read as %+v, %d more, fault %v", stream, pkt, ib.Len(), err)
 		}
 		for i := range stream {
@@ -121,8 +125,13 @@ func FuzzTCPStream(f *testing.F) {
 				t.Skip("declared frame length over 64 KiB")
 			}
 		}
-		if _, err := readStream(raw); err == nil && !bytes.HasSuffix(raw, goodbye) {
+		_, err = readStream(raw)
+		if err == nil && !bytes.HasSuffix(raw, goodbye) {
 			t.Fatalf("stream % x ended cleanly without a goodbye", raw)
+		}
+		if len(raw) > 4 && binary.LittleEndian.Uint32(raw) > 0 && raw[4] != kindData && raw[4] != kindGoodbye &&
+			(err == nil || !strings.Contains(err.Error(), "unknown frame kind")) {
+			t.Fatalf("stream % x opens with frame kind %d: fault %v, want an unknown frame kind", raw, raw[4], err)
 		}
 	})
 }

@@ -94,7 +94,7 @@ func TestStressManyToOneBurst(t *testing.T) {
 	rep, err := Run(testConfig(nodes, cores), func(p *Proc) error {
 		if p.Rank() != 0 {
 			for i := 0; i < perSender; i++ {
-				p.Send(0, TagUser, stressPayload(p.Rank(), i))
+				p.SendPooled(0, TagUser, stressPayload(p.Rank(), i))
 			}
 			return nil
 		}
@@ -152,7 +152,7 @@ func TestStressBroadcastStorm(t *testing.T) {
 				if machine.Rank(dst) == me {
 					continue
 				}
-				p.Send(machine.Rank(dst), TagUser, stressPayload(me, round))
+				p.SendPooled(machine.Rank(dst), TagUser, stressPayload(me, round))
 			}
 		}
 		audit := newChannelAudit(p.WorldSize())

@@ -133,7 +133,7 @@ func TestInboxWakeMetricsShowElision(t *testing.T) {
 			// Burst all sends first: the receiver is not parked for most
 			// pushes, so they must be counted as suppressed.
 			for i := 0; i < msgs; i++ {
-				p.Send(1, TagUser, []byte("m"))
+				p.SendPooled(1, TagUser, []byte("m"))
 			}
 			return nil
 		}

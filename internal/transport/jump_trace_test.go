@@ -22,7 +22,7 @@ func TestTraceJumpsRecordedInFlightRecorder(t *testing.T) {
 		Seed:  5,
 	}, func(p *Proc) error {
 		if p.Rank() == 0 {
-			p.Send(1, TagUser, payload)
+			p.SendPooled(1, TagUser, payload)
 			return nil
 		}
 		pkt := p.Recv(TagUser)
@@ -53,7 +53,7 @@ func TestPollRecordedInFlightRecorder(t *testing.T) {
 		Seed:  5,
 	}, func(p *Proc) error {
 		if p.Rank() == 0 {
-			p.Send(1, TagUser, []byte{1})
+			p.SendPooled(1, TagUser, []byte{1})
 			return nil
 		}
 		// Compute well past the packet's arrival, so Poll finds it

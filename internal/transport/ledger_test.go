@@ -1,9 +1,7 @@
 package transport_test
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 
 	"ygm/internal/machine"
@@ -15,7 +13,7 @@ import (
 func leakyBody(p *transport.Proc) error {
 	if p.Rank() == 0 {
 		for i := 0; i < 3; i++ {
-			p.Send(1, transport.TagUser, []byte{byte(i)})
+			p.SendPooled(1, transport.TagUser, []byte{byte(i)})
 		}
 		return nil
 	}
@@ -62,7 +60,7 @@ func TestRunReportsPacketLeak(t *testing.T) {
 // no rank holds a received packet, so only conservation can see it.
 func unreceivedBody(p *transport.Proc) error {
 	if p.Rank() == 0 {
-		p.Send(1, transport.TagUser, []byte{1})
+		p.SendPooled(1, transport.TagUser, []byte{1})
 	}
 	return nil
 }
@@ -82,44 +80,5 @@ func TestRunReportsPacketLoss(t *testing.T) {
 				t.Fatalf("loss = %+v, want 1 sent and 0 received", *loss)
 			}
 		})
-	}
-}
-
-// TestTCPPlainPayloadSurvivesRecycle: a plain Send payload belongs to
-// the receiver, which may keep it after recycling the packet (the
-// collectives do). Over TCP the reader builds every packet from pooled
-// buffers, so the frame must say which payloads go back to the pool:
-// here rank 1 keeps 64 plain payloads in lockstep with rank 0, long
-// enough for recycled buffers to reach the reader again.
-func TestTCPPlainPayloadSurvivesRecycle(t *testing.T) {
-	const rounds = 64
-	_, errs := runTCPWorld(t, 2, func(p *transport.Proc) error {
-		if p.Rank() == 0 {
-			for i := 0; i < rounds; i++ {
-				p.Send(1, transport.TagUser, bytes.Repeat([]byte{byte(i)}, 32))
-				p.Recycle(p.Recv(transport.TagUser))
-			}
-			return nil
-		}
-		kept := make([][]byte, rounds)
-		for i := range kept {
-			pkt := p.Recv(transport.TagUser)
-			kept[i] = pkt.Payload
-			p.Recycle(pkt)
-			p.Send(0, transport.TagUser, nil)
-		}
-		for i, b := range kept {
-			if !bytes.Equal(b, bytes.Repeat([]byte{byte(i)}, 32)) {
-				return fmt.Errorf("payload %d was overwritten after Recycle: %v", i, b)
-			}
-		}
-		return nil
-	})
-	// Rank 1's error first: when it fails, rank 0 only sees its stream
-	// end.
-	for _, r := range []int{1, 0} {
-		if errs[r] != nil {
-			t.Fatalf("rank %d: %v", r, errs[r])
-		}
 	}
 }

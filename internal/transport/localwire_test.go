@@ -97,7 +97,7 @@ func TestSimWireReportNotWall(t *testing.T) {
 func TestWirePicksExecutionModel(t *testing.T) {
 	ring := func(p *transport.Proc) error {
 		n := machine.Rank(p.WorldSize())
-		p.Send((p.Rank()+1)%n, transport.TagUser, []byte{1})
+		p.SendPooled((p.Rank()+1)%n, transport.TagUser, []byte{1})
 		p.Recycle(p.Recv(transport.TagUser))
 		return nil
 	}

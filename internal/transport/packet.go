@@ -34,8 +34,10 @@ const (
 	TagCollective Tag = 1 << 32
 )
 
-// Packet is one transport-level message. Payload ownership transfers to
-// the receiver: senders must not retain or mutate it after Send.
+// Packet is one transport-level message. Its payload belongs to the
+// transport's pool: the sender hands it over with SendPooled and must not
+// retain or mutate it afterwards, and the receiver may read it only until
+// Recycle takes packet and payload back.
 type Packet struct {
 	Src     machine.Rank
 	Tag     Tag
@@ -52,10 +54,6 @@ type Packet struct {
 	// arrival-time ties between packets of one Src. In ygmcheck builds
 	// Push first stamps the channel sequence here for absorb to audit.
 	seq uint64
-
-	// pooled marks a payload obtained from Proc.AcquireBuf and sent via
-	// Proc.SendPooled; Recycle keeps such payloads for reuse.
-	pooled bool
 }
 
 // Size returns the payload size in bytes.

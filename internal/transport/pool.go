@@ -5,8 +5,8 @@ import "sync"
 // Packets and pooled payload buffers are recycled on two levels. Each
 // goroutine that creates or retires packets — every Proc, and every TCP
 // reader — owns a poolCache, which it alone touches: Proc.AcquireBuf,
-// Proc.send, Proc.Recycle, TCPWire.Inject and the TCP reader take from
-// and return to their owner's cache without a lock. Behind the caches
+// Proc.SendPooled, Proc.Recycle, TCPWire.Inject and the TCP reader take
+// from and return to their owner's cache without a lock. Behind the caches
 // sits one bufPool per World, the shared backend a cache refills from
 // when a kind runs dry and spills to when a kind is full, poolBatch
 // entries at a time under one lock acquisition. Coalescing buffers are
@@ -15,10 +15,9 @@ import "sync"
 // dispatched every record — the cross-rank flow that makes the
 // steady-state exchange path allocation-free, and the one that the
 // shared pool exists to close (senders drain their caches, receivers
-// fill theirs). Every received packet is recycled, but only payloads
-// sent via SendPooled go back with it: a plain Send payload belongs to
-// the receiver, which may keep or forward it after recycling the packet
-// (the collectives do both). Run's packet ledger checks the packets.
+// fill theirs). Every payload handed to the transport joins the pool,
+// wherever it was allocated: every received packet is recycled, and its
+// payload goes back with it. Run's packet ledger checks the packets.
 //
 // Retention is bounded per kind by poolKeep in the shared pool plus
 // 2·poolBatch in each cache.
@@ -106,11 +105,11 @@ func (c *poolCache) getBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// put takes back pkt — and, when the sender marked it pooled, its
-// payload. pkt must not be touched by the caller afterwards.
+// put takes back pkt and its payload. Neither may be touched by the
+// caller afterwards.
 func (c *poolCache) put(pkt *Packet) {
 	payload := pkt.Payload
-	keepBuf := pkt.pooled && payload != nil
+	keepBuf := payload != nil
 	if keepBuf {
 		poisonPayload(payload)
 	}

@@ -76,7 +76,7 @@ func TestPoolCacheSpillKeepsB(t *testing.T) {
 	bp := stockedPool(poolKeep - 3)
 	c := poolCache{pool: bp}
 	for i := 0; i < 2*poolBatch+1; i++ {
-		c.put(&Packet{Payload: make([]byte, 64), pooled: true})
+		c.put(&Packet{Payload: make([]byte, 64)})
 	}
 	if c.shared != 1 {
 		t.Fatalf("%d puts took the shared lock %d times, want once", 2*poolBatch+1, c.shared)
@@ -88,11 +88,6 @@ func TestPoolCacheSpillKeepsB(t *testing.T) {
 		t.Fatalf("pool holds %d packets and %d buffers, want poolKeep (%d) each", len(bp.pkts), len(bp.bufs), poolKeep)
 	}
 	checkCache(t, "after spill", &c)
-	// A plain packet brings no buffer back: only the packet is cached.
-	c.put(&Packet{Payload: make([]byte, 8)})
-	if c.npkt != poolBatch+2 || c.nbuf != poolBatch+1 {
-		t.Fatalf("plain put cached %d packets and %d buffers, want %d and %d", c.npkt, c.nbuf, poolBatch+2, poolBatch+1)
-	}
 }
 
 // TestPoolCacheRoundTripSharedOps pins the count this design removes:
@@ -106,7 +101,7 @@ func TestPoolCacheRoundTripSharedOps(t *testing.T) {
 	move := func() {
 		buf := send.getBuf(64)
 		pkt := send.getPkt()
-		pkt.Payload, pkt.pooled = buf, true
+		pkt.Payload = buf
 		recv.put(pkt)
 	}
 	for i := 0; i < 4*poolBatch; i++ {
@@ -166,7 +161,7 @@ func TestPoolCacheBounded(t *testing.T) {
 				src := pkt.Src
 				p.Recycle(pkt)
 				if got[src]++; got[src]%window == 0 {
-					p.Send(src, tagAck, nil)
+					p.SendPooled(src, tagAck, nil)
 				}
 			}
 		} else {

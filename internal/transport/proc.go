@@ -159,42 +159,29 @@ func (p *Proc) Compute(d float64) {
 	p.checkClockMonotone()
 }
 
-// Send transmits payload to dst under tag. The sender is charged the send
-// overhead; the packet's virtual arrival is the sender's clock plus the
-// local or remote transfer time from the cost model. Payload ownership
-// transfers to the receiver.
-func (p *Proc) Send(dst machine.Rank, tag Tag, payload []byte) {
-	p.send(dst, tag, payload, false)
-}
-
-// SendPooled is Send for payloads obtained from AcquireBuf: the packet is
-// marked so that the receiver's Recycle takes the payload buffer back
-// into the receiving rank's cache once it has been fully consumed. The
-// sender must not retain the payload; the receiver must not retain it
-// past Recycle.
-func (p *Proc) SendPooled(dst machine.Rank, tag Tag, payload []byte) {
-	p.send(dst, tag, payload, true)
-}
-
 // AcquireBuf returns a length-n payload buffer from this rank's cache,
 // which refills from the world's shared pool in batches (allocating only
-// when both are dry). Buffers acquired here are meant to be sent with
-// SendPooled and returned by the receiver via Recycle — the cycle that
+// when both are dry). The receiver's Recycle returns it — the cycle that
 // keeps steady-state mailbox traffic allocation-free.
 func (p *Proc) AcquireBuf(n int) []byte { return p.cache.getBuf(n) }
 
-// Recycle returns a received packet — and, when it was sent with
-// SendPooled, its payload buffer — to this rank's cache, which spills to
-// the world's shared pool in batches. The caller must not touch pkt
-// afterwards, nor a SendPooled payload; a plain Send payload stays the
-// caller's. Every received packet must be recycled exactly once, which
-// Run checks at the end of a clean run (PacketLeakError).
+// Recycle returns a received packet and its payload buffer to this
+// rank's cache, which spills to the world's shared pool in batches. The
+// caller must not touch pkt or its payload afterwards. Every received
+// packet must be recycled exactly once, which Run checks at the end of a
+// clean run (PacketLeakError).
 func (p *Proc) Recycle(pkt *Packet) {
 	p.stats.Recycles++
 	p.cache.put(pkt)
 }
 
-func (p *Proc) send(dst machine.Rank, tag Tag, payload []byte, pooled bool) {
+// SendPooled transmits payload to dst under tag. The sender is charged
+// the send overhead; the packet's virtual arrival is the sender's clock
+// plus the local or remote transfer time from the cost model. The
+// payload joins the transport's pool, whether it came from AcquireBuf or
+// not: the sender must not retain it, and the receiver may read it only
+// until Recycle takes it back.
+func (p *Proc) SendPooled(dst machine.Rank, tag Tag, payload []byte) {
 	w := p.world
 	if !w.topo.Valid(dst) {
 		panic(fmt.Sprintf("transport: send to invalid rank %d", dst))
@@ -243,7 +230,6 @@ func (p *Proc) send(dst machine.Rank, tag Tag, payload []byte, pooled bool) {
 	pkt.Tag = tag
 	pkt.Arrive = arrive
 	pkt.Payload = payload
-	pkt.pooled = pooled
 	// Record and trace before Inject: once the wire has the packet the
 	// receiver may pop it and report PacketReceived, and a send that is
 	// not yet on record then has no arrow to end.

@@ -77,7 +77,7 @@ func TestReportMaxInboxDepthFromRun(t *testing.T) {
 	}, func(p *Proc) error {
 		if p.Rank() == 0 {
 			for i := 0; i < msgs; i++ {
-				p.Send(1, TagUser, []byte("m"))
+				p.SendPooled(1, TagUser, []byte("m"))
 			}
 			return nil
 		}
@@ -131,7 +131,7 @@ func TestReportMetricsFromRunIncludeBuiltins(t *testing.T) {
 	}, func(p *Proc) error {
 		if p.Rank() == 0 {
 			for i := 0; i < msgs; i++ {
-				p.Send(1, TagUser, []byte("0123456789abcdef"))
+				p.SendPooled(1, TagUser, []byte("0123456789abcdef"))
 			}
 			return nil
 		}

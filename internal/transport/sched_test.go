@@ -22,7 +22,7 @@ func treeReduce(p *Proc, tag Tag) {
 	}
 	for m := 1; m < top; m <<= 1 {
 		if r&m != 0 {
-			p.Send(machine.Rank(r-m), tag, []byte{byte(r)})
+			p.SendPooled(machine.Rank(r-m), tag, []byte{byte(r)})
 			return
 		}
 		if c := r | m; c < n {
@@ -47,7 +47,7 @@ func treeBcast(p *Proc, tag Tag) {
 	}
 	for m := high >> 1; m >= 1; m >>= 1 {
 		if c := r | m; c < n && c > r {
-			p.Send(machine.Rank(c), tag, []byte{byte(r)})
+			p.SendPooled(machine.Rank(c), tag, []byte{byte(r)})
 		}
 	}
 }
@@ -97,7 +97,7 @@ func TestSchedulerCompletesCollectives(t *testing.T) {
 		n := p.WorldSize()
 		for k := 0; k < rounds; k++ {
 			tag := TagUser + Tag(4*k)
-			p.Send(machine.Rank((int(p.Rank())+1+k)%n), tag, []byte{byte(k)})
+			p.SendPooled(machine.Rank((int(p.Rank())+1+k)%n), tag, []byte{byte(k)})
 			p.Recycle(p.Recv(tag))
 			treeBarrier(p, tag+1)
 		}
@@ -128,7 +128,7 @@ func TestSchedulerMakespanMatchesDirect(t *testing.T) {
 		n := p.WorldSize()
 		for k := 0; k < 4; k++ {
 			tag := TagUser + Tag(4*k)
-			p.Send(machine.Rank((int(p.Rank())+1+k)%n), tag, []byte("payload"))
+			p.SendPooled(machine.Rank((int(p.Rank())+1+k)%n), tag, []byte("payload"))
 			p.Recycle(p.Recv(tag))
 			treeBcast(p, tag+1)
 		}
@@ -158,7 +158,7 @@ func TestYieldSingleWorkerNoLivelock(t *testing.T) {
 		cfg := NewConfig(machine.New(1, 8), WithSeed(int64(i)))
 		rep := runWithTimeout(t, time.Minute, cfg, 1, func(p *Proc) error {
 			if p.Rank() != 0 {
-				p.Send(0, TagUser, []byte{byte(p.Rank())})
+				p.SendPooled(0, TagUser, []byte{byte(p.Rank())})
 				return nil
 			}
 			for got := 0; got < p.WorldSize()-1; {
@@ -229,7 +229,7 @@ func TestFanInExactlyOnce(t *testing.T) {
 	runWithTimeout(t, 2*time.Minute, cfg, 4, func(p *Proc) error {
 		if p.Rank() != 0 {
 			for i := 0; i < msgs; i++ {
-				p.Send(0, TagUser, []byte{byte(i)})
+				p.SendPooled(0, TagUser, []byte{byte(i)})
 			}
 			return nil
 		}
@@ -266,7 +266,7 @@ func TestLostWakeupUnwindsNotHangs(t *testing.T) {
 			for !p.world.inboxes[victim].waiting.Load() {
 				runtime.Gosched()
 			}
-			p.Send(victim, TagUser, []byte("x"))
+			p.SendPooled(victim, TagUser, []byte("x"))
 		case victim:
 			if pkt := p.Recv(TagUser); pkt != nil {
 				p.Recycle(pkt)
@@ -387,7 +387,7 @@ func TestSchedulerYieldFairness(t *testing.T) {
 				// token), then poll for the replies.
 				for d := 0; d < n; d++ {
 					if d != 1 && d != 9 {
-						p.Send(machine.Rank(d), TagUser, []byte{1})
+						p.SendPooled(machine.Rank(d), TagUser, []byte{1})
 					}
 				}
 				poller(p, TagUser+1, n-2)
@@ -395,8 +395,8 @@ func TestSchedulerYieldFairness(t *testing.T) {
 				poller(p, TagUser+9, n-2)
 			default:
 				p.Recycle(p.Recv(TagUser))
-				p.Send(1, TagUser+1, []byte{byte(r)})
-				p.Send(9, TagUser+9, []byte{byte(r)})
+				p.SendPooled(1, TagUser+1, []byte{byte(r)})
+				p.SendPooled(9, TagUser+9, []byte{byte(r)})
 			}
 			return nil
 		})

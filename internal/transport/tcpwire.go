@@ -30,11 +30,7 @@ import (
 // and validated field by field. Data frames keep the tag as a fixed u64
 // so the reader can size one exact pooled-buffer read for the payload:
 //
-//	[u32 n][kindMsg or kindPooled][u64 LE tag][n-9 payload bytes]
-//
-// The kind carries the packet's pooled mark: only a kindPooled payload
-// goes back to the pool at Recycle, since a plain Send payload belongs
-// to the receiver, which may keep it.
+//	[u32 n][kindData][u64 LE tag][n-9 payload bytes]
 //
 // Arrival stamps are assigned on the RECEIVING host (reader goroutine,
 // host clock) rather than carried in the frame: the inbox only needs
@@ -43,16 +39,15 @@ import (
 // inter-process clock skew.
 const (
 	tcpMagic   uint32 = 0x59474d57 // "YGMW"
-	tcpVersion byte   = 1
+	tcpVersion byte   = 2
 
 	kindHello     byte = 1 // client -> rank 0 on the rendezvous conn
 	kindRoster    byte = 2 // rank 0 -> client: mesh addresses of every rank
 	kindReady     byte = 3 // client -> rank 0: mesh established
 	kindGo        byte = 4 // rank 0 -> client: every rank is ready, run
 	kindPeerHello byte = 5 // mesh dialer -> listener: my rank
-	kindMsg       byte = 6 // data packet sent with Send
+	kindData      byte = 6 // one packet: tag and payload
 	kindGoodbye   byte = 7 // clean end-of-stream; EOF without it is a fault
-	kindPooled    byte = 8 // data packet sent with SendPooled
 
 	// tcpMaxFrame bounds one data-frame body; larger reads indicate stream
 	// corruption, not traffic (mailbox payloads are capacity-bounded).
@@ -543,10 +538,10 @@ func (t *TCPWire) startBarrier(deadline time.Time) error {
 
 // Inject delivers one stamped packet: a self-send is a direct inbox
 // push (same as the in-process wires); a remote send copies the packet
-// into the peer's send queue as one data frame and returns the packet —
-// and any pooled payload — to the sending rank's cache, so the
-// per-process recycle balance holds. It returns before the frame reaches the kernel and
-// waits only while the queue already holds a full window; a frame
+// into the peer's send queue as one data frame and returns the packet
+// and its payload to the sending rank's cache, so the per-process
+// recycle balance holds. It returns before the frame reaches the kernel
+// and waits only while the queue already holds a full window; a frame
 // larger than the window passes once the queue is below it. Waking the
 // writer costs a signal only when the queue was idle: a busy writer
 // picks the frame up with its next batch.
@@ -566,11 +561,7 @@ func (t *TCPWire) Inject(p *Proc, dst machine.Rank, pkt *Packet) {
 	idle := len(peer.pending) == 0 && !peer.writing
 	n := dataHdrLen + len(pkt.Payload)
 	b := binary.LittleEndian.AppendUint32(peer.pending, uint32(n-4))
-	kind := kindMsg
-	if pkt.pooled {
-		kind = kindPooled
-	}
-	b = append(b, kind)
+	b = append(b, kindData)
 	b = binary.LittleEndian.AppendUint64(b, uint64(pkt.Tag))
 	peer.pending = append(b, pkt.Payload...)
 	peer.mu.Unlock()
@@ -640,12 +631,12 @@ func (t *TCPWire) writeLoop(dst machine.Rank, peer *tcpPeer) {
 // only producer for the (local, src) channel, so pushes on it are
 // ordered. Frames become packets, taken with their payload buffers from
 // the reader's own cache and stamped with the receiving host's clock;
-// the rank that recycles them returns them to its cache, with the
-// payload only for a kindPooled frame, and the shared pool carries them
-// back in batches. The clock is read once per buffer fill, after the
-// fill and before the first header it holds, and every frame parsed
-// from that fill carries the one stamp: stamps stay monotone on the
-// channel and were all taken before their packets were pushed.
+// the rank that recycles them returns both to its cache, and the shared
+// pool carries them back in batches. The clock is read once per buffer
+// fill, after the fill and before the first header it holds, and every
+// frame parsed from that fill carries the one stamp: stamps stay
+// monotone on the channel and were all taken before their packets were
+// pushed.
 func (t *TCPWire) readLoop(src machine.Rank, peer *tcpPeer) {
 	defer t.readers.Done()
 	cache := poolCache{pool: &t.w.pool}
@@ -676,7 +667,7 @@ func (t *TCPWire) readLoop(src machine.Rank, peer *tcpPeer) {
 			return
 		}
 		switch kind {
-		case kindMsg, kindPooled:
+		case kindData:
 			if n < 9 {
 				t.readEnd(src, fmt.Errorf("short data frame (%d bytes)", n))
 				return
@@ -696,7 +687,6 @@ func (t *TCPWire) readLoop(src machine.Rank, peer *tcpPeer) {
 			pkt.Tag = tag
 			pkt.Arrive = arrive
 			pkt.Payload = payload
-			pkt.pooled = kind == kindPooled
 			t.w.inboxes[t.self].Push(pkt)
 		case kindGoodbye:
 			// The goodbye is the stream's last frame: its sender

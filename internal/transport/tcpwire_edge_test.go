@@ -287,7 +287,7 @@ func TestTCPHandshakeLengthCapped(t *testing.T) {
 		defer conn.Close()
 		var b [9]byte
 		binary.LittleEndian.PutUint32(b[0:4], 0x59474d57) // "YGMW"
-		b[4] = 1
+		b[4] = transport.TCPVersion
 		binary.LittleEndian.PutUint32(b[5:9], 200<<20)
 		conn.Write(b[:])
 		conn.Read(b[:1]) // hold the connection until the root drops it
@@ -368,7 +368,7 @@ func TestTCPSendQueueWriteFailureUnblocksSender(t *testing.T) {
 // the test instead of hanging it.
 func TestTCPGoodbyeEndsStream(t *testing.T) {
 	dataFrame := binary.LittleEndian.AppendUint32(nil, 9+1)
-	dataFrame = append(dataFrame, 6) // kindMsg
+	dataFrame = append(dataFrame, 6) // kindData
 	dataFrame = binary.LittleEndian.AppendUint64(dataFrame, uint64(tagQ))
 	dataFrame = append(dataFrame, 0xab)
 	for _, tc := range []struct {

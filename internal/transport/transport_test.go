@@ -84,7 +84,7 @@ func TestPingPong(t *testing.T) {
 	rep, err := Run(testConfig(2, 1), func(p *Proc) error {
 		const payload = 1024
 		if p.Rank() == 0 {
-			p.Send(1, TagUser, make([]byte, payload))
+			p.SendPooled(1, TagUser, make([]byte, payload))
 			pkt := p.Recv(TagUser)
 			if pkt.Src != 1 || pkt.Size() != payload {
 				return fmt.Errorf("bad reply %v", pkt)
@@ -92,7 +92,7 @@ func TestPingPong(t *testing.T) {
 			p.Recycle(pkt)
 		} else {
 			pkt := p.Recv(TagUser)
-			p.Send(pkt.Src, TagUser, make([]byte, payload))
+			p.SendPooled(pkt.Src, TagUser, make([]byte, payload))
 			p.Recycle(pkt)
 		}
 		return nil
@@ -120,7 +120,7 @@ func TestVirtualTimeCausality(t *testing.T) {
 	_, err := Run(testConfig(2, 1), func(p *Proc) error {
 		if p.Rank() == 0 {
 			p.Compute(1e-3) // sender is busy first
-			p.Send(1, TagUser, make([]byte, 100))
+			p.SendPooled(1, TagUser, make([]byte, 100))
 			sendDone = p.Now()
 		} else {
 			p.Recycle(p.Recv(TagUser))
@@ -143,8 +143,8 @@ func TestLocalVsRemoteAccounting(t *testing.T) {
 		topo := p.Topo()
 		switch p.Rank() {
 		case 0:
-			p.Send(topo.RankOf(0, 1), TagUser, make([]byte, 64)) // local
-			p.Send(topo.RankOf(1, 0), TagUser, make([]byte, 64)) // remote
+			p.SendPooled(topo.RankOf(0, 1), TagUser, make([]byte, 64)) // local
+			p.SendPooled(topo.RankOf(1, 0), TagUser, make([]byte, 64)) // remote
 		case 1, 2:
 			p.Recycle(p.Recv(TagUser))
 		}
@@ -171,8 +171,8 @@ func TestLocalVsRemoteAccounting(t *testing.T) {
 func TestPollRespectsVirtualArrival(t *testing.T) {
 	_, err := Run(testConfig(2, 1), func(p *Proc) error {
 		if p.Rank() == 0 {
-			p.Send(1, TagUser, make([]byte, 1<<20)) // ~0.1ms transfer
-			p.Send(1, TagData, nil)                 // physical-arrival signal
+			p.SendPooled(1, TagUser, make([]byte, 1<<20)) // ~0.1ms transfer
+			p.SendPooled(1, TagData, nil)                 // physical-arrival signal
 			return nil
 		}
 		// Wait until the big packet is physically present.
@@ -200,8 +200,8 @@ func TestPollRespectsVirtualArrival(t *testing.T) {
 func TestDrainJumpsClock(t *testing.T) {
 	_, err := Run(testConfig(2, 1), func(p *Proc) error {
 		if p.Rank() == 0 {
-			p.Send(1, TagUser, make([]byte, 1<<20))
-			p.Send(1, TagData, nil)
+			p.SendPooled(1, TagUser, make([]byte, 1<<20))
+			p.SendPooled(1, TagData, nil)
 			return nil
 		}
 		p.Recycle(p.Recv(TagData))
@@ -240,10 +240,10 @@ func TestArrivalOrdering(t *testing.T) {
 			// then advance and send a tiny one timed to arrive first is
 			// impossible from one sender. Use payload sizes so arrival
 			// gap is large and verify FIFO per sender.
-			p.Send(1, TagUser, []byte{1})
-			p.Send(1, TagUser, []byte{2})
-			p.Send(1, TagUser, []byte{3})
-			p.Send(1, TagData, nil)
+			p.SendPooled(1, TagUser, []byte{1})
+			p.SendPooled(1, TagUser, []byte{2})
+			p.SendPooled(1, TagUser, []byte{3})
+			p.SendPooled(1, TagData, nil)
 			return nil
 		}
 		p.Recycle(p.Recv(TagData))
@@ -279,7 +279,7 @@ func TestManyToOne(t *testing.T) {
 			}
 			return nil
 		}
-		p.Send(0, TagUser, []byte{byte(p.Rank())})
+		p.SendPooled(0, TagUser, []byte{byte(p.Rank())})
 		return nil
 	})
 	if err != nil {
@@ -334,11 +334,11 @@ func TestTraceSendPrecedesReceive(t *testing.T) {
 		next := machine.Rank((int(p.Rank()) + 1) % p.WorldSize())
 		for i := 0; i < msgs; i++ {
 			if p.Rank() == 0 {
-				p.Send(next, TagUser, []byte{byte(i)})
+				p.SendPooled(next, TagUser, []byte{byte(i)})
 				p.Recycle(p.Recv(TagUser))
 			} else {
 				p.Recycle(p.Recv(TagUser))
-				p.Send(next, TagUser, []byte{byte(i)})
+				p.SendPooled(next, TagUser, []byte{byte(i)})
 			}
 		}
 		return nil
@@ -402,7 +402,7 @@ func TestRngDeterminism(t *testing.T) {
 
 func TestSendToInvalidRankPanics(t *testing.T) {
 	_, err := Run(testConfig(1, 1), func(p *Proc) error {
-		p.Send(machine.Rank(99), TagUser, nil)
+		p.SendPooled(machine.Rank(99), TagUser, nil)
 		return nil
 	})
 	if err == nil {
@@ -424,9 +424,9 @@ func TestInboxDepthTracking(t *testing.T) {
 	rep, err := Run(testConfig(1, 2), func(p *Proc) error {
 		if p.Rank() == 0 {
 			for i := 0; i < 10; i++ {
-				p.Send(1, TagUser, nil)
+				p.SendPooled(1, TagUser, nil)
 			}
-			p.Send(1, TagData, nil)
+			p.SendPooled(1, TagData, nil)
 			return nil
 		}
 		p.Recycle(p.Recv(TagData))
@@ -455,7 +455,7 @@ func TestReportUtilizationBounds(t *testing.T) {
 		if p.Rank() == 0 {
 			p.Compute(1e-3)
 			for i := 1; i < p.WorldSize(); i++ {
-				p.Send(machine.Rank(i), TagUser, make([]byte, 1024))
+				p.SendPooled(machine.Rank(i), TagUser, make([]byte, 1024))
 			}
 			return nil
 		}

@@ -29,11 +29,11 @@ func TestDeadlockErrorCarriesFlightRecorder(t *testing.T) {
 			peer := machine.Rank(1 - p.Rank())
 			for i := 0; i < pingPongs; i++ {
 				if p.Rank() == 0 {
-					p.Send(peer, TagUser, []byte("ping"))
+					p.SendPooled(peer, TagUser, []byte("ping"))
 					p.Recycle(p.Recv(TagUser))
 				} else {
 					p.Recycle(p.Recv(TagUser))
-					p.Send(peer, TagUser, []byte("pong"))
+					p.SendPooled(peer, TagUser, []byte("pong"))
 				}
 			}
 			p.Recv(TagUser + 100) // nobody sends this: both ranks block

@@ -131,7 +131,7 @@ func TestWatchdogQuietOnBusyPeerOfIdleLoop(t *testing.T) {
 	_, err := Run(cfg, func(p *Proc) error {
 		if p.Rank() == 1 {
 			time.Sleep(50 * time.Millisecond) // fifty watchdog ticks of work
-			p.Send(0, TagUser, nil)
+			p.SendPooled(0, TagUser, nil)
 			return nil
 		}
 		for !p.Pending(TagUser) {
@@ -157,7 +157,7 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	_, err := Run(cfg, func(p *Proc) error {
 		next := machine.Rank((int(p.Rank()) + 1) % p.WorldSize())
 		for i := 0; i < 50; i++ {
-			p.Send(next, TagUser, []byte{byte(i)})
+			p.SendPooled(next, TagUser, []byte{byte(i)})
 			p.Recycle(p.Recv(TagUser))
 			// Stretch host time so watchdog ticks land mid-run.
 			time.Sleep(time.Millisecond)

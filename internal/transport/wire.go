@@ -17,7 +17,7 @@ import (
 // Contract:
 //
 //   - Inject is called on the sending rank's goroutine with a packet the
-//     sender has fully stamped (Src, Tag, Arrive, Payload, pooled).
+//     sender has fully stamped (Src, Tag, Arrive, Payload).
 //     Ownership of the packet transfers to the wire. For a destination
 //     hosted in this process the wire must Push the packet into
 //     w.Inbox(dst) from exactly one goroutine per (dst, src) channel:

@@ -302,15 +302,16 @@ func TestTestEmptyKeepsHandlerQueuedWork(t *testing.T) {
 	}
 }
 
-// dropFirstData is a wire that loses the first lazy data packet of the
-// run and delivers everything else.
-type dropFirstData struct {
+// dropFirst is a wire that loses the run's first packet under tag and
+// delivers everything else.
+type dropFirst struct {
 	transport.Wire
+	tag     transport.Tag
 	dropped atomic.Bool
 }
 
-func (w *dropFirstData) Inject(p *transport.Proc, dst machine.Rank, pkt *transport.Packet) {
-	if pkt.Tag == transport.TagData && w.dropped.CompareAndSwap(false, true) {
+func (w *dropFirst) Inject(p *transport.Proc, dst machine.Rank, pkt *transport.Packet) {
+	if pkt.Tag == w.tag && w.dropped.CompareAndSwap(false, true) {
 		return
 	}
 	w.Wire.Inject(p, dst, pkt)
@@ -329,6 +330,20 @@ const lostPacketBound = 10 * time.Second
 // totals never balanced, and detector packets kept the watchdog from
 // firing.
 func TestLostPacketEndsInTypedError(t *testing.T) {
+	testLostPacket(t, transport.TagData)
+}
+
+// TestLostAckEndsInTypedError: a lost acknowledgement leaves its data
+// packet unacknowledged just as a lost data packet does, and must end
+// the same way.
+func TestLostAckEndsInTypedError(t *testing.T) {
+	testLostPacket(t, TagAck)
+}
+
+// testLostPacket runs a lazy all-to-all on the simulator and the local
+// wire, each losing its first packet under tag, and requires a
+// DeadlockError or PacketLossError within lostPacketBound.
+func testLostPacket(t *testing.T, tag transport.Tag) {
 	for _, tw := range []struct {
 		name string
 		wire transport.Wire
@@ -336,12 +351,13 @@ func TestLostPacketEndsInTypedError(t *testing.T) {
 		t.Run(tw.name, func(t *testing.T) {
 			done := make(chan error, 1)
 			start := time.Now()
+			wire := &dropFirst{Wire: tw.wire, tag: tag}
 			go func() {
 				_, err := transport.Run(transport.Config{
 					Topo:             machine.New(2, 2),
 					Model:            netsim.Quartz(),
 					Seed:             6,
-					Wire:             &dropFirstData{Wire: tw.wire},
+					Wire:             wire,
 					WatchdogInterval: 20 * time.Millisecond,
 				}, func(p *transport.Proc) error {
 					mb := New(p, func(Sender, []byte) {}, WithExchange(LazyExchange))
@@ -357,12 +373,15 @@ func TestLostPacketEndsInTypedError(t *testing.T) {
 			case err := <-done:
 				var dl *transport.DeadlockError
 				var pl *transport.PacketLossError
+				if !wire.dropped.Load() {
+					t.Fatalf("the run sent no packet under tag %#x to lose", tag)
+				}
 				if !errors.As(err, &dl) && !errors.As(err, &pl) {
-					t.Fatalf("a lost packet ended in %v, want a DeadlockError or a PacketLossError", err)
+					t.Fatalf("a lost packet under tag %#x ended in %v, want a DeadlockError or a PacketLossError", tag, err)
 				}
 				t.Logf("%s: typed error after %v", tw.name, time.Since(start).Round(time.Millisecond))
 			case <-time.After(lostPacketBound):
-				t.Fatalf("a run that lost a packet did not end within %v", lostPacketBound)
+				t.Fatalf("a run that lost a packet under tag %#x did not end within %v", tag, lostPacketBound)
 			}
 		})
 	}
@@ -506,7 +525,7 @@ func TestTermRejectsImpossiblePackets(t *testing.T) {
 						w := codec.NewWriter(8)
 						w.Byte(byte(pk[0]))
 						w.Uvarint(pk[1])
-						p.Send(0, TagTerm, w.Bytes())
+						p.SendPooled(0, TagTerm, w.Bytes())
 					}
 					mb.term.Step()
 					return nil
