@@ -35,9 +35,9 @@ func ablationMailboxPlan(p Preset) Plan {
 // ablationStragglerPlan is the paper's core motivation measured directly:
 // the same many-to-many counting workload run (a) through the
 // asynchronous mailbox and (b) through the synchronous ALLTOALLV mailbox
-// (one collective exchange plus one pending-count allreduce per batch),
-// with one rank's compute slowed 10x. The mailbox couples ranks only
-// through message routes; the collective couples everyone to the
+// on NoRoute (one round with every peer plus one round-count verdict per
+// batch), with one rank's compute slowed 10x. The mailbox couples ranks
+// only through message routes; the all-to-all couples everyone to the
 // straggler every batch.
 func ablationStragglerPlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "ablation-straggler", Title: "async mailbox vs synchronous ALLTOALLV with a 10x straggler"}}
@@ -148,9 +148,10 @@ func ablationBroadcastPlan(p Preset) Plan {
 // ablationExchangePlan compares the exchange implementations of Section
 // III-A on identical degree-counting traffic: the asynchronous send/recv
 // mailbox, lazy (ranks enter and leave communication independently) and
-// round-matched, versus the ALLTOALLV-backed SyncMailbox (each phase is a
-// collective, as performed better on IBM BG/Q). Balanced load favors the
-// collective; adding a straggler flips the comparison.
+// round-matched, versus the bulk-synchronous SyncMailbox (each phase an
+// ALLTOALLV among its partners, as performed better on IBM BG/Q).
+// Balanced load favors the all-to-all; adding a straggler flips the
+// comparison.
 func ablationExchangePlan(p Preset) Plan {
 	pl := Plan{Table: &Table{ID: "ablation-exchange", Title: "async send/recv vs ALLTOALLV-backed exchanges (Section III-A)"}}
 	nodes := p.WeakNodes[len(p.WeakNodes)-1]
@@ -162,8 +163,8 @@ func ablationExchangePlan(p Preset) Plan {
 		name  string
 		style ygm.ExchangeStyle
 		// batch is the WaitEmpty cadence. The asynchronous styles wait
-		// once, at the end; the collective one exchanges until quiet
-		// after every jitter round.
+		// once, at the end; the bulk-synchronous one, whose sends only
+		// queue, waits after every jitter round.
 		batch int
 	}{
 		{"async", ygm.LazyExchange, 0},

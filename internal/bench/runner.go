@@ -67,8 +67,9 @@ func perfValues(rep *transport.Report, items float64, itemUnit string) []Value {
 
 // perfValuesAll is perfValues over every packet, including collective
 // and termination-detection traffic — used wherever rows compare
-// exchange styles, since the ALLTOALLV style moves its data on
-// collective tags and every row must count by the same rule.
+// exchange styles, since their control traffic differs (empty round
+// messages and a round-count verdict, or acknowledgements and a barrier)
+// and every row must count by the same rule.
 func perfValuesAll(rep *transport.Report, items float64, itemUnit string) []Value {
 	tot := rep.Totals()
 	return perfRow(rep.Makespan(), items, itemUnit,

@@ -331,9 +331,6 @@ func (c *Counter) Size() uint64 {
 	return c.e.allreduceSum(uint64(len(c.local)))
 }
 
-// LocalSize returns this rank's shard size without synchronizing.
-func (c *Counter) LocalSize() int { return len(c.local) }
-
 // TopK returns the k globally heaviest keys, ordered by descending
 // count with ties broken by ascending key — the heavy-hitters query.
 // Collective: every rank gets the same result. Each rank selects its

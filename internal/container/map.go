@@ -138,9 +138,6 @@ func (m *Map) Size() uint64 {
 	return m.e.allreduceSum(uint64(len(m.local)))
 }
 
-// LocalSize returns this rank's shard size without synchronizing.
-func (m *Map) LocalSize() int { return len(m.local) }
-
 // instance implementation (owner side).
 
 func (m *Map) applyInsert(key, val []byte) {

@@ -13,15 +13,12 @@ type Partitioner interface {
 // over an FNV-style fold of the key bytes, uniform across ranks and
 // deliberately unrelated to the partitioners applications typically use
 // for their own sharding (so container placement does not correlate
-// with application placement). Seed perturbs the placement, e.g. to
-// decorrelate two containers holding the same key population.
-type HashPartitioner struct {
-	Seed uint64
-}
+// with application placement).
+type HashPartitioner struct{}
 
 // Owner implements Partitioner.
-func (h HashPartitioner) Owner(key []byte, world int) machine.Rank {
-	x := h.Seed ^ 0x9e3779b97f4a7c15
+func (HashPartitioner) Owner(key []byte, world int) machine.Rank {
+	x := uint64(0x9e3779b97f4a7c15)
 	for _, b := range key {
 		x = (x ^ uint64(b)) * 0x100000001b3
 	}

@@ -190,8 +190,6 @@ type Clock struct {
 	now  float64
 	busy float64
 	wait float64
-	// maxJump records the largest single WaitUntil advance (diagnostic).
-	maxJump float64
 }
 
 // Now returns the current virtual time in seconds.
@@ -215,36 +213,15 @@ func (c *Clock) Advance(d float64) {
 	c.busy += d
 }
 
-// WaitUntil fast-forwards the clock to time t if t is in the future,
-// accounting the skipped interval as wait (idle) time. If t is in the
-// past the clock is unchanged: the awaited event already happened.
-func (c *Clock) WaitUntil(t float64) {
-	if t > c.now {
-		if d := t - c.now; d > c.maxJump {
-			c.maxJump = d
-		}
-		c.wait += t - c.now
-		c.now = t
-	}
-}
-
-// MaxJump returns the largest single idle-wait interval (diagnostic).
-func (c *Clock) MaxJump() float64 { return c.maxJump }
-
 // AbsorbAt performs the receive-side clock update for a message that
 // arrived at virtual time t and costs overhead seconds to receive:
 // fast-forward to t when it lies in the future (accounting the skipped
 // interval as wait time), then advance by overhead (busy time). It
 // returns the skipped interval — 0 when the message had already
 // arrived — which is the "jump" the transport's diagnostics report.
-// Semantically WaitUntil(t) followed by Advance(overhead), fused
-// because the pair brackets every simulated receive.
 func (c *Clock) AbsorbAt(t, overhead float64) (jump float64) {
 	if t > c.now {
 		jump = t - c.now
-		if jump > c.maxJump {
-			c.maxJump = jump
-		}
 		c.wait += jump
 		c.now = t
 	}

@@ -131,16 +131,14 @@ func TestClockAdvance(t *testing.T) {
 	}
 }
 
-func TestClockWaitUntil(t *testing.T) {
+func TestClockAbsorbAt(t *testing.T) {
 	var c Clock
 	c.Advance(1)
-	c.WaitUntil(4) // idle 3s
-	if c.Now() != 4 || c.Wait() != 3 {
-		t.Fatalf("clock = now %g wait %g", c.Now(), c.Wait())
+	if jump := c.AbsorbAt(4, 0); jump != 3 || c.Now() != 4 || c.Wait() != 3 { // idle 3s
+		t.Fatalf("clock = now %g wait %g, jump %g", c.Now(), c.Wait(), jump)
 	}
-	c.WaitUntil(2) // in the past: no-op
-	if c.Now() != 4 || c.Wait() != 3 {
-		t.Fatalf("past WaitUntil moved the clock: now %g wait %g", c.Now(), c.Wait())
+	if jump := c.AbsorbAt(2, 0); jump != 0 || c.Now() != 4 || c.Wait() != 3 { // in the past: no-op
+		t.Fatalf("past arrival moved the clock: now %g wait %g, jump %g", c.Now(), c.Wait(), jump)
 	}
 	if u := c.Utilization(); math.Abs(u-0.25) > 1e-12 {
 		t.Fatalf("utilization = %g, want 0.25", u)
@@ -164,7 +162,7 @@ func TestClockPanicsOnNegativeAdvance(t *testing.T) {
 	c.Advance(-1)
 }
 
-// TestClockMonotoneProperty: any sequence of Advance/WaitUntil keeps the
+// TestClockMonotoneProperty: any sequence of Advance/AbsorbAt keeps the
 // clock monotone and busy+wait == now.
 func TestClockMonotoneProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
@@ -174,7 +172,7 @@ func TestClockMonotoneProperty(t *testing.T) {
 			if i%2 == 0 {
 				c.Advance(float64(op) * 1e-6)
 			} else {
-				c.WaitUntil(float64(op) * 1e-5)
+				c.AbsorbAt(float64(op)*1e-5, 0)
 			}
 			if c.Now() < prev {
 				return false

@@ -55,7 +55,7 @@ type Case struct {
 	// Variant is the exchange style of the mailbox under test.
 	Variant ygm.ExchangeStyle
 	// Phases is the number of send-then-barrier rounds each rank runs;
-	// every phase ends in a WaitEmpty (or ExchangeUntilQuiet) barrier.
+	// every phase ends in a WaitEmpty barrier.
 	Phases int
 	// Msgs is the number of application sends per rank per phase.
 	Msgs int

@@ -9,7 +9,8 @@ import (
 )
 
 // CrossValidateSync replays one case's command script under the
-// synchronous ALLTOALLV mailbox and cross-checks the two executions.
+// bulk-synchronous mailbox, whose sends only queue until WaitEmpty runs
+// the phase's rounds, and cross-checks the two executions.
 // It is the strongest form of the synchronizability claim the harness
 // can make: the lazy (pseudo-asynchronous) run is not just certified
 // reorder-equivalent to *some* synchronous execution — an actual

@@ -179,8 +179,9 @@ func runRank(p *transport.Proc, c Case, o *oracle, hooks *ygm.TestHooks) error {
 	send, bcast := mb.Send, mb.Broadcast
 
 	// WaitEmpty is the quiescence barrier on every variant (the sync
-	// mailbox aliases it to ExchangeUntilQuiet); lazy cases optionally
-	// drive it through nonblocking TestEmpty polling instead.
+	// mailbox's sends only queue, so its WaitEmpty runs every round of
+	// the phase); lazy cases optionally drive it through nonblocking
+	// TestEmpty polling instead.
 	barrier := func() error { mb.WaitEmpty(); return nil }
 	if lazy, ok := mb.(*ygm.Mailbox); ok && c.TestEmptyBarrier {
 		barrier = func() error {

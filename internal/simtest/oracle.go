@@ -289,7 +289,7 @@ func (o *oracle) recordDelivery(at machine.Rank, payload []byte) (msgMeta, bool)
 }
 
 // barrier runs on a rank's goroutine the moment its phase-p barrier
-// (WaitEmpty, TestEmpty-true, or ExchangeUntilQuiet) returns. It logs
+// (WaitEmpty or TestEmpty-true) returns. It logs
 // the barrier and checks that every phase at or before p is fully
 // delivered, or the barrier released the rank while messages were in
 // flight.

@@ -110,18 +110,6 @@ func TestMutationSmoke(t *testing.T) {
 			detected, tried := 0, 0
 			for seed := int64(0); seed < mutationBudget; seed++ {
 				for _, c := range combos(seed) {
-					if m == MutantPrematureTerm && c.Variant == ygm.SyncExchange {
-						// The ALLTOALLV mailbox has no termination
-						// detector to sabotage.
-						continue
-					}
-					if m == MutantPhaseLeak && c.Variant == ygm.SyncExchange {
-						// ExchangeUntilQuiet has no detection generation
-						// after its last exchange: a leak claimed there is
-						// released after the verdict, which the delivery
-						// oracle rightly reports — not a pure reordering.
-						continue
-					}
 					if m.OrderingMutant() {
 						// The reorder and leak hooks live in the core's
 						// decode and deliver paths, shared by every

@@ -135,9 +135,9 @@ func TestRoundSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSyncSteadyStateZeroAlloc pins the ALLTOALLV-backed variant: Send
+// TestSyncSteadyStateZeroAlloc pins the bulk-synchronous variant: Send
 // encodes straight into the stage's generation buffer and Exchange ships
-// it through the pooled collective, both ranks in lockstep.
+// it as one pooled round packet, both ranks in lockstep.
 func TestSyncSteadyStateZeroAlloc(t *testing.T) {
 	skipIfYgmcheck(t)
 	var failure error
@@ -167,7 +167,7 @@ func TestSyncSteadyStateZeroAlloc(t *testing.T) {
 				syncOnce()
 			}
 		}
-		mb.ExchangeUntilQuiet()
+		mb.WaitEmpty()
 		return nil
 	})
 	if err != nil {

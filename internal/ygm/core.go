@@ -12,12 +12,12 @@ import (
 // core is the one mailbox the three exchange variants share (Sections
 // III and IV of the paper): routing, broadcast fan-out, placement of
 // records into per-partner coalescing buffers, the packet decode loop,
-// dispatch, and delivery. Mailbox, RoundMailbox and SyncMailbox embed it
-// and add only an exchange policy — when a full queue triggers an
-// exchange, how staged buffers move, and what WaitEmpty waits for. The
-// core never asks which policy it serves: a policy drives it by setting
-// inStage around each exchange phase and calling take, decode and
-// promote.
+// dispatch, and delivery. Mailbox and RoundMailbox embed it and add only
+// an exchange policy — when a full queue triggers an exchange, how staged
+// buffers move, and what WaitEmpty waits for; SyncMailbox is RoundMailbox
+// without the trigger. The core never asks which policy it serves: a
+// policy drives it by setting inStage around each exchange phase and
+// calling take, decode and promote.
 type core struct {
 	p       *transport.Proc
 	me      machine.Rank
@@ -60,9 +60,9 @@ type core struct {
 }
 
 // init builds the shared state on rank p for the mailbox self. A staged
-// policy exchanges one scheme phase at a time (rounds, collectives) and
-// gets the scheme's stages with two buffer generations; an unstaged one
-// gets a single stage that carries every hop.
+// policy (rounds) exchanges one scheme phase at a time and gets the
+// scheme's stages with two buffer generations; an unstaged one gets a
+// single stage that carries every hop.
 func (c *core) init(p *transport.Proc, self Sender, handler Handler, opts Options, staged bool) error {
 	if handler == nil {
 		return errors.New("ygm: nil handler")

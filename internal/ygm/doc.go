@@ -35,8 +35,10 @@
 //	               opportunistically, with no round structure; the one
 //	               policy whose *Mailbox also offers TestEmpty, the
 //	               nonblocking poll of the HavoqGT pattern
-//	SyncExchange   the bulk-synchronous baseline of Section III-A: one
-//	               ALLTOALLV per stage, driven by explicit Exchange calls
+//	SyncExchange   the bulk-synchronous baseline of Section III-A: the
+//	               round protocol without its capacity trigger, so a
+//	               round (one ALLTOALLV per stage) runs only at explicit,
+//	               collective Exchange calls and in WaitEmpty
 //
 // Four routing schemes are provided (Section III of the paper):
 //
@@ -88,7 +90,7 @@
 // tag of the phase's own so that what a faster rank sends for the next
 // phase waits — TestEmpty runs the same pass between units of external
 // work, and the round-matched policy steps its detector between rounds.
-// Collective exchanges detect quiescence on their own; round-matched and
-// collective exchanges cannot progress unilaterally, so their types do
-// not have TestEmpty.
+// The bulk-synchronous policy inherits the round policy's WaitEmpty;
+// round-matched and bulk-synchronous exchanges cannot progress
+// unilaterally, so their types do not have TestEmpty.
 package ygm

@@ -43,8 +43,9 @@ const (
 	// barrier joined once every packet sent is acknowledged. Strictly
 	// more asynchronous; supports TestEmpty polling.
 	LazyExchange
-	// SyncExchange realizes every exchange phase as a synchronous
-	// ALLTOALLV collective (Section III-A's bulk-synchronous variant).
+	// SyncExchange is Section III-A's bulk-synchronous variant: the
+	// round protocol, each stage an ALLTOALLV among its partners, run
+	// only at explicit, collective Exchange calls and in WaitEmpty.
 	SyncExchange
 )
 
@@ -541,8 +542,8 @@ func (mb *Mailbox) WaitEmpty() {
 // rank again, belongs to the next phase: it is held back (PendingSends
 // counts it) until the application's next call into the mailbox after
 // the verdict. The mailbox can be reused afterwards.
-// Only the lazy policy offers it: round-matched and collective exchanges
-// cannot progress unilaterally.
+// Only the lazy policy offers it: round-matched and bulk-synchronous
+// exchanges cannot progress unilaterally.
 //
 // TestEmpty never blocks, so a loop that polls it must give way when it
 // has nothing else to do: call p.AbortIfPeerFailed() and p.Yield() on

@@ -65,12 +65,21 @@ type RoundMailbox struct {
 // construct one with identical Options before exchanging.
 func newRound(p *transport.Proc, handler Handler, opts Options) (*RoundMailbox, error) {
 	mb := &RoundMailbox{}
-	if err := mb.init(p, mb, handler, opts, true); err != nil {
+	if err := mb.initRound(p, mb, handler, opts); err != nil {
 		return nil, err
+	}
+	return mb, nil
+}
+
+// initRound builds the round state on rank p for the mailbox self, the
+// Sender handlers are handed.
+func (mb *RoundMailbox) initRound(p *transport.Proc, self Sender, handler Handler, opts Options) error {
+	if err := mb.init(p, self, handler, opts, true); err != nil {
+		return err
 	}
 	mb.tagScratch = make([]transport.Tag, 0, len(mb.stages)+1)
 	mb.term.init(&mb.core, &mb.round)
-	return mb, nil
+	return nil
 }
 
 // Send queues a point-to-point message; self-sends deliver immediately.

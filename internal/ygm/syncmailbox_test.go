@@ -107,7 +107,7 @@ func TestSyncBroadcast(t *testing.T) {
 					if p.Rank() == 5 {
 						mb.Broadcast(encodeU64(42))
 					}
-					mb.ExchangeUntilQuiet()
+					mb.WaitEmpty()
 					return nil
 				})
 			for r := 0; r < nodes*cores; r++ {
@@ -123,24 +123,17 @@ func TestSyncBroadcast(t *testing.T) {
 				}
 			}
 			// A single broadcast's records cannot coalesce with anything,
-			// so remote data packets equal remote record copies... except
-			// that empty Alltoallv legs also ship zero-length packets. Count
-			// only non-empty ones via byte totals: every record here is the
-			// same size, so packets with payload == records.
-			tot := rep.Totals()
-			if tot.DataRemoteMsgs != 0 {
-				t.Fatalf("sync mailbox must not use the mailbox data tag, got %d", tot.DataRemoteMsgs)
-			}
-			recordBytes := tot.RemoteBytes
-			if recordBytes == 0 && wantRemote[scheme] > 0 {
-				t.Fatalf("no remote traffic for %v broadcast", scheme)
+			// and empty round messages are not data, so remote data
+			// packets equal the scheme's remote record copies.
+			if got := rep.Totals().DataRemoteMsgs; got != wantRemote[scheme] {
+				t.Fatalf("%v broadcast: %d remote data packets, want %d", scheme, got, wantRemote[scheme])
 			}
 		})
 	}
 }
 
 // TestSyncHandlerSpawns: records spawned by handlers are delivered by
-// ExchangeUntilQuiet across rounds (the message-chain workload).
+// WaitEmpty across rounds (the message-chain workload).
 func TestSyncHandlerSpawns(t *testing.T) {
 	for _, scheme := range machine.Schemes {
 		scheme := scheme
@@ -160,7 +153,7 @@ func TestSyncHandlerSpawns(t *testing.T) {
 					if p.Rank() == 0 {
 						mb.Send(1, encodeU64(100))
 					}
-					mb.ExchangeUntilQuiet()
+					mb.WaitEmpty()
 					return nil
 				})
 			for r := 1; r < 6; r++ {
@@ -195,7 +188,7 @@ func TestSyncMatchesAsyncDelivery(t *testing.T) {
 		if sync {
 			runSyncMailbox(t, 3, 3, opts, handler, func(p *transport.Proc, mb *SyncMailbox) error {
 				workload(mb.Send, mb.Broadcast, p)
-				mb.ExchangeUntilQuiet()
+				mb.WaitEmpty()
 				return nil
 			})
 		} else {
@@ -239,12 +232,6 @@ func TestSyncCouplesToStraggler(t *testing.T) {
 	_, err := transport.Run(transport.Config{
 		Topo:  machine.New(4, 2),
 		Model: netsim.Quartz(),
-		ComputeScale: func(r machine.Rank) float64 {
-			if r == 7 {
-				return 1
-			}
-			return 1
-		},
 	}, func(p *transport.Proc) error {
 		mb, err := newSync(p, func(s Sender, payload []byte) {}, Options{Scheme: machine.NodeRemote})
 		if err != nil {
@@ -288,7 +275,7 @@ func TestSyncVariableLengthAndSelfSend(t *testing.T) {
 				mb.Send(3, make([]byte, 0))
 				mb.Send(3, make([]byte, 40000))
 			}
-			mb.ExchangeUntilQuiet()
+			mb.WaitEmpty()
 			return nil
 		})
 	if sizes[5] != 1 || sizes[0] != 1 || sizes[40000] != 1 {

@@ -330,20 +330,33 @@ const lostPacketBound = 10 * time.Second
 // totals never balanced, and detector packets kept the watchdog from
 // firing.
 func TestLostPacketEndsInTypedError(t *testing.T) {
-	testLostPacket(t, transport.TagData)
+	testLostPacket(t, LazyExchange, transport.TagData)
 }
 
 // TestLostAckEndsInTypedError: a lost acknowledgement leaves its data
 // packet unacknowledged just as a lost data packet does, and must end
 // the same way.
 func TestLostAckEndsInTypedError(t *testing.T) {
-	testLostPacket(t, TagAck)
+	testLostPacket(t, LazyExchange, TagAck)
 }
 
-// testLostPacket runs a lazy all-to-all on the simulator and the local
-// wire, each losing its first packet under tag, and requires a
-// DeadlockError or PacketLossError within lostPacketBound.
-func testLostPacket(t *testing.T, tag transport.Tag) {
+// TestLostRoundPacketEndsInTypedError: a lost round message leaves its
+// receiver waiting in that round forever, and its partners in the next
+// one or in the detector, so under both staged policies the run must end
+// the same way as a lazy one that lost a packet.
+func TestLostRoundPacketEndsInTypedError(t *testing.T) {
+	for _, style := range []ExchangeStyle{RoundExchange, SyncExchange} {
+		t.Run(style.String(), func(t *testing.T) {
+			testLostPacket(t, style, roundTag(0, 0, 0))
+		})
+	}
+}
+
+// testLostPacket runs an all-to-all under the exchange style on the
+// simulator and the local wire, each losing its first packet under tag,
+// and requires a DeadlockError or PacketLossError within
+// lostPacketBound.
+func testLostPacket(t *testing.T, style ExchangeStyle, tag transport.Tag) {
 	for _, tw := range []struct {
 		name string
 		wire transport.Wire
@@ -360,7 +373,7 @@ func testLostPacket(t *testing.T, tag transport.Tag) {
 					Wire:             wire,
 					WatchdogInterval: 20 * time.Millisecond,
 				}, func(p *transport.Proc) error {
-					mb := New(p, func(Sender, []byte) {}, WithExchange(LazyExchange))
+					mb := New(p, func(Sender, []byte) {}, WithExchange(style))
 					for d := 1; d < p.WorldSize(); d++ {
 						mb.Send(machine.Rank((int(p.Rank())+d)%p.WorldSize()), []byte("x"))
 					}
